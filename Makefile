@@ -12,11 +12,17 @@ build:
 vet:
 	$(GO) vet ./...
 
-# Static analysis: go vet always; staticcheck and govulncheck when
-# installed (neither is a module dependency — install with:
+# Static analysis: go vet and the gofmt gate always (every Go file
+# outside the benchmark's .bench_build/ scratch tree must be
+# gofmt-clean); staticcheck and govulncheck when installed (neither is
+# a module dependency — install with:
 #   go install honnef.co/go/tools/cmd/staticcheck@latest
 #   go install golang.org/x/vuln/cmd/govulncheck@latest).
 lint: vet
+	@out=$$(gofmt -l . | grep -v '^\.bench_build/'); \
+	if [ -n "$$out" ]; then \
+		echo "gofmt needed on:"; echo "$$out"; exit 1; \
+	fi
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \

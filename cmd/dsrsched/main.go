@@ -39,18 +39,18 @@ import (
 
 func main() {
 	var (
-		builtin  = flag.String("builtin", "", "analyse a built-in task set: casestudy")
-		rand     = flag.Bool("rand", false, "shorthand for the full case-study randomizer (-slots -permute -jitter 40)")
-		slots    = flag.Bool("slots", false, "policy: draw each activation's segment (slot) within its period")
-		permute  = flag.Bool("permute", false, "policy: permute same-criticality window order within a segment")
-		jitter   = flag.Int("jitter", 0, "policy: uniform release jitter bound in ms (0 = none)")
-		critOrd  = flag.Bool("crit-order", false, "require non-increasing criticality within each segment")
-		maxAsgn  = flag.Int("max-assignments", 0, "cap on enumerated segment assignments (0 = default 4096)")
-		maxOrds  = flag.Int("max-orders", 0, "cap on enumerated window orders per segment (0 = default 120)")
-		sample   = flag.Int("sample", 0, "draw N schedules and verify each against the certificate (self-check)")
-		seed     = flag.Uint64("seed", 1, "base seed for -sample draws")
-		jsonOut  = flag.Bool("json", false, "emit the report as JSON")
-		quiet    = flag.Bool("q", false, "suppress the per-task and support tables")
+		builtin = flag.String("builtin", "", "analyse a built-in task set: casestudy")
+		rand    = flag.Bool("rand", false, "shorthand for the full case-study randomizer (-slots -permute -jitter 40)")
+		slots   = flag.Bool("slots", false, "policy: draw each activation's segment (slot) within its period")
+		permute = flag.Bool("permute", false, "policy: permute same-criticality window order within a segment")
+		jitter  = flag.Int("jitter", 0, "policy: uniform release jitter bound in ms (0 = none)")
+		critOrd = flag.Bool("crit-order", false, "require non-increasing criticality within each segment")
+		maxAsgn = flag.Int("max-assignments", 0, "cap on enumerated segment assignments (0 = default 4096)")
+		maxOrds = flag.Int("max-orders", 0, "cap on enumerated window orders per segment (0 = default 120)")
+		sample  = flag.Int("sample", 0, "draw N schedules and verify each against the certificate (self-check)")
+		seed    = flag.Uint64("seed", 1, "base seed for -sample draws")
+		jsonOut = flag.Bool("json", false, "emit the report as JSON")
+		quiet   = flag.Bool("q", false, "suppress the per-task and support tables")
 	)
 	flag.Parse()
 

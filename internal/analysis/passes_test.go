@@ -99,8 +99,8 @@ func TestRetShapePass(t *testing.T) {
 
 func TestAlignmentPass(t *testing.T) {
 	f := &prog.Function{Name: "f", Leaf: true, Code: []isa.Instr{
-		{Op: isa.Ld, Rd: isa.O0, Rs1: isa.O1, Imm: 2},            // misaligned word
-		{Op: isa.Ldub, Rd: isa.O0, Rs1: isa.O1, Imm: 3},          // bytes may be odd
+		{Op: isa.Ld, Rd: isa.O0, Rs1: isa.O1, Imm: 2},   // misaligned word
+		{Op: isa.Ldub, Rd: isa.O0, Rs1: isa.O1, Imm: 3}, // bytes may be odd
 		{Op: isa.RetL},
 	}}
 	ds := runPasses(oneFunc(f))

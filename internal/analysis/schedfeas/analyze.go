@@ -138,10 +138,10 @@ type Report struct {
 	// EntropyBits is the Shannon entropy of the schedule distribution —
 	// the schedule-randomisation counterpart of the layout entropy the
 	// DSR side reports.
-	EntropyBits float64                `json:"entropy_bits"`
-	Tasks       []TaskReport           `json:"tasks"`
-	Violations  []Violation            `json:"violations,omitempty"`
-	Diags       []analysis.Diagnostic  `json:"diags,omitempty"`
+	EntropyBits float64               `json:"entropy_bits"`
+	Tasks       []TaskReport          `json:"tasks"`
+	Violations  []Violation           `json:"violations,omitempty"`
+	Diags       []analysis.Diagnostic `json:"diags,omitempty"`
 	// Cert is the feasibility certificate, non-nil exactly when
 	// Feasible.
 	Cert *Certificate `json:"certificate,omitempty"`
@@ -534,8 +534,8 @@ func (a *analyzer) gapInfo(m, slack int) *gapInfo {
 	}
 	gi := &gapInfo{}
 	j := a.policy.SlotJitterMillis
-	prob := []float64{1}          // P(cumulative = c) before the next draw
-	cnt := []float64{1}           // #gap prefixes reaching cumulative c
+	prob := []float64{1} // P(cumulative = c) before the next draw
+	cnt := []float64{1}  // #gap prefixes reaching cumulative c
 	for i := 0; i < m; i++ {
 		nextP := make([]float64, slack+1)
 		nextC := make([]float64, slack+1)

@@ -89,8 +89,8 @@ func genSpec(data []byte) (*Spec, Policy) {
 		return v
 	}
 
-	segLen := 1 + next()%4      // base segment (shortest period), ms
-	mult := 1 + next()%4        // segments per frame
+	segLen := 1 + next()%4 // base segment (shortest period), ms
+	mult := 1 + next()%4   // segments per frame
 	frame := segLen * mult
 	pol := next()
 	policy := Policy{

@@ -82,7 +82,7 @@ type Spec struct {
 	// CritOrdered, when set, requires that within any base segment no
 	// window starts before a strictly more critical window of the same
 	// segment — the mixed-criticality ordering constraint.
-	CritOrdered bool `json:"crit_ordered,omitempty"`
+	CritOrdered bool   `json:"crit_ordered,omitempty"`
 	Tasks       []Task `json:"tasks"`
 }
 

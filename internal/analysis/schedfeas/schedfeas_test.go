@@ -43,7 +43,7 @@ func TestSpecValidate(t *testing.T) {
 		{FrameMillis: 100, CyclesPerMilli: 1, Tasks: []Task{
 			{Name: "a", PeriodMillis: 10, BudgetMillis: 1},
 			{Name: "a", PeriodMillis: 10, BudgetMillis: 1}}},
-		{FrameMillis: 100, CyclesPerMilli: 1, Tasks: []Task{{Name: "t", PeriodMillis: 30, BudgetMillis: 1}}},  // 30 ∤ 100
+		{FrameMillis: 100, CyclesPerMilli: 1, Tasks: []Task{{Name: "t", PeriodMillis: 30, BudgetMillis: 1}}}, // 30 ∤ 100
 		{FrameMillis: 100, CyclesPerMilli: 1, Tasks: []Task{ // 25 not multiple of 10
 			{Name: "a", PeriodMillis: 10, BudgetMillis: 1},
 			{Name: "b", PeriodMillis: 25, BudgetMillis: 1}}},

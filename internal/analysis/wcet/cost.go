@@ -10,7 +10,7 @@
 //     generically from the cache/bus/DRAM configs;
 //   - stores on the write-through DL1 are charged the store-buffer-
 //     adjusted worst (max(0, hierarchy − StoreHidden)), mirroring
-//     cpu.storeAccess;
+//     cpu's dwrite;
 //   - register-window spills/fills are charged per Save/Restore/Ret
 //     only when the stack analysis cannot prove the program window-safe;
 //   - TLB walks are charged through a page budget (wcet.go): when the

@@ -15,8 +15,8 @@ import (
 // hold. A refusal (Bounded=false) is always acceptable — the invariant
 // constrains only the bounds the analyzer is willing to claim.
 func FuzzWCETSound(f *testing.F) {
-	f.Add([]byte{})                                  // empty body
-	f.Add([]byte{0, 1, 2, 3})                        // straight line
+	f.Add([]byte{})                                 // empty body
+	f.Add([]byte{0, 1, 2, 3})                       // straight line
 	f.Add([]byte{4, 10, 0, 7, 2, 9, 3, 5, 5})       // one loop with a store
 	f.Add([]byte{4, 3, 4, 5, 2, 8, 5, 1, 6, 5})     // nested loops
 	f.Add([]byte{6, 2, 0, 9, 6, 1, 7, 3})           // diamonds and a call

@@ -89,15 +89,14 @@ type CPU struct {
 	data   *Memory
 
 	// icacheC/dcacheC are the L1 fronts devirtualised: when a front is a
-	// concrete *cache.Cache (the no-attribution configuration) whose
-	// line size is at least a word, the hot paths call its single-line
-	// entry points (ReadLine/WriteLine) directly — the CPU's accesses
-	// are aligned words and single bytes, which then never straddle a
-	// line — so the hit fast path inlines instead of paying a
-	// mem.Backend interface dispatch per access. They are nil whenever
-	// the front is anything else — in particular a telemetry.Probe
-	// chain, which must stay on the interface path so every access is
-	// booked. Rebound by bindFronts.
+	// concrete *cache.Cache whose line size is at least a word, the hot
+	// paths call its single-line entry points (ReadLine/WriteLine)
+	// directly — the CPU's accesses are aligned words and single bytes,
+	// which then never straddle a line — so the hit fast path inlines
+	// instead of paying a mem.Backend interface dispatch per access.
+	// They are nil whenever the front is anything else. Attribution does
+	// not change them: the CPU books its own L1 fronts (ifetch, dread,
+	// dwrite). Set by bindFronts.
 	icacheC *cache.Cache
 	dcacheC *cache.Cache
 
@@ -140,7 +139,7 @@ type CPU struct {
 	// re-lookup entirely. The window is the intersection of the IL1
 	// line, the page and curFn's code range, armed by fetchSlow and
 	// torn down (fetchHi=0) whenever something could invalidate it:
-	// Reset, SetImage, SetMemoryFronts, and after every call hook (the
+	// Reset, SetImage, and after every call hook (the
 	// DSR runtime invalidates IL1 ranges mid-run). fetchZero gates the
 	// whole mechanism: it is set only when skipping is provably
 	// cycle-exact (IL1 and ITLB hit latencies both zero, as on the
@@ -169,9 +168,9 @@ type CPU struct {
 	// att, when set, receives a cycle-attribution booking for every
 	// cycle this core charges, partitioning the cycle counter into the
 	// components of telemetry.Component under a hard conservation
-	// invariant. When attribution is enabled the icache/dcache fronts
-	// must be telemetry.Probe chains (platform.EnableAttribution wires
-	// both together) so that memory stall cycles are booked per level.
+	// invariant. The core books its own charge points and its L1 fronts;
+	// the levels below the L1s book themselves when they are
+	// telemetry.Probe chains (platform.EnableAttribution wires them).
 	att *telemetry.Attribution
 }
 
@@ -202,26 +201,21 @@ func New(cfg Config, img *loader.Image, icache, dcache mem.Backend, itlb, dtlb *
 	return c
 }
 
-// bindFronts (re)derives everything the hot paths precompute from the
+// bindFronts derives everything the hot paths precompute from the
 // memory fronts: the devirtualised concrete-cache pointers and the
 // fetch fast-path gate. The gate requires proof that a skipped fetch
-// would have charged zero cycles: the IL1 behind the front (possibly
-// behind a probe chain, discovered via Unwrap) must have hit latency
-// zero, and so must the ITLB if present. Anything unprovable — an
-// unknown backend type, non-zero latencies — leaves the gate closed and
-// every fetch on the exact slow path.
+// would have charged zero cycles: the IL1 front must be a concrete
+// cache with hit latency zero, and so must the ITLB if present.
+// Anything unprovable — an unknown backend type, non-zero latencies —
+// leaves the gate closed and every fetch on the exact slow path.
 func (c *CPU) bindFronts() {
-	c.InvalidateDecode() // the IL1 line size (and thus chunking) may change
-	c.icacheC, c.dcacheC = nil, nil
 	if cc, ok := c.icache.(*cache.Cache); ok && cc.Config().LineSize >= mem.WordSize {
 		c.icacheC = cc
 	}
 	if cc, ok := c.dcache.(*cache.Cache); ok && cc.Config().LineSize >= mem.WordSize {
 		c.dcacheC = cc
 	}
-	c.fetchLo, c.fetchHi = 0, 0
-	c.fetchZero, c.fetchLine = false, 0
-	il1 := unwrapCache(c.icache)
+	il1 := c.icacheC
 	if il1 == nil || il1.Config().HitLatency != 0 {
 		return
 	}
@@ -230,24 +224,6 @@ func (c *CPU) bindFronts() {
 	}
 	c.fetchZero = true
 	c.fetchLine = mem.Addr(il1.Config().LineSize)
-}
-
-// unwrapCache walks a chain of Unwrap-able interposers (telemetry
-// probes) down to a concrete *cache.Cache, or nil if the chain bottoms
-// out in anything else. Used only to read timing configuration — the
-// access paths never bypass the interposers.
-func unwrapCache(b mem.Backend) *cache.Cache {
-	for b != nil {
-		if cc, ok := b.(*cache.Cache); ok {
-			return cc
-		}
-		u, ok := b.(interface{ Unwrap() mem.Backend })
-		if !ok {
-			return nil
-		}
-		b = u.Unwrap()
-	}
-	return nil
 }
 
 // outBase/localBase locate window w's out and local banks in rfile.
@@ -323,17 +299,13 @@ func (c *CPU) Counters() Counters { return c.ctr }
 func (c *CPU) ResetCounters() { c.ctr = Counters{} }
 
 // SetAttribution installs (or clears, with nil) the cycle-attribution
-// profiler. Use platform.EnableAttribution rather than calling this
-// directly: attribution is only conservative when the memory fronts are
-// probe chains booking into the same profiler.
+// profiler. The core books every cycle it charges, its L1 front
+// accesses included, so the booked total equals the cycle counter
+// exactly whatever the memory fronts are. Without probes, an access's
+// whole hierarchy latency books to CompIL1/CompDL1; to split it per
+// level, wrap the levels below the L1s in telemetry.Probe chains
+// booking into the same profiler, as platform.EnableAttribution does.
 func (c *CPU) SetAttribution(a *telemetry.Attribution) { c.att = a }
-
-// SetMemoryFronts rebinds the L1 cache fronts (used when telemetry
-// probes are interposed after construction).
-func (c *CPU) SetMemoryFronts(icache, dcache mem.Backend) {
-	c.icache, c.dcache = icache, dcache
-	c.bindFronts()
-}
 
 // charge adds n cycles and books them to comp (or the active override).
 func (c *CPU) charge(comp telemetry.Component, n mem.Cycles) {
@@ -343,15 +315,21 @@ func (c *CPU) charge(comp telemetry.Component, n mem.Cycles) {
 	}
 }
 
-// translate charges a TLB translation, booking the entire cost — hit
-// latency plus any page-table walk traffic — to comp.
-func (c *CPU) translate(t *tlb.TLB, addr mem.Addr, comp telemetry.Component) {
+// book books n cycles to comp in a (nil-safe) and returns n: the
+// engine's charge points add the result to their local cycle counter.
+func book(a *telemetry.Attribution, comp telemetry.Component, n mem.Cycles) mem.Cycles {
+	a.Charge(comp, n)
+	return n
+}
+
+// translate performs a TLB translation and returns its cost, booking
+// all of it — hit latency plus any page-table walk traffic — to comp.
+func (c *CPU) translate(t *tlb.TLB, addr mem.Addr, comp telemetry.Component) mem.Cycles {
 	if t == nil {
-		return
+		return 0
 	}
 	if c.att == nil {
-		c.cycles += t.Translate(addr)
-		return
+		return t.Translate(addr)
 	}
 	prev, eff := c.att.SetOverride(comp)
 	start := c.att.Total()
@@ -359,7 +337,7 @@ func (c *CPU) translate(t *tlb.TLB, addr mem.Addr, comp telemetry.Component) {
 	// The walk traffic booked lat-(hit latency); book the remainder.
 	c.att.Charge(eff, lat-(c.att.Total()-start))
 	c.att.ClearOverride(prev)
-	c.cycles += lat
+	return lat
 }
 
 // Trace returns the instrumentation points recorded so far.
@@ -419,12 +397,7 @@ func (c *CPU) src2(in *isa.Instr) uint32 {
 // contiguous repeats of the line/page the slow fetch just touched,
 // which cannot change any future victim choice.
 func (c *CPU) fetchSlow() (*isa.Instr, error) {
-	c.translate(c.itlb, c.pc, telemetry.CompITLBWalk)
-	if c.icacheC != nil {
-		c.cycles += c.icacheC.ReadLine(c.pc)
-	} else {
-		c.cycles += c.icache.Read(c.pc, isa.InstrBytes)
-	}
+	c.ifetch(c.pc)
 	if c.curFn == nil || c.pc < c.curFn.Base || c.pc >= c.curFn.End() {
 		c.curFn = c.img.FuncAt(c.pc)
 		if c.curFn == nil {
@@ -473,52 +446,86 @@ func (c *CPU) misalignedData(in *isa.Instr, ea mem.Addr) error {
 	return fmt.Errorf("cpu: misaligned %s at %#x (pc %#x)", in.Op, ea, c.pc)
 }
 
-// loadWord performs a timed word load. The DL1 read goes through the
-// devirtualised front when available so the hit fast path inlines.
-func (c *CPU) loadWord(ea mem.Addr) uint32 {
-	c.ctr.Loads++
-	c.translate(c.dtlb, ea, telemetry.CompDTLBWalk)
-	c.charge(telemetry.CompLoadStore, c.cfg.LoadUse)
-	if c.dcacheC != nil {
-		c.cycles += c.dcacheC.ReadLine(ea)
+// ifetch, dread and dwrite charge the core's timed accesses — an
+// instruction fetch, a data load, a data store — and are its only
+// accesses to its L1 fronts. Each books its translation through
+// translate and then applies the front-booking rule: the L1 access
+// returns its latency lat, and lat minus whatever the levels below
+// booked during the same synchronous transaction (the change in
+// att.Total()) is booked to CompIL1 or CompDL1, or to the active
+// override. The bookings of one access thus add up to exactly its
+// latency — the self-latency a telemetry.Probe in front of the L1
+// would book — while the fronts stay bare caches, devirtualised through
+// icacheC/dcacheC and eligible for the engine's inline window re-arm.
+
+// ifetch charges the fetch of the instruction at pc: ITLB translation
+// and the IL1 read.
+func (c *CPU) ifetch(pc mem.Addr) {
+	c.cycles += c.translate(c.itlb, pc, telemetry.CompITLBWalk)
+	start := c.att.Total()
+	var lat mem.Cycles
+	if c.icacheC != nil {
+		lat = c.icacheC.ReadLine(pc)
 	} else {
-		c.cycles += c.dcache.Read(ea, mem.WordSize)
+		lat = c.icache.Read(pc, isa.InstrBytes)
 	}
-	return c.data.LoadWord(ea)
+	c.att.Charge(telemetry.CompIL1, lat-(c.att.Total()-start))
+	c.cycles += lat
 }
 
-// storeAccess charges the store-buffer-adjusted write-through cost of a
-// store of the given size at ea. With attribution enabled the hierarchy
-// traffic is booked under the store-path override and the store-buffer-
-// hidden portion is rebated, so the booked cycles match the charged
-// cycles exactly.
-func (c *CPU) storeAccess(ea mem.Addr, size int) {
-	c.charge(telemetry.CompLoadStore, c.cfg.StoreBase)
+// dread charges a load of size bytes at ea: DTLB translation, the
+// pipeline's load-use cycle and the DL1 read.
+func (c *CPU) dread(ea mem.Addr, size int) {
+	c.ctr.Loads++
+	c.cycles += c.translate(c.dtlb, ea, telemetry.CompDTLBWalk)
+	c.charge(telemetry.CompLoadStore, c.cfg.LoadUse)
+	start := c.att.Total()
 	var lat mem.Cycles
-	if c.att != nil {
-		prev, eff := c.att.SetOverride(telemetry.CompStorePath)
-		lat = c.dcache.Write(ea, size)
-		hidden := lat
-		if hidden > c.cfg.StoreHidden {
-			hidden = c.cfg.StoreHidden
-		}
-		c.att.Rebate(eff, hidden)
-		c.att.ClearOverride(prev)
-	} else if c.dcacheC != nil {
+	if c.dcacheC != nil {
+		lat = c.dcacheC.ReadLine(ea)
+	} else {
+		lat = c.dcache.Read(ea, size)
+	}
+	c.att.Charge(telemetry.CompDL1, lat-(c.att.Total()-start))
+	c.cycles += lat
+}
+
+// dwrite charges a store of size bytes at ea: DTLB translation, the
+// store-issue cycles and the store-buffer-adjusted write-through cost.
+// With attribution the DL1 write, hierarchy traffic included, books
+// under the store-path override, and the store-buffer-hidden portion —
+// booked but never charged — is rebated, so the booked cycles match
+// the charged cycles exactly.
+func (c *CPU) dwrite(ea mem.Addr, size int) {
+	c.ctr.Stores++
+	c.cycles += c.translate(c.dtlb, ea, telemetry.CompDTLBWalk)
+	c.charge(telemetry.CompLoadStore, c.cfg.StoreBase)
+	prev, eff := c.att.SetOverride(telemetry.CompStorePath)
+	start := c.att.Total()
+	var lat mem.Cycles
+	if c.dcacheC != nil {
 		lat = c.dcacheC.WriteLine(ea, size)
 	} else {
 		lat = c.dcache.Write(ea, size)
 	}
-	if lat > c.cfg.StoreHidden {
-		c.cycles += lat - c.cfg.StoreHidden
+	c.att.Charge(telemetry.CompDL1, lat-(c.att.Total()-start))
+	hidden := min(lat, c.cfg.StoreHidden)
+	if c.att != nil {
+		c.att.Rebate(eff, hidden)
+		c.att.ClearOverride(prev)
 	}
+	c.cycles += lat - hidden
+}
+
+// loadWord performs a timed word load.
+func (c *CPU) loadWord(ea mem.Addr) uint32 {
+	c.dread(ea, mem.WordSize)
+	return c.data.LoadWord(ea)
 }
 
 // storeWord performs a timed word store.
 func (c *CPU) storeWord(ea mem.Addr, v uint32) {
-	c.ctr.Stores++
-	c.translate(c.dtlb, ea, telemetry.CompDTLBWalk)
-	c.storeAccess(ea, mem.WordSize)
+	c.dwrite(ea, mem.WordSize)
 	c.data.StoreWord(ea, v)
 }
 
@@ -696,14 +703,7 @@ func (c *CPU) Step() error {
 		c.setReg(in.Rd, c.loadWord(ea))
 	case isa.Ldub:
 		ea, _ := c.dataAddr(in, 1)
-		c.ctr.Loads++
-		c.translate(c.dtlb, ea, telemetry.CompDTLBWalk)
-		c.charge(telemetry.CompLoadStore, c.cfg.LoadUse)
-		if c.dcacheC != nil {
-			c.cycles += c.dcacheC.ReadLine(ea)
-		} else {
-			c.cycles += c.dcache.Read(ea, 1)
-		}
+		c.dread(ea, 1)
 		c.setReg(in.Rd, c.data.LoadByte(ea))
 	case isa.St:
 		ea, err := c.dataAddr(in, mem.WordSize)
@@ -713,9 +713,7 @@ func (c *CPU) Step() error {
 		c.storeWord(ea, c.reg(in.Rd))
 	case isa.Stb:
 		ea, _ := c.dataAddr(in, 1)
-		c.ctr.Stores++
-		c.translate(c.dtlb, ea, telemetry.CompDTLBWalk)
-		c.storeAccess(ea, 1)
+		c.dwrite(ea, 1)
 		c.data.StoreByte(ea, c.reg(in.Rd))
 
 	case isa.FLd:

@@ -211,8 +211,7 @@ func (c *CPU) decoded(pf *loader.PlacedFunc) *uprog {
 // requires calling it — decoded programs derive only from immutable
 // prog.Function code and the layout class, and relocation/reboot simply
 // resolves to a different cache entry — but it is the hard reset for
-// configuration changes (bindFronts calls it when the line size may have
-// changed) and for tests that force a cold decode.
+// tests that force a cold decode.
 func (c *CPU) InvalidateDecode() {
 	c.decCache = nil
 	c.lastPf, c.lastP = nil, nil

@@ -34,6 +34,12 @@ import (
 // with side effects beyond the register file (memory traffic, FPU
 // latency charges, cross-function control, window rotations, traps)
 // takes the general single-µop path, which mirrors Step case by case.
+//
+// Attribution does not change the dispatch: every charge point books
+// the same component as the matching Step charge (book is a nil check
+// when attribution is off) except base issue, booked in bulk; memory
+// traffic goes through the same helpers (dread, dwrite), and the inline
+// re-arm books through ifetch.
 
 // noBudget makes RunBudget's cycle gate unreachable for plain Run.
 const noBudget = ^mem.Cycles(0)
@@ -45,14 +51,14 @@ const rfileSlots = 256
 
 // engineOK reports whether the threaded-code engine may execute: the
 // zero-cost fetch window must be armable (fetchZero — IL1 and ITLB hits
-// cost zero), attribution must be off (per-component bookings need the
-// interpreter's charge points), the IL1 line size must divide the page
-// size (so fetch-window boundaries depend only on the placement's line
-// offset — the layout class), and every register-file index including
-// the %g0 scratch slot must fit the µop encoding. Anything unprovable
-// falls back to the interpreter.
+// cost zero), the IL1 line size must divide the page size (so
+// fetch-window boundaries depend only on the placement's line offset —
+// the layout class), and every register-file index including the %g0
+// scratch slot must fit the µop encoding. Anything unprovable falls
+// back to the interpreter. Attribution is not a condition: the engine
+// books the same components as the interpreter.
 func (c *CPU) engineOK() bool {
-	return c.fetchZero && c.att == nil && !c.forceInterp &&
+	return c.fetchZero && !c.forceInterp &&
 		c.fetchLine > 0 && mem.PageSize%c.fetchLine == 0 &&
 		c.scratchIdx() < rfileSlots && len(c.rfile) >= rfileSlots
 }
@@ -74,6 +80,19 @@ func (c *CPU) runFast(budget mem.Cycles) error {
 	rb := &c.rbase
 	line := c.fetchLine
 	itlb, icC := c.itlb, c.icacheC
+	att := c.att
+	// Base issue is one cycle per retired instruction, so under
+	// attribution the engine books it in bulk when it returns rather
+	// than at every instruction, which keeps the fused runs free of
+	// booking. Instructions the interpreter fallback retires (stepped)
+	// book their own.
+	var stepped uint64
+	if att != nil {
+		ins0 := c.ctr.Instrs
+		defer func() {
+			att.Charge(telemetry.CompBaseIssue, mem.Cycles(c.ctr.Instrs-ins0-stepped))
+		}()
+	}
 	// maxI as an effective bound: MaxInstrs==0 means no watchdog, which
 	// the sentinel makes a plain always-false compare instead of a
 	// two-legged test on every gate.
@@ -107,7 +126,10 @@ outer:
 			// Undecodable function: one authoritative interpreter step.
 			// Its fetch resolves through the window just armed, so no
 			// hierarchy access happens twice.
-			if err := c.Step(); err != nil {
+			n := c.ctr.Instrs
+			err := c.Step()
+			stepped += c.ctr.Instrs - n
+			if err != nil {
 				return err
 			}
 			continue
@@ -200,7 +222,7 @@ outer:
 				// from i before any observable use.
 				u := &ro[i]
 				ins++
-				cyc++ // base issue (attribution is off in the engine)
+				cyc++ // base issue, booked in bulk on return
 				switch u.tag {
 				case uHalt:
 					c.halted = true
@@ -209,11 +231,11 @@ outer:
 					return nil
 
 				case uMulR:
-					cyc += c.cfg.MulLatency
+					cyc += book(att, telemetry.CompIntOp, c.cfg.MulLatency)
 					rf[u.d] = uint32(int32(rf[u.a]) * int32(rf[u.b]))
 					i++
 				case uMulI:
-					cyc += c.cfg.MulLatency
+					cyc += book(att, telemetry.CompIntOp, c.cfg.MulLatency)
 					rf[u.d] = uint32(int32(rf[u.a]) * u.imm)
 					i++
 				case uDivR, uDivI:
@@ -226,7 +248,7 @@ outer:
 						c.cycles, c.ctr.Instrs = cyc, ins
 						return fmt.Errorf("cpu: division by zero at pc %#x", c.pc)
 					}
-					cyc += c.cfg.DivLatency
+					cyc += book(att, telemetry.CompIntOp, c.cfg.DivLatency)
 					rf[u.d] = uint32(int32(rf[u.a]) / d)
 					i++
 
@@ -238,20 +260,14 @@ outer:
 						return c.misalignedData(&pf.Code[i], ea)
 					}
 					c.cycles, c.ctr.Instrs = cyc, ins
-					rf[u.d] = c.loadWord(ea)
+					c.dread(ea, mem.WordSize)
+					rf[u.d] = c.data.LoadWord(ea)
 					cyc = c.cycles
 					i++
 				case uLdub:
 					ea := mem.Addr(rf[u.a] + uint32(u.imm))
-					c.ctr.Loads++
 					c.cycles, c.ctr.Instrs = cyc, ins
-					c.translate(c.dtlb, ea, telemetry.CompDTLBWalk)
-					c.cycles += c.cfg.LoadUse
-					if c.dcacheC != nil {
-						c.cycles += c.dcacheC.ReadLine(ea)
-					} else {
-						c.cycles += c.dcache.Read(ea, 1)
-					}
+					c.dread(ea, 1)
 					rf[u.d] = c.data.LoadByte(ea)
 					cyc = c.cycles
 					i++
@@ -263,15 +279,14 @@ outer:
 						return c.misalignedData(&pf.Code[i], ea)
 					}
 					c.cycles, c.ctr.Instrs = cyc, ins
-					c.storeWord(ea, rf[u.d])
+					c.dwrite(ea, mem.WordSize)
+					c.data.StoreWord(ea, rf[u.d])
 					cyc = c.cycles
 					i++
 				case uStb:
 					ea := mem.Addr(rf[u.a] + uint32(u.imm))
-					c.ctr.Stores++
 					c.cycles, c.ctr.Instrs = cyc, ins
-					c.translate(c.dtlb, ea, telemetry.CompDTLBWalk)
-					c.storeAccess(ea, 1)
+					c.dwrite(ea, 1)
 					c.data.StoreByte(ea, rf[u.d])
 					cyc = c.cycles
 					i++
@@ -283,7 +298,8 @@ outer:
 						return c.misalignedData(&pf.Code[i], ea)
 					}
 					c.cycles, c.ctr.Instrs = cyc, ins
-					c.fregs[u.d] = math.Float32frombits(c.loadWord(ea))
+					c.dread(ea, mem.WordSize)
+					c.fregs[u.d] = math.Float32frombits(c.data.LoadWord(ea))
 					cyc = c.cycles
 					i++
 				case uFSt:
@@ -294,40 +310,41 @@ outer:
 						return c.misalignedData(&pf.Code[i], ea)
 					}
 					c.cycles, c.ctr.Instrs = cyc, ins
-					c.storeWord(ea, math.Float32bits(c.fregs[u.b]))
+					c.dwrite(ea, mem.WordSize)
+					c.data.StoreWord(ea, math.Float32bits(c.fregs[u.b]))
 					cyc = c.cycles
 					i++
 
 				case uFadd:
 					c.ctr.FPUOps++
-					cyc += c.cfg.FAddLatency
+					cyc += book(att, telemetry.CompFPUBase, c.cfg.FAddLatency)
 					c.fregs[u.d] = c.fregs[u.a] + c.fregs[u.b]
 					i++
 				case uFsub:
 					c.ctr.FPUOps++
-					cyc += c.cfg.FAddLatency
+					cyc += book(att, telemetry.CompFPUBase, c.cfg.FAddLatency)
 					c.fregs[u.d] = c.fregs[u.a] - c.fregs[u.b]
 					i++
 				case uFmul:
 					c.ctr.FPUOps++
-					cyc += c.cfg.FMulLatency
+					cyc += book(att, telemetry.CompFPUBase, c.cfg.FMulLatency)
 					c.fregs[u.d] = c.fregs[u.a] * c.fregs[u.b]
 					i++
 				case uFdiv:
 					c.ctr.FPUOps++
-					cyc += c.cfg.FDivLatency
-					cyc += c.cfg.Jitter(c.fregs[u.b])
+					cyc += book(att, telemetry.CompFPUBase, c.cfg.FDivLatency)
+					cyc += book(att, telemetry.CompFPUJitter, c.cfg.Jitter(c.fregs[u.b]))
 					c.fregs[u.d] = c.fregs[u.a] / c.fregs[u.b]
 					i++
 				case uFsqrt:
 					c.ctr.FPUOps++
-					cyc += c.cfg.FSqrtLatency
-					cyc += c.cfg.Jitter(c.fregs[u.b])
+					cyc += book(att, telemetry.CompFPUBase, c.cfg.FSqrtLatency)
+					cyc += book(att, telemetry.CompFPUJitter, c.cfg.Jitter(c.fregs[u.b]))
 					c.fregs[u.d] = float32(math.Sqrt(float64(c.fregs[u.b])))
 					i++
 				case uFcmp:
 					c.ctr.FPUOps++
-					cyc += c.cfg.FAddLatency
+					cyc += book(att, telemetry.CompFPUBase, c.cfg.FAddLatency)
 					a, b := c.fregs[u.a], c.fregs[u.b]
 					switch {
 					case a != a || b != b:
@@ -342,25 +359,25 @@ outer:
 					i++
 				case uFitos:
 					c.ctr.FPUOps++
-					cyc += c.cfg.FAddLatency
+					cyc += book(att, telemetry.CompFPUBase, c.cfg.FAddLatency)
 					c.fregs[u.d] = float32(int32(math.Float32bits(c.fregs[u.b])))
 					i++
 				case uFstoi:
 					c.ctr.FPUOps++
-					cyc += c.cfg.FAddLatency
+					cyc += book(att, telemetry.CompFPUBase, c.cfg.FAddLatency)
 					c.fregs[u.d] = math.Float32frombits(uint32(int32(c.fregs[u.b])))
 					i++
 
 				case uBa:
 					c.ctr.Branches++
 					c.ctr.TakenBranches++
-					cyc += c.cfg.BranchTaken
+					cyc += book(att, telemetry.CompBranch, c.cfg.BranchTaken)
 					i += int(u.imm)
 				case uBe:
 					c.ctr.Branches++
 					if c.iccZ {
 						c.ctr.TakenBranches++
-						cyc += c.cfg.BranchTaken
+						cyc += book(att, telemetry.CompBranch, c.cfg.BranchTaken)
 						i += int(u.imm)
 					} else {
 						i++
@@ -369,7 +386,7 @@ outer:
 					c.ctr.Branches++
 					if !c.iccZ {
 						c.ctr.TakenBranches++
-						cyc += c.cfg.BranchTaken
+						cyc += book(att, telemetry.CompBranch, c.cfg.BranchTaken)
 						i += int(u.imm)
 					} else {
 						i++
@@ -378,7 +395,7 @@ outer:
 					c.ctr.Branches++
 					if c.iccN {
 						c.ctr.TakenBranches++
-						cyc += c.cfg.BranchTaken
+						cyc += book(att, telemetry.CompBranch, c.cfg.BranchTaken)
 						i += int(u.imm)
 					} else {
 						i++
@@ -387,7 +404,7 @@ outer:
 					c.ctr.Branches++
 					if c.iccN || c.iccZ {
 						c.ctr.TakenBranches++
-						cyc += c.cfg.BranchTaken
+						cyc += book(att, telemetry.CompBranch, c.cfg.BranchTaken)
 						i += int(u.imm)
 					} else {
 						i++
@@ -396,7 +413,7 @@ outer:
 					c.ctr.Branches++
 					if !c.iccN && !c.iccZ {
 						c.ctr.TakenBranches++
-						cyc += c.cfg.BranchTaken
+						cyc += book(att, telemetry.CompBranch, c.cfg.BranchTaken)
 						i += int(u.imm)
 					} else {
 						i++
@@ -405,7 +422,7 @@ outer:
 					c.ctr.Branches++
 					if !c.iccN {
 						c.ctr.TakenBranches++
-						cyc += c.cfg.BranchTaken
+						cyc += book(att, telemetry.CompBranch, c.cfg.BranchTaken)
 						i += int(u.imm)
 					} else {
 						i++
@@ -414,7 +431,7 @@ outer:
 					c.ctr.Branches++
 					if c.fcc == 0 {
 						c.ctr.TakenBranches++
-						cyc += c.cfg.BranchTaken
+						cyc += book(att, telemetry.CompBranch, c.cfg.BranchTaken)
 						i += int(u.imm)
 					} else {
 						i++
@@ -423,7 +440,7 @@ outer:
 					c.ctr.Branches++
 					if c.fcc != 0 {
 						c.ctr.TakenBranches++
-						cyc += c.cfg.BranchTaken
+						cyc += book(att, telemetry.CompBranch, c.cfg.BranchTaken)
 						i += int(u.imm)
 					} else {
 						i++
@@ -432,7 +449,7 @@ outer:
 					c.ctr.Branches++
 					if c.fcc == -1 {
 						c.ctr.TakenBranches++
-						cyc += c.cfg.BranchTaken
+						cyc += book(att, telemetry.CompBranch, c.cfg.BranchTaken)
 						i += int(u.imm)
 					} else {
 						i++
@@ -441,7 +458,7 @@ outer:
 					c.ctr.Branches++
 					if c.fcc == 1 {
 						c.ctr.TakenBranches++
-						cyc += c.cfg.BranchTaken
+						cyc += book(att, telemetry.CompBranch, c.cfg.BranchTaken)
 						i += int(u.imm)
 					} else {
 						i++
@@ -500,7 +517,7 @@ outer:
 					i++
 
 				case uIPoint:
-					cyc += c.cfg.IPointCost
+					cyc += book(att, telemetry.CompIPoint, c.cfg.IPointCost)
 					c.trace = append(c.trace, TracePoint{ID: u.imm, Cycles: cyc})
 					i++
 
@@ -536,12 +553,20 @@ outer:
 					// translation, IL1 line read, window = line ∩ page
 					// ∩ function. The page clamp is vacuous here: the
 					// line size divides the page size (engineOK), so an
-					// aligned line never straddles a page.
+					// aligned line never straddles a page. Under
+					// attribution the accesses book through ifetch,
+					// exactly as fetchSlow's do.
 					pc := base + mem.Addr(i)*isa.InstrBytes
-					if itlb != nil {
-						cyc += itlb.Translate(pc)
+					if att == nil {
+						if itlb != nil {
+							cyc += itlb.Translate(pc)
+						}
+						cyc += icC.ReadLine(pc)
+					} else {
+						c.cycles = cyc
+						c.ifetch(pc)
+						cyc = c.cycles
 					}
-					cyc += icC.ReadLine(pc)
 					lo := pc &^ (line - 1)
 					hi := lo + line
 					if lo < base {

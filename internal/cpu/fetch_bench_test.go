@@ -43,22 +43,22 @@ func benchLoopProgram(b *testing.B) *loader.Image {
 	return img
 }
 
-// proximaFronts builds real IL1/DL1/TLBs over a flat backend, so the
-// benchmark exercises the devirtualised concrete-cache fetch path.
-func proximaFronts() (icache, dcache *cache.Cache, itlb, dtlb *tlb.TLB) {
-	flat := nullMem{}
+// proximaFronts builds real IL1/DL1/TLBs over next (the L1s' miss
+// path and the TLBs' walk memory), so the benchmark exercises the
+// devirtualised concrete-cache fetch path.
+func proximaFronts(next mem.Backend) (icache, dcache *cache.Cache, itlb, dtlb *tlb.TLB) {
 	il1 := cache.New(cache.Config{
 		Name: "IL1", Size: 16 * 1024, LineSize: 32, Ways: 4,
 		HitLatency: 0, Placement: cache.PlacementModulo,
 		Replacement: cache.ReplacementLRU, Write: cache.WriteBackAllocate,
-	}, flat)
+	}, next)
 	dl1 := cache.New(cache.Config{
 		Name: "DL1", Size: 16 * 1024, LineSize: 16, Ways: 4,
 		HitLatency: 0, Placement: cache.PlacementModulo,
 		Replacement: cache.ReplacementLRU, Write: cache.WriteThroughNoAllocate,
-	}, flat)
-	it := tlb.New(tlb.Config{Name: "ITLB", Entries: 64, WalkReads: 3}, flat, 0x7000_0000)
-	dt := tlb.New(tlb.Config{Name: "DTLB", Entries: 64, WalkReads: 3}, flat, 0x7000_0000)
+	}, next)
+	it := tlb.New(tlb.Config{Name: "ITLB", Entries: 64, WalkReads: 3}, next, 0x7000_0000)
+	dt := tlb.New(tlb.Config{Name: "DTLB", Entries: 64, WalkReads: 3}, next, 0x7000_0000)
 	return il1, dl1, it, dt
 }
 
@@ -67,7 +67,7 @@ func proximaFronts() (icache, dcache *cache.Cache, itlb, dtlb *tlb.TLB) {
 // effective instruction rate.
 func BenchmarkFetchLoop(b *testing.B) {
 	img := benchLoopProgram(b)
-	il1, dl1, it, dt := proximaFronts()
+	il1, dl1, it, dt := proximaFronts(nullMem{})
 	c := New(NewDefaultConfig(), img, il1, dl1, it, dt, NewMemory())
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -142,7 +142,7 @@ func TestChargeDisabledAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	il1, dl1, it, dt := proximaFronts()
+	il1, dl1, it, dt := proximaFronts(nullMem{})
 	c := New(NewDefaultConfig(), img, il1, dl1, it, dt, NewMemory())
 	c.Reset(stackTop)
 	if _, err := c.Run(); err != nil {

@@ -20,7 +20,7 @@ import (
 // observable surface (cycles, miss counters, registers) must not depend
 // on which path ran.
 func fetchDisabled(cfg Config, img *loader.Image) *CPU {
-	il1, dl1, it, dt := proximaFronts()
+	il1, dl1, it, dt := proximaFronts(nullMem{})
 	c := New(cfg, img, il1, dl1, it, dt, NewMemory())
 	c.fetchZero = false
 	c.fetchLo, c.fetchHi = 0, 0
@@ -35,7 +35,7 @@ func compareFetchPaths(t *testing.T, p *prog.Program) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	il1, dl1, it, dt := proximaFronts()
+	il1, dl1, it, dt := proximaFronts(nullMem{})
 	fast := New(NewDefaultConfig(), img, il1, dl1, it, dt, NewMemory())
 	slow := fetchDisabled(NewDefaultConfig(), img)
 	for run := 0; run < 2; run++ { // second run exercises warmed caches

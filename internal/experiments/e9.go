@@ -426,9 +426,9 @@ type E9Row struct {
 	// Feasibility outcome.
 	Overruns int
 	// Timing side: control MOET, i.i.d. gate, pWCET when estimable.
-	MOET     float64
-	IID      *mbpta.IIDReport // nil when the campaign is too short to test
-	PWCET    float64          // 0 when the campaign is too short for a tail fit
+	MOET  float64
+	IID   *mbpta.IIDReport // nil when the campaign is too short to test
+	PWCET float64          // 0 when the campaign is too short for a tail fit
 }
 
 // E9Report is the experiment outcome: the grid and three verdicts.

@@ -101,10 +101,6 @@ type Platform struct {
 	// att is the cycle-attribution profiler; nil (the no-op profiler)
 	// until EnableAttribution is called.
 	att *telemetry.Attribution
-	// ifront/dfront are the memory fronts the CPU is bound to: the raw
-	// L1s by default, telemetry probe chains once attribution is enabled.
-	ifront mem.Backend
-	dfront mem.Backend
 }
 
 // New wires the hierarchy. The platform has no image loaded yet; call
@@ -120,21 +116,23 @@ func New(cfg Config) *Platform {
 	return &Platform{
 		Cfg: cfg, IL1: il1, DL1: dl1, L2: l2,
 		ITLB: itlb, DTLB: dtlb, Bus: b, DRAM: d,
-		Mem:    cpu.NewMemory(),
-		ifront: il1, dfront: dl1,
+		Mem: cpu.NewMemory(),
 	}
 }
 
-// EnableAttribution interposes telemetry probes at every level of the
-// memory hierarchy and installs a cycle-attribution profiler on the
-// core, so that every cycle the platform charges is booked to exactly
-// one telemetry.Component. It returns the profiler (also available via
+// EnableAttribution installs a cycle-attribution profiler on the core
+// and interposes telemetry probes on the levels below the L1s, so that
+// every cycle the platform charges is booked to exactly one
+// telemetry.Component. It returns the profiler (also available via
 // Attribution). Idempotent; call before or after LoadImage.
 //
-// The probe chain mirrors the hardware topology: DRAM self-latency,
-// L2 self-latency, bus self-latency, and the L1 fronts book to their
-// own components, while TLB walks route through the probed bus so walk
-// traffic is redirected to the walk component by the CPU's override.
+// The probe chain mirrors the hardware topology: DRAM, L2 and bus each
+// book their self-latency, and TLB walks route through the probed bus
+// so walk traffic is redirected to the walk component by the CPU's
+// override. The L1s carry no probe: the core books its own L1 accesses
+// (see cpu.CPU.SetAttribution), so the probes sit only on the miss path
+// and the core's devirtualised hit paths and threaded-code engine stay
+// engaged under attribution.
 func (p *Platform) EnableAttribution() *telemetry.Attribution {
 	if p.att != nil {
 		return p.att
@@ -149,11 +147,8 @@ func (p *Platform) EnableAttribution() *telemetry.Attribution {
 	p.DL1.SetNext(pBus)
 	p.ITLB.SetWalkMem(pBus)
 	p.DTLB.SetWalkMem(pBus)
-	p.ifront = telemetry.NewProbe(p.IL1, att, telemetry.CompIL1)
-	p.dfront = telemetry.NewProbe(p.DL1, att, telemetry.CompDL1)
 	p.att = att
 	if p.CPU != nil {
-		p.CPU.SetMemoryFronts(p.ifront, p.dfront)
 		p.CPU.SetAttribution(att)
 	}
 	return att
@@ -172,7 +167,7 @@ func (p *Platform) LoadImage(img *loader.Image) {
 		p.Mem.StoreWord(iw.Addr, iw.Val)
 	}
 	if p.CPU == nil {
-		p.CPU = cpu.New(p.Cfg.CPU, img, p.ifront, p.dfront, p.ITLB, p.DTLB, p.Mem)
+		p.CPU = cpu.New(p.Cfg.CPU, img, p.IL1, p.DL1, p.ITLB, p.DTLB, p.Mem)
 		p.CPU.SetAttribution(p.att)
 	} else {
 		p.CPU.SetImage(img)

@@ -147,8 +147,9 @@ func (a *Attribution) Charge(comp Component, n mem.Cycles) {
 
 // Rebate removes n cycles from comp (or the active override): the
 // store-buffer-hidden portion of a store's hierarchy latency is booked
-// by the probes but never charged to the cycle counter, so it must be
-// taken back out to preserve conservation. Nil-safe.
+// by the store's L1 access and the probes below it but never charged to
+// the cycle counter, so it must be taken back out to preserve
+// conservation. Nil-safe.
 func (a *Attribution) Rebate(comp Component, n mem.Cycles) {
 	if a == nil || a.suspended || n == 0 {
 		return
@@ -305,8 +306,10 @@ func (s AttributionSnapshot) Render() string {
 // Probe is a mem.Backend interposer that books the wrapped level's
 // self-latency: the latency the level returns minus whatever deeper
 // probes booked during the same (synchronous, nested) transaction. A
-// chain of probes therefore books exactly the top-level latency, which
-// is what the CPU charges — the conservation invariant's hierarchy half.
+// chain of probes therefore books exactly the latency of the level it
+// fronts; the CPU applies the same rule to its own L1 accesses, so each
+// access books exactly what the CPU charges — the conservation
+// invariant's hierarchy half.
 type Probe struct {
 	next mem.Backend
 	att  *Attribution
@@ -320,14 +323,6 @@ func NewProbe(next mem.Backend, att *Attribution, comp Component) *Probe {
 	}
 	return &Probe{next: next, att: att, comp: comp}
 }
-
-// Unwrap returns the backend the probe interposes on. It exists so the
-// CPU can discover the concrete timing parameters of the level behind a
-// probe chain (e.g. "is the IL1 hit latency zero?") when deciding
-// whether its fetch fast path is cycle-exact. It must never be used to
-// bypass the probe on an access path — that would break the
-// attribution conservation invariant.
-func (p *Probe) Unwrap() mem.Backend { return p.next }
 
 // Read implements mem.Backend.
 func (p *Probe) Read(addr mem.Addr, size int) mem.Cycles {
