@@ -195,8 +195,9 @@ examples: build
 	$(GO) run ./examples/incremental
 	$(GO) run ./examples/spacestudy
 
-# Short fuzzing pass over the parsers (assembler, trace codec) and the
-# DSR transform verifier.
+# Short fuzzing pass over the parsers (assembler, trace codec), the
+# DSR transform verifier, the static analyzers' soundness oracles and
+# the engine/interpreter equivalence oracle.
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzAssemble -fuzztime=20s -fuzzminimizetime=5s ./internal/asm
 	$(GO) test -run=^$$ -fuzz=FuzzDecode -fuzztime=20s -fuzzminimizetime=5s ./internal/rvs
@@ -204,6 +205,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzVerifyTransform -fuzztime=20s -fuzzminimizetime=5s ./internal/core
 	$(GO) test -run=^$$ -fuzz=FuzzSeedSchedule -fuzztime=20s -fuzzminimizetime=5s ./internal/campaign
 	$(GO) test -run=^$$ -fuzz=FuzzWCETSound -fuzztime=20s -fuzzminimizetime=5s ./internal/analysis/wcet
+	$(GO) test -run=^$$ -fuzz=FuzzEngineEquiv -fuzztime=20s -fuzzminimizetime=5s ./internal/cpu
 	$(GO) test -run=^$$ -fuzz=FuzzLeakSound -fuzztime=20s -fuzzminimizetime=5s ./internal/analysis/leak
 	$(GO) test -run=^$$ -fuzz=FuzzSchedFeas -fuzztime=20s -fuzzminimizetime=5s ./internal/analysis/schedfeas
 

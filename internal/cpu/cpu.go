@@ -132,14 +132,14 @@ type CPU struct {
 
 	curFn *loader.PlacedFunc // fetch cache
 
-	// Fetch fast-path window: while fetchLo <= pc < fetchHi, the
-	// instruction at pc is a guaranteed zero-cycle fetch — same IL1
-	// line, same page and same function as a fetch that already ran the
-	// full translate+read path — so fetch skips re-translation and
-	// re-lookup entirely. The window is the intersection of the IL1
-	// line, the page and curFn's code range, armed by fetchSlow and
-	// torn down (fetchHi=0) whenever something could invalidate it:
-	// Reset, SetImage, and after every call hook (the
+	// Fetch window: while fetchLo <= pc < fetchHi, the instruction at
+	// pc is a guaranteed zero-cycle fetch — same IL1 line, same page and
+	// same function as a fetch that already ran the full translate+read
+	// path — so the engine skips re-translation and re-lookup entirely.
+	// The window is the intersection of the IL1 line, the page and
+	// curFn's code range, armed by fetchSlow and the engine's inline
+	// re-arm and torn down (fetchHi=0) whenever something could
+	// invalidate it: Reset, SetImage, and after every call hook (the
 	// DSR runtime invalidates IL1 ranges mid-run). fetchZero gates the
 	// whole mechanism: it is set only when skipping is provably
 	// cycle-exact (IL1 and ITLB hit latencies both zero, as on the
@@ -158,7 +158,7 @@ type CPU struct {
 	// Threaded-code engine state (decode.go, engine.go): the per-CPU
 	// decoded-program cache keyed on (function, layout class), a
 	// one-entry lookup cache for the current placement, and the
-	// forced-interpreter switch used by the equivalence suites.
+	// forced-interpreter switch the equivalence suites set.
 	decCache    map[decodeKey]*uprog
 	lastPf      *loader.PlacedFunc
 	lastClass   uint32
@@ -203,7 +203,7 @@ func New(cfg Config, img *loader.Image, icache, dcache mem.Backend, itlb, dtlb *
 
 // bindFronts derives everything the hot paths precompute from the
 // memory fronts: the devirtualised concrete-cache pointers and the
-// fetch fast-path gate. The gate requires proof that a skipped fetch
+// fetch-window gate. The gate requires proof that a skipped fetch
 // would have charged zero cycles: the IL1 front must be a concrete
 // cache with hit latency zero, and so must the ITLB if present.
 // Anything unprovable — an unknown backend type, non-zero latencies —
@@ -386,15 +386,13 @@ func (c *CPU) src2(in *isa.Instr) uint32 {
 }
 
 // fetchSlow is the exact fetch path: ITLB translation, IL1 read, curFn
-// lookup and alignment check. On success it re-arms the fast-path
-// window around pc when the fetchZero gate is open. The fast path
-// itself lives inline in Step: while pc stays inside the armed window —
-// same IL1 line, same page, same function as the last slow fetch — the
-// fetch is a guaranteed zero-cycle IL1/ITLB hit and the instruction is
-// served by one bounds compare and an index into curFn.Code. Skipping
-// the hierarchy there is cycle- and attribution-exact: a hit would
-// charge 0 cycles (so no booking), and the skipped LRU/age touches are
-// contiguous repeats of the line/page the slow fetch just touched,
+// lookup and alignment check. On success it arms the engine's fetch
+// window around pc when the fetchZero gate is open: while pc stays
+// inside it — same IL1 line, same page, same function as the last slow
+// fetch — runFast serves instructions without touching the hierarchy.
+// Skipping the hierarchy there is cycle- and attribution-exact: a hit
+// would charge 0 cycles (so no booking), and the skipped LRU/age touches
+// are contiguous repeats of the line/page the slow fetch just touched,
 // which cannot change any future victim choice.
 func (c *CPU) fetchSlow() (*isa.Instr, error) {
 	c.ifetch(c.pc)
@@ -429,31 +427,33 @@ func (c *CPU) fetchSlow() (*isa.Instr, error) {
 	return &c.curFn.Code[off/isa.InstrBytes], nil
 }
 
-// dataAddr computes and validates an effective address. The alignment
-// reduction ea&(align-1) is exact for the power-of-two alignments the
-// ISA uses (1 and WordSize); the error construction is outlined so the
-// common case stays small.
-func (c *CPU) dataAddr(in *isa.Instr, align mem.Addr) (mem.Addr, error) {
-	ea := mem.Addr(c.reg(in.Rs1) + uint32(in.Imm))
-	if align > 1 && ea&(align-1) != 0 {
-		return 0, c.misalignedData(in, ea)
-	}
-	return ea, nil
+// ea is the effective address of a load or store.
+func (c *CPU) ea(in *isa.Instr) mem.Addr {
+	return mem.Addr(c.reg(in.Rs1) + uint32(in.Imm))
+}
+
+// trap and misaligned build exec's trap errors, outlined so its frame
+// stays small; misaligned is the trap of a word access whose effective
+// address is not word-aligned.
+//
+//go:noinline
+func (c *CPU) trap(what string) error {
+	return fmt.Errorf("cpu: %s at pc %#x", what, c.pc)
 }
 
 //go:noinline
-func (c *CPU) misalignedData(in *isa.Instr, ea mem.Addr) error {
-	return fmt.Errorf("cpu: misaligned %s at %#x (pc %#x)", in.Op, ea, c.pc)
+func (c *CPU) misaligned(in *isa.Instr) error {
+	return fmt.Errorf("cpu: misaligned %s at %#x (pc %#x)", in.Op, c.ea(in), c.pc)
 }
 
-// ifetch, dread and dwrite charge the core's timed accesses — an
-// instruction fetch, a data load, a data store — and are its only
-// accesses to its L1 fronts. Each books its translation through
-// translate and then applies the front-booking rule: the L1 access
-// returns its latency lat, and lat minus whatever the levels below
-// booked during the same synchronous transaction (the change in
-// att.Total()) is booked to CompIL1 or CompDL1, or to the active
-// override. The bookings of one access thus add up to exactly its
+// ifetch, dread and dwrite are the core's timed accesses — an
+// instruction fetch, a data load, a data store — and its only accesses
+// to its L1 fronts; dread and dwrite also move the data. Each books its
+// translation through translate and then applies the front-booking
+// rule: the L1 access returns its latency lat, and lat minus whatever
+// the levels below booked during the same synchronous transaction (the
+// change in att.Total()) is booked to CompIL1 or CompDL1, or to the
+// active override. The bookings of one access thus add up to exactly its
 // latency — the self-latency a telemetry.Probe in front of the L1
 // would book — while the fronts stay bare caches, devirtualised through
 // icacheC/dcacheC and eligible for the engine's inline window re-arm.
@@ -473,9 +473,10 @@ func (c *CPU) ifetch(pc mem.Addr) {
 	c.cycles += lat
 }
 
-// dread charges a load of size bytes at ea: DTLB translation, the
-// pipeline's load-use cycle and the DL1 read.
-func (c *CPU) dread(ea mem.Addr, size int) {
+// dread performs a load of size bytes (a word or a byte) at ea and
+// returns the value: it charges DTLB translation, the pipeline's
+// load-use cycle and the DL1 read.
+func (c *CPU) dread(ea mem.Addr, size int) uint32 {
 	c.ctr.Loads++
 	c.cycles += c.translate(c.dtlb, ea, telemetry.CompDTLBWalk)
 	c.charge(telemetry.CompLoadStore, c.cfg.LoadUse)
@@ -488,15 +489,20 @@ func (c *CPU) dread(ea mem.Addr, size int) {
 	}
 	c.att.Charge(telemetry.CompDL1, lat-(c.att.Total()-start))
 	c.cycles += lat
+	if size == 1 {
+		return c.data.LoadByte(ea)
+	}
+	return c.data.LoadWord(ea)
 }
 
-// dwrite charges a store of size bytes at ea: DTLB translation, the
-// store-issue cycles and the store-buffer-adjusted write-through cost.
+// dwrite performs a store of v's low size bytes (a word or a byte) at
+// ea: it charges DTLB translation, the store-issue cycles and the
+// store-buffer-adjusted write-through cost.
 // With attribution the DL1 write, hierarchy traffic included, books
 // under the store-path override, and the store-buffer-hidden portion —
 // booked but never charged — is rebated, so the booked cycles match
 // the charged cycles exactly.
-func (c *CPU) dwrite(ea mem.Addr, size int) {
+func (c *CPU) dwrite(ea mem.Addr, size int, v uint32) {
 	c.ctr.Stores++
 	c.cycles += c.translate(c.dtlb, ea, telemetry.CompDTLBWalk)
 	c.charge(telemetry.CompLoadStore, c.cfg.StoreBase)
@@ -515,18 +521,11 @@ func (c *CPU) dwrite(ea mem.Addr, size int) {
 		c.att.ClearOverride(prev)
 	}
 	c.cycles += lat - hidden
-}
-
-// loadWord performs a timed word load.
-func (c *CPU) loadWord(ea mem.Addr) uint32 {
-	c.dread(ea, mem.WordSize)
-	return c.data.LoadWord(ea)
-}
-
-// storeWord performs a timed word store.
-func (c *CPU) storeWord(ea mem.Addr, v uint32) {
-	c.dwrite(ea, mem.WordSize)
-	c.data.StoreWord(ea, v)
+	if size == 1 {
+		c.data.StoreByte(ea, v)
+	} else {
+		c.data.StoreWord(ea, v)
+	}
 }
 
 // spillWindow stores 16 registers (locals then ins) of window w at sp.
@@ -541,11 +540,11 @@ func (c *CPU) spillWindow(w int, sp uint32) {
 	base := mem.Addr(sp)
 	lb := localBase(w)
 	for i := 0; i < 8; i++ {
-		c.storeWord(base+mem.Addr(i)*4, c.rfile[lb+int32(i)])
+		c.dwrite(base+mem.Addr(i)*4, mem.WordSize, c.rfile[lb+int32(i)])
 	}
 	ib := outBase((w + 1) % c.cfg.NumWindows)
 	for i := 0; i < 8; i++ {
-		c.storeWord(base+mem.Addr(32+i*4), c.rfile[ib+int32(i)])
+		c.dwrite(base+mem.Addr(32+i*4), mem.WordSize, c.rfile[ib+int32(i)])
 	}
 	c.att.ClearOverride(prev)
 }
@@ -558,11 +557,11 @@ func (c *CPU) fillWindow(w int, sp uint32) {
 	base := mem.Addr(sp)
 	lb := localBase(w)
 	for i := 0; i < 8; i++ {
-		c.rfile[lb+int32(i)] = c.loadWord(base + mem.Addr(i)*4)
+		c.rfile[lb+int32(i)] = c.dread(base+mem.Addr(i)*4, mem.WordSize)
 	}
 	ib := outBase((w + 1) % c.cfg.NumWindows)
 	for i := 0; i < 8; i++ {
-		c.rfile[ib+int32(i)] = c.loadWord(base + mem.Addr(32+i*4))
+		c.rfile[ib+int32(i)] = c.dread(base+mem.Addr(32+i*4), mem.WordSize)
 	}
 	c.att.ClearOverride(prev)
 }
@@ -615,7 +614,7 @@ func (c *CPU) runCallHook(target mem.Addr) {
 		return
 	}
 	// The hook may invalidate IL1 ranges (lazy relocation), so the
-	// fetch fast-path window cannot survive it.
+	// fetch window cannot survive it.
 	c.fetchLo, c.fetchHi = 0, 0
 	if c.att == nil {
 		c.callHook(target)
@@ -628,31 +627,33 @@ func (c *CPU) runCallHook(target mem.Addr) {
 	c.att.Charge(telemetry.CompDSR, c.cycles-base)
 }
 
-// Step executes one instruction. It returns an error on architectural
-// traps the simulator treats as fatal (unmapped fetch, misalignment,
-// division by zero) — a correct program never triggers them.
+// Step executes one instruction: the interpreter, the plain reference
+// the engine is tested against. Every fetch takes the exact path
+// (fetchSlow). It returns an error on architectural traps the simulator
+// treats as fatal (unmapped fetch, misalignment, division by zero) — a
+// correct program never triggers them.
 func (c *CPU) Step() error {
 	if c.halted {
 		return errors.New("cpu: step after halt")
 	}
-	// Fetch: the fast-path window check is inlined here so the common
-	// case (straight-line code within one IL1 line) costs no call.
-	var in *isa.Instr
-	if pc := c.pc; pc >= c.fetchLo && pc < c.fetchHi && pc&(isa.InstrBytes-1) == 0 {
-		in = &c.curFn.Code[(pc-c.curFn.Base)/isa.InstrBytes]
-	} else {
-		var err error
-		if in, err = c.fetchSlow(); err != nil {
-			return err
-		}
+	in, err := c.fetchSlow()
+	if err != nil {
+		return err
 	}
 	c.ctr.Instrs++
 	c.charge(telemetry.CompBaseIssue, 1) // base cycle
-	// FPUOps is counted inside the FPU opcode cases below (the set
-	// matched by isa.Op.IsFPU) rather than testing every instruction
-	// here — the dispatch switch already discriminates the opcode.
-	next := c.pc + isa.InstrBytes
+	return c.exec(in)
+}
 
+// exec executes in, the instruction at c.pc whose base issue cycle is
+// already charged, and advances c.pc. It is the one definition of
+// every opcode's values, counters and charge points: Step runs every
+// instruction through it, the engine every opcode outside its fused ALU
+// runs and hot families, and for those families exec and the engine's
+// arms call the same helpers (below). A trap returns before any state
+// changes, c.pc included.
+func (c *CPU) exec(in *isa.Instr) error {
+	next := c.pc + isa.InstrBytes
 	switch in.Op {
 	case isa.Nop:
 	case isa.Halt:
@@ -675,12 +676,13 @@ func (c *CPU) Step() error {
 	case isa.Sra:
 		c.setReg(in.Rd, uint32(int32(c.reg(in.Rs1))>>(c.src2(in)&31)))
 	case isa.Mul:
-		c.charge(telemetry.CompIntOp, c.cfg.MulLatency)
-		c.setReg(in.Rd, uint32(int32(c.reg(in.Rs1))*int32(c.src2(in))))
+		v, n := c.mul(c.reg(in.Rs1), c.src2(in))
+		c.setReg(in.Rd, v)
+		c.cycles += n
 	case isa.Div:
 		d := int32(c.src2(in))
 		if d == 0 {
-			return fmt.Errorf("cpu: division by zero at pc %#x", c.pc)
+			return c.trap("division by zero")
 		}
 		c.charge(telemetry.CompIntOp, c.cfg.DivLatency)
 		c.setReg(in.Rd, uint32(int32(c.reg(in.Rs1))/d))
@@ -696,64 +698,52 @@ func (c *CPU) Step() error {
 		c.setReg(in.Rd, c.src2(in))
 
 	case isa.Ld:
-		ea, err := c.dataAddr(in, mem.WordSize)
-		if err != nil {
-			return err
+		v, ok := c.ld(c.ea(in))
+		if !ok {
+			return c.misaligned(in)
 		}
-		c.setReg(in.Rd, c.loadWord(ea))
+		c.setReg(in.Rd, v)
 	case isa.Ldub:
-		ea, _ := c.dataAddr(in, 1)
-		c.dread(ea, 1)
-		c.setReg(in.Rd, c.data.LoadByte(ea))
+		c.setReg(in.Rd, c.dread(c.ea(in), 1))
 	case isa.St:
-		ea, err := c.dataAddr(in, mem.WordSize)
-		if err != nil {
-			return err
+		if !c.st(c.ea(in), c.reg(in.Rd)) {
+			return c.misaligned(in)
 		}
-		c.storeWord(ea, c.reg(in.Rd))
 	case isa.Stb:
-		ea, _ := c.dataAddr(in, 1)
-		c.dwrite(ea, 1)
-		c.data.StoreByte(ea, c.reg(in.Rd))
-
+		c.dwrite(c.ea(in), 1, c.reg(in.Rd))
 	case isa.FLd:
-		ea, err := c.dataAddr(in, mem.WordSize)
-		if err != nil {
-			return err
+		v, ok := c.ld(c.ea(in))
+		if !ok {
+			return c.misaligned(in)
 		}
-		c.fregs[in.FRd] = math.Float32frombits(c.loadWord(ea))
+		c.fregs[in.FRd] = math.Float32frombits(v)
 	case isa.FSt:
-		ea, err := c.dataAddr(in, mem.WordSize)
-		if err != nil {
-			return err
+		if !c.st(c.ea(in), math.Float32bits(c.fregs[in.FRs2])) {
+			return c.misaligned(in)
 		}
-		c.storeWord(ea, math.Float32bits(c.fregs[in.FRs2]))
 
 	case isa.Fadd:
-		c.ctr.FPUOps++
-		c.charge(telemetry.CompFPUBase, c.cfg.FAddLatency)
-		c.fregs[in.FRd] = c.fregs[in.FRs1] + c.fregs[in.FRs2]
+		v, n := c.fadd(c.fregs[in.FRs1], c.fregs[in.FRs2])
+		c.fregs[in.FRd] = v
+		c.cycles += n
 	case isa.Fsub:
-		c.ctr.FPUOps++
-		c.charge(telemetry.CompFPUBase, c.cfg.FAddLatency)
-		c.fregs[in.FRd] = c.fregs[in.FRs1] - c.fregs[in.FRs2]
+		v, n := c.fsub(c.fregs[in.FRs1], c.fregs[in.FRs2])
+		c.fregs[in.FRd] = v
+		c.cycles += n
 	case isa.Fmul:
-		c.ctr.FPUOps++
-		c.charge(telemetry.CompFPUBase, c.cfg.FMulLatency)
-		c.fregs[in.FRd] = c.fregs[in.FRs1] * c.fregs[in.FRs2]
+		v, n := c.fmul(c.fregs[in.FRs1], c.fregs[in.FRs2])
+		c.fregs[in.FRd] = v
+		c.cycles += n
 	case isa.Fdiv:
-		c.ctr.FPUOps++
-		c.charge(telemetry.CompFPUBase, c.cfg.FDivLatency)
+		c.cycles += c.fpu(c.cfg.FDivLatency)
 		c.charge(telemetry.CompFPUJitter, c.cfg.Jitter(c.fregs[in.FRs2]))
 		c.fregs[in.FRd] = c.fregs[in.FRs1] / c.fregs[in.FRs2]
 	case isa.Fsqrt:
-		c.ctr.FPUOps++
-		c.charge(telemetry.CompFPUBase, c.cfg.FSqrtLatency)
+		c.cycles += c.fpu(c.cfg.FSqrtLatency)
 		c.charge(telemetry.CompFPUJitter, c.cfg.Jitter(c.fregs[in.FRs2]))
 		c.fregs[in.FRd] = float32(math.Sqrt(float64(c.fregs[in.FRs2])))
 	case isa.Fcmp:
-		c.ctr.FPUOps++
-		c.charge(telemetry.CompFPUBase, c.cfg.FAddLatency)
+		c.cycles += c.fpu(c.cfg.FAddLatency)
 		a, b := c.fregs[in.FRs1], c.fregs[in.FRs2]
 		switch {
 		case a != a || b != b:
@@ -768,20 +758,16 @@ func (c *CPU) Step() error {
 			c.fcc = 1
 		}
 	case isa.Fitos:
-		c.ctr.FPUOps++
-		c.charge(telemetry.CompFPUBase, c.cfg.FAddLatency)
+		c.cycles += c.fpu(c.cfg.FAddLatency)
 		c.fregs[in.FRd] = float32(int32(math.Float32bits(c.fregs[in.FRs2])))
 	case isa.Fstoi:
-		c.ctr.FPUOps++
-		c.charge(telemetry.CompFPUBase, c.cfg.FAddLatency)
+		c.cycles += c.fpu(c.cfg.FAddLatency)
 		c.fregs[in.FRd] = math.Float32frombits(uint32(int32(c.fregs[in.FRs2])))
 
 	case isa.Ba, isa.Be, isa.Bne, isa.Bl, isa.Ble, isa.Bg, isa.Bge,
 		isa.Fbe, isa.Fbne, isa.Fbl, isa.Fbg:
-		c.ctr.Branches++
-		if c.branchTaken(in.Op) {
-			c.ctr.TakenBranches++
-			c.charge(telemetry.CompBranch, c.cfg.BranchTaken)
+		if c.branch(in.Op) {
+			c.cycles += c.takeBranch()
 			next = c.pc + mem.Addr(int64(in.Disp)*isa.InstrBytes)
 		}
 
@@ -819,59 +805,107 @@ func (c *CPU) Step() error {
 		c.trace = append(c.trace, TracePoint{ID: in.Imm, Cycles: c.cycles})
 
 	default:
-		return fmt.Errorf("cpu: unimplemented op %s at pc %#x", in.Op, c.pc)
+		return c.trap("unimplemented op " + in.Op.String())
 	}
-
 	c.pc = next
 	return nil
 }
 
-func (c *CPU) branchTaken(op isa.Op) bool {
-	switch op {
-	case isa.Ba:
-		return true
-	case isa.Be:
-		return c.iccZ
-	case isa.Bne:
-		return !c.iccZ
-	case isa.Bl:
-		return c.iccN
-	case isa.Ble:
-		return c.iccN || c.iccZ
-	case isa.Bg:
-		return !c.iccN && !c.iccZ
-	case isa.Bge:
-		return !c.iccN
-	case isa.Fbe:
-		return c.fcc == 0
-	case isa.Fbne:
-		// SPARC FBNE is "unordered or not equal": taken on NaN.
-		return c.fcc != 0
-	case isa.Fbl:
-		return c.fcc == -1
-	case isa.Fbg:
-		return c.fcc == 1
-	default:
-		panic("cpu: not a branch")
-	}
+// The helpers below are the semantics of the engine's hot families:
+// multiply, FP add/sub/mul, branches and word loads and stores (byte
+// accesses call dread and dwrite directly). exec and the engine's arms
+// for these families (engine.go) both call them, and each is small
+// enough to inline into the engine. A latency comes back as a cycle
+// count already booked to its component, for the caller to add to
+// whichever cycle counter it keeps; the memory helpers charge c.cycles
+// through dread and dwrite.
+
+// mul is the integer multiply: the product and its latency.
+func (c *CPU) mul(a, b uint32) (uint32, mem.Cycles) {
+	return uint32(int32(a) * int32(b)), book(c.att, telemetry.CompIntOp, c.cfg.MulLatency)
 }
+
+// fpu counts an FPU operation and books its base latency lat.
+func (c *CPU) fpu(lat mem.Cycles) mem.Cycles {
+	c.ctr.FPUOps++
+	return book(c.att, telemetry.CompFPUBase, lat)
+}
+
+func (c *CPU) fadd(a, b float32) (float32, mem.Cycles) { return a + b, c.fpu(c.cfg.FAddLatency) }
+func (c *CPU) fsub(a, b float32) (float32, mem.Cycles) { return a - b, c.fpu(c.cfg.FAddLatency) }
+func (c *CPU) fmul(a, b float32) (float32, mem.Cycles) { return a * b, c.fpu(c.cfg.FMulLatency) }
+
+// branch counts a branch and reports whether op is taken in the
+// current condition state; takeBranch counts a taken one and returns
+// its penalty.
+func (c *CPU) branch(op isa.Op) bool {
+	c.ctr.Branches++
+	s := uint(c.fcc+1) << 2
+	if c.iccZ {
+		s |= 1
+	}
+	if c.iccN {
+		s |= 2
+	}
+	return branchTable[op]>>(s&15)&1 != 0
+}
+
+func (c *CPU) takeBranch() mem.Cycles {
+	c.ctr.TakenBranches++
+	return book(c.att, telemetry.CompBranch, c.cfg.BranchTaken)
+}
+
+// ld and st are the timed word load and store at ea. On a misaligned
+// ea they return false without side effects, and the caller raises the
+// trap.
+func (c *CPU) ld(ea mem.Addr) (uint32, bool) {
+	if ea&(mem.WordSize-1) != 0 {
+		return 0, false
+	}
+	return c.dread(ea, mem.WordSize), true
+}
+
+func (c *CPU) st(ea mem.Addr, v uint32) bool {
+	if ea&(mem.WordSize-1) != 0 {
+		return false
+	}
+	c.dwrite(ea, mem.WordSize, v)
+	return true
+}
+
+// branchTable[op] has bit s set when branch op is taken in condition
+// state s = iccZ | iccN<<1 | (fcc+1)<<2: the branch conditions,
+// tabulated once so that branch is a shift and inlines into the engine.
+// It spans every uint8, so indexing it by an isa.Op needs no bounds
+// check.
+var branchTable = func() (t [1 << 8]uint16) {
+	for s := 0; s < 16; s++ {
+		z, n, fcc := s&1 != 0, s&2 != 0, s>>2-1
+		for op, taken := range map[isa.Op]bool{
+			isa.Ba:  true,
+			isa.Be:  z,
+			isa.Bne: !z,
+			isa.Bl:  n,
+			isa.Ble: n || z,
+			isa.Bg:  !n && !z,
+			isa.Bge: !n,
+			isa.Fbe: fcc == 0,
+			// SPARC FBNE is "unordered or not equal": taken on NaN.
+			isa.Fbne: fcc != 0,
+			isa.Fbl:  fcc == -1,
+			isa.Fbg:  fcc == 1,
+		} {
+			if taken {
+				t[op] |= 1 << s
+			}
+		}
+	}
+	return t
+}()
 
 // Run executes until Halt, an error, or the instruction watchdog.
 // It returns the cycle counter value at halt.
-func (c *CPU) Run() (mem.Cycles, error) {
-	if c.engineOK() {
-		return c.cycles, c.runFast(noBudget)
-	}
-	for !c.halted {
-		if c.cfg.MaxInstrs > 0 && c.ctr.Instrs >= c.cfg.MaxInstrs {
-			return c.cycles, ErrMaxInstrs
-		}
-		if err := c.Step(); err != nil {
-			return c.cycles, err
-		}
-	}
-	return c.cycles, nil
-}
+func (c *CPU) Run() (mem.Cycles, error) { return c.RunBudget(noBudget) }
 
 // RunBudget executes until Halt or until the cycle counter reaches
 // budget — the RTOS partition-window enforcement. Check Halted() to see

@@ -2,6 +2,8 @@ package cpu
 
 import (
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 
 	"dsr/internal/isa"
@@ -18,24 +20,48 @@ func (nullMem) Write(mem.Addr, int) mem.Cycles { return 0 }
 
 const stackTop = 0x6000_0000
 
-// runProgram loads p and runs it to completion on a latency-free
-// hierarchy, returning the CPU for inspection.
+// runProgram loads p and runs it to completion on both dispatchers
+// (runBoth), returning the engine's CPU for inspection.
 func runProgram(t *testing.T, p *prog.Program) *CPU {
+	t.Helper()
+	c, err := runBoth(t, p, NewDefaultConfig())
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	return c
+}
+
+// runBoth loads p and runs it under cfg on the engine and on the
+// interpreter, both over real L1s and TLBs in front of a latency-free
+// memory, and fails the test unless the two agree on every observable
+// and on the error. It returns the engine's CPU and error.
+func runBoth(t *testing.T, p *prog.Program, cfg Config) (*CPU, error) {
 	t.Helper()
 	img, err := loader.Load(p, loader.DefaultSequentialConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	data := NewMemory()
-	for _, iw := range img.Inits {
-		data.StoreWord(iw.Addr, iw.Val)
+	var cpus [2]*CPU
+	var errs [2]error
+	for i, interp := range []bool{false, true} {
+		il1, dl1, it, dt := proximaFronts(nullMem{})
+		c := New(cfg, img, il1, dl1, it, dt, NewMemory())
+		reload(c, img)
+		c.forceInterp = interp
+		c.Reset(stackTop)
+		_, errs[i] = c.Run()
+		cpus[i] = c
 	}
-	c := New(NewDefaultConfig(), img, nullMem{}, nullMem{}, nil, nil, data)
-	c.Reset(stackTop)
-	if _, err := c.Run(); err != nil {
-		t.Fatalf("run: %v", err)
+	if !cpus[0].engineOK() {
+		t.Fatal("engineOK() = false; runBoth would compare the interpreter with itself")
 	}
-	return c
+	if fe, se := errText(errs[0]), errText(errs[1]); fe != se {
+		t.Fatalf("engine error %q, interpreter error %q", fe, se)
+	}
+	if fs, ss := captureState(cpus[0]), captureState(cpus[1]); !reflect.DeepEqual(fs, ss) {
+		t.Fatalf("engine and interpreter diverged:\n fast: %s\n slow: %s", stateSummary(fs), stateSummary(ss))
+	}
+	return cpus[0], errs[0]
 }
 
 func singleFunc(t *testing.T, b *prog.Builder) *prog.Program {
@@ -156,6 +182,47 @@ func TestAllBranchConditions(t *testing.T) {
 		if skipped != tcase.expected {
 			t.Errorf("%s with a=%d b=%d: taken=%v, want %v",
 				tcase.op, tcase.a, tcase.b, skipped, tcase.expected)
+		}
+	}
+}
+
+// TestFPBranchConditions: each FP branch against each outcome of
+// fcmp — less, equal, greater and unordered (a NaN operand).
+func TestFPBranchConditions(t *testing.T) {
+	nan := float32(math.NaN())
+	cases := []struct {
+		a, b  float32
+		taken map[isa.Op]bool
+	}{
+		{1, 2, map[isa.Op]bool{isa.Fbl: true, isa.Fbne: true}},
+		{2, 2, map[isa.Op]bool{isa.Fbe: true}},
+		{3, 2, map[isa.Op]bool{isa.Fbg: true, isa.Fbne: true}},
+		{nan, 2, map[isa.Op]bool{isa.Fbne: true}},
+	}
+	for _, tc := range cases {
+		for _, op := range []isa.Op{isa.Fbe, isa.Fbne, isa.Fbl, isa.Fbg} {
+			p := &prog.Program{Name: "t", Entry: "main"}
+			if err := p.AddData(&prog.DataObject{Name: "v", Size: 8,
+				Init: []uint32{math.Float32bits(tc.a), math.Float32bits(tc.b)}}); err != nil {
+				t.Fatal(err)
+			}
+			b := prog.NewFunc("main", prog.MinFrame).
+				Prologue().
+				Set(isa.L0, "v").
+				FLd(0, isa.L0, 0).
+				FLd(1, isa.L0, 4).
+				MovI(isa.L2, 0).
+				Fcmp(0, 1).
+				Emit(isa.Instr{Op: op, Disp: 2}). // skip the marker
+				MovI(isa.L2, 1).
+				Halt()
+			if err := p.AddFunction(b.MustBuild()); err != nil {
+				t.Fatal(err)
+			}
+			c := runProgram(t, p)
+			if taken := c.Reg(isa.L2) == 0; taken != tc.taken[op] {
+				t.Errorf("%s after fcmp %v, %v: taken=%v, want %v", op, tc.a, tc.b, taken, tc.taken[op])
+			}
 		}
 	}
 }
@@ -438,14 +505,7 @@ func TestSaveMisalignedOffsetFails(t *testing.T) {
 		MovI(isa.G7, 4). // not a multiple of 8
 		Emit(isa.Instr{Op: isa.SaveX, Imm: prog.MinFrame, Rs2: isa.G7}).
 		Halt()
-	p := singleFunc(t, b)
-	img, err := loader.Load(p, loader.DefaultSequentialConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := New(NewDefaultConfig(), img, nullMem{}, nullMem{}, nil, nil, NewMemory())
-	c.Reset(stackTop)
-	if _, err := c.Run(); err == nil {
+	if _, err := runBoth(t, singleFunc(t, b), NewDefaultConfig()); err == nil {
 		t.Error("misaligned stack offset accepted")
 	}
 }
@@ -468,38 +528,38 @@ func TestIPointTrace(t *testing.T) {
 }
 
 func TestDivisionByZeroTraps(t *testing.T) {
-	b := prog.NewFunc("main", prog.MinFrame).
-		Prologue().
-		MovI(isa.L0, 1).
-		Op3(isa.Div, isa.L1, isa.L0, isa.G0).
-		Halt()
-	p := singleFunc(t, b)
-	img, err := loader.Load(p, loader.DefaultSequentialConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := New(NewDefaultConfig(), img, nullMem{}, nullMem{}, nil, nil, NewMemory())
-	c.Reset(stackTop)
-	if _, err := c.Run(); err == nil {
-		t.Error("division by zero did not trap")
+	for _, useImm := range []bool{false, true} {
+		b := prog.NewFunc("main", prog.MinFrame).
+			Prologue().
+			MovI(isa.L0, 1)
+		if useImm {
+			b.OpI(isa.Div, isa.L1, isa.L0, 0)
+		} else {
+			b.Op3(isa.Div, isa.L1, isa.L0, isa.G0)
+		}
+		b.Halt()
+		_, err := runBoth(t, singleFunc(t, b), NewDefaultConfig())
+		if err == nil || !strings.Contains(err.Error(), "division by zero") {
+			t.Errorf("imm=%v: err=%v, want a division-by-zero trap", useImm, err)
+		}
 	}
 }
 
+// TestMisalignedLoadTraps: every word access — integer and FP loads,
+// and the stores too — traps on a misaligned address, after the
+// accesses before it retired, identically on both dispatchers.
 func TestMisalignedLoadTraps(t *testing.T) {
-	b := prog.NewFunc("main", prog.MinFrame).
-		Prologue().
-		MovI(isa.L0, 2).
-		Ld(isa.L1, isa.L0, 0).
-		Halt()
-	p := singleFunc(t, b)
-	img, err := loader.Load(p, loader.DefaultSequentialConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := New(NewDefaultConfig(), img, nullMem{}, nullMem{}, nil, nil, NewMemory())
-	c.Reset(stackTop)
-	if _, err := c.Run(); err == nil {
-		t.Error("misaligned load did not trap")
+	for _, op := range []isa.Op{isa.Ld, isa.St, isa.FLd, isa.FSt} {
+		b := prog.NewFunc("main", prog.MinFrame).
+			Prologue().
+			MovI(isa.L0, 2).
+			St(isa.L0, isa.SP, prog.LocalBase). // an aligned access first
+			Emit(isa.Instr{Op: op, Rd: isa.L1, Rs1: isa.L0, FRd: 1, FRs2: 1}).
+			Halt()
+		_, err := runBoth(t, singleFunc(t, b), NewDefaultConfig())
+		if err == nil || !strings.Contains(err.Error(), "misaligned "+op.String()) {
+			t.Errorf("%s: err=%v, want a misalignment trap", op, err)
+		}
 	}
 }
 
@@ -509,16 +569,9 @@ func TestWatchdog(t *testing.T) {
 		Label("spin").
 		Ba("spin").
 		Halt()
-	p := singleFunc(t, b)
-	img, err := loader.Load(p, loader.DefaultSequentialConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg := NewDefaultConfig()
 	cfg.MaxInstrs = 1000
-	c := New(cfg, img, nullMem{}, nullMem{}, nil, nil, NewMemory())
-	c.Reset(stackTop)
-	if _, err := c.Run(); err != ErrMaxInstrs {
+	if _, err := runBoth(t, singleFunc(t, b), cfg); err != ErrMaxInstrs {
 		t.Errorf("err=%v, want ErrMaxInstrs", err)
 	}
 }

@@ -9,19 +9,23 @@ import (
 // This file is the decode half of the threaded-code engine (see
 // engine.go for the dispatch loop and DESIGN.md §13 for the full
 // argument): each function is predecoded once per (function,
-// layout-class) pair into a µop array with decode-time-specialised
-// opcodes (register vs immediate forms split, operands resolved to
-// flat-register-file bank/index pairs) plus, per instruction index, the
-// length of the fusible straight-line run starting there.
+// layout-class) pair into a µop array plus, per instruction index, the
+// length of the fusible straight-line run starting there. Only the
+// fusible ALU ops and the engine's hot families get tags of their own,
+// decode-time specialised (register vs immediate forms split, operands
+// resolved to flat-register-file bank/index pairs); every other opcode
+// decodes to uExec and runs through exec (cpu.go), so any function
+// decodes.
 //
 // The decode is layout-invariant within a class: the only
 // placement-dependent instruction fields are the Set/Call immediates the
 // loader patches with symbol addresses, and those are read from the
-// *current* PlacedFunc's code at execution time (uSetSym/uCall), so one
-// decoded program serves every placement whose base has the same offset
-// within an IL1 line. With 8-byte allocation alignment and 32-byte
-// lines that is four classes per function, warm after a handful of
-// reboots and reused across the thousands of runs of a campaign.
+// *current* PlacedFunc's code at execution time (uSetSym, and exec for
+// calls), so one decoded program serves every placement whose base has
+// the same offset within an IL1 line. With 8-byte allocation alignment
+// and 32-byte lines that is four classes per function, warm after a
+// handful of reboots and reused across the thousands of runs of a
+// campaign.
 
 // µop tags. Order matters only for the fusible group: tags below
 // fusedEnd cost exactly one base-issue cycle, cannot fault, touch no
@@ -56,9 +60,6 @@ const (
 
 	uMulR
 	uMulI
-	uDivR
-	uDivI
-	uHalt
 	uLd
 	uLdub
 	uSt
@@ -68,30 +69,8 @@ const (
 	uFadd
 	uFsub
 	uFmul
-	uFdiv
-	uFsqrt
-	uFcmp
-	uFitos
-	uFstoi
-	uBa
-	uBe
-	uBne
-	uBl
-	uBle
-	uBg
-	uBge
-	uFbe
-	uFbne
-	uFbl
-	uFbg
-	uCall
-	uCallR
-	uRet
-	uRetL
-	uSave
-	uSaveX
-	uRestore
-	uIPoint
+	uBr   // any branch; the isa.Op rides in the a operand
+	uExec // every other opcode, executed by exec
 )
 
 // uop is one predecoded instruction. Integer operands are (bank, index)
@@ -99,8 +78,8 @@ const (
 // locals, ins of the current window), index the word within the bank.
 // %g0 reads resolve to (0,0) — rfile[0], permanently zero — and %g0
 // writes to (0, scratch), so the execution loop needs no special cases.
-// FP operands use the index fields directly. imm carries the immediate,
-// the branch displacement (in instructions) or the ipoint ID.
+// FP operands and a branch's op use the index fields directly. imm
+// carries the immediate or the branch displacement (in instructions).
 type uop struct {
 	tag    uint8
 	db, di uint8 // rd (or store-source / FP rd)
@@ -185,10 +164,9 @@ func rdOp(r isa.Reg, scratch uint8) (uint8, uint8) {
 }
 
 // decoded returns the µop program for pf under the current line size,
-// consulting the per-CPU cache. A nil return means the function contains
-// an op the engine does not implement; the caller falls back to the
-// interpreter. The one-entry (lastPf, lastClass) cache makes the common
-// case — consecutive regions of the same function — a pointer compare.
+// consulting the per-CPU cache. The one-entry (lastPf, lastClass) cache
+// makes the common case — consecutive regions of the same function — a
+// pointer compare.
 func (c *CPU) decoded(pf *loader.PlacedFunc) *uprog {
 	class := uint32(pf.Base & (c.fetchLine - 1))
 	if pf == c.lastPf && class == c.lastClass {
@@ -207,25 +185,11 @@ func (c *CPU) decoded(pf *loader.PlacedFunc) *uprog {
 	return p
 }
 
-// InvalidateDecode drops every decoded program. Correctness never
-// requires calling it — decoded programs derive only from immutable
-// prog.Function code and the layout class, and relocation/reboot simply
-// resolves to a different cache entry — but it is the hard reset for
-// tests that force a cold decode.
-func (c *CPU) InvalidateDecode() {
-	c.decCache = nil
-	c.lastPf, c.lastP = nil, nil
-}
-
-// decodeFunc lowers fn's code for one layout class. line is the IL1
-// line size in bytes (a power of two dividing the page size; engineOK
-// verifies this before any decode happens).
+// decodeFunc lowers fn's code for one layout class. The IL1 line size
+// is a power of two dividing the page size and the %g0 scratch slot
+// fits a µop operand; engineOK verifies both before any decode happens.
 func (c *CPU) decodeFunc(fn *prog.Function, class uint32) *uprog {
-	scratch32 := c.scratchIdx()
-	if scratch32 > 255 {
-		return nil
-	}
-	scratch := uint8(scratch32)
+	scratch := uint8(c.scratchIdx())
 	line := uint32(c.fetchLine)
 	code := fn.Code
 	p := &uprog{ops: make([]uop, len(code)), run: make([]uint16, len(code))}
@@ -254,8 +218,6 @@ func (c *CPU) decodeFunc(fn *prog.Function, class uint32) *uprog {
 		switch in.Op {
 		case isa.Nop:
 			u.tag = uNop
-		case isa.Halt:
-			u.tag = uHalt
 		case isa.Add:
 			alu(uAddR, uAddI)
 		case isa.Sub:
@@ -277,8 +239,6 @@ func (c *CPU) decodeFunc(fn *prog.Function, class uint32) *uprog {
 			u.imm = int32(uint32(in.Imm) & 31)
 		case isa.Mul:
 			alu(uMulR, uMulI)
-		case isa.Div:
-			alu(uDivR, uDivI)
 		case isa.Cmp:
 			u.ab, u.ai = rsOp(in.Rs1)
 			if in.UseImm {
@@ -332,58 +292,11 @@ func (c *CPU) decodeFunc(fn *prog.Function, class uint32) *uprog {
 			fpu(uFsub)
 		case isa.Fmul:
 			fpu(uFmul)
-		case isa.Fdiv:
-			fpu(uFdiv)
-		case isa.Fsqrt:
-			fpu(uFsqrt)
-		case isa.Fcmp:
-			fpu(uFcmp)
-		case isa.Fitos:
-			fpu(uFitos)
-		case isa.Fstoi:
-			fpu(uFstoi)
-		case isa.Ba:
-			u.tag, u.imm = uBa, in.Disp
-		case isa.Be:
-			u.tag, u.imm = uBe, in.Disp
-		case isa.Bne:
-			u.tag, u.imm = uBne, in.Disp
-		case isa.Bl:
-			u.tag, u.imm = uBl, in.Disp
-		case isa.Ble:
-			u.tag, u.imm = uBle, in.Disp
-		case isa.Bg:
-			u.tag, u.imm = uBg, in.Disp
-		case isa.Bge:
-			u.tag, u.imm = uBge, in.Disp
-		case isa.Fbe:
-			u.tag, u.imm = uFbe, in.Disp
-		case isa.Fbne:
-			u.tag, u.imm = uFbne, in.Disp
-		case isa.Fbl:
-			u.tag, u.imm = uFbl, in.Disp
-		case isa.Fbg:
-			u.tag, u.imm = uFbg, in.Disp
-		case isa.Call:
-			u.tag = uCall // target patched per placement; read at exec
-		case isa.CallR:
-			u.tag = uCallR
-			u.ab, u.ai = rsOp(in.Rs1)
-		case isa.Ret:
-			u.tag = uRet
-		case isa.RetL:
-			u.tag = uRetL
-		case isa.Save:
-			u.tag = uSave
-		case isa.SaveX:
-			u.tag = uSaveX
-			u.bb, u.bi = rsOp(in.Rs2)
-		case isa.Restore:
-			u.tag = uRestore
-		case isa.IPoint:
-			u.tag = uIPoint
+		case isa.Ba, isa.Be, isa.Bne, isa.Bl, isa.Ble, isa.Bg, isa.Bge,
+			isa.Fbe, isa.Fbne, isa.Fbl, isa.Fbg:
+			u.tag, u.ai, u.imm = uBr, uint8(in.Op), in.Disp
 		default:
-			return nil // unknown op: whole function stays on the interpreter
+			u.tag = uExec
 		}
 	}
 

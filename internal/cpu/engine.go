@@ -1,22 +1,27 @@
 package cpu
 
 import (
-	"fmt"
 	"math"
 
 	"dsr/internal/isa"
+	"dsr/internal/loader"
 	"dsr/internal/mem"
 	"dsr/internal/telemetry"
 )
 
 // This file is the dispatch half of the threaded-code engine: Run and
 // RunBudget hand the whole execution to runFast when the configuration
-// provably allows it, and runFast executes predecoded µops (decode.go)
-// with the giant-switch interpreter (Step) kept as the authoritative
-// slow path — every observable of a run (cycle counter, PMCs, registers,
-// memory, cache/TLB state, trace points, error values and the PC at
-// every stop) is byte-identical between the two, which the equivalence
-// suite in engine_test.go pins.
+// provably allows it, and runFast executes predecoded µops (decode.go).
+// The engine defines no instruction semantics of its own. Opcodes
+// outside its fused ALU runs and hot families decode to uExec and run
+// through exec, the interpreter's one definition of every opcode
+// (cpu.go); each hot-family arm — multiply, FP add/sub/mul, branches,
+// loads and stores — calls the helper that exec's arm calls, inlined
+// but for the byte accesses' dread and dwrite.
+// Every observable of a run (cycle counter, PMCs, registers, memory,
+// cache/TLB state, trace points, attribution, error values and the PC
+// at every stop) is byte-identical to the interpreter's (Step), which
+// the equivalence suites in engine_test.go pin.
 //
 // Where the speed comes from: within one fetch-window chunk (IL1 line ∩
 // function), straight-line runs of single-cycle ALU µops execute
@@ -26,20 +31,16 @@ import (
 // than approximate. Operands are pre-resolved to absolute register-file
 // indices per window pointer (decode.go: resolve), so the hot dispatch
 // does no bank arithmetic. Window re-arms for sequential line crossings
-// and intra-function branches pay exactly the interpreter's slow-fetch
-// accesses (ITLB translate + IL1 line read) without leaving the
-// dispatch loop. The cycle and retired-instruction counters are carried
-// in locals (cyc, ins) and written back to the CPU only around calls
-// into helpers that read or charge them, and at every exit. Everything
-// with side effects beyond the register file (memory traffic, FPU
-// latency charges, cross-function control, window rotations, traps)
-// takes the general single-µop path, which mirrors Step case by case.
+// and intra-function control transfers pay exactly the interpreter's
+// slow-fetch accesses (ITLB translate + IL1 line read) without leaving
+// the dispatch loop. The cycle and retired-instruction counters are
+// carried in locals (cyc, ins) and written back to the CPU only around
+// calls that read or charge them, and at every exit.
 //
-// Attribution does not change the dispatch: every charge point books
-// the same component as the matching Step charge (book is a nil check
-// when attribution is off) except base issue, booked in bulk; memory
-// traffic goes through the same helpers (dread, dwrite), and the inline
-// re-arm books through ifetch.
+// Attribution does not change the dispatch: exec and the shared helpers
+// book every charge point, memory traffic books through dread and
+// dwrite, the inline re-arm through ifetch, and base issue is booked in
+// bulk on return.
 
 // noBudget makes RunBudget's cycle gate unreachable for plain Run.
 const noBudget = ^mem.Cycles(0)
@@ -63,11 +64,6 @@ func (c *CPU) engineOK() bool {
 		c.scratchIdx() < rfileSlots && len(c.rfile) >= rfileSlots
 }
 
-// SetForceInterpreter pins execution to the giant-switch interpreter
-// even where the engine could run — the forced-slow half of the
-// equivalence suites and the escape hatch for debugging.
-func (c *CPU) SetForceInterpreter(v bool) { c.forceInterp = v }
-
 // runFast executes until Halt, an error, the instruction watchdog or
 // the cycle budget, byte-identical to the Step loop. The outer loop
 // performs the per-instruction gates and the exact fetch (fast window
@@ -77,20 +73,17 @@ func (c *CPU) SetForceInterpreter(v bool) { c.forceInterp = v }
 // inline.
 func (c *CPU) runFast(budget mem.Cycles) error {
 	rf := (*[rfileSlots]uint32)(c.rfile[:rfileSlots])
-	rb := &c.rbase
 	line := c.fetchLine
 	itlb, icC := c.itlb, c.icacheC
 	att := c.att
 	// Base issue is one cycle per retired instruction, so under
 	// attribution the engine books it in bulk when it returns rather
 	// than at every instruction, which keeps the fused runs free of
-	// booking. Instructions the interpreter fallback retires (stepped)
-	// book their own.
-	var stepped uint64
+	// booking.
 	if att != nil {
 		ins0 := c.ctr.Instrs
 		defer func() {
-			att.Charge(telemetry.CompBaseIssue, mem.Cycles(c.ctr.Instrs-ins0-stepped))
+			att.Charge(telemetry.CompBaseIssue, mem.Cycles(c.ctr.Instrs-ins0))
 		}()
 	}
 	// maxI as an effective bound: MaxInstrs==0 means no watchdog, which
@@ -122,27 +115,15 @@ outer:
 		}
 		pf := c.curFn
 		p := c.decoded(pf)
-		if p == nil {
-			// Undecodable function: one authoritative interpreter step.
-			// Its fetch resolves through the window just armed, so no
-			// hierarchy access happens twice.
-			n := c.ctr.Instrs
-			err := c.Step()
-			stepped += c.ctr.Instrs - n
-			if err != nil {
-				return err
-			}
-			continue
-		}
 		ro := c.resolve(p)
 		base := pf.Base
 		fnEnd := base + mem.Addr(len(p.ops))*isa.InstrBytes
 		i := int((c.pc - base) >> 2)
 		wLo := int((c.fetchLo - base) >> 2)
 		wHi := int((c.fetchHi - base) >> 2)
-		// Counter locals: written back to the CPU around every helper
-		// call that can read or charge them (memory traffic, traps,
-		// call hooks), and at every exit from the loop.
+		// Counter locals: written back to the CPU around every call that
+		// can read or charge them (memory traffic, exec), and at every
+		// exit from the loop.
 		cyc := c.cycles
 		ins := c.ctr.Instrs
 
@@ -150,13 +131,18 @@ outer:
 			if k := int(ro[i].run); k > 0 {
 				// Fused straight-line run: k single-cycle ALU µops, all
 				// inside the armed window. Clamp to the watchdog and
-				// budget headroom (both ≥ 1: the gates just passed), so
-				// the batched charge stops exactly where the
-				// interpreter's per-instruction checks would.
+				// budget headroom, so the batched charge stops exactly
+				// where the interpreter's per-instruction checks would.
+				// The watchdog's is ≥ 1 (its gate just passed). The
+				// budget's is none when fetching the run's first µop
+				// crossed the budget: that µop still retires, since the
+				// interpreter's gates precede its fetch.
 				if h := maxI - ins; uint64(k) > h {
 					k = int(h)
 				}
-				if h := budget - cyc; uint64(k) > uint64(h) {
+				if cyc >= budget {
+					k = 1
+				} else if h := budget - cyc; uint64(k) > uint64(h) {
 					k = int(h)
 				}
 				ins += uint64(k)
@@ -216,316 +202,102 @@ outer:
 					}
 				}
 			} else {
-				// General single µop, mirroring the matching Step case.
-				// c.pc is not kept hot here: only halt, faults, calls and
+				// One µop: a hot-family arm calling exec's helper, or
+				// exec itself. c.pc is not kept hot here: only exec and
 				// the exit paths observe it, and each of those syncs it
-				// from i before any observable use.
+				// from i first.
 				u := &ro[i]
 				ins++
 				cyc++ // base issue, booked in bulk on return
 				switch u.tag {
-				case uHalt:
-					c.halted = true
-					c.pc = base + mem.Addr(i)*isa.InstrBytes + isa.InstrBytes
-					c.cycles, c.ctr.Instrs = cyc, ins
-					return nil
-
 				case uMulR:
-					cyc += book(att, telemetry.CompIntOp, c.cfg.MulLatency)
-					rf[u.d] = uint32(int32(rf[u.a]) * int32(rf[u.b]))
+					v, n := c.mul(rf[u.a], rf[u.b])
+					rf[u.d], cyc = v, cyc+n
 					i++
 				case uMulI:
-					cyc += book(att, telemetry.CompIntOp, c.cfg.MulLatency)
-					rf[u.d] = uint32(int32(rf[u.a]) * u.imm)
-					i++
-				case uDivR, uDivI:
-					d := u.imm
-					if u.tag == uDivR {
-						d = int32(rf[u.b])
-					}
-					if d == 0 {
-						c.pc = base + mem.Addr(i)*isa.InstrBytes
-						c.cycles, c.ctr.Instrs = cyc, ins
-						return fmt.Errorf("cpu: division by zero at pc %#x", c.pc)
-					}
-					cyc += book(att, telemetry.CompIntOp, c.cfg.DivLatency)
-					rf[u.d] = uint32(int32(rf[u.a]) / d)
+					v, n := c.mul(rf[u.a], uint32(u.imm))
+					rf[u.d], cyc = v, cyc+n
 					i++
 
 				case uLd:
-					ea := mem.Addr(rf[u.a] + uint32(u.imm))
-					if ea&(mem.WordSize-1) != 0 {
-						c.pc = base + mem.Addr(i)*isa.InstrBytes
-						c.cycles, c.ctr.Instrs = cyc, ins
-						return c.misalignedData(&pf.Code[i], ea)
+					c.cycles = cyc
+					v, ok := c.ld(mem.Addr(rf[u.a] + uint32(u.imm)))
+					if !ok {
+						return c.retrap(pf, i, ins)
 					}
-					c.cycles, c.ctr.Instrs = cyc, ins
-					c.dread(ea, mem.WordSize)
-					rf[u.d] = c.data.LoadWord(ea)
-					cyc = c.cycles
+					rf[u.d], cyc = v, c.cycles
 					i++
 				case uLdub:
-					ea := mem.Addr(rf[u.a] + uint32(u.imm))
-					c.cycles, c.ctr.Instrs = cyc, ins
-					c.dread(ea, 1)
-					rf[u.d] = c.data.LoadByte(ea)
+					c.cycles = cyc
+					rf[u.d] = c.dread(mem.Addr(rf[u.a]+uint32(u.imm)), 1)
 					cyc = c.cycles
 					i++
 				case uSt:
-					ea := mem.Addr(rf[u.a] + uint32(u.imm))
-					if ea&(mem.WordSize-1) != 0 {
-						c.pc = base + mem.Addr(i)*isa.InstrBytes
-						c.cycles, c.ctr.Instrs = cyc, ins
-						return c.misalignedData(&pf.Code[i], ea)
+					c.cycles = cyc
+					if !c.st(mem.Addr(rf[u.a]+uint32(u.imm)), rf[u.d]) {
+						return c.retrap(pf, i, ins)
 					}
-					c.cycles, c.ctr.Instrs = cyc, ins
-					c.dwrite(ea, mem.WordSize)
-					c.data.StoreWord(ea, rf[u.d])
 					cyc = c.cycles
 					i++
 				case uStb:
-					ea := mem.Addr(rf[u.a] + uint32(u.imm))
-					c.cycles, c.ctr.Instrs = cyc, ins
-					c.dwrite(ea, 1)
-					c.data.StoreByte(ea, rf[u.d])
+					c.cycles = cyc
+					c.dwrite(mem.Addr(rf[u.a]+uint32(u.imm)), 1, rf[u.d])
 					cyc = c.cycles
 					i++
 				case uFLd:
-					ea := mem.Addr(rf[u.a] + uint32(u.imm))
-					if ea&(mem.WordSize-1) != 0 {
-						c.pc = base + mem.Addr(i)*isa.InstrBytes
-						c.cycles, c.ctr.Instrs = cyc, ins
-						return c.misalignedData(&pf.Code[i], ea)
+					c.cycles = cyc
+					v, ok := c.ld(mem.Addr(rf[u.a] + uint32(u.imm)))
+					if !ok {
+						return c.retrap(pf, i, ins)
 					}
-					c.cycles, c.ctr.Instrs = cyc, ins
-					c.dread(ea, mem.WordSize)
-					c.fregs[u.d] = math.Float32frombits(c.data.LoadWord(ea))
-					cyc = c.cycles
+					c.fregs[u.d], cyc = math.Float32frombits(v), c.cycles
 					i++
 				case uFSt:
-					ea := mem.Addr(rf[u.a] + uint32(u.imm))
-					if ea&(mem.WordSize-1) != 0 {
-						c.pc = base + mem.Addr(i)*isa.InstrBytes
-						c.cycles, c.ctr.Instrs = cyc, ins
-						return c.misalignedData(&pf.Code[i], ea)
+					c.cycles = cyc
+					if !c.st(mem.Addr(rf[u.a]+uint32(u.imm)), math.Float32bits(c.fregs[u.b])) {
+						return c.retrap(pf, i, ins)
 					}
-					c.cycles, c.ctr.Instrs = cyc, ins
-					c.dwrite(ea, mem.WordSize)
-					c.data.StoreWord(ea, math.Float32bits(c.fregs[u.b]))
 					cyc = c.cycles
 					i++
 
 				case uFadd:
-					c.ctr.FPUOps++
-					cyc += book(att, telemetry.CompFPUBase, c.cfg.FAddLatency)
-					c.fregs[u.d] = c.fregs[u.a] + c.fregs[u.b]
+					v, n := c.fadd(c.fregs[u.a], c.fregs[u.b])
+					c.fregs[u.d], cyc = v, cyc+n
 					i++
 				case uFsub:
-					c.ctr.FPUOps++
-					cyc += book(att, telemetry.CompFPUBase, c.cfg.FAddLatency)
-					c.fregs[u.d] = c.fregs[u.a] - c.fregs[u.b]
+					v, n := c.fsub(c.fregs[u.a], c.fregs[u.b])
+					c.fregs[u.d], cyc = v, cyc+n
 					i++
 				case uFmul:
-					c.ctr.FPUOps++
-					cyc += book(att, telemetry.CompFPUBase, c.cfg.FMulLatency)
-					c.fregs[u.d] = c.fregs[u.a] * c.fregs[u.b]
-					i++
-				case uFdiv:
-					c.ctr.FPUOps++
-					cyc += book(att, telemetry.CompFPUBase, c.cfg.FDivLatency)
-					cyc += book(att, telemetry.CompFPUJitter, c.cfg.Jitter(c.fregs[u.b]))
-					c.fregs[u.d] = c.fregs[u.a] / c.fregs[u.b]
-					i++
-				case uFsqrt:
-					c.ctr.FPUOps++
-					cyc += book(att, telemetry.CompFPUBase, c.cfg.FSqrtLatency)
-					cyc += book(att, telemetry.CompFPUJitter, c.cfg.Jitter(c.fregs[u.b]))
-					c.fregs[u.d] = float32(math.Sqrt(float64(c.fregs[u.b])))
-					i++
-				case uFcmp:
-					c.ctr.FPUOps++
-					cyc += book(att, telemetry.CompFPUBase, c.cfg.FAddLatency)
-					a, b := c.fregs[u.a], c.fregs[u.b]
-					switch {
-					case a != a || b != b:
-						c.fcc = 2
-					case a == b:
-						c.fcc = 0
-					case a < b:
-						c.fcc = -1
-					default:
-						c.fcc = 1
-					}
-					i++
-				case uFitos:
-					c.ctr.FPUOps++
-					cyc += book(att, telemetry.CompFPUBase, c.cfg.FAddLatency)
-					c.fregs[u.d] = float32(int32(math.Float32bits(c.fregs[u.b])))
-					i++
-				case uFstoi:
-					c.ctr.FPUOps++
-					cyc += book(att, telemetry.CompFPUBase, c.cfg.FAddLatency)
-					c.fregs[u.d] = math.Float32frombits(uint32(int32(c.fregs[u.b])))
+					v, n := c.fmul(c.fregs[u.a], c.fregs[u.b])
+					c.fregs[u.d], cyc = v, cyc+n
 					i++
 
-				case uBa:
-					c.ctr.Branches++
-					c.ctr.TakenBranches++
-					cyc += book(att, telemetry.CompBranch, c.cfg.BranchTaken)
-					i += int(u.imm)
-				case uBe:
-					c.ctr.Branches++
-					if c.iccZ {
-						c.ctr.TakenBranches++
-						cyc += book(att, telemetry.CompBranch, c.cfg.BranchTaken)
-						i += int(u.imm)
-					} else {
-						i++
-					}
-				case uBne:
-					c.ctr.Branches++
-					if !c.iccZ {
-						c.ctr.TakenBranches++
-						cyc += book(att, telemetry.CompBranch, c.cfg.BranchTaken)
-						i += int(u.imm)
-					} else {
-						i++
-					}
-				case uBl:
-					c.ctr.Branches++
-					if c.iccN {
-						c.ctr.TakenBranches++
-						cyc += book(att, telemetry.CompBranch, c.cfg.BranchTaken)
-						i += int(u.imm)
-					} else {
-						i++
-					}
-				case uBle:
-					c.ctr.Branches++
-					if c.iccN || c.iccZ {
-						c.ctr.TakenBranches++
-						cyc += book(att, telemetry.CompBranch, c.cfg.BranchTaken)
-						i += int(u.imm)
-					} else {
-						i++
-					}
-				case uBg:
-					c.ctr.Branches++
-					if !c.iccN && !c.iccZ {
-						c.ctr.TakenBranches++
-						cyc += book(att, telemetry.CompBranch, c.cfg.BranchTaken)
-						i += int(u.imm)
-					} else {
-						i++
-					}
-				case uBge:
-					c.ctr.Branches++
-					if !c.iccN {
-						c.ctr.TakenBranches++
-						cyc += book(att, telemetry.CompBranch, c.cfg.BranchTaken)
-						i += int(u.imm)
-					} else {
-						i++
-					}
-				case uFbe:
-					c.ctr.Branches++
-					if c.fcc == 0 {
-						c.ctr.TakenBranches++
-						cyc += book(att, telemetry.CompBranch, c.cfg.BranchTaken)
-						i += int(u.imm)
-					} else {
-						i++
-					}
-				case uFbne:
-					c.ctr.Branches++
-					if c.fcc != 0 {
-						c.ctr.TakenBranches++
-						cyc += book(att, telemetry.CompBranch, c.cfg.BranchTaken)
-						i += int(u.imm)
-					} else {
-						i++
-					}
-				case uFbl:
-					c.ctr.Branches++
-					if c.fcc == -1 {
-						c.ctr.TakenBranches++
-						cyc += book(att, telemetry.CompBranch, c.cfg.BranchTaken)
-						i += int(u.imm)
-					} else {
-						i++
-					}
-				case uFbg:
-					c.ctr.Branches++
-					if c.fcc == 1 {
-						c.ctr.TakenBranches++
-						cyc += book(att, telemetry.CompBranch, c.cfg.BranchTaken)
+				case uBr:
+					if c.branch(isa.Op(u.a)) {
+						cyc += c.takeBranch()
 						i += int(u.imm)
 					} else {
 						i++
 					}
 
-				case uCall:
-					c.ctr.Calls++
-					rf[uint8(rb[1]+7)] = uint32(base + mem.Addr(i)*isa.InstrBytes) // %o7 = call site
-					tgt := mem.Addr(uint32(pf.Code[i].Imm))
-					c.cycles, c.ctr.Instrs = cyc, ins
-					c.runCallHook(tgt)
-					c.pc = tgt
-					continue outer
-				case uCallR:
-					c.ctr.Calls++
-					tgt := mem.Addr(rf[u.a]) // target read before the %o7 write
-					rf[uint8(rb[1]+7)] = uint32(base + mem.Addr(i)*isa.InstrBytes)
-					c.cycles, c.ctr.Instrs = cyc, ins
-					c.runCallHook(tgt)
-					c.pc = tgt
-					continue outer
-				case uRet:
-					ret := rf[uint8(rb[3]+7)] // %i7
-					c.cycles, c.ctr.Instrs = cyc, ins
-					c.restore()
-					c.pc = mem.Addr(ret) + isa.InstrBytes
-					continue outer
-				case uRetL:
-					c.pc = mem.Addr(rf[uint8(rb[1]+7)]) + isa.InstrBytes // %o7
-					c.cycles, c.ctr.Instrs = cyc, ins
-					continue outer
-
-				case uSave:
-					c.cycles, c.ctr.Instrs = cyc, ins
-					if err := c.save(uint32(u.imm), 0); err != nil {
-						c.pc = base + mem.Addr(i)*isa.InstrBytes
-						return err
-					}
-					ro = c.resolve(p)
-					cyc = c.cycles
-					i++
-				case uSaveX:
-					c.cycles, c.ctr.Instrs = cyc, ins
-					if err := c.save(uint32(u.imm), rf[u.b]); err != nil {
-						c.pc = base + mem.Addr(i)*isa.InstrBytes
-						return err
-					}
-					ro = c.resolve(p)
-					cyc = c.cycles
-					i++
-				case uRestore:
-					c.cycles, c.ctr.Instrs = cyc, ins
-					c.restore()
-					ro = c.resolve(p)
-					cyc = c.cycles
-					i++
-
-				case uIPoint:
-					cyc += book(att, telemetry.CompIPoint, c.cfg.IPointCost)
-					c.trace = append(c.trace, TracePoint{ID: u.imm, Cycles: cyc})
-					i++
-
-				default:
-					// Unreachable: decodeFunc rejects unknown ops.
+				default: // uExec
 					c.pc = base + mem.Addr(i)*isa.InstrBytes
 					c.cycles, c.ctr.Instrs = cyc, ins
-					return fmt.Errorf("cpu: engine: unknown µop %d at pc %#x", u.tag, c.pc)
+					if err := c.exec(&pf.Code[i]); err != nil {
+						return err
+					}
+					next := c.pc
+					// Stay in this loop only while next is an instruction
+					// of this decoded function and the window survived (a
+					// call hook tears it down); otherwise the outer loop
+					// fetches it — or returns, after a halt.
+					if c.halted || c.fetchHi == 0 || next < base || next >= fnEnd || next&(isa.InstrBytes-1) != 0 {
+						continue outer
+					}
+					ro = c.resolve(p) // save and restore rotate the window
+					cyc = c.cycles
+					i = int((next - base) >> 2)
 				}
 			}
 
@@ -546,16 +318,16 @@ outer:
 			if i < wLo || i >= wHi {
 				if uint(i) < uint(len(ro)) && icC != nil {
 					// The next pc (sequential spill into the adjacent
-					// IL1 line or an intra-function branch target) left
-					// the window but stays inside the decoded function:
-					// re-arm inline with exactly the interpreter's
-					// slow-fetch accesses and window arithmetic — ITLB
-					// translation, IL1 line read, window = line ∩ page
-					// ∩ function. The page clamp is vacuous here: the
-					// line size divides the page size (engineOK), so an
-					// aligned line never straddles a page. Under
-					// attribution the accesses book through ifetch,
-					// exactly as fetchSlow's do.
+					// IL1 line or an intra-function control transfer)
+					// left the window but stays inside the decoded
+					// function: re-arm inline with exactly the
+					// interpreter's slow-fetch accesses and window
+					// arithmetic — ITLB translation, IL1 line read,
+					// window = line ∩ page ∩ function. The page clamp is
+					// vacuous here: the line size divides the page size
+					// (engineOK), so an aligned line never straddles a
+					// page. Under attribution the accesses book through
+					// ifetch, exactly as fetchSlow's do.
 					pc := base + mem.Addr(i)*isa.InstrBytes
 					if att == nil {
 						if itlb != nil {
@@ -586,4 +358,14 @@ outer:
 			}
 		}
 	}
+}
+
+// retrap runs instruction i of pf — a load or store whose helper
+// refused a misaligned address, without side effects — through exec, so
+// that trap, like every other, is exec's. The caller has synced the
+// cycle counter.
+func (c *CPU) retrap(pf *loader.PlacedFunc, i int, ins uint64) error {
+	c.pc = pf.Base + mem.Addr(i)*isa.InstrBytes
+	c.ctr.Instrs = ins
+	return c.exec(&pf.Code[i])
 }

@@ -2,7 +2,9 @@ package cpu
 
 import (
 	"fmt"
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"dsr/internal/bus"
@@ -139,37 +141,47 @@ func equivProgram(t testing.TB) *prog.Program {
 // can give a function with 32-byte lines — the decode cache's class key.
 var layoutClasses = []mem.Addr{0, 8, 16, 24}
 
-// equivImage places equivProgram sequentially, then shifts every symbol
-// by delta so the entry (and everything behind it) lands in a chosen
-// layout class.
+// equivImage places equivProgram in layout class delta (shiftedImage).
 func equivImage(t testing.TB, delta mem.Addr) *loader.Image {
 	t.Helper()
-	p := equivProgram(t)
-	l, err := loader.LayoutSequential(p, loader.DefaultSequentialConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl := loader.Placement{}
-	for sym, base := range l.Placement {
-		pl[sym] = base + delta
-	}
-	img, err := loader.BuildImage(p, pl)
+	img, err := shiftedImage(equivProgram(t), delta)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return img
 }
 
+// shiftedImage places p sequentially, then shifts every symbol by delta
+// so the entry (and everything behind it) lands in a chosen layout
+// class.
+func shiftedImage(p *prog.Program, delta mem.Addr) (*loader.Image, error) {
+	l, err := loader.LayoutSequential(p, loader.DefaultSequentialConfig())
+	if err != nil {
+		return nil, err
+	}
+	pl := loader.Placement{}
+	for sym, base := range l.Placement {
+		pl[sym] = base + delta
+	}
+	return loader.BuildImage(p, pl)
+}
+
+// reload clears c's data memory and stores img's initial data, as a
+// platform reboot does.
+func reload(c *CPU, img *loader.Image) {
+	c.data.Clear()
+	for _, iw := range img.Inits {
+		c.data.StoreWord(iw.Addr, iw.Val)
+	}
+}
+
 // newEquivCPU builds a CPU over real L1s/TLBs with the image's data
 // initialised, optionally pinned to the interpreter.
 func newEquivCPU(img *loader.Image, forceInterp bool) *CPU {
 	il1, dl1, it, dt := proximaFronts(nullMem{})
-	m := NewMemory()
-	for _, iw := range img.Inits {
-		m.StoreWord(iw.Addr, iw.Val)
-	}
-	c := New(NewDefaultConfig(), img, il1, dl1, it, dt, m)
-	c.SetForceInterpreter(forceInterp)
+	c := New(NewDefaultConfig(), img, il1, dl1, it, dt, NewMemory())
+	reload(c, img)
+	c.forceInterp = forceInterp
 	return c
 }
 
@@ -210,15 +222,17 @@ func newProximaHierarchy(att *telemetry.Attribution, probes bool) (il1, dl1 *cac
 // newAttributedEquivCPU is newEquivCPU on newProximaHierarchy with
 // attribution installed.
 func newAttributedEquivCPU(img *loader.Image, forceInterp, probes bool) (c *CPU, flush func()) {
+	return newAttributedCPU(NewDefaultConfig(), img, forceInterp, probes)
+}
+
+// newAttributedCPU is newAttributedEquivCPU under cfg.
+func newAttributedCPU(cfg Config, img *loader.Image, forceInterp, probes bool) (c *CPU, flush func()) {
 	att := telemetry.NewAttribution()
 	il1, dl1, it, dt, flush := newProximaHierarchy(att, probes)
-	m := NewMemory()
-	for _, iw := range img.Inits {
-		m.StoreWord(iw.Addr, iw.Val)
-	}
-	c = New(NewDefaultConfig(), img, il1, dl1, it, dt, m)
+	c = New(cfg, img, il1, dl1, it, dt, NewMemory())
+	reload(c, img)
 	c.SetAttribution(att)
-	c.SetForceInterpreter(forceInterp)
+	c.forceInterp = forceInterp
 	return c, flush
 }
 
@@ -227,42 +241,37 @@ func newAttributedEquivCPU(img *loader.Image, forceInterp, probes bool) (c *CPU,
 // while the interpreter drops them, and the slot is architecturally
 // invisible (reads of %g0 resolve to rfile[0]).
 type machineState struct {
-	cycles  mem.Cycles
-	ctr     Counters
-	pc      mem.Addr
-	halted  bool
-	rfile   []uint32
-	fregs   [isa.NumFRegs]float32
-	iccZ    bool
-	iccN    bool
-	fcc     int
-	trace   []TracePoint
-	memHash map[mem.Addr]uint32
+	cycles mem.Cycles
+	ctr    Counters
+	pc     mem.Addr
+	halted bool
+	rfile  []uint32
+	fregs  [isa.NumFRegs]uint32 // bit patterns, so NaNs compare equal
+	iccZ   bool
+	iccN   bool
+	fcc    int
+	trace  []TracePoint
+	pages  map[mem.Addr][pageWords]uint32 // every data page written since the last Clear
 }
 
-func captureState(c *CPU, img *loader.Image) machineState {
+func captureState(c *CPU) machineState {
 	st := machineState{
 		cycles: c.cycles,
 		ctr:    c.ctr,
 		pc:     c.pc,
 		halted: c.halted,
 		rfile:  append([]uint32(nil), c.rfile[:c.scratchIdx()]...),
-		fregs:  c.fregs,
 		iccZ:   c.iccZ,
 		iccN:   c.iccN,
 		fcc:    c.fcc,
 		trace:  append([]TracePoint(nil), c.trace...),
+		pages:  map[mem.Addr][pageWords]uint32{},
 	}
-	// Observable data memory: every initialised word plus the output
-	// object's words.
-	st.memHash = map[mem.Addr]uint32{}
-	for _, iw := range img.Inits {
-		st.memHash[iw.Addr] = c.data.LoadWord(iw.Addr)
+	for i, f := range c.fregs {
+		st.fregs[i] = math.Float32bits(f)
 	}
-	if base, ok := img.Symbols["out"]; ok {
-		for off := mem.Addr(0); off < 16; off += 4 {
-			st.memHash[base+off] = c.data.LoadWord(base + off)
-		}
+	for _, d := range c.data.dirty {
+		st.pages[d.pn] = d.p.w
 	}
 	return st
 }
@@ -288,7 +297,7 @@ func TestEngineEngaged(t *testing.T) {
 	}
 	cf := newEquivCPU(equivImage(t, 0), true)
 	if cf.engineOK() {
-		t.Fatal("engineOK() = true despite SetForceInterpreter(true)")
+		t.Fatal("engineOK() = true with forceInterp set")
 	}
 	ca, _ := newAttributedEquivCPU(equivImage(t, 0), false, true)
 	if !ca.engineOK() {
@@ -296,26 +305,39 @@ func TestEngineEngaged(t *testing.T) {
 	}
 }
 
-// checkAttributedEquivalent compares an engine run with an interpreter
-// run of the same image: the full machine state, then the attribution
-// profile bucket by bucket, then conservation on both sides.
-func checkAttributedEquivalent(t *testing.T, fast, slow *CPU, img *loader.Image) {
-	t.Helper()
-	fs, ss := captureState(fast, img), captureState(slow, img)
-	if !reflect.DeepEqual(fs, ss) {
-		t.Errorf("engine and interpreter state diverged:\n fast: %+v\n slow: %+v", fs, ss)
+// attributedDiff compares an engine run with an interpreter run: the
+// full machine state, then the attribution profile bucket by bucket,
+// then conservation on both sides. It returns "" when they agree.
+func attributedDiff(fast, slow *CPU) string {
+	var d strings.Builder
+	if fs, ss := captureState(fast), captureState(slow); !reflect.DeepEqual(fs, ss) {
+		fmt.Fprintf(&d, "engine and interpreter state diverged:\n fast: %s\n slow: %s\n", stateSummary(fs), stateSummary(ss))
 	}
 	fa, sa := fast.att.Snapshot(), slow.att.Snapshot()
 	for comp := telemetry.Component(0); comp < telemetry.NumComponents; comp++ {
 		if f, s := fa.Component(comp), sa.Component(comp); f != s {
-			t.Errorf("%s: engine booked %d, interpreter %d", comp, f, s)
+			fmt.Fprintf(&d, "%s: engine booked %d, interpreter %d\n", comp, f, s)
 		}
 	}
 	if fa.Total() != fast.cycles {
-		t.Errorf("engine: booked %d cycles, charged %d", fa.Total(), fast.cycles)
+		fmt.Fprintf(&d, "engine: booked %d cycles, charged %d\n", fa.Total(), fast.cycles)
 	}
 	if sa.Total() != slow.cycles {
-		t.Errorf("interpreter: booked %d cycles, charged %d", sa.Total(), slow.cycles)
+		fmt.Fprintf(&d, "interpreter: booked %d cycles, charged %d\n", sa.Total(), slow.cycles)
+	}
+	return d.String()
+}
+
+// stateSummary prints a machineState without its page contents.
+func stateSummary(st machineState) string {
+	return fmt.Sprintf("cycles=%d pc=%#x halted=%v ctr=%+v icc=%v/%v fcc=%d trace=%v pages=%d",
+		st.cycles, st.pc, st.halted, st.ctr, st.iccZ, st.iccN, st.fcc, st.trace, len(st.pages))
+}
+
+func checkAttributedEquivalent(t *testing.T, fast, slow *CPU) {
+	t.Helper()
+	if d := attributedDiff(fast, slow); d != "" {
+		t.Error(d)
 	}
 }
 
@@ -332,7 +354,7 @@ func TestEngineInterpreterEquivalenceAttribution(t *testing.T) {
 			slow, _ := newAttributedEquivCPU(img, true, true)
 			runToHalt(t, fast)
 			runToHalt(t, slow)
-			checkAttributedEquivalent(t, fast, slow, img)
+			checkAttributedEquivalent(t, fast, slow)
 			// The L1s hit in zero cycles, so their self-latency is zero
 			// here and the miss traffic lands on the probed levels.
 			for _, comp := range []telemetry.Component{telemetry.CompBranch, telemetry.CompIntOp,
@@ -359,9 +381,9 @@ func TestEngineInterpreterEquivalence(t *testing.T) {
 			slow := newEquivCPU(equivImage(t, delta), true)
 			runToHalt(t, fast)
 			runToHalt(t, slow)
-			fs, ss := captureState(fast, fast.img), captureState(slow, slow.img)
+			fs, ss := captureState(fast), captureState(slow)
 			if !reflect.DeepEqual(fs, ss) {
-				t.Errorf("engine and interpreter state diverged:\n fast: %+v\n slow: %+v", fs, ss)
+				t.Errorf("engine and interpreter state diverged:\n fast: %s\n slow: %s", stateSummary(fs), stateSummary(ss))
 			}
 			if fs.cycles == 0 || fs.ctr.Instrs == 0 {
 				t.Errorf("degenerate run: cycles=%d instrs=%d", fs.cycles, fs.ctr.Instrs)
@@ -386,15 +408,11 @@ func TestEngineEquivalenceAcrossRebinding(t *testing.T) {
 			// Rebind (relocation between runs) — decode cache kept,
 			// memory reloaded the way a platform reboot does it.
 			fast.SetImage(img)
-			fast.data.Clear()
-			for _, iw := range img.Inits {
-				fast.data.StoreWord(iw.Addr, iw.Val)
-			}
+			reload(fast, img)
 			runToHalt(t, fast)
 			slow := newEquivCPU(img, true)
 			runToHalt(t, slow)
-			fs, ss := captureState(fast, img), captureState(slow, img)
-			if !reflect.DeepEqual(fs, ss) {
+			if !reflect.DeepEqual(captureState(fast), captureState(slow)) {
 				t.Fatalf("round %d class %d: rebound engine diverged from fresh interpreter", round, i*8)
 			}
 		}
@@ -414,18 +432,70 @@ func TestEngineEquivalenceAcrossRebindingAttribution(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		for i, img := range imgs {
 			fast.SetImage(img)
-			fast.data.Clear()
-			for _, iw := range img.Inits {
-				fast.data.StoreWord(iw.Addr, iw.Val)
-			}
+			reload(fast, img)
 			flush()
 			runToHalt(t, fast)
 			slow, _ := newAttributedEquivCPU(img, true, true)
 			runToHalt(t, slow)
-			checkAttributedEquivalent(t, fast, slow, img)
+			checkAttributedEquivalent(t, fast, slow)
 			if t.Failed() {
 				t.Fatalf("round %d class %d: rebound attributed engine diverged from fresh interpreter", round, i*8)
 			}
+		}
+	}
+}
+
+// cutRun reruns img on c from a cold hierarchy under a cycle budget and
+// an instruction watchdog (0: none), as RunBudget's callers do.
+func cutRun(c *CPU, img *loader.Image, flush func(), budget mem.Cycles, maxInstrs uint64) error {
+	reload(c, img)
+	flush()
+	c.cfg.MaxInstrs = maxInstrs
+	c.Reset(stackTop)
+	_, err := c.RunBudget(budget)
+	return err
+}
+
+// errText renders an error for comparison; nil is "".
+func errText(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
+}
+
+// TestEngineEquivalenceBudgetCuts stops equivProgram at every cycle
+// budget and at every watchdog limit short of its full run, in every
+// layout class. The engine must stop exactly where the interpreter
+// does — same state, attribution and error — including cuts inside
+// fused runs and right after a fetch whose miss crosses the budget: that
+// instruction still retires, because the interpreter's gates precede
+// its fetch.
+func TestEngineEquivalenceBudgetCuts(t *testing.T) {
+	for _, delta := range layoutClasses {
+		img := equivImage(t, delta)
+		fast, flushFast := newAttributedEquivCPU(img, false, true)
+		slow, flushSlow := newAttributedEquivCPU(img, true, true)
+		if err := cutRun(slow, img, flushSlow, noBudget, 0); err != nil || !slow.halted {
+			t.Fatalf("class %d: uncut run: halted=%v err=%v", delta, slow.halted, err)
+		}
+		total, instrs := slow.cycles, slow.ctr.Instrs
+		check := func(what string, budget mem.Cycles, maxInstrs uint64) {
+			fe := cutRun(fast, img, flushFast, budget, maxInstrs)
+			se := cutRun(slow, img, flushSlow, budget, maxInstrs)
+			d := attributedDiff(fast, slow)
+			if errText(fe) != errText(se) {
+				d += fmt.Sprintf("engine error %v, interpreter error %v\n", fe, se)
+			}
+			if d != "" {
+				t.Fatalf("class %d, %s: %s", delta, what, d)
+			}
+		}
+		for b := mem.Cycles(1); b < total; b++ {
+			check(fmt.Sprintf("budget %d of %d", b, total), b, 0)
+		}
+		for m := uint64(1); m < instrs; m++ {
+			check(fmt.Sprintf("watchdog %d of %d", m, instrs), noBudget, m)
 		}
 	}
 }
@@ -450,24 +520,6 @@ func TestAttributionConservationBareFronts(t *testing.T) {
 			if v := snap.Component(comp); v != 0 {
 				t.Errorf("interp=%v: unprobed %s booked %d", forceInterp, comp, v)
 			}
-		}
-	}
-}
-
-// TestInvalidateDecodeNeutral pins InvalidateDecode's contract: a hard
-// decode-cache reset between runs must not change any observable (the
-// re-decode reproduces the dropped entries exactly).
-func TestInvalidateDecodeNeutral(t *testing.T) {
-	img := equivImage(t, 8)
-	warm := newEquivCPU(img, false)
-	cold := newEquivCPU(img, false)
-	for i := 0; i < 3; i++ {
-		runToHalt(t, warm)
-		cold.InvalidateDecode()
-		runToHalt(t, cold)
-		ws, cs := captureState(warm, img), captureState(cold, img)
-		if !reflect.DeepEqual(ws, cs) {
-			t.Fatalf("run %d: InvalidateDecode changed observable state", i)
 		}
 	}
 }
