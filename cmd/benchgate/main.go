@@ -42,7 +42,9 @@ type suite struct {
 
 // suites is the gated benchmark set. Campaign benchmarks measure
 // end-to-end runs/s; the component suites measure the per-access cost
-// of each hot-path structure.
+// of each hot-path structure (the cache suite includes
+// BenchmarkFlushAll, the per-run partition-start flush); the serve
+// suites measure the submit path and one job's checkpoint layer.
 var suites = []suite{
 	{Pkg: ".", Bench: "^BenchmarkCampaignWorkers(1|8)$", BenchTime: "1x"},
 	{Pkg: "./internal/cache", Bench: "^Benchmark", BenchTime: "2000000x"},
@@ -54,6 +56,7 @@ var suites = []suite{
 	{Pkg: "./internal/cpu", Bench: "^BenchmarkChargeDisabled", BenchTime: "20000000x"},
 	{Pkg: "./internal/analysis/leak", Bench: "^BenchmarkLeakAnalyze$", BenchTime: "100x"},
 	{Pkg: "./internal/serve", Bench: "^BenchmarkServeSubmitLatency$", BenchTime: "30x"},
+	{Pkg: "./internal/serve", Bench: "^BenchmarkCheckpointJob$", BenchTime: "200x"},
 }
 
 // scalingEntry is the synthetic baseline key recording the campaign's

@@ -168,7 +168,9 @@ type line struct {
 // ways. Both are pure lookup transformations: hits, misses, victims and
 // latencies are bit-identical to the div/mod implementation (proven by
 // TestSetIndexEquivalence / TestLineAddrEquivalence and the golden
-// cycle files).
+// cycle files). Likewise a bitmap of the lines filled since the last
+// flush lets FlushAll, which runs at every partition start, visit only
+// those lines (TestFlushAllMatchesFullScan).
 type Cache struct {
 	cfg   Config
 	next  mem.Backend
@@ -212,6 +214,15 @@ type Cache struct {
 
 	// wt caches cfg.Write == WriteThroughNoAllocate for the store path.
 	wt bool
+
+	// filled is a bitmap over lines (bit i%64 of word i/64 is lines[i])
+	// marking every line filled since the last FlushAll. fill is the
+	// only place a line becomes valid, so every valid line's bit is set
+	// (invalidated lines may keep theirs). FlushAll walks the set bits
+	// instead of every line, which makes the per-run partition-start
+	// flush cost proportional to what the run touched. Snapshot and
+	// Restore carry it with the lines.
+	filled []uint64
 
 	// obs, when non-nil, receives one event per line access (the attack
 	// observer hook). The default is nil and every call site is guarded
@@ -281,6 +292,7 @@ func New(cfg Config, next mem.Backend) *Cache {
 	c.setMask = mem.Addr(c.sets - 1)
 	c.lines = make([]line, c.sets*cfg.Ways)
 	c.mru = make([]int32, c.sets)
+	c.filled = make([]uint64, (len(c.lines)+63)/64)
 	c.wt = cfg.Write == WriteThroughNoAllocate
 	c.mruIdx = -1
 	c.mruIdx2 = -1
@@ -413,9 +425,11 @@ func (c *Cache) fill(lineAddr mem.Addr, dirty bool) mem.Cycles {
 	}
 	lat += c.next.Read(lineAddr<<c.lineShift, c.cfg.LineSize)
 	set[w] = line{valid: true, dirty: dirty, tag: lineAddr}
+	li := idx*c.ways + w
+	c.filled[li>>6] |= 1 << (li & 63)
 	c.mru[idx] = int32(w)
 	c.mruIdx2 = c.mruIdx
-	c.mruIdx = int32(idx*c.ways + w)
+	c.mruIdx = int32(li)
 	c.touch(set, w)
 	c.ctr.Fills++
 	return lat
@@ -605,21 +619,30 @@ func (c *Cache) writeBack(la mem.Addr, idx int, set []line, w int) mem.Cycles {
 // FlushAll writes back every dirty line and invalidates the whole cache,
 // returning the cost. PikeOS is configured to flush caches at partition
 // start (§IV), which is what guarantees a canonical initial state.
+//
+// Only lines in the filled bitmap are visited, in ascending line index
+// order: the same lines, writebacks (and their order at the next level),
+// latency and counters as a scan of every line, since a line outside
+// the bitmap is invalid.
 func (c *Cache) FlushAll() mem.Cycles {
 	c.mruIdx, c.mruIdx2 = -1, -1 // defensive; validation makes stale hints harmless
 	var lat mem.Cycles
-	for i := range c.lines {
-		l := &c.lines[i]
-		if !l.valid {
-			continue
+	for wi, word := range c.filled {
+		for word != 0 {
+			l := &c.lines[wi<<6|bits.TrailingZeros64(word)]
+			word &= word - 1
+			if !l.valid {
+				continue
+			}
+			if l.dirty {
+				c.ctr.Writebacks++
+				lat += c.next.Write(l.tag*mem.Addr(c.cfg.LineSize), c.cfg.LineSize)
+			}
+			c.ctr.Invalidations++
+			l.valid = false
+			l.dirty = false
 		}
-		if l.dirty {
-			c.ctr.Writebacks++
-			lat += c.next.Write(l.tag*mem.Addr(c.cfg.LineSize), c.cfg.LineSize)
-		}
-		c.ctr.Invalidations++
-		l.valid = false
-		l.dirty = false
+		c.filled[wi] = 0
 	}
 	return lat
 }

@@ -138,3 +138,29 @@ func TestHitPathAllocFree(t *testing.T) {
 		t.Errorf("hash-random read hit allocates %v times", n)
 	}
 }
+
+// BenchmarkFlushAll is the partition-start flush after a run with a
+// small working set: 16 lines of a 1024-line write-back L2 are filled
+// (half of them dirty) and the whole cache is flushed. The op includes
+// the 16 fills; the flush visits only the filled lines.
+func BenchmarkFlushAll(b *testing.B) {
+	c := New(Config{
+		Name: "L2", Size: 32 * 1024, LineSize: 32, Ways: 1,
+		HitLatency: 0, Placement: PlacementModulo,
+		Replacement: ReplacementLRU, Write: WriteBackAllocate,
+	}, &flatMemory{readLat: 30, writeLat: 30})
+	b.ReportAllocs()
+	b.ResetTimer()
+	var lat mem.Cycles
+	for i := 0; i < b.N; i++ {
+		for k := mem.Addr(0); k < 16; k++ {
+			if k&1 == 0 {
+				lat += c.Write(k*0x220, 4)
+			} else {
+				lat += c.Read(k*0x220, 4)
+			}
+		}
+		lat += c.FlushAll()
+	}
+	sinkCycles = lat
+}

@@ -3,12 +3,13 @@ package cache
 import "dsr/internal/prng"
 
 // Snapshot is a full copy of a cache's architectural and counter state —
-// lines, LRU clock, counters, placement-hash seed and (when the policy
+// lines and their filled bitmap, LRU clock, counters, placement-hash seed and (when the policy
 // is random) the replacement generator state. A booted platform captures
 // one per cache level; restoring it forks the boot state for the next
 // run without replaying the boot traffic.
 type Snapshot struct {
 	lines   []line
+	filled  []uint64
 	clock   uint64
 	ctr     Counters
 	mru     []int32
@@ -24,6 +25,7 @@ type Snapshot struct {
 func (c *Cache) Snapshot() *Snapshot {
 	s := &Snapshot{
 		lines:    append([]line(nil), c.lines...),
+		filled:   append([]uint64(nil), c.filled...),
 		clock:    c.clock,
 		ctr:      c.ctr,
 		mru:      append([]int32(nil), c.mru...),
@@ -47,6 +49,7 @@ func (c *Cache) Restore(s *Snapshot) {
 		panic("cache: Restore with mismatched snapshot geometry")
 	}
 	copy(c.lines, s.lines)
+	copy(c.filled, s.filled)
 	c.clock = s.clock
 	c.ctr = s.ctr
 	copy(c.mru, s.mru)

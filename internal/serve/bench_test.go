@@ -34,3 +34,25 @@ func BenchmarkServeSubmitLatency(b *testing.B) {
 	s.Kill()
 	ts.Close()
 }
+
+// BenchmarkCheckpointJob is one job's checkpoint layer: a 1000-point
+// prefix merged through one writer, checkpointed every 50 points (the
+// daemon's default cadence), 20 checkpoint files in all. Each point is
+// encoded once; each checkpoint hashes and writes the prefix so far.
+func BenchmarkCheckpointJob(b *testing.B) {
+	pts := bytesCheckpoint(1000, true, true).Points
+	dir := b.TempDir()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w := &checkpointWriter{dir: dir, job: "job-0", specHash: "h1"}
+		for k, pt := range pts {
+			w.add(pt)
+			if (k+1)%50 == 0 {
+				if err := w.write(w.n, false); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 )
 
 // Checkpoint file names inside a job directory. The current snapshot
@@ -40,23 +41,13 @@ type Checkpoint struct {
 	Sum string `json:"sum"`
 }
 
-// sum computes the canonical payload checksum.
-func (c *Checkpoint) sum() string {
-	cp := *c
-	cp.Sum = ""
-	b, err := json.Marshal(cp)
-	if err != nil {
-		// Checkpoint is a plain data struct; Marshal cannot fail on it.
-		panic(fmt.Sprintf("serve: marshal checkpoint: %v", err))
-	}
-	s := sha256.Sum256(b)
-	return hex.EncodeToString(s[:])
-}
-
 // verify checks integrity (checksum) and consistency (ownership,
-// cursor/prefix agreement) of a loaded snapshot.
+// cursor/prefix agreement) of a loaded snapshot. The checksum is
+// recomputed by re-encoding the snapshot the way checkpointWriter wrote
+// it.
 func (c *Checkpoint) verify(job, specHash string) error {
-	if c.Sum != c.sum() {
+	w := oneShotWriter("", c)
+	if _, sum := w.encode(c.Cursor, c.Points == nil); w.err != nil || c.Sum != sum {
 		return fmt.Errorf("serve: checkpoint checksum mismatch")
 	}
 	if c.Job != job {
@@ -80,21 +71,111 @@ func (c *Checkpoint) verify(job, specHash string) error {
 // is checksummed, written to a temporary file and renamed over the
 // current checkpoint, which is first rotated to the .prev name. The
 // job directory therefore always holds a loadable snapshot, whatever
-// instant the process dies at.
+// instant the process dies at. It is a one-shot use of the writer the
+// daemon keeps per running job, so both produce the same bytes.
 func WriteCheckpoint(dir string, c Checkpoint) error {
-	c.Sum = c.sum()
-	b, err := json.Marshal(c)
-	if err != nil {
-		return fmt.Errorf("serve: marshal checkpoint: %w", err)
+	return oneShotWriter(dir, &c).write(c.Cursor, c.Points == nil)
+}
+
+// oneShotWriter returns a writer into dir holding c's points.
+func oneShotWriter(dir string, c *Checkpoint) *checkpointWriter {
+	w := &checkpointWriter{dir: dir, job: c.Job, specHash: c.SpecHash}
+	for _, pt := range c.Points {
+		w.add(pt)
 	}
-	b = append(b, '\n')
-	tmp := filepath.Join(dir, checkpointFile+".tmp")
+	return w
+}
+
+// checkpointWriter persists successive checkpoints of one growing
+// prefix, encoding each Point once: points holds the comma-joined
+// json.Marshal of every added Point, which is byte-identical to the
+// Points array of json.Marshal(Checkpoint). A periodic checkpoint
+// then costs one hash and one file write of the prefix.
+type checkpointWriter struct {
+	dir, job, specHash string
+
+	points []byte // comma-joined encodings of the added points
+	n      int    // number of added points
+	err    error  // first encoding error; sticky
+	buf    []byte // file image, reused across writes
+}
+
+// add appends pt's encoding to the prefix.
+func (w *checkpointWriter) add(pt Point) {
+	if w.err != nil {
+		return
+	}
+	// Marshal through a pointer, as the slice encoder sees its
+	// (addressable) elements.
+	b, err := json.Marshal(&pt)
+	if err != nil {
+		w.err = fmt.Errorf("serve: marshal checkpoint: %w", err)
+		return
+	}
+	if w.n > 0 {
+		w.points = append(w.points, ',')
+	}
+	w.points = append(w.points, b...)
+	w.n++
+}
+
+// pointsJSON returns the added points as json.Marshal renders the
+// slice, newline-terminated: the points.json artifact.
+func (w *checkpointWriter) pointsJSON() ([]byte, error) {
+	if w.err != nil {
+		return nil, w.err
+	}
+	b := make([]byte, 0, len(w.points)+3)
+	b = append(b, '[')
+	b = append(b, w.points...)
+	return append(b, ']', '\n'), nil
+}
+
+// encode renders the prefix as a checkpoint file at cursor (written as
+// given: the loader, not the writer, checks it against the points) and
+// returns the bytes with their checksum. null selects the encoding of
+// a nil Points slice. The bytes equal json.Marshal of the Checkpoint
+// with Sum set, plus a newline: the checksum is the sha256 of the
+// "sum":"" form, spliced in afterwards. The bytes alias w's buffer.
+func (w *checkpointWriter) encode(cursor int, null bool) ([]byte, string) {
+	b := append(w.buf[:0], `{"job":`...)
+	b = appendJSONString(b, w.job)
+	b = append(b, `,"spec_hash":`...)
+	b = appendJSONString(b, w.specHash)
+	b = append(b, `,"cursor":`...)
+	b = strconv.AppendInt(b, int64(cursor), 10)
+	b = append(b, `,"points":`...)
+	if null {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		b = append(b, w.points...)
+		b = append(b, ']')
+	}
+	b = append(b, `,"sum":"`...)
+	mark := len(b)
+	b = append(b, `"}`...)
+	h := sha256.Sum256(b)
+	sum := hex.EncodeToString(h[:])
+	b = append(b[:mark], sum...)
+	b = append(b, '"', '}', '\n')
+	w.buf = b
+	return b, sum
+}
+
+// write persists the prefix as a checkpoint at cursor (see encode).
+func (w *checkpointWriter) write(cursor int, null bool) error {
+	if w.err != nil {
+		return w.err
+	}
+	b, _ := w.encode(cursor, null)
+	tmp := filepath.Join(w.dir, checkpointFile+".tmp")
 	if err := os.WriteFile(tmp, b, 0o644); err != nil {
 		return fmt.Errorf("serve: write checkpoint: %w", err)
 	}
-	cur := filepath.Join(dir, checkpointFile)
+	cur := filepath.Join(w.dir, checkpointFile)
 	if _, err := os.Stat(cur); err == nil {
-		if err := os.Rename(cur, filepath.Join(dir, checkpointPrev)); err != nil {
+		if err := os.Rename(cur, filepath.Join(w.dir, checkpointPrev)); err != nil {
 			return fmt.Errorf("serve: rotate checkpoint: %w", err)
 		}
 	}
@@ -102,6 +183,12 @@ func WriteCheckpoint(dir string, c Checkpoint) error {
 		return fmt.Errorf("serve: commit checkpoint: %w", err)
 	}
 	return nil
+}
+
+// appendJSONString appends s encoded as json.Marshal encodes a string.
+func appendJSONString(b []byte, s string) []byte {
+	e, _ := json.Marshal(s) // a string always encodes
+	return append(b, e...)
 }
 
 // LoadCheckpoint returns the newest intact snapshot for the job, or

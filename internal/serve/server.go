@@ -421,25 +421,26 @@ func (s *Server) runJob(j *job) {
 
 	merged := s.registry.Counter("dsrserve_runs_merged_total", telemetry.Labels{"job": j.spec.ID})
 	progress := s.registry.Gauge("dsrserve_job_runs_done", telemetry.Labels{"job": j.spec.ID})
-	var pts []Point
+	// One writer per run: each merged point is encoded once, and every
+	// checkpoint and the final points.json reuse the encoding.
+	ckpt := &checkpointWriter{dir: dir, job: j.spec.ID, specHash: j.hash}
 	lastCkpt := len(resume)
 	hooks := Hooks{
 		Interrupt: j.cancel,
 		Tracer:    j.tracer,
 		Observer:  j.view,
 		OnPoint: func(pt Point) {
-			pts = append(pts, pt)
+			ckpt.add(pt)
 			merged.Inc()
-			progress.Set(float64(len(pts)))
+			progress.Set(float64(ckpt.n))
 			s.mu.Lock()
-			j.done = len(pts)
+			j.done = ckpt.n
 			s.mu.Unlock()
-			if len(pts)-lastCkpt >= s.cfg.CheckpointEvery {
-				if err := s.checkpoint(j, pts); err != nil {
-					s.logf("serve: job %s: checkpoint: %v", j.spec.ID, err)
-				} else {
-					lastCkpt = len(pts)
-				}
+			if ckpt.n-lastCkpt >= s.cfg.CheckpointEvery {
+				// The cadence advances on failure too: a full or vanished
+				// disk costs one attempt per boundary, not one per point.
+				lastCkpt = ckpt.n
+				s.checkpoint(j, ckpt, "checkpoint")
 			}
 		},
 	}
@@ -454,11 +455,11 @@ func (s *Server) runJob(j *job) {
 
 	switch {
 	case err == nil:
-		s.finishJob(j, out, StateDone, "")
+		s.finishJob(j, out, ckpt, StateDone, "")
 	case out != nil:
 		// Analysis-stage failure (e.g. i.i.d. gate): the campaign itself
 		// completed, so persist the partial artifacts alongside the error.
-		s.finishJob(j, out, StateFailed, err.Error())
+		s.finishJob(j, out, ckpt, StateFailed, err.Error())
 	case errors.Is(err, campaign.ErrInterrupted):
 		if hard {
 			// Crash simulation: leave the disk exactly as the periodic
@@ -468,15 +469,13 @@ func (s *Server) runJob(j *job) {
 		if stopping && !userCancel {
 			// Graceful shutdown: final checkpoint, back to queued on disk
 			// so the next daemon resumes where we stopped.
-			if err := s.checkpoint(j, pts); err != nil {
-				s.logf("serve: job %s: final checkpoint: %v", j.spec.ID, err)
-			}
+			s.checkpoint(j, ckpt, "final checkpoint")
 			s.mu.Lock()
 			j.state = StateQueued
 			sw := j.snapshotLocked()
 			s.mu.Unlock()
 			s.persistState(j, sw)
-			s.logf("serve: job %s: suspended at run %d/%d", j.spec.ID, len(pts), j.spec.Runs)
+			s.logf("serve: job %s: suspended at run %d/%d", j.spec.ID, ckpt.n, j.spec.Runs)
 			return
 		}
 		// Explicit cancellation. The view is captured under the lock: the
@@ -490,7 +489,7 @@ func (s *Server) runJob(j *job) {
 		s.persistState(j, sw)
 		view.Done()
 		s.countTerminal(StateCancelled)
-		s.logf("serve: job %s: cancelled at run %d/%d", j.spec.ID, len(pts), j.spec.Runs)
+		s.logf("serve: job %s: cancelled at run %d/%d", j.spec.ID, ckpt.n, j.spec.Runs)
 	default:
 		s.mu.Lock()
 		j.state = StateFailed
@@ -505,27 +504,28 @@ func (s *Server) runJob(j *job) {
 	}
 }
 
-// checkpoint snapshots the merged prefix.
-func (s *Server) checkpoint(j *job, pts []Point) error {
-	return WriteCheckpoint(s.jobDir(j.spec.ID), Checkpoint{
-		Job: j.spec.ID, SpecHash: j.hash, Cursor: len(pts),
-		Points: append([]Point(nil), pts...),
-	})
+// checkpoint snapshots the merged prefix held by w, logging a failure
+// (what names the attempt) and counting it in
+// dsrserve_checkpoint_errors_total.
+func (s *Server) checkpoint(j *job, w *checkpointWriter, what string) {
+	if err := w.write(w.n, w.n == 0); err != nil {
+		s.registry.Counter("dsrserve_checkpoint_errors_total", telemetry.Labels{"job": j.spec.ID}).Inc()
+		s.logf("serve: job %s: %s: %v", j.spec.ID, what, err)
+	}
 }
 
-// finishJob persists a completed campaign's artifacts — points.json,
-// report.txt (the exact bytes dsrrun would print), telemetry.jsonl —
-// and marks the job terminal.
-func (s *Server) finishJob(j *job, out *Outcome, state JobState, errMsg string) {
+// finishJob persists a completed campaign's artifacts — points.json
+// (from the encodings w already holds), report.txt (the exact bytes
+// dsrrun would print), telemetry.jsonl — and marks the job terminal.
+func (s *Server) finishJob(j *job, out *Outcome, w *checkpointWriter, state JobState, errMsg string) {
 	dir := s.jobDir(j.spec.ID)
 	write := func(name string, b []byte) {
 		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
 			s.logf("serve: job %s: write %s: %v", j.spec.ID, name, err)
 		}
 	}
-	pb, err := json.Marshal(out.Points)
-	if err == nil {
-		write("points.json", append(pb, '\n'))
+	if pb, err := w.pointsJSON(); err == nil {
+		write("points.json", pb)
 	}
 	write("report.txt", []byte(FormatReport(out)))
 	write("telemetry.jsonl", out.Telemetry)

@@ -2,11 +2,15 @@ package serve
 
 import (
 	"errors"
+	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
+
+	"dsr/internal/telemetry"
 )
 
 // TestSpecValidateRejectsUnsafeID: the job id becomes a directory name
@@ -108,5 +112,54 @@ func TestCampaignServeResubmitFreshViewAndCursor(t *testing.T) {
 	}
 	if len(snap.Finished) != 0 {
 		t.Fatalf("re-enqueued job's SSE view carries %d stale series summaries", len(snap.Finished))
+	}
+}
+
+// TestCampaignServeCheckpointFailureCadence: when checkpoint writes
+// start failing (here: the job directory vanishes mid-run, which works
+// even as root, unlike a chmod), the job still reaches a terminal state
+// and the daemon retries at the checkpoint cadence — one attempt per
+// boundary, not one per merged point.
+func TestCampaignServeCheckpointFailureCadence(t *testing.T) {
+	const runs, every = 6000, 50
+	var mu sync.Mutex
+	ckptErrs := 0
+	logf := func(format string, args ...any) {
+		if strings.Contains(fmt.Sprintf(format, args...), ": checkpoint: ") {
+			mu.Lock()
+			ckptErrs++
+			mu.Unlock()
+		}
+	}
+	data := t.TempDir()
+	s, ts, cl := startServer(t, data, Config{Executors: 1, CheckpointEvery: every, Logf: logf})
+	defer ts.Close()
+	defer s.Stop()
+
+	if _, err := cl.Submit(testSpec(t, "vanish", runs, 2, 42)); err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	waitProgress(t, cl, "vanish", 2*every)
+	dir := filepath.Join(data, "jobs", "vanish")
+	// A checkpoint being written concurrently can refill the directory;
+	// retry until it is gone.
+	for {
+		if err := os.RemoveAll(dir); err == nil {
+			if _, err := os.Stat(dir); os.IsNotExist(err) {
+				break
+			}
+		}
+	}
+	st := waitTerminal(t, cl, "vanish")
+	mu.Lock()
+	logged := ckptErrs
+	mu.Unlock()
+	counted := s.Registry().Counter("dsrserve_checkpoint_errors_total", telemetry.Labels{"job": "vanish"}).Value()
+	t.Logf("job ended %s at %d runs; %d checkpoint errors logged, %d counted", st.State, st.Done, logged, counted)
+	if logged == 0 || uint64(logged) != counted {
+		t.Fatalf("%d checkpoint errors logged, %d counted: want equal and non-zero", logged, counted)
+	}
+	if limit := runs/every + 1; logged > limit {
+		t.Fatalf("%d checkpoint errors logged, want at most %d (one per %d-run boundary)", logged, limit, every)
 	}
 }

@@ -13,7 +13,22 @@ type Campaign struct {
 	Registry *Registry
 	Events   *EventLog
 
-	clock mem.Cycles
+	clock  mem.Cycles
+	series map[string]*seriesMetrics // RecordRun's handles, per series
+}
+
+// seriesMetrics holds one series' registry handles, resolved on its
+// first run so that RecordRun makes no registry lookups afterwards. The
+// UoA histogram and attribution counters are created on their first
+// non-zero value, as the registry would be asked for them then, so the
+// set of metrics a snapshot shows is the same as with per-run lookups.
+type seriesMetrics struct {
+	labels     Labels
+	runs       *Counter
+	cycles     *Counter
+	runCycles  *Histogram
+	uoa        *Histogram
+	attributed [NumComponents]*Counter
 }
 
 // NewCampaign builds an enabled campaign with an event ring of the given
@@ -64,22 +79,32 @@ var RunCycleBounds = ExpBounds(1024, 2, 20)
 // RecordRun books one measured run: counters and histograms in the
 // registry, a B/E span pair plus attribution attributes in the event
 // log, and a campaign-clock advance by the run's duration. Nil-safe.
+// Calls come from one goroutine (the canonical-order merge), which owns
+// the clock and the per-series handles.
 func (c *Campaign) RecordRun(rec RunRecord) {
 	if c == nil {
 		return
 	}
-	labels := Labels{"series": rec.Series}
-	c.Registry.Counter("dsr_runs_total", labels).Inc()
-	c.Registry.Counter("dsr_run_cycles_total", labels).Add(uint64(rec.Cycles))
-	c.Registry.Histogram("dsr_run_cycles", labels, RunCycleBounds).Observe(float64(rec.Cycles))
+	m := c.seriesMetrics(rec.Series)
+	m.runs.Inc()
+	m.cycles.Add(uint64(rec.Cycles))
+	m.runCycles.Observe(float64(rec.Cycles))
 	if rec.UoA > 0 {
-		c.Registry.Histogram("dsr_uoa_cycles", labels, RunCycleBounds).Observe(rec.UoA)
+		if m.uoa == nil {
+			m.uoa = c.Registry.Histogram("dsr_uoa_cycles", m.labels, RunCycleBounds)
+		}
+		m.uoa.Observe(rec.UoA)
 	}
 	if rec.Attribution.Valid {
 		for comp := Component(0); comp < NumComponents; comp++ {
 			if v := rec.Attribution.Component(comp); v > 0 {
-				c.Registry.Counter("dsr_attributed_cycles_total",
-					Labels{"series": rec.Series, "component": comp.String()}).Add(uint64(v))
+				ctr := m.attributed[comp]
+				if ctr == nil {
+					ctr = c.Registry.Counter("dsr_attributed_cycles_total",
+						Labels{"series": rec.Series, "component": comp.String()})
+					m.attributed[comp] = ctr
+				}
+				ctr.Add(uint64(v))
 			}
 		}
 	}
@@ -116,6 +141,26 @@ func (c *Campaign) RecordRun(rec RunRecord) {
 	}
 	c.Events.EmitAt(start+rec.Cycles, rec.Series, "run", PhaseEnd)
 	c.Advance(rec.Cycles)
+}
+
+// seriesMetrics returns the series' handles, registering its per-run
+// counters and histogram on first use.
+func (c *Campaign) seriesMetrics(series string) *seriesMetrics {
+	if m := c.series[series]; m != nil {
+		return m
+	}
+	labels := Labels{"series": series}
+	m := &seriesMetrics{
+		labels:    labels,
+		runs:      c.Registry.Counter("dsr_runs_total", labels),
+		cycles:    c.Registry.Counter("dsr_run_cycles_total", labels),
+		runCycles: c.Registry.Histogram("dsr_run_cycles", labels, RunCycleBounds),
+	}
+	if c.series == nil {
+		c.series = map[string]*seriesMetrics{}
+	}
+	c.series[series] = m
+	return m
 }
 
 // Dump snapshots the campaign into the exportable form; nil-safe (empty
