@@ -196,8 +196,9 @@ examples: build
 	$(GO) run ./examples/spacestudy
 
 # Short fuzzing pass over the parsers (assembler, trace codec), the
-# DSR transform verifier, the static analyzers' soundness oracles and
-# the engine/interpreter equivalence oracle.
+# DSR transform verifier, the static analyzers' soundness oracles, the
+# engine/interpreter equivalence oracle and the MBPTA pipeline on
+# degenerate series.
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzAssemble -fuzztime=20s -fuzzminimizetime=5s ./internal/asm
 	$(GO) test -run=^$$ -fuzz=FuzzDecode -fuzztime=20s -fuzzminimizetime=5s ./internal/rvs
@@ -208,6 +209,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzEngineEquiv -fuzztime=20s -fuzzminimizetime=5s ./internal/cpu
 	$(GO) test -run=^$$ -fuzz=FuzzLeakSound -fuzztime=20s -fuzzminimizetime=5s ./internal/analysis/leak
 	$(GO) test -run=^$$ -fuzz=FuzzSchedFeas -fuzztime=20s -fuzzminimizetime=5s ./internal/analysis/schedfeas
+	$(GO) test -run=^$$ -fuzz=FuzzMBPTA -fuzztime=20s -fuzzminimizetime=5s ./internal/mbpta
 
 clean:
 	$(GO) clean ./...

@@ -17,6 +17,7 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -31,32 +32,43 @@ import (
 	"dsr/internal/spaceapp"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr)) }
+
+// run is the whole tool behind main: it returns the exit status, 0 on a
+// report or -h, 1 on any input or analysis error, 2 on bad flags.
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("pwcet", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		traceFile = flag.String("trace", "", "binary timing trace (rvs format)")
-		timesFile = flag.String("times", "", "text file with one execution time per line ('-' for stdin)")
-		enter     = flag.Int("enter", int(rvs.UoAEnter), "UoA enter instrumentation point id")
-		exit      = flag.Int("exit", int(rvs.UoAExit), "UoA exit instrumentation point id")
-		block     = flag.Int("block", 50, "EVT block-maxima size")
-		target    = flag.Float64("target", 1e-15, "target exceedance probability")
-		static    = flag.String("static", "", "static WCET reference: a cycle bound, or app:mode (control|processing : det|dsr-eager|dsr-lazy)")
+		traceFile = fs.String("trace", "", "binary timing trace (rvs format)")
+		timesFile = fs.String("times", "", "text file with one execution time per line ('-' for stdin)")
+		enter     = fs.Int("enter", int(rvs.UoAEnter), "UoA enter instrumentation point id")
+		exit      = fs.Int("exit", int(rvs.UoAExit), "UoA exit instrumentation point id")
+		block     = fs.Int("block", 50, "EVT block-maxima size")
+		target    = fs.Float64("target", 1e-15, "target exceedance probability")
+		static    = fs.String("static", "", "static WCET reference: a cycle bound, or app:mode (control|processing : det|dsr-eager|dsr-lazy)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	staticBound, staticLabel, err := resolveStatic(*static)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "pwcet:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "pwcet:", err)
+		return 1
 	}
 
-	times, err := loadTimes(*traceFile, *timesFile, int32(*enter), int32(*exit))
+	times, err := loadTimes(*traceFile, *timesFile, int32(*enter), int32(*exit), stdin)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "pwcet:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "pwcet:", err)
+		return 1
 	}
 	if len(times) == 0 {
-		fmt.Fprintln(os.Stderr, "pwcet: no execution times found")
-		os.Exit(1)
+		fmt.Fprintln(stderr, "pwcet: no execution times found")
+		return 1
 	}
 
 	opts := mbpta.DefaultOptions()
@@ -69,7 +81,7 @@ func main() {
 		if adj < 5 {
 			adj = 5
 		}
-		fmt.Fprintf(os.Stderr, "pwcet: only %d runs; reducing block size %d -> %d\n",
+		fmt.Fprintf(stderr, "pwcet: only %d runs; reducing block size %d -> %d\n",
 			len(times), opts.BlockSize, adj)
 		opts.BlockSize = adj
 	}
@@ -78,17 +90,18 @@ func main() {
 	if name == "" {
 		name = *timesFile
 	}
-	if err := rvs.WriteReport(os.Stdout, name, rep, times); err != nil {
-		fmt.Fprintln(os.Stderr, "pwcet:", err)
-		os.Exit(1)
+	if err := rvs.WriteReport(stdout, name, rep, times); err != nil {
+		fmt.Fprintln(stderr, "pwcet:", err)
+		return 1
 	}
 	if staticBound > 0 {
-		printStatic(rep, staticBound, staticLabel)
+		printStatic(stdout, rep, staticBound, staticLabel)
 	}
 	if analyseErr != nil {
-		fmt.Fprintln(os.Stderr, "pwcet:", analyseErr)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "pwcet:", analyseErr)
+		return 1
 	}
+	return 0
 }
 
 // resolveStatic turns the -static argument into a cycle bound: either a
@@ -146,24 +159,24 @@ func resolveStatic(spec string) (float64, string, error) {
 
 // printStatic is the static-vs-probabilistic reference line: where the
 // analytical bound sits relative to the MOET and the pWCET estimate.
-func printStatic(rep *mbpta.Report, bound float64, label string) {
-	fmt.Printf("static WCET reference (%s): %.0f cycles\n", label, bound)
+func printStatic(w io.Writer, rep *mbpta.Report, bound float64, label string) {
+	fmt.Fprintf(w, "static WCET reference (%s): %.0f cycles\n", label, bound)
 	if rep == nil {
 		return
 	}
 	if rep.MOET > 0 {
-		fmt.Printf("  MOET %.0f  -> static/MOET x%.2f\n", rep.MOET, bound/rep.MOET)
+		fmt.Fprintf(w, "  MOET %.0f  -> static/MOET x%.2f\n", rep.MOET, bound/rep.MOET)
 	}
 	if rep.PWCET > 0 {
 		verdict := "pWCET exceeds the static bound — EVT extrapolation is pessimistic there"
 		if rep.PWCET <= bound {
 			verdict = "pWCET is below the static bound, as expected for a sound bound"
 		}
-		fmt.Printf("  pWCET %.0f -> static/pWCET x%.2f (%s)\n", rep.PWCET, bound/rep.PWCET, verdict)
+		fmt.Fprintf(w, "  pWCET %.0f -> static/pWCET x%.2f (%s)\n", rep.PWCET, bound/rep.PWCET, verdict)
 	}
 }
 
-func loadTimes(traceFile, timesFile string, enter, exit int32) ([]float64, error) {
+func loadTimes(traceFile, timesFile string, enter, exit int32, stdin io.Reader) ([]float64, error) {
 	switch {
 	case traceFile != "" && timesFile != "":
 		return nil, fmt.Errorf("give either -trace or -times, not both")
@@ -179,7 +192,7 @@ func loadTimes(traceFile, timesFile string, enter, exit int32) ([]float64, error
 		}
 		return rvs.ToFloats(rvs.Durations(trace, enter, exit)), nil
 	case timesFile != "":
-		var r io.Reader = os.Stdin
+		r := stdin
 		if timesFile != "-" {
 			f, err := os.Open(timesFile)
 			if err != nil {

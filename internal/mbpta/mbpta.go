@@ -12,6 +12,7 @@ package mbpta
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"dsr/internal/evt"
 	"dsr/internal/stats"
@@ -79,8 +80,12 @@ func (r IIDReport) Pass() bool {
 	return r.LjungBox.Passed(r.Alpha) && r.KS.Passed(r.Alpha)
 }
 
-// CheckIID runs the independence and identical-distribution tests.
+// CheckIID runs the independence and identical-distribution tests. A
+// non-finite sample is an error naming its index.
 func CheckIID(times []float64, opts Options) (IIDReport, error) {
+	if err := checkFinite(times); err != nil {
+		return IIDReport{}, err
+	}
 	lb, err := stats.LjungBox(times, opts.LjungBoxLags)
 	if err != nil {
 		return IIDReport{}, fmt.Errorf("mbpta: %w", err)
@@ -102,6 +107,20 @@ func CheckIID(times []float64, opts Options) (IIDReport, error) {
 		telemetry.Float("alpha", opts.Alpha),
 		telemetry.String("verdict", verdict))
 	return rep, nil
+}
+
+// ErrNonFinite is returned (wrapped, with the sample's index) by
+// CheckIID and Analyse for a NaN or infinite execution time.
+var ErrNonFinite = errors.New("mbpta: non-finite execution time")
+
+// checkFinite returns ErrNonFinite for the first NaN or ±Inf in times.
+func checkFinite(times []float64) error {
+	for i, x := range times {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return fmt.Errorf("%w: sample %d is %v", ErrNonFinite, i, x)
+		}
+	}
+	return nil
 }
 
 // Report is a complete MBPTA analysis result.
@@ -126,8 +145,8 @@ type Report struct {
 }
 
 // Analyse runs the full MBPTA pipeline. It returns ErrNotIID (wrapped)
-// if the i.i.d. gate rejects; use CheckIID alone to inspect a rejected
-// sample.
+// if the i.i.d. gate rejects, and ErrNonFinite (wrapped) for a NaN or
+// infinite sample; use CheckIID alone to inspect a rejected sample.
 func Analyse(times []float64, opts Options) (*Report, error) {
 	return analyse(times, nil, opts)
 }

@@ -2,8 +2,11 @@ package mbpta
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
+	"time"
 
 	"dsr/internal/prng"
 )
@@ -87,6 +90,28 @@ func TestAnalyseSampleSizeGuard(t *testing.T) {
 	opts.BlockSize = 0
 	if _, err := Analyse(iidSample(4, 1000), opts); err == nil {
 		t.Error("block size 0 accepted")
+	}
+}
+
+// TestAnalyseRejectsNonFinite: one NaN or infinity anywhere in a series
+// long enough to analyse is an error naming its index, from both
+// CheckIID and Analyse, and neither may hang on it.
+func TestAnalyseRejectsNonFinite(t *testing.T) {
+	const n = 1000
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, pos := range []int{0, n / 2, n - 1} {
+			times := iidSample(9, n)
+			times[pos] = bad
+			want := fmt.Sprintf("sample %d is %v", pos, bad)
+			var iidErr, err error
+			within(t, 10*time.Second, "CheckIID", func() { _, iidErr = CheckIID(times, DefaultOptions()) })
+			within(t, 10*time.Second, "Analyse", func() { _, err = Analyse(times, DefaultOptions()) })
+			for name, e := range map[string]error{"CheckIID": iidErr, "Analyse": err} {
+				if !errors.Is(e, ErrNonFinite) || !strings.Contains(e.Error(), want) {
+					t.Errorf("%s with %v at %d: err=%v, want ErrNonFinite naming %q", name, bad, pos, e, want)
+				}
+			}
+		}
 	}
 }
 

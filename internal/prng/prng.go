@@ -154,7 +154,20 @@ func Uint64(src Source) uint64 {
 // Float64 returns a value in [0,1) with 53 random bits, used by the
 // synthetic workload generators (not by the DSR runtime itself).
 func Float64(src Source) float64 {
-	return float64(Uint64(src)>>11) / (1 << 53)
+	return unit53(Uint64(src))
+}
+
+// Float64 is prng.Float64(m) without the interface calls: the same two
+// draws, high word first, mapped the same way, so the two are
+// interchangeable on one stream. It inlines into per-pixel loops.
+func (m *MWC) Float64() float64 {
+	return unit53(uint64(m.Uint32())<<32 | uint64(m.Uint32()))
+}
+
+// unit53 maps the top 53 bits of u onto [0,1). They fit an int64, whose
+// conversion is exact and, unlike uint64's, a single instruction.
+func unit53(u uint64) float64 {
+	return float64(int64(u>>11)) / (1 << 53)
 }
 
 // Perm returns a random permutation of [0,n), used by the eager relocator

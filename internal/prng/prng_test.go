@@ -184,6 +184,37 @@ func TestFloat64Range(t *testing.T) {
 	}
 }
 
+// TestFloat64Pinned pins Float64's first outputs on both generators, so
+// a change to its mapping or draw order shows.
+func TestFloat64Pinned(t *testing.T) {
+	want := [][2]uint64{
+		{0x3f9c5601bf7ceee0, 0x3feaaa26321dc3c5},
+		{0x3fe7e96193a96f1a, 0x3fe7a5b8b5c9202c},
+		{0x3fa354e8a3216770, 0x3fdefff05ee18778},
+	}
+	m, l := NewMWC(1), NewLFSR(1)
+	for i, w := range want {
+		if got := math.Float64bits(Float64(m)); got != w[0] {
+			t.Errorf("MWC draw %d: %#016x, want %#016x", i, got, w[0])
+		}
+		if got := math.Float64bits(Float64(l)); got != w[1] {
+			t.Errorf("LFSR draw %d: %#016x, want %#016x", i, got, w[1])
+		}
+	}
+}
+
+// TestMWCFloat64MatchesFloat64 runs the method and the Source helper on
+// twin streams: every draw and the state after it must agree.
+func TestMWCFloat64MatchesFloat64(t *testing.T) {
+	a, b := NewMWC(2024), NewMWC(2024)
+	for i := 0; i < 100000; i++ {
+		x, y := a.Float64(), Float64(b)
+		if math.Float64bits(x) != math.Float64bits(y) || a.State() != b.State() {
+			t.Fatalf("draw %d: method %v, Float64 %v", i, x, y)
+		}
+	}
+}
+
 func TestPermIsPermutation(t *testing.T) {
 	src := NewMWC(77)
 	for _, n := range []int{0, 1, 2, 10, 100} {

@@ -16,6 +16,9 @@ import (
 // ErrTooFewSamples is returned by tests that need a minimum sample size.
 var ErrTooFewSamples = errors.New("stats: too few samples")
 
+// ErrNaN is returned by tests whose ordering a NaN sample would break.
+var ErrNaN = errors.New("stats: NaN sample")
+
 // Mean returns the arithmetic mean. It panics on an empty slice: every
 // caller in this module guarantees non-empty inputs.
 func Mean(xs []float64) float64 {
@@ -155,7 +158,8 @@ func LjungBox(xs []float64, h int) (TestResult, error) {
 // KolmogorovSmirnov2 runs the two-sample KS test: the null hypothesis is
 // that xs and ys are drawn from the same distribution. The paper splits
 // the measurement series in two halves and applies this test for the
-// "identically distributed" half of i.i.d.
+// "identically distributed" half of i.i.d. A NaN on either side is
+// ErrNaN.
 func KolmogorovSmirnov2(xs, ys []float64) (TestResult, error) {
 	n1, n2 := len(xs), len(ys)
 	if n1 < 4 || n2 < 4 {
@@ -166,6 +170,11 @@ func KolmogorovSmirnov2(xs, ys []float64) (TestResult, error) {
 	b := append([]float64(nil), ys...)
 	sort.Float64s(a)
 	sort.Float64s(b)
+	// Sorting puts NaN first. A NaN compares false both ways, so the walk
+	// below would never advance past it.
+	if math.IsNaN(a[0]) || math.IsNaN(b[0]) {
+		return TestResult{}, ErrNaN
+	}
 	var d float64
 	i, j := 0, 0
 	for i < n1 && j < n2 {

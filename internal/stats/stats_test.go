@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -142,6 +143,22 @@ func TestKSDifferentDistributionsRejected(t *testing.T) {
 func TestKSErrors(t *testing.T) {
 	if _, err := KolmogorovSmirnov2([]float64{1}, []float64{1, 2, 3, 4}); err == nil {
 		t.Error("tiny sample accepted")
+	}
+}
+
+// TestKSRejectsNaN: a NaN on either side is an error, not an endless
+// walk over the sorted samples.
+func TestKSRejectsNaN(t *testing.T) {
+	clean := []float64{1, 2, 3, 4, 5}
+	for pos := range clean {
+		bad := append([]float64(nil), clean...)
+		bad[pos] = math.NaN()
+		if _, err := KolmogorovSmirnov2(bad, clean); !errors.Is(err, ErrNaN) {
+			t.Errorf("NaN at %d, left: err=%v, want ErrNaN", pos, err)
+		}
+		if _, err := KolmogorovSmirnov2(clean, bad); !errors.Is(err, ErrNaN) {
+			t.Errorf("NaN at %d, right: err=%v, want ErrNaN", pos, err)
+		}
 	}
 }
 
