@@ -45,7 +45,8 @@ type suite struct {
 // of each hot-path structure (the cache suite includes
 // BenchmarkFlushAll, the per-run partition-start flush); the serve
 // suites measure the submit path and one job's checkpoint layer; the
-// spaceapp suite measures one processing-task scene synthesis.
+// telemetry suite measures one job's JSONL export; the spaceapp suite
+// measures one processing-task scene synthesis.
 var suites = []suite{
 	{Pkg: ".", Bench: "^BenchmarkCampaignWorkers(1|8)$", BenchTime: "1x"},
 	{Pkg: "./internal/cache", Bench: "^Benchmark", BenchTime: "2000000x"},
@@ -58,6 +59,7 @@ var suites = []suite{
 	{Pkg: "./internal/analysis/leak", Bench: "^BenchmarkLeakAnalyze$", BenchTime: "100x"},
 	{Pkg: "./internal/serve", Bench: "^BenchmarkServeSubmitLatency$", BenchTime: "30x"},
 	{Pkg: "./internal/serve", Bench: "^BenchmarkCheckpointJob$", BenchTime: "200x"},
+	{Pkg: "./internal/telemetry", Bench: "^BenchmarkWriteJSONL$", BenchTime: "200x"},
 	{Pkg: "./internal/spaceapp", Bench: "^BenchmarkGenScene$", BenchTime: "300x"},
 }
 

@@ -6,8 +6,9 @@
 package mem
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Addr is a physical byte address in the simulated machine.
@@ -123,6 +124,11 @@ type Space struct {
 // pageRange is an inclusive page-number interval covered by one object.
 type pageRange struct{ lo, hi Addr }
 
+// byLo orders page ranges by first page. The merge sweeps of
+// PagesTouched and PagesTouchedCount do not depend on how ties are
+// ordered, so an unstable sort serves.
+func byLo(a, b pageRange) int { return cmp.Compare(a.lo, b.lo) }
+
 // NewSpace returns an allocator over [base, base+size).
 func NewSpace(base, size Addr) *Space {
 	return &Space{base: base, end: base + size, next: base}
@@ -229,7 +235,7 @@ func (s *Space) PagesTouched() []Addr {
 		ranges[i] = r
 		total += int(r.hi - r.lo + 1)
 	}
-	sort.Slice(ranges, func(i, j int) bool { return ranges[i].lo < ranges[j].lo })
+	slices.SortFunc(ranges, byLo)
 	pages := make([]Addr, 0, total) // upper bound; overlaps emit once
 	next := ranges[0].lo            // first page not yet emitted
 	for _, r := range ranges {
@@ -261,7 +267,7 @@ func (s *Space) PagesTouchedCount() int {
 		ranges = append(ranges, pageRange{Page(o.Base), Page(o.End() - 1)})
 	}
 	s.scratch = ranges
-	sort.Slice(ranges, func(i, j int) bool { return ranges[i].lo < ranges[j].lo })
+	slices.SortFunc(ranges, byLo)
 	n := 0
 	next := ranges[0].lo
 	for _, r := range ranges {

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -189,6 +190,60 @@ func TestPagesTouched(t *testing.T) {
 		if pages[i] != want[i] {
 			t.Fatalf("pages=%v, want %v", pages, want)
 		}
+	}
+}
+
+// TestPagesTouchedCount: the count equals len(PagesTouched()) over
+// random object sets mixing single-page objects, objects spanning page
+// boundaries, objects sharing a page, page-adjacent objects and
+// byte-overlapping objects (recorded directly, as no placement path
+// makes them).
+func TestPagesTouchedCount(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	s := NewSpace(0, 64*PageSize)
+	if got := s.PagesTouchedCount(); got != 0 {
+		t.Fatalf("empty space: count %d", got)
+	}
+	for trial := 0; trial < 2000; trial++ {
+		s.Reset()
+		for n := 1 + rng.Intn(12); n > 0; n-- {
+			var base, size Addr
+			switch rng.Intn(4) {
+			case 0: // inside one page
+				base = Addr(rng.Intn(64))*PageSize + Addr(rng.Intn(PageSize/2))
+				size = 1 + Addr(rng.Intn(PageSize/2))
+			case 1: // ending exactly at a page boundary: the next page is adjacent
+				p := Addr(1 + rng.Intn(62))
+				size = 1 + Addr(rng.Intn(3*PageSize))
+				if size > p*PageSize {
+					size = p * PageSize
+				}
+				base = p*PageSize - size
+			case 2: // starting exactly at a page boundary
+				base = Addr(rng.Intn(60)) * PageSize
+				size = 1 + Addr(rng.Intn(4*PageSize))
+			default: // anywhere, any length up to a few pages
+				base = Addr(rng.Intn(60 * PageSize))
+				size = 1 + Addr(rng.Intn(4*PageSize))
+			}
+			s.objs = append(s.objs, &Object{Name: "o", Base: base, Size: size})
+		}
+		set := map[Addr]bool{}
+		for _, o := range s.objs {
+			for p := Page(o.Base); p <= Page(o.End()-1); p++ {
+				set[p] = true
+			}
+		}
+		got, want := s.PagesTouchedCount(), len(s.PagesTouched())
+		if got != want || want != len(set) {
+			t.Fatalf("trial %d: PagesTouchedCount %d, len(PagesTouched) %d, distinct pages %d over %v",
+				trial, got, want, len(set), s.objs)
+		}
+	}
+	// The count runs on every DSR reboot: no allocation once the
+	// scratch buffer has grown.
+	if a := testing.AllocsPerRun(100, func() { s.PagesTouchedCount() }); a != 0 {
+		t.Errorf("PagesTouchedCount allocates %v times per call", a)
 	}
 }
 

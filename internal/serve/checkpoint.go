@@ -8,6 +8,8 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+
+	"dsr/internal/jsonenc"
 )
 
 // Checkpoint file names inside a job directory. The current snapshot
@@ -88,9 +90,9 @@ func oneShotWriter(dir string, c *Checkpoint) *checkpointWriter {
 
 // checkpointWriter persists successive checkpoints of one growing
 // prefix, encoding each Point once: points holds the comma-joined
-// json.Marshal of every added Point, which is byte-identical to the
-// Points array of json.Marshal(Checkpoint). A periodic checkpoint
-// then costs one hash and one file write of the prefix.
+// encodings of every added Point, byte-identical to the Points array
+// of json.Marshal(Checkpoint). A periodic checkpoint then costs one
+// hash and one file write of the prefix.
 type checkpointWriter struct {
 	dir, job, specHash string
 
@@ -100,22 +102,42 @@ type checkpointWriter struct {
 	buf    []byte // file image, reused across writes
 }
 
-// add appends pt's encoding to the prefix.
+// add appends pt's encoding to the prefix. The bytes are json.Marshal's
+// for a Point — keys in field order, uoa omitted when zero, attr as
+// {"Buckets":[...],"Valid":...} — appended without reflection; a
+// non-finite UoA is an encoding error, as it is for encoding/json.
 func (w *checkpointWriter) add(pt Point) {
 	if w.err != nil {
 		return
 	}
-	// Marshal through a pointer, as the slice encoder sees its
-	// (addressable) elements.
-	b, err := json.Marshal(&pt)
-	if err != nil {
-		w.err = fmt.Errorf("serve: marshal checkpoint: %w", err)
-		return
-	}
+	b := w.points
 	if w.n > 0 {
-		w.points = append(w.points, ',')
+		b = append(b, ',')
 	}
-	w.points = append(w.points, b...)
+	b = append(b, `{"i":`...)
+	b = strconv.AppendInt(b, int64(pt.Index), 10)
+	b = append(b, `,"seed":`...)
+	b = strconv.AppendUint(b, pt.Seed, 10)
+	b = append(b, `,"cycles":`...)
+	b = strconv.AppendUint(b, uint64(pt.Cycles), 10)
+	if pt.UoA != 0 {
+		var err error
+		b = append(b, `,"uoa":`...)
+		if b, err = jsonenc.Float(b, pt.UoA); err != nil {
+			w.err = fmt.Errorf("serve: marshal checkpoint: %w", err)
+			return
+		}
+	}
+	b = append(b, `,"attr":{"Buckets":[`...)
+	for k, v := range pt.Attr.Buckets {
+		if k > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendUint(b, uint64(v), 10)
+	}
+	b = append(b, `],"Valid":`...)
+	b = strconv.AppendBool(b, pt.Attr.Valid)
+	w.points = append(b, '}', '}')
 	w.n++
 }
 
@@ -139,9 +161,9 @@ func (w *checkpointWriter) pointsJSON() ([]byte, error) {
 // "sum":"" form, spliced in afterwards. The bytes alias w's buffer.
 func (w *checkpointWriter) encode(cursor int, null bool) ([]byte, string) {
 	b := append(w.buf[:0], `{"job":`...)
-	b = appendJSONString(b, w.job)
+	b = jsonenc.String(b, w.job)
 	b = append(b, `,"spec_hash":`...)
-	b = appendJSONString(b, w.specHash)
+	b = jsonenc.String(b, w.specHash)
 	b = append(b, `,"cursor":`...)
 	b = strconv.AppendInt(b, int64(cursor), 10)
 	b = append(b, `,"points":`...)
@@ -183,12 +205,6 @@ func (w *checkpointWriter) write(cursor int, null bool) error {
 		return fmt.Errorf("serve: commit checkpoint: %w", err)
 	}
 	return nil
-}
-
-// appendJSONString appends s encoded as json.Marshal encodes a string.
-func appendJSONString(b []byte, s string) []byte {
-	e, _ := json.Marshal(s) // a string always encodes
-	return append(b, e...)
 }
 
 // LoadCheckpoint returns the newest intact snapshot for the job, or

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"dsr/internal/mem"
@@ -32,19 +33,21 @@ type Attr struct {
 func String(k, v string) Attr { return Attr{Key: k, Value: v} }
 
 // Uint64 builds an integer attribute.
-func Uint64(k string, v uint64) Attr { return Attr{Key: k, Value: fmt.Sprintf("%d", v)} }
+func Uint64(k string, v uint64) Attr { return Attr{Key: k, Value: strconv.FormatUint(v, 10)} }
 
 // Int builds an integer attribute.
-func Int(k string, v int) Attr { return Attr{Key: k, Value: fmt.Sprintf("%d", v)} }
+func Int(k string, v int) Attr { return Attr{Key: k, Value: strconv.Itoa(v)} }
 
 // Hex builds a hexadecimal address attribute.
 func Hex(k string, v mem.Addr) Attr { return Attr{Key: k, Value: fmt.Sprintf("%#x", uint64(v))} }
 
-// Float builds a float attribute.
-func Float(k string, v float64) Attr { return Attr{Key: k, Value: fmt.Sprintf("%g", v)} }
+// Float builds a float attribute, formatted as %g formats it.
+func Float(k string, v float64) Attr { return Attr{Key: k, Value: strconv.FormatFloat(v, 'g', -1, 64)} }
 
 // Cycles builds a cycle-count attribute.
-func Cycles(k string, v mem.Cycles) Attr { return Attr{Key: k, Value: fmt.Sprintf("%d", uint64(v))} }
+func Cycles(k string, v mem.Cycles) Attr {
+	return Attr{Key: k, Value: strconv.FormatUint(uint64(v), 10)}
+}
 
 // Event is one structured runtime event.
 type Event struct {

@@ -9,6 +9,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"dsr/internal/jsonenc"
 )
 
 // Dump is the native on-disk telemetry form: a complete registry
@@ -30,8 +32,9 @@ func NewDump(r *Registry, l *EventLog) *Dump {
 	return &Dump{Metrics: r.Snapshot(), Events: l.Events()}
 }
 
-// jsonlRecord is one line of the JSONL encoding: exactly one of Metric
-// or Event is set, discriminated by Record.
+// jsonlRecord is one line of the JSONL encoding, as ReadJSONL decodes
+// it: exactly one of Metric, Event or Span is set, discriminated by
+// Record.
 type jsonlRecord struct {
 	Record string  `json:"record"`
 	Metric *Metric `json:"metric,omitempty"`
@@ -40,26 +43,138 @@ type jsonlRecord struct {
 }
 
 // WriteJSONL encodes the dump as JSON Lines: one self-describing record
-// per line ({"record":"metric",...} / {"record":"event",...}).
+// per line ({"record":"metric",...} / {"record":"event",...} /
+// {"record":"span",...}). The bytes are those of a json.Encoder
+// encoding each jsonlRecord (keys in field order, omitempty applied,
+// label keys sorted, Phase as its byte value), built by appending into
+// one reused line buffer instead of by reflection. A non-finite metric
+// value is an error, as it is for encoding/json. A write error sticks in
+// the bufio.Writer and is returned by the final Flush.
 func (d *Dump) WriteJSONL(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
+	var line []byte
 	for i := range d.Metrics {
-		if err := enc.Encode(jsonlRecord{Record: "metric", Metric: &d.Metrics[i]}); err != nil {
+		var err error
+		if line, err = appendMetricRecord(line[:0], &d.Metrics[i]); err != nil {
 			return fmt.Errorf("telemetry: jsonl: %w", err)
 		}
+		bw.Write(line)
 	}
 	for i := range d.Events {
-		if err := enc.Encode(jsonlRecord{Record: "event", Event: &d.Events[i]}); err != nil {
-			return fmt.Errorf("telemetry: jsonl: %w", err)
-		}
+		line = appendEventRecord(line[:0], &d.Events[i])
+		bw.Write(line)
 	}
 	for i := range d.Spans {
-		if err := enc.Encode(jsonlRecord{Record: "span", Span: &d.Spans[i]}); err != nil {
-			return fmt.Errorf("telemetry: jsonl: %w", err)
-		}
+		line = appendSpanRecord(line[:0], &d.Spans[i])
+		bw.Write(line)
 	}
 	return bw.Flush()
+}
+
+// appendMetricRecord appends m's JSONL line.
+func appendMetricRecord(b []byte, m *Metric) ([]byte, error) {
+	b = append(b, `{"record":"metric","metric":{"kind":`...)
+	b = jsonenc.String(b, string(m.Kind))
+	b = append(b, `,"name":`...)
+	b = jsonenc.String(b, m.Name)
+	if len(m.Labels) > 0 {
+		b = append(b, `,"labels":{`...)
+		for i, k := range m.Labels.sortedKeys() {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = jsonenc.String(b, k)
+			b = append(b, ':')
+			b = jsonenc.String(b, m.Labels[k])
+		}
+		b = append(b, '}')
+	}
+	var err error
+	if m.Value != 0 {
+		b = append(b, `,"value":`...)
+		if b, err = jsonenc.Float(b, m.Value); err != nil {
+			return b, err
+		}
+	}
+	if len(m.Bounds) > 0 {
+		b = append(b, `,"bounds":[`...)
+		for i, v := range m.Bounds {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			if b, err = jsonenc.Float(b, v); err != nil {
+				return b, err
+			}
+		}
+		b = append(b, ']')
+	}
+	if len(m.Counts) > 0 {
+		b = append(b, `,"counts":[`...)
+		for i, v := range m.Counts {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = strconv.AppendUint(b, v, 10)
+		}
+		b = append(b, ']')
+	}
+	if m.Sum != 0 {
+		b = append(b, `,"sum":`...)
+		if b, err = jsonenc.Float(b, m.Sum); err != nil {
+			return b, err
+		}
+	}
+	if m.Count != 0 {
+		b = append(b, `,"count":`...)
+		b = strconv.AppendUint(b, m.Count, 10)
+	}
+	return append(b, "}}\n"...), nil
+}
+
+// appendEventRecord appends e's JSONL line.
+func appendEventRecord(b []byte, e *Event) []byte {
+	b = append(b, `{"record":"event","event":{"seq":`...)
+	b = strconv.AppendUint(b, e.Seq, 10)
+	b = append(b, `,"ts":`...)
+	b = strconv.AppendUint(b, uint64(e.TS), 10)
+	if e.Track != "" {
+		b = append(b, `,"track":`...)
+		b = jsonenc.String(b, e.Track)
+	}
+	b = append(b, `,"kind":`...)
+	b = jsonenc.String(b, e.Kind)
+	b = append(b, `,"phase":`...)
+	b = strconv.AppendUint(b, uint64(e.Phase), 10)
+	if len(e.Attrs) > 0 {
+		b = append(b, `,"attrs":[`...)
+		for i, a := range e.Attrs {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, `{"key":`...)
+			b = jsonenc.String(b, a.Key)
+			b = append(b, `,"value":`...)
+			b = jsonenc.String(b, a.Value)
+			b = append(b, '}')
+		}
+		b = append(b, ']')
+	}
+	return append(b, "}}\n"...)
+}
+
+// appendSpanRecord appends s's JSONL line.
+func appendSpanRecord(b []byte, s *Span) []byte {
+	b = append(b, `{"record":"span","span":{"worker":`...)
+	b = strconv.AppendInt(b, int64(s.Worker), 10)
+	b = append(b, `,"run":`...)
+	b = strconv.AppendInt(b, int64(s.Run), 10)
+	b = append(b, `,"kind":`...)
+	b = jsonenc.String(b, s.Kind)
+	b = append(b, `,"start_ns":`...)
+	b = strconv.AppendInt(b, s.Start, 10)
+	b = append(b, `,"dur_ns":`...)
+	b = strconv.AppendInt(b, s.Dur, 10)
+	return append(b, "}}\n"...)
 }
 
 // ReadJSONL parses a JSONL dump back; the round-trip

@@ -3,9 +3,13 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"io"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
+
+	"dsr/internal/mem"
 )
 
 // sampleDump builds a dump covering every metric kind (with and without
@@ -48,6 +52,121 @@ func TestJSONLRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(d.Events, back.Events) {
 		t.Errorf("jsonl round-trip changed the events:\n got %+v\nwant %+v", back.Events, d.Events)
 	}
+}
+
+// refWriteJSONL is the reflective JSONL encoder WriteJSONL replaced: a
+// json.Encoder over one jsonlRecord per metric, event and span.
+func refWriteJSONL(d *Dump) ([]byte, error) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	for i := range d.Metrics {
+		if err := enc.Encode(jsonlRecord{Record: "metric", Metric: &d.Metrics[i]}); err != nil {
+			return nil, err
+		}
+	}
+	for i := range d.Events {
+		if err := enc.Encode(jsonlRecord{Record: "event", Event: &d.Events[i]}); err != nil {
+			return nil, err
+		}
+	}
+	for i := range d.Spans {
+		if err := enc.Encode(jsonlRecord{Record: "span", Span: &d.Spans[i]}); err != nil {
+			return nil, err
+		}
+	}
+	return buf.Bytes(), nil
+}
+
+// campaignDump is the dump of a runs-long campaign as serve.Run records
+// it: UoA on most runs, attribution on every run, the default event
+// ring (so a 1000-run campaign keeps its last 4,096 events).
+func campaignDump(runs int) *Dump {
+	c := NewCampaign(0)
+	for i := 0; i < runs; i++ {
+		var att Attribution
+		att.Charge(CompBaseIssue, mem.Cycles(60000+i))
+		att.Charge(CompDRAM, mem.Cycles(9000+7*i%500))
+		if i%3 == 0 {
+			att.Charge(CompBus, mem.Cycles(300+i%17))
+		}
+		rec := RunRecord{Series: "uoa", Index: i, Seed: uint64(i)*0x9E3779B97F4A7C15 + 1,
+			Cycles: att.Total(), Attribution: att.Snapshot()}
+		if i%4 != 0 {
+			rec.UoA = float64(rec.Cycles) * 0.8
+		}
+		c.RecordRun(rec)
+	}
+	return c.Dump()
+}
+
+// TestWriteJSONLMatchesEncodingJSON: the append encoder writes the
+// reflective encoder's bytes for every record shape — labelled and
+// unlabelled metrics, histograms, floats on both sides of the 'f'/'e'
+// switch, negative zero (omitted, as omitempty omits it), strings that
+// need escaping, events with and without track and attributes, spans —
+// and fails where it fails, on a non-finite value.
+func TestWriteJSONLMatchesEncodingJSON(t *testing.T) {
+	d := sampleDump()
+	d.Metrics = append(d.Metrics,
+		Metric{Kind: KindGauge, Name: "uoa<&>", Labels: Labels{"z": "last", "a": "x\"y", "m": "café\u2028", "q\n": ""},
+			Value: 1e-7},
+		Metric{Kind: KindGauge, Name: "huge", Value: -1e21},
+		Metric{Kind: KindGauge, Name: "negzero", Labels: Labels{}, Value: math.Copysign(0, -1)},
+		Metric{Kind: KindHistogram, Name: "h", Bounds: []float64{1e-9, 0.5, 123456789, 5e300},
+			Counts: []uint64{0, 3, math.MaxUint64}, Sum: 2.5e-6, Count: 7},
+		Metric{Kind: KindHistogram, Name: "empty", Bounds: []float64{}, Counts: []uint64{}},
+	)
+	d.Events = append(d.Events,
+		Event{Seq: math.MaxUint64, TS: 1 << 62, Kind: "k\x01", Phase: PhaseInstant,
+			Attrs: []Attr{{Key: "<k>", Value: "\xff"}, {Key: "", Value: ""}}},
+		Event{Kind: "no.attrs", Phase: PhaseEnd, Attrs: []Attr{}},
+	)
+	d.Spans = []Span{
+		{Worker: -1, Run: -1, Kind: "campaign", Start: 0, Dur: 123456789},
+		{Worker: 1, Run: 42, Kind: "execute", Start: -5, Dur: 0},
+	}
+	for name, dump := range map[string]*Dump{"sample": d, "campaign": campaignDump(300), "empty": {}} {
+		var got bytes.Buffer
+		if err := dump.WriteJSONL(&got); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want, err := refWriteJSONL(dump)
+		if err != nil {
+			t.Fatalf("%s: reference: %v", name, err)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Fatalf("%s: WriteJSONL bytes differ from encoding/json\n got %s\nwant %s", name, got.Bytes(), want)
+		}
+	}
+
+	for _, bad := range []Metric{
+		{Kind: KindGauge, Name: "nan", Value: math.NaN()},
+		{Kind: KindHistogram, Name: "inf", Bounds: []float64{1, math.Inf(1)}, Counts: []uint64{1, 2}},
+		{Kind: KindHistogram, Name: "sum", Bounds: []float64{1}, Counts: []uint64{1}, Sum: math.Inf(-1), Count: 1},
+	} {
+		dump := &Dump{Metrics: []Metric{bad}}
+		_, werr := refWriteJSONL(dump)
+		err := dump.WriteJSONL(io.Discard)
+		if werr == nil || err == nil || err.Error() != "telemetry: jsonl: "+werr.Error() {
+			t.Errorf("%s: WriteJSONL err %v, encoding/json err %v", bad.Name, err, werr)
+		}
+	}
+}
+
+// BenchmarkWriteJSONL is the job-end telemetry export of a 1000-run
+// serve job: 4,096 retained events plus the campaign's metrics.
+func BenchmarkWriteJSONL(b *testing.B) {
+	d := campaignDump(1000)
+	var buf bytes.Buffer
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf.Reset()
+		if err := d.WriteJSONL(&buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(d.Metrics)+len(d.Events)), "records")
 }
 
 func TestCSVRoundTrip(t *testing.T) {

@@ -207,18 +207,24 @@ type Labels map[string]string
 // text the exporters use for identity.
 func (l Labels) String() string { return l.canonical() }
 
-// canonical renders the sorted k=v form used for identity and CSV.
-func (l Labels) canonical() string {
-	if len(l) == 0 {
-		return ""
-	}
+// sortedKeys returns the label keys in the order every exporter
+// renders them.
+func (l Labels) sortedKeys() []string {
 	keys := make([]string, 0, len(l))
 	for k := range l {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
+	return keys
+}
+
+// canonical renders the sorted k=v form used for identity and CSV.
+func (l Labels) canonical() string {
+	if len(l) == 0 {
+		return ""
+	}
 	var b strings.Builder
-	for i, k := range keys {
+	for i, k := range l.sortedKeys() {
 		if i > 0 {
 			b.WriteByte(';')
 		}

@@ -1,6 +1,8 @@
 package telemetry
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -267,5 +269,29 @@ func TestEventLogClockAndNil(t *testing.T) {
 		nilLog.Emit("t", "k", PhaseInstant)
 	}); n != 0 {
 		t.Errorf("nil log allocates %g per emit, want 0", n)
+	}
+}
+
+// TestAttrFormatting pins the strconv-built attribute values to the
+// fmt verbs they replaced: %d for the integer helpers, %g for Float.
+func TestAttrFormatting(t *testing.T) {
+	for _, v := range []uint64{0, 1, 1 << 53, math.MaxUint64} {
+		if got, want := Uint64("k", v).Value, fmt.Sprintf("%d", v); got != want {
+			t.Errorf("Uint64(%d) = %q, want %q", v, got, want)
+		}
+		if got, want := Cycles("k", mem.Cycles(v)).Value, fmt.Sprintf("%d", v); got != want {
+			t.Errorf("Cycles(%d) = %q, want %q", v, got, want)
+		}
+	}
+	for _, v := range []int{0, 7, -1, -42, math.MaxInt, math.MinInt} {
+		if got, want := Int("k", v).Value, fmt.Sprintf("%d", v); got != want {
+			t.Errorf("Int(%d) = %q, want %q", v, got, want)
+		}
+	}
+	for _, v := range []float64{0, math.Copysign(0, -1), 1, -2.5, 0.42, 1e-7, 1e20, 1e21, 123456789,
+		math.SmallestNonzeroFloat64, math.MaxFloat64, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if got, want := Float("k", v).Value, fmt.Sprintf("%g", v); got != want {
+			t.Errorf("Float(%v) = %q, want %q", v, got, want)
+		}
 	}
 }
