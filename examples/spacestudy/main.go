@@ -9,111 +9,80 @@ import (
 	"log"
 	"math"
 
-	"dsr"
-	"dsr/internal/core"
-	"dsr/internal/platform"
-	"dsr/internal/rtos"
-	"dsr/internal/sched"
+	"dsr/internal/analysis/schedfeas"
+	"dsr/internal/experiments"
 	"dsr/internal/spaceapp"
 )
 
 func main() {
-	// --- Part 1: the hosted system under the partition scheduler -----
+	cfg := experiments.DefaultConfig()
+
+	// --- Part 1: the hosted system under the partition executive -----
 	fmt.Println("== Part 1: two partitions under the cyclic executive ==")
-
-	// Processing partition (low criticality, 100 ms period).
-	procProg, err := spaceapp.BuildProcessing()
-	check(err)
-	procPlat := platform.New(platform.ProximaLEON3())
-	procImg, err := dsr.LoadSequential(procProg)
-	check(err)
-	procPlat.LoadImage(procImg)
-	scene := spaceapp.GenScene(1, spaceapp.LitFraction)
-	check(spaceapp.ApplyScene(procPlat.Mem, procImg, scene))
-
-	// Control partition (high criticality, 1 s period) under DSR.
-	ctrlProg, err := spaceapp.BuildControl()
-	check(err)
-	ctrlPlat := platform.New(platform.ProximaLEON3())
-	rt, err := core.NewRuntime(ctrlProg, ctrlPlat, core.Options{})
-	check(err)
-
-	proc := &rtos.Partition{
-		Name:         "processing",
-		Criticality:  rtos.LowCriticality,
-		Runner:       rtos.NewImageRunner(procPlat),
-		PeriodMillis: 100,
+	// The control partition runs under DSR (a fresh layout per
+	// activation) and the processing partition from a fixed image; the
+	// deterministic policy replays the case study's nominal frame.
+	cell := experiments.E9Cell{LayoutRand: true}
+	static := schedfeas.Analyze(experiments.CaseStudySchedSpec(),
+		experiments.CaseStudySchedPolicy(cell.SchedRand), schedfeas.Config{})
+	if static.Cert == nil {
+		log.Fatalf("case-study frame not certifiable: %v", static.Violations)
 	}
-	ctrl := &rtos.Partition{
-		Name:         "control",
-		Criticality:  rtos.HighCriticality,
-		Runner:       rtos.NewDSRRunner(rt, 1),
-		PeriodMillis: 1000,
-	}
-	executive, err := rtos.NewScheduler(rtos.DefaultConfig(), []rtos.Window{
-		{Partition: proc, OffsetMillis: 0, BudgetMillis: 60},
-		{Partition: ctrl, OffsetMillis: 100, BudgetMillis: 200},
-	})
+	executive, err := experiments.NewE9Executive(cfg, cell, static.Cert)
 	check(err)
-
 	acts, err := executive.RunMajorFrames(3)
 	check(err)
+	var procMOET float64
 	for _, a := range acts {
-		status := "completed"
+		// Every completed activation ran its own input and matched the
+		// golden model; an overrun is cut before it can be checked.
 		if a.Overrun() {
-			status = "OVERRUN (cut by temporal isolation)"
+			log.Fatalf("frame %d: %s activation %d overran its window (cut by temporal isolation)",
+				a.MajorFrame, a.Partition, a.Activation)
 		}
-		fmt.Printf("  frame %d  %-11s (%s crit)  %8d cycles / budget %8d  %s\n",
-			a.MajorFrame, a.Partition, a.Criticality, a.Cycles, a.Budget, status)
+		fmt.Printf("  frame %d  @%4dms  %-11s (%s crit)  %8d cycles / budget %8d  verified\n",
+			a.MajorFrame, a.OffsetMillis, a.Partition, a.Criticality, a.Cycles, a.Budget)
+		if a.Partition == "processing" {
+			procMOET = math.Max(procMOET, float64(a.Cycles))
+		}
 	}
-	ref := spaceapp.ProcessingReference(scene)
-	fmt.Printf("  processing: %d/%d lenses lit, RMS wavefront error %.4f px\n\n",
+	ref := spaceapp.ProcessingReference(spaceapp.GenScene(cfg.InputSeedBase, spaceapp.LitFraction))
+	fmt.Printf("  processing activation 0: %d/%d lenses lit, RMS wavefront error %.4f px\n\n",
 		ref.Lit, spaceapp.NumLenses, math.Float32frombits(ref.RMSBits))
 
 	// --- Part 2: the control task's timing analysis ------------------
 	fmt.Println("== Part 2: MBPTA of the control task (the unit of analysis) ==")
-	const runs = 1000
-	fmt.Printf("  collecting %d DSR measurement runs (reboot + fresh input each)...\n", runs)
-	var times []float64
-	for i := 0; i < runs; i++ {
-		_, err := rt.Reboot(uint64(i) + 1)
-		check(err)
-		in := spaceapp.GenControlInput(9000 + uint64(i))
-		check(spaceapp.ApplyControlInput(ctrlPlat.Mem, rt.Image(), in))
-		res, err := rt.Run()
-		check(err)
-		if res.ExitValue != spaceapp.ControlReference(in) {
-			log.Fatalf("run %d: functional mismatch under DSR", i)
-		}
-		times = append(times, float64(res.Cycles))
-	}
-	rep, err := dsr.Analyse(times)
+	fmt.Printf("  collecting %d DSR measurement runs (reboot + fresh input each)...\n", cfg.Runs)
+	series, err := experiments.RunDSR(cfg)
+	check(err)
+	rep, err := experiments.Figure3(series, cfg.MBPTA)
 	check(err)
 	fmt.Printf("  i.i.d.: Ljung-Box p=%.3f, KS p=%.3f → %v\n",
 		rep.IID.LjungBox.PValue, rep.IID.KS.PValue, rep.IID.Pass())
 	fmt.Printf("  MOET=%.0f  pWCET@1e-15=%.0f (+%.2f%%)\n\n",
 		rep.MOET, rep.PWCET, (rep.PWCET/rep.MOET-1)*100)
-	fmt.Print(dsr.RenderCurve(rep, times))
+	fmt.Print(experiments.RenderFigure3(series, rep))
 
 	// --- Part 3: the other half of timing V&V — scheduling analysis ---
 	fmt.Println("\n== Part 3: scheduling analysis with the derived bounds ==")
-	procWCET := float64(acts[0].Cycles) * 1.2 // processing: MOET + 20% (low crit)
-	tasks := []sched.Task{
-		{Name: "control (pWCET)", PeriodMillis: 1000, WCETCycles: rep.PWCET, WindowBudgetMillis: 30},
-		{Name: "processing (MOET+20%)", PeriodMillis: 100, WCETCycles: procWCET, WindowBudgetMillis: 60},
+	spec := experiments.CaseStudySchedSpec()
+	for i := range spec.Tasks {
+		t := &spec.Tasks[i]
+		bound := "pWCET"
+		t.WCETCycles = rep.PWCET
+		if t.Name == "processing" { // low criticality: MOET + 20%
+			bound, t.WCETCycles = "MOET+20%", procMOET*1.2
+		}
+		window := float64(t.BudgetMillis) * float64(spec.CyclesPerMilli)
+		fmt.Printf("  %-11s %-10s bound=%-9.0f window=%-9.0f slack=%-9.0f min window=%dms\n",
+			t.Name, "("+bound+")", t.WCETCycles, window, window-t.WCETCycles,
+			int(math.Ceil(t.WCETCycles/float64(spec.CyclesPerMilli))))
 	}
-	srep, err := sched.Check(tasks, rtos.DefaultConfig().CyclesPerMilli)
-	check(err)
-	for _, r := range srep.Results {
-		fmt.Printf("  %-24s bound=%-9.0f window=%-9.0f slack=%-9.0f fits=%v\n",
-			r.Task.Name, r.Task.WCETCycles, r.BudgetCycles, r.SlackCycles, r.Fits)
+	srep := schedfeas.Analyze(spec, schedfeas.Policy{}, schedfeas.Config{})
+	fmt.Printf("  %dms frame, nominal schedule feasible=%v\n", spec.FrameMillis, srep.Feasible)
+	for _, v := range srep.Violations {
+		fmt.Printf("  violation: %s\n", v)
 	}
-	hyper, packs, err := sched.HyperperiodFit(tasks)
-	check(err)
-	fmt.Printf("  hyperperiod %dms, windows pack=%v, utilisation=%.2f%%, schedulable=%v\n",
-		hyper, packs, srep.TotalUtilisation*100, srep.Schedulable)
-	fmt.Printf("  min window for the control task at its pWCET: %dms\n",
-		sched.MinWindow(rep.PWCET, rtos.DefaultConfig().CyclesPerMilli))
 }
 
 func check(err error) {

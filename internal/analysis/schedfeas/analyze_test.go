@@ -4,8 +4,9 @@ import (
 	"math"
 	"testing"
 
+	"dsr/internal/analysis"
 	"dsr/internal/prng"
-	"dsr/internal/sched"
+	"dsr/internal/spaceapp"
 )
 
 func TestAnalyzeDetBaseline(t *testing.T) {
@@ -250,65 +251,28 @@ func TestAnalyzeJitterOnlyEntropy(t *testing.T) {
 	}
 }
 
-// Acceptance: the analyzer's det-baseline verdict coincides with
-// sched.Check's schedulability verdict on the case-study task set, and
-// both flip together when a WCET bound is inflated past its window.
-func TestAnalyzeMatchesSchedCheck(t *testing.T) {
-	tasks := []sched.Task{
-		{Name: "control", PeriodMillis: 1000, WCETCycles: 280_279, WindowBudgetMillis: 30},
-		{Name: "processing", PeriodMillis: 100, WCETCycles: 1_500_000, WindowBudgetMillis: 60},
-	}
-	const cpm = 80_000
-
-	spec, err := SpecFromTasks(tasks, cpm)
+// TestControlTaskStackBudgetFromAnalysis wires the real static stack
+// analysis into the control task's partition descriptor, the end-to-end
+// path an integrator follows: AnalyzeStack -> StackBoundBytes ->
+// Analyze. A one-page allocation fits; one word below the bound fails.
+func TestControlTaskStackBudgetFromAnalysis(t *testing.T) {
+	p, err := spaceapp.BuildControl()
 	if err != nil {
 		t.Fatal(err)
 	}
-	schedRep, err := sched.Check(tasks, cpm)
+	sb, err := analysis.AnalyzeStack(p, analysis.StackOptions{NumWindows: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	feasRep := Analyze(spec, Policy{}, Config{})
-	if feasRep.Feasible != schedRep.Schedulable {
-		t.Fatalf("schedfeas=%v but sched.Check=%v", feasRep.Feasible, schedRep.Schedulable)
+	spec := caseStudySpec()
+	spec.Tasks[0].StackBoundBytes = int(sb.MaxStackBytes)
+	spec.Tasks[0].StackBudgetBytes = 4096
+	if rep := Analyze(spec, Policy{}, Config{}); !rep.Feasible {
+		t.Errorf("control task (stack bound %d) does not fit a 4KB budget: %v", sb.MaxStackBytes, rep.Violations)
 	}
-	if !feasRep.Feasible {
-		t.Fatal("case study must be feasible")
-	}
-
-	// Inflate the control WCET past its window: both analyses refuse.
-	tasks[0].WCETCycles = 2_500_000
-	spec, err = SpecFromTasks(tasks, cpm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	schedRep, err = sched.Check(tasks, cpm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	feasRep = Analyze(spec, Policy{}, Config{})
-	if feasRep.Feasible != schedRep.Schedulable {
-		t.Fatalf("inflated WCET: schedfeas=%v but sched.Check=%v", feasRep.Feasible, schedRep.Schedulable)
-	}
-	if feasRep.Feasible {
-		t.Fatal("inflated WCET must be infeasible")
-	}
-}
-
-func TestSpecFromTasksErrors(t *testing.T) {
-	// No fixed phase exists for B in A(3,1)+B(4,2).
-	if _, err := SpecFromTasks([]sched.Task{
-		{Name: "A", PeriodMillis: 3, WCETCycles: 1, WindowBudgetMillis: 1},
-		{Name: "B", PeriodMillis: 4, WCETCycles: 1, WindowBudgetMillis: 2},
-	}, 1000); err == nil {
-		t.Error("unpackable set accepted")
-	}
-	// Non-harmonic periods violate segment alignment.
-	if _, err := SpecFromTasks([]sched.Task{
-		{Name: "a", PeriodMillis: 25, WCETCycles: 1, WindowBudgetMillis: 5},
-		{Name: "b", PeriodMillis: 40, WCETCycles: 1, WindowBudgetMillis: 5},
-	}, 1000); err == nil {
-		t.Error("non-harmonic periods accepted")
+	spec.Tasks[0].StackBudgetBytes = int(sb.MaxStackBytes) - 8
+	if rep := Analyze(spec, Policy{}, Config{}); rep.Feasible {
+		t.Error("budget below the static bound accepted")
 	}
 }
 

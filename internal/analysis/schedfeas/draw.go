@@ -35,8 +35,8 @@ import (
 //	slack)] — again always drawing, even when the range is {0}.
 //
 // A fully deterministic policy consumes no randomness and returns the
-// nominal schedule (every window at k*Period+Phase) — the exact det
-// baseline sched.Fit's fixed-phase mode certifies.
+// nominal schedule (every window at k*Period+Phase) — the det baseline
+// of the deterministic cyclic executive.
 //
 // Draw fails when a dead-end is reached: some activation has no
 // candidate segment left. Analyze treats every reachable dead-end as an

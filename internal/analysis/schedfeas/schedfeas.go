@@ -48,8 +48,8 @@ type Task struct {
 	// BudgetMillis is the partition window reserved per activation.
 	BudgetMillis int `json:"budget_millis"`
 	// PhaseMillis is the task's nominal offset within its period — the
-	// deterministic baseline placement (sched.Fit FixedPhase offsets).
-	// Release jitter is measured against k*Period + Phase.
+	// deterministic baseline placement the zero Policy replays every
+	// frame. Release jitter is measured against k*Period + Phase.
 	PhaseMillis int `json:"phase_millis"`
 	// WCETCycles is the per-activation execution-time bound the window
 	// must accommodate (pWCET quantile or static bound); 0 skips the

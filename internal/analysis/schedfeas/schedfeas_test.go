@@ -11,8 +11,8 @@ import (
 // frame on the 80 MHz LEON3, the high-criticality control task (1s
 // period, 30ms window, free release jitter) and the low-criticality
 // image-processing task (100ms period, 60ms window, jitter bounded so
-// it stays near its sensor cadence). Phases are the sched.Fit
-// fixed-phase offsets (processing 0, control 60).
+// it stays near its sensor cadence). Phases are the fixed-phase
+// offsets of the nominal schedule (processing 0, control 60).
 func caseStudySpec() *Spec {
 	return &Spec{
 		FrameMillis:    1000,

@@ -123,13 +123,6 @@ func Attach(plat *platform.Platform) *Probe {
 	return p
 }
 
-// Detach removes the recorders (restores the zero-overhead path).
-func (p *Probe) Detach() {
-	p.plat.IL1.SetObserver(nil)
-	p.plat.DL1.SetObserver(nil)
-	p.plat.L2.SetObserver(nil)
-}
-
 // Reset clears all three recorders; call immediately before the
 // observed victim run.
 func (p *Probe) Reset() {

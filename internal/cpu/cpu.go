@@ -372,9 +372,6 @@ func (c *CPU) setReg(r isa.Reg, v uint32) {
 // Reg exposes register reads for tests and the RTOS (return values).
 func (c *CPU) Reg(r isa.Reg) uint32 { return c.reg(r) }
 
-// SetRegister exposes register writes for run setup (arguments).
-func (c *CPU) SetRegister(r isa.Reg, v uint32) { c.setReg(r, v) }
-
 // FReg exposes FP register reads for tests.
 func (c *CPU) FReg(f isa.FReg) float32 { return c.fregs[f] }
 

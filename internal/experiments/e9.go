@@ -286,15 +286,22 @@ func (r *e9Runner) Execute(budget mem.Cycles) (platform.RunResult, bool, error) 
 	return res, done, nil
 }
 
-// newE9Control builds the cell's control-partition runner.
-func newE9Control(cell E9Cell, layoutSeeds campaign.Schedule, inputBase uint64) (*e9Runner, error) {
-	p, err := spaceapp.BuildControl()
+// newE9Runner builds one partition's runner on a platform of its own.
+// With layoutRand the program runs under DSR and activation k reboots
+// it with layoutSeeds.Seed(k); otherwise it is a fixed sequential image
+// restored from its booted snapshot on every activation.
+func newE9Runner(control, layoutRand bool, layoutSeeds campaign.Schedule, inputBase uint64) (*e9Runner, error) {
+	build, name := spaceapp.BuildProcessing, "processing"
+	if control {
+		build, name = spaceapp.BuildControl, "control"
+	}
+	p, err := build()
 	if err != nil {
 		return nil, err
 	}
 	plat := platform.New(platform.ProximaLEON3())
-	r := &e9Runner{name: "control", plat: plat, inputBase: inputBase, control: true}
-	if cell.LayoutRand {
+	r := &e9Runner{name: name, plat: plat, inputBase: inputBase, control: control}
+	if layoutRand {
 		rt, err := core.NewRuntime(p, plat, core.Options{})
 		if err != nil {
 			return nil, err
@@ -311,23 +318,29 @@ func newE9Control(cell E9Cell, layoutSeeds campaign.Schedule, inputBase uint64) 
 	return r, nil
 }
 
-// newE9Processing builds the fixed-image processing runner every cell
-// shares.
-func newE9Processing(inputBase uint64) (*e9Runner, error) {
-	p, err := spaceapp.BuildProcessing()
+// NewE9Executive builds one E9 cell's partitions and the executive
+// over them, certified by cert: the control partition (DSR-rebooted
+// per activation when the cell randomises layouts) and the fixed-image
+// processing partition, each applying its activation's input and
+// checking every completed run against the golden model. Layout seeds
+// come from cfg's root seed stream and schedule seeds from stream
+// e9SchedStream at the cell's grid index, so frame f is a pure
+// function of (cfg, cell, f).
+func NewE9Executive(cfg Config, cell E9Cell, cert *schedfeas.Certificate) (*rtos.RandomizedExecutive, error) {
+	sched := cfg.schedule()
+	ctrl, err := newE9Runner(true, cell.LayoutRand, sched, cfg.InputSeedBase)
 	if err != nil {
 		return nil, err
 	}
-	plat := platform.New(platform.ProximaLEON3())
-	img, err := loader.Load(p, loader.DefaultSequentialConfig())
+	proc, err := newE9Runner(false, false, sched, cfg.InputSeedBase)
 	if err != nil {
 		return nil, err
 	}
-	plat.LoadImage(img)
-	return &e9Runner{
-		name: "processing", plat: plat, img: img, snap: plat.Snapshot(),
-		inputBase: inputBase,
-	}, nil
+	parts := []*rtos.Partition{
+		{Name: "control", Criticality: rtos.HighCriticality, Runner: ctrl, PeriodMillis: 1000},
+		{Name: "processing", Criticality: rtos.LowCriticality, Runner: proc, PeriodMillis: 100},
+	}
+	return rtos.NewRandomizedExecutive(rtos.DefaultConfig(), parts, cert, sched.Split(e9SchedStream).Seed(cell.index()))
 }
 
 // e9Shard is one frame's outcome before the canonical merge.
@@ -355,24 +368,8 @@ func RunE9Cell(cfg Config, cell E9Cell) (*E9Series, error) {
 		ControlOffsets: make([]int, cfg.Runs),
 	}
 
-	sched := cfg.schedule()
-	schedSeedBase := sched.Split(e9SchedStream).Seed(cell.index())
-	layoutSeeds := sched
-
 	newWorker := func(w int) (campaign.RunFunc[e9Shard], error) {
-		ctrl, err := newE9Control(cell, layoutSeeds, cfg.InputSeedBase)
-		if err != nil {
-			return nil, err
-		}
-		proc, err := newE9Processing(cfg.InputSeedBase)
-		if err != nil {
-			return nil, err
-		}
-		parts := []*rtos.Partition{
-			{Name: "control", Criticality: rtos.HighCriticality, Runner: ctrl, PeriodMillis: 1000},
-			{Name: "processing", Criticality: rtos.LowCriticality, Runner: proc, PeriodMillis: 100},
-		}
-		ex, err := rtos.NewRandomizedExecutive(rtos.DefaultConfig(), parts, static.Cert, schedSeedBase)
+		ex, err := NewE9Executive(cfg, cell, static.Cert)
 		if err != nil {
 			return nil, err
 		}

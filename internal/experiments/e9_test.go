@@ -4,6 +4,10 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"dsr/internal/mem"
+	"dsr/internal/platform"
+	"dsr/internal/rtos"
 )
 
 // e9Config dimensions a short E9 campaign for the unit tests; the CI
@@ -105,5 +109,67 @@ func TestCampaignDeterminismE9(t *testing.T) {
 				t.Errorf("progress order differs: seq=%v par=%v", seqProg, parProg)
 			}
 		})
+	}
+}
+
+// runE9 activates r for act and executes it under the control window's
+// budget; the runner's own golden-model check rejects a wrong result.
+func runE9(t *testing.T, r *e9Runner, act uint64) platform.RunResult {
+	t.Helper()
+	if err := r.Activate(act); err != nil {
+		t.Fatal(err)
+	}
+	res, done, err := r.Execute(60 * rtos.DefaultConfig().CyclesPerMilli)
+	if err != nil {
+		t.Fatalf("%s activation %d: %v", r.name, act, err)
+	}
+	if !done {
+		t.Fatalf("%s activation %d overran its window", r.name, act)
+	}
+	return res
+}
+
+// TestE9FixedRunnerRestoresPerActivation pins the partition reboot of
+// the fixed-layout runner: activation k's run is the same whatever
+// activations ran on the platform before it.
+func TestE9FixedRunnerRestoresPerActivation(t *testing.T) {
+	cfg := DefaultConfig()
+	for _, control := range []bool{true, false} {
+		a, err := newE9Runner(control, false, cfg.schedule(), cfg.InputSeedBase)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := newE9Runner(control, false, cfg.schedule(), cfg.InputSeedBase)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, act := range []uint64{0, 1, 2} {
+			runE9(t, a, act)
+		}
+		runE9(t, b, 9)
+		if ra, rb := runE9(t, a, 5), runE9(t, b, 5); !reflect.DeepEqual(ra, rb) {
+			t.Errorf("%s activation 5 depends on its history: %d vs %d cycles", a.name, ra.Cycles, rb.Cycles)
+		}
+	}
+}
+
+// TestE9LayoutRunnerRerandomisesPerActivation checks that the layout-
+// randomised control runner draws a fresh layout on every activation:
+// the code moves and the execution time varies, while every result
+// still matches the golden model.
+func TestE9LayoutRunnerRerandomisesPerActivation(t *testing.T) {
+	cfg := DefaultConfig()
+	r, err := newE9Runner(true, true, cfg.schedule(), cfg.InputSeedBase)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cycles, entries := map[mem.Cycles]bool{}, map[mem.Addr]bool{}
+	for act := uint64(0); act < 12; act++ {
+		cycles[runE9(t, r, act).Cycles] = true
+		entries[r.image().Entry] = true
+	}
+	if len(cycles) < 2 || len(entries) < 2 {
+		t.Errorf("12 DSR activations drew %d distinct execution times over %d distinct entry points",
+			len(cycles), len(entries))
 	}
 }

@@ -143,9 +143,6 @@ func (s *Space) End() Addr { return s.end }
 // Used returns the number of bytes consumed so far, including padding.
 func (s *Space) Used() Addr { return s.next - s.base }
 
-// Remaining returns the bytes still available.
-func (s *Space) Remaining() Addr { return s.end - s.next }
-
 // Objects returns the objects placed so far, in placement order.
 func (s *Space) Objects() []*Object { return s.objs }
 

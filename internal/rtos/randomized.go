@@ -10,12 +10,13 @@ import (
 	"dsr/internal/telemetry"
 )
 
-// RandomizedExecutive is the schedule-randomising counterpart of the
-// cyclic Scheduler: instead of replaying a fixed window table, it draws
-// a fresh major-frame schedule every frame from the certified
-// (spec, policy) pair — the second randomisation axis next to DSR's
-// memory-layout randomisation (TaskShuffler++-style schedule
-// randomisation on top of a time-partitioned executive).
+// RandomizedExecutive is the time-partitioned executive: it draws each
+// major frame's schedule from the certified (spec, policy) pair. Under
+// a randomizing policy that is the second randomisation axis next to
+// DSR's memory-layout randomisation (TaskShuffler++-style schedule
+// randomisation on top of a time-partitioned executive); under the
+// zero schedfeas.Policy every frame is the spec's nominal schedule, the
+// deterministic cyclic executive.
 //
 // Construction is gated on a schedfeas.Certificate: the executive will
 // not exist unless the static analyzer has proven every schedule the

@@ -7,34 +7,6 @@ import (
 	"dsr/internal/analysis/schedfeas"
 )
 
-func TestSchedulerRejectsDuplicateNames(t *testing.T) {
-	a, _ := imagePartition(t, "control", 10, HighCriticality)
-	b, _ := imagePartition(t, "control", 10, LowCriticality)
-	if _, err := NewScheduler(DefaultConfig(), []Window{
-		{Partition: a, OffsetMillis: 0, BudgetMillis: 10},
-		{Partition: b, OffsetMillis: 20, BudgetMillis: 10},
-	}); err == nil {
-		t.Fatal("two distinct partitions sharing a name accepted")
-	}
-	// The same partition owning several windows is legitimate — that is
-	// how a short-period task gets multiple activations per frame — and
-	// its activation counter must advance per window.
-	sched, err := NewScheduler(DefaultConfig(), []Window{
-		{Partition: a, OffsetMillis: 0, BudgetMillis: 10},
-		{Partition: a, OffsetMillis: 20, BudgetMillis: 10},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	acts, err := sched.RunMajorFrames(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(acts) != 2 || acts[0].Activation != 0 || acts[1].Activation != 1 {
-		t.Fatalf("multi-window activations %+v, want 0 then 1", acts)
-	}
-}
-
 // caseStudyCert certifies the paper's two-task frame under the given
 // policy (the same spec the schedfeas tests use).
 func caseStudyCert(t *testing.T, policy schedfeas.Policy) *schedfeas.Certificate {
@@ -62,9 +34,9 @@ func fullPolicy() schedfeas.Policy {
 
 func randomizedPair(t *testing.T) []*Partition {
 	t.Helper()
-	ctrl, _ := imagePartition(t, "control", 100, HighCriticality)
+	ctrl := loopPartition(t, "control", 100, HighCriticality)
 	ctrl.PeriodMillis = 1000
-	proc, _ := imagePartition(t, "processing", 50, LowCriticality)
+	proc := loopPartition(t, "processing", 50, LowCriticality)
 	proc.PeriodMillis = 100
 	return []*Partition{ctrl, proc}
 }
@@ -89,7 +61,7 @@ func TestRandomizedExecutiveRunsCertifiedFrames(t *testing.T) {
 	// The control window must actually move between frames — that is the
 	// whole point of the randomisation.
 	offsets := map[int]bool{}
-	for _, a := range ByPartition(acts, "control") {
+	for _, a := range byPartition(acts, "control") {
 		offsets[a.OffsetMillis] = true
 	}
 	if len(offsets) < 2 {
@@ -97,7 +69,7 @@ func TestRandomizedExecutiveRunsCertifiedFrames(t *testing.T) {
 	}
 	// Stateless activation numbering: processing activations are
 	// frame*10+k and appear in within-frame order.
-	for i, a := range ByPartition(acts, "processing") {
+	for i, a := range byPartition(acts, "processing") {
 		if a.Activation != uint64(i) {
 			t.Errorf("processing activation %d numbered %d", i, a.Activation)
 		}
@@ -164,7 +136,11 @@ func TestRandomizedExecutiveValidation(t *testing.T) {
 	if _, err := NewRandomizedExecutive(DefaultConfig(), []*Partition{parts[0], parts[0]}, cert, 1); err == nil {
 		t.Error("duplicate partition accepted")
 	}
-	ghost, _ := imagePartition(t, "ghost", 10, LowCriticality)
+	twin := loopPartition(t, "control", 10, LowCriticality)
+	if _, err := NewRandomizedExecutive(DefaultConfig(), []*Partition{parts[0], twin}, cert, 1); err == nil {
+		t.Error("two distinct partitions sharing a name accepted")
+	}
+	ghost := loopPartition(t, "ghost", 10, LowCriticality)
 	if _, err := NewRandomizedExecutive(DefaultConfig(), []*Partition{parts[0], ghost}, cert, 1); err == nil {
 		t.Error("unknown partition standing in for a certified task accepted")
 	}

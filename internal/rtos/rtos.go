@@ -7,19 +7,19 @@
 // between measurement runs so that every execution starts from a fresh
 // (and, under DSR, freshly randomised) memory layout.
 //
-// The scheduler is a cyclic time-partitioned executive: a major frame is
-// divided into windows, each window owns one partition activation, and a
-// partition that overruns its window is cut off (temporal isolation) and
-// flagged — the mixed-criticality concern that motivates the case study.
+// The executive is time-partitioned: a major frame is divided into
+// windows, each window owns one partition activation, and a partition
+// that overruns its window is cut off (temporal isolation) and flagged
+// — the mixed-criticality concern that motivates the case study. The
+// frame's windows come from a schedule certified by
+// internal/analysis/schedfeas; under the zero schedfeas.Policy every
+// frame replays the nominal schedule, which is the fixed cyclic
+// executive of the paper's setup.
 package rtos
 
 import (
-	"fmt"
-
-	"dsr/internal/core"
 	"dsr/internal/mem"
 	"dsr/internal/platform"
-	"dsr/internal/telemetry"
 )
 
 // Criticality is the design-assurance level of a partition.
@@ -49,70 +49,6 @@ type Runner interface {
 	Execute(budget mem.Cycles) (platform.RunResult, bool, error)
 }
 
-// ImageRunner hosts a fixed (non-randomised) image: every activation
-// reloads it so runs are independent of each other's memory state.
-type ImageRunner struct {
-	Plat *platform.Platform
-}
-
-// NewImageRunner binds an already-loaded platform image.
-func NewImageRunner(plat *platform.Platform) *ImageRunner {
-	return &ImageRunner{Plat: plat}
-}
-
-// Name implements Runner.
-func (r *ImageRunner) Name() string {
-	if img := r.Plat.Image(); img != nil {
-		return img.Name
-	}
-	return "image"
-}
-
-// Activate implements Runner: partition reboot = memory reload.
-func (r *ImageRunner) Activate(uint64) error {
-	if r.Plat.Image() == nil {
-		return fmt.Errorf("rtos: image runner has no image")
-	}
-	r.Plat.Reload()
-	return nil
-}
-
-// Execute implements Runner.
-func (r *ImageRunner) Execute(budget mem.Cycles) (platform.RunResult, bool, error) {
-	return r.Plat.RunBudget(budget)
-}
-
-// DSRRunner hosts a DSR runtime: every activation reboots it with a new
-// seed, drawing a fresh random layout (§IV: "the partition is rebooted
-// through software means to guarantee that each execution starts with a
-// different memory layout").
-type DSRRunner struct {
-	RT       *core.Runtime
-	SeedBase uint64
-}
-
-// NewDSRRunner wraps rt; seeds are SeedBase+activation.
-func NewDSRRunner(rt *core.Runtime, seedBase uint64) *DSRRunner {
-	return &DSRRunner{RT: rt, SeedBase: seedBase}
-}
-
-// Name implements Runner.
-func (r *DSRRunner) Name() string { return r.RT.Program().Name + "+dsr" }
-
-// Activate implements Runner.
-func (r *DSRRunner) Activate(activation uint64) error {
-	_, err := r.RT.Reboot(r.SeedBase + activation)
-	return err
-}
-
-// Execute implements Runner.
-func (r *DSRRunner) Execute(budget mem.Cycles) (platform.RunResult, bool, error) {
-	if r.RT.Image() == nil {
-		return platform.RunResult{}, false, fmt.Errorf("rtos: DSR runner not activated")
-	}
-	return r.RT.RunBudget(budget)
-}
-
 // Partition is one hosted application.
 type Partition struct {
 	Name        string
@@ -120,13 +56,6 @@ type Partition struct {
 	Runner      Runner
 	// PeriodMillis is the activation period (control: 1000, processing: 100).
 	PeriodMillis int
-}
-
-// Window is one slot of the major frame.
-type Window struct {
-	Partition    *Partition
-	OffsetMillis int
-	BudgetMillis int
 }
 
 // Config describes the executive.
@@ -143,58 +72,6 @@ func DefaultConfig() Config {
 	return Config{MajorFrameMillis: 1000, CyclesPerMilli: 80_000}
 }
 
-// Scheduler is the cyclic executive.
-type Scheduler struct {
-	cfg     Config
-	windows []Window
-	acts    map[string]uint64 // per-partition activation counters
-
-	// events, when non-nil, receives one span per partition window
-	// (timestamped in frame time, so the Chrome trace shows the cyclic
-	// schedule) plus overrun instants; a nil log no-ops.
-	events *telemetry.EventLog
-}
-
-// SetEventLog installs (or clears, with nil) the structured event log
-// the executive emits partition-window events into.
-func (s *Scheduler) SetEventLog(l *telemetry.EventLog) { s.events = l }
-
-// NewScheduler builds a scheduler; windows must fit the major frame and
-// not overlap, and no two distinct partitions may share a name (the
-// activation counters are keyed by name, so a shared name would silently
-// interleave two partitions' counters). One partition owning several
-// windows of the frame is fine — that is how a short-period task gets
-// multiple activations per major frame.
-func NewScheduler(cfg Config, windows []Window) (*Scheduler, error) {
-	if cfg.MajorFrameMillis <= 0 || cfg.CyclesPerMilli == 0 {
-		return nil, fmt.Errorf("rtos: bad config %+v", cfg)
-	}
-	end := 0
-	byName := map[string]*Partition{}
-	for i, w := range windows {
-		if w.Partition == nil || w.Partition.Runner == nil {
-			return nil, fmt.Errorf("rtos: window %d has no partition/runner", i)
-		}
-		if prev, ok := byName[w.Partition.Name]; ok && prev != w.Partition {
-			return nil, fmt.Errorf("rtos: two partitions share the name %q", w.Partition.Name)
-		}
-		byName[w.Partition.Name] = w.Partition
-		if w.OffsetMillis < end {
-			return nil, fmt.Errorf("rtos: window %d (%s) overlaps previous window",
-				i, w.Partition.Name)
-		}
-		if w.BudgetMillis <= 0 {
-			return nil, fmt.Errorf("rtos: window %d has non-positive budget", i)
-		}
-		end = w.OffsetMillis + w.BudgetMillis
-		if end > cfg.MajorFrameMillis {
-			return nil, fmt.Errorf("rtos: window %d (%s) exceeds the major frame",
-				i, w.Partition.Name)
-		}
-	}
-	return &Scheduler{cfg: cfg, windows: windows, acts: map[string]uint64{}}, nil
-}
-
 // Activation records one partition execution.
 type Activation struct {
 	Partition   string
@@ -202,10 +79,9 @@ type Activation struct {
 	MajorFrame  int
 	Window      int
 	Activation  uint64
-	// OffsetMillis is the window's start offset within its major frame —
-	// fixed by the window table under the cyclic Scheduler, drawn per
-	// frame by the RandomizedExecutive (the arrival observable a timing-
-	// inference adversary sees).
+	// OffsetMillis is the window's start offset within its major frame,
+	// drawn per frame from the certified schedule (the arrival
+	// observable a timing-inference adversary sees).
 	OffsetMillis int
 	Cycles       mem.Cycles
 	Budget       mem.Cycles
@@ -218,70 +94,3 @@ type Activation struct {
 // Overrun reports whether the partition consumed its entire window
 // without completing.
 func (a Activation) Overrun() bool { return !a.Completed }
-
-// RunMajorFrames executes n major frames and returns every activation
-// record in schedule order.
-func (s *Scheduler) RunMajorFrames(n int) ([]Activation, error) {
-	var out []Activation
-	for frame := 0; frame < n; frame++ {
-		for wi, w := range s.windows {
-			p := w.Partition
-			act := s.acts[p.Name]
-			s.acts[p.Name]++
-			if err := p.Runner.Activate(act); err != nil {
-				return out, fmt.Errorf("rtos: activate %s: %w", p.Name, err)
-			}
-			budget := mem.Cycles(w.BudgetMillis) * s.cfg.CyclesPerMilli
-			res, done, err := p.Runner.Execute(budget)
-			if err != nil {
-				return out, fmt.Errorf("rtos: execute %s: %w", p.Name, err)
-			}
-			// Frame-time span: the window opens at its schedule offset
-			// and the partition occupies it for the cycles it consumed
-			// (clamped to the budget — temporal isolation).
-			start := (mem.Cycles(frame)*mem.Cycles(s.cfg.MajorFrameMillis) +
-				mem.Cycles(w.OffsetMillis)) * s.cfg.CyclesPerMilli
-			used := res.Cycles
-			if used > budget {
-				used = budget
-			}
-			s.events.EmitAt(start, p.Name, "rtos.window", telemetry.PhaseBegin,
-				telemetry.Int("frame", frame),
-				telemetry.Int("window", wi),
-				telemetry.Uint64("activation", act),
-				telemetry.Cycles("budget", budget),
-				telemetry.Cycles("cycles", res.Cycles),
-				telemetry.String("criticality", p.Criticality.String()))
-			if !done {
-				s.events.EmitAt(start+used, p.Name, "rtos.overrun", telemetry.PhaseInstant,
-					telemetry.Int("frame", frame),
-					telemetry.Uint64("activation", act))
-			}
-			s.events.EmitAt(start+used, p.Name, "rtos.window", telemetry.PhaseEnd)
-			out = append(out, Activation{
-				Partition:    p.Name,
-				Criticality:  p.Criticality,
-				MajorFrame:   frame,
-				Window:       wi,
-				Activation:   act,
-				OffsetMillis: w.OffsetMillis,
-				Cycles:       res.Cycles,
-				Budget:       budget,
-				Completed:    done,
-				Result:       res,
-			})
-		}
-	}
-	return out, nil
-}
-
-// ByPartition filters activation records.
-func ByPartition(acts []Activation, name string) []Activation {
-	var out []Activation
-	for _, a := range acts {
-		if a.Partition == name {
-			out = append(out, a)
-		}
-	}
-	return out
-}

@@ -1,13 +1,16 @@
 package rtos
 
 import (
+	"bytes"
 	"testing"
 
-	"dsr/internal/core"
+	"dsr/internal/analysis/schedfeas"
 	"dsr/internal/isa"
 	"dsr/internal/loader"
+	"dsr/internal/mem"
 	"dsr/internal/platform"
 	"dsr/internal/prog"
+	"dsr/internal/telemetry"
 )
 
 // loopProgram spins for roughly `iters` loop iterations then halts,
@@ -30,7 +33,26 @@ func loopProgram(t *testing.T, name string, iters int32) *prog.Program {
 	return p
 }
 
-func imagePartition(t *testing.T, name string, iters int32, crit Criticality) (*Partition, *platform.Platform) {
+// loopRunner hosts loopProgram on a platform of its own; every
+// activation restores the booted snapshot (the partition reboot).
+type loopRunner struct {
+	name string
+	plat *platform.Platform
+	snap *platform.Snapshot
+}
+
+func (r *loopRunner) Name() string { return r.name }
+
+func (r *loopRunner) Activate(uint64) error {
+	r.plat.Restore(r.snap)
+	return nil
+}
+
+func (r *loopRunner) Execute(budget mem.Cycles) (platform.RunResult, bool, error) {
+	return r.plat.RunBudget(budget)
+}
+
+func loopPartition(t *testing.T, name string, iters int32, crit Criticality) *Partition {
 	t.Helper()
 	img, err := loader.Load(loopProgram(t, name, iters), loader.DefaultSequentialConfig())
 	if err != nil {
@@ -41,213 +63,122 @@ func imagePartition(t *testing.T, name string, iters int32, crit Criticality) (*
 	return &Partition{
 		Name:        name,
 		Criticality: crit,
-		Runner:      NewImageRunner(plat),
-	}, plat
+		Runner:      &loopRunner{name: name, plat: plat, snap: plat.Snapshot()},
+	}
 }
 
-func TestSchedulerRunsWindowsInOrder(t *testing.T) {
-	ctrl, _ := imagePartition(t, "control", 100, HighCriticality)
-	proc, _ := imagePartition(t, "processing", 50, LowCriticality)
+// byPartition filters activation records.
+func byPartition(acts []Activation, name string) []Activation {
+	var out []Activation
+	for _, a := range acts {
+		if a.Partition == name {
+			out = append(out, a)
+		}
+	}
+	return out
+}
+
+// certify analyses tasks on the case study's clock and frame under the
+// deterministic policy, so every frame runs the nominal schedule.
+func certify(t *testing.T, tasks ...schedfeas.Task) *schedfeas.Certificate {
+	t.Helper()
 	cfg := DefaultConfig()
-	sched, err := NewScheduler(cfg, []Window{
-		{Partition: proc, OffsetMillis: 0, BudgetMillis: 80},
-		{Partition: ctrl, OffsetMillis: 100, BudgetMillis: 300},
-	})
-	if err != nil {
-		t.Fatal(err)
+	spec := &schedfeas.Spec{FrameMillis: cfg.MajorFrameMillis, CyclesPerMilli: cfg.CyclesPerMilli, Tasks: tasks}
+	rep := schedfeas.Analyze(spec, schedfeas.Policy{}, schedfeas.Config{})
+	if rep.Cert == nil {
+		t.Fatalf("spec not certifiable: %v", rep.Violations)
 	}
-	acts, err := sched.RunMajorFrames(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(acts) != 6 {
-		t.Fatalf("activations=%d, want 6", len(acts))
-	}
-	for i, a := range acts {
-		wantPart := "processing"
-		if i%2 == 1 {
-			wantPart = "control"
-		}
-		if a.Partition != wantPart {
-			t.Errorf("activation %d partition=%s, want %s", i, a.Partition, wantPart)
-		}
-		if !a.Completed {
-			t.Errorf("activation %d overran unexpectedly", i)
-		}
-		if a.MajorFrame != i/2 {
-			t.Errorf("activation %d frame=%d", i, a.MajorFrame)
-		}
-	}
-	// Activation counters advance per partition.
-	ctrlActs := ByPartition(acts, "control")
-	for i, a := range ctrlActs {
-		if a.Activation != uint64(i) {
-			t.Errorf("control activation %d numbered %d", i, a.Activation)
-		}
-	}
+	return rep.Cert
 }
 
 func TestTemporalIsolationCutsOverrun(t *testing.T) {
 	// A "malfunctioning" processing task that spins far beyond its window
-	// must be cut off, and the control task must still run.
-	ctrl, _ := imagePartition(t, "control", 100, HighCriticality)
-	rogue, _ := imagePartition(t, "processing", 100_000_000, LowCriticality)
+	// must be cut off at the window end, and the control task must still
+	// run. The rogue task declares no WCET bound, so the analyzer's
+	// budget-fit check cannot reject it and the cut-off is exercised at
+	// run time.
+	cert := certify(t,
+		schedfeas.Task{Name: "processing", PeriodMillis: 1000, BudgetMillis: 10, JitterMillis: -1},
+		schedfeas.Task{Name: "control", PeriodMillis: 1000, BudgetMillis: 300, PhaseMillis: 100,
+			Criticality: 1, JitterMillis: -1})
+	rogue := loopPartition(t, "processing", 100_000_000, LowCriticality)
+	ctrl := loopPartition(t, "control", 100, HighCriticality)
 	cfg := DefaultConfig()
-	sched, err := NewScheduler(cfg, []Window{
-		{Partition: rogue, OffsetMillis: 0, BudgetMillis: 10},
-		{Partition: ctrl, OffsetMillis: 100, BudgetMillis: 300},
-	})
+	ex, err := NewRandomizedExecutive(cfg, []*Partition{rogue, ctrl}, cert, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	acts, err := sched.RunMajorFrames(1)
+	log := telemetry.NewEventLog(0)
+	ex.SetEventLog(log)
+	acts, err := ex.RunMajorFrames(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !acts[0].Overrun() {
-		t.Error("rogue partition not flagged as overrun")
+	if len(acts) != 4 {
+		t.Fatalf("activations=%d, want 4", len(acts))
 	}
-	if acts[0].Cycles < acts[0].Budget {
-		t.Error("overrun cut before the budget")
-	}
-	if acts[1].Overrun() {
-		t.Error("control task affected by rogue partition")
-	}
-	if acts[1].Result.ExitValue != 100 {
-		t.Errorf("control result=%d, want 100", acts[1].Result.ExitValue)
-	}
-}
-
-// walkProgram sums a table in a loop; its timing depends on where the
-// table and code land in the caches, so DSR activations show jitter.
-func walkProgram(t *testing.T, name string, iters int32) *prog.Program {
-	t.Helper()
-	p := &prog.Program{Name: name, Entry: "main"}
-	if err := p.AddData(&prog.DataObject{Name: "tbl", Size: 4096, Align: 8}); err != nil {
-		t.Fatal(err)
-	}
-	b := prog.NewFunc("main", prog.MinFrame).
-		Prologue().
-		MovI(isa.L0, 0). // i
-		MovI(isa.L1, 0). // sum
-		Set(isa.L2, "tbl").
-		Label("loop").
-		AndI(isa.L3, isa.L0, 1023).
-		SllI(isa.L3, isa.L3, 2).
-		Add(isa.L4, isa.L2, isa.L3).
-		Ld(isa.L5, isa.L4, 0).
-		Add(isa.L1, isa.L1, isa.L5).
-		AddI(isa.L0, isa.L0, 1).
-		CmpI(isa.L0, iters).
-		Bl("loop").
-		Mov(isa.O0, isa.L0).
-		Halt()
-	if err := p.AddFunction(b.MustBuild()); err != nil {
-		t.Fatal(err)
-	}
-	return p
-}
-
-func TestDSRRunnerRerandomisesPerActivation(t *testing.T) {
-	p := walkProgram(t, "control", 200)
-	plat := platform.New(platform.ProximaLEON3())
-	rt, err := core.NewRuntime(p, plat, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	part := &Partition{
-		Name:        "control",
-		Criticality: HighCriticality,
-		Runner:      NewDSRRunner(rt, 1000),
-	}
-	sched, err := NewScheduler(DefaultConfig(), []Window{
-		{Partition: part, OffsetMillis: 0, BudgetMillis: 500},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	acts, err := sched.RunMajorFrames(12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	distinct := map[uint64]bool{}
-	for _, a := range acts {
-		if a.Result.ExitValue != 200 {
-			t.Fatalf("functional result=%d under DSR", a.Result.ExitValue)
+	for f := 0; f < 2; f++ {
+		r, c := acts[2*f], acts[2*f+1]
+		if r.Partition != "processing" || c.Partition != "control" {
+			t.Fatalf("frame %d ran %s then %s", f, r.Partition, c.Partition)
 		}
-		distinct[uint64(a.Cycles)] = true
-	}
-	if len(distinct) < 3 {
-		t.Errorf("only %d distinct execution times across 12 DSR activations", len(distinct))
-	}
-}
-
-func TestSchedulerValidation(t *testing.T) {
-	ctrl, _ := imagePartition(t, "control", 10, HighCriticality)
-	cases := map[string][]Window{
-		"overlap": {
-			{Partition: ctrl, OffsetMillis: 0, BudgetMillis: 200},
-			{Partition: ctrl, OffsetMillis: 100, BudgetMillis: 100},
-		},
-		"beyond frame": {
-			{Partition: ctrl, OffsetMillis: 900, BudgetMillis: 200},
-		},
-		"zero budget": {
-			{Partition: ctrl, OffsetMillis: 0, BudgetMillis: 0},
-		},
-		"nil partition": {
-			{Partition: nil, OffsetMillis: 0, BudgetMillis: 10},
-		},
-	}
-	for name, ws := range cases {
-		if _, err := NewScheduler(DefaultConfig(), ws); err == nil {
-			t.Errorf("%s: accepted", name)
+		if r.Completed {
+			t.Errorf("frame %d: rogue partition not flagged as overrun", f)
+		}
+		if r.Cycles < r.Budget {
+			t.Errorf("frame %d: overrun cut at %d cycles, before the %d-cycle budget", f, r.Cycles, r.Budget)
+		}
+		if !c.Completed || c.Result.ExitValue != 100 {
+			t.Errorf("frame %d: control affected by rogue partition: completed=%v result=%d",
+				f, c.Completed, c.Result.ExitValue)
 		}
 	}
-	if _, err := NewScheduler(Config{}, nil); err == nil {
-		t.Error("zero config accepted")
-	}
-}
 
-func TestImageRunnerReloadIsolatesRuns(t *testing.T) {
-	// A program that increments a global counter would drift without the
-	// reload-per-activation reboot semantics.
-	p := &prog.Program{Name: "counter", Entry: "main"}
-	if err := p.AddData(&prog.DataObject{Name: "count", Size: 4}); err != nil {
-		t.Fatal(err)
-	}
-	b := prog.NewFunc("main", prog.MinFrame).
-		Prologue().
-		Set(isa.L0, "count").
-		Ld(isa.L1, isa.L0, 0).
-		AddI(isa.L1, isa.L1, 1).
-		St(isa.L1, isa.L0, 0).
-		Mov(isa.O0, isa.L1).
-		Halt()
-	if err := p.AddFunction(b.MustBuild()); err != nil {
-		t.Fatal(err)
-	}
-	img, err := loader.Load(p, loader.DefaultSequentialConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	plat := platform.New(platform.ProximaLEON3())
-	plat.LoadImage(img)
-	part := &Partition{Name: "counter", Runner: NewImageRunner(plat)}
-	sched, err := NewScheduler(DefaultConfig(), []Window{
-		{Partition: part, OffsetMillis: 0, BudgetMillis: 100},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	acts, err := sched.RunMajorFrames(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, a := range acts {
-		if a.Result.ExitValue != 1 {
-			t.Errorf("activation %d saw stale memory: count=%d", i, a.Result.ExitValue)
+	// Temporal isolation clamps the rogue span at start+budget: frame
+	// f's window [0,10)ms ends at (f*1000+10)*80k cycles, where both its
+	// overrun instant and its window end land.
+	var overruns, ends int
+	for _, e := range log.Events() {
+		if e.Track != "processing" {
+			if e.Kind == "rtos.overrun" {
+				t.Errorf("overrun on track %s", e.Track)
+			}
+			continue
 		}
+		switch {
+		case e.Kind == "rtos.overrun":
+			if e.Phase != telemetry.PhaseInstant {
+				t.Errorf("overrun emitted as phase %v, want instant", e.Phase)
+			}
+			want := (mem.Cycles(overruns)*mem.Cycles(cfg.MajorFrameMillis) + 10) * cfg.CyclesPerMilli
+			if e.TS != want {
+				t.Errorf("overrun %d at ts=%d, want %d (clamped window end)", overruns, e.TS, want)
+			}
+			overruns++
+		case e.Kind == "rtos.window" && e.Phase == telemetry.PhaseEnd:
+			want := (mem.Cycles(ends)*mem.Cycles(cfg.MajorFrameMillis) + 10) * cfg.CyclesPerMilli
+			if e.TS != want {
+				t.Errorf("rogue window %d ends at ts=%d, want %d", ends, e.TS, want)
+			}
+			ends++
+		}
+	}
+	if overruns != 2 || ends != 2 {
+		t.Errorf("rogue overrun instants/window ends %d/%d, want 2/2 (one per frame)", overruns, ends)
+	}
+
+	// The Chrome-trace export of the frames passes dsrstat-style span
+	// validation (B/E pairing, nesting, monotonic timestamps per track).
+	var buf bytes.Buffer
+	if err := telemetry.NewDump(telemetry.NewRegistry(), log).WriteChromeTrace(&buf, 0); err != nil {
+		t.Fatal(err)
+	}
+	spans, err := telemetry.ValidateChromeTrace(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatalf("frame trace fails validation: %v", err)
+	}
+	if spans != 4 {
+		t.Errorf("validated %d span pairs, want 4 (2 windows x 2 frames)", spans)
 	}
 }
 

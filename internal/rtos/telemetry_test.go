@@ -4,116 +4,43 @@ import (
 	"bytes"
 	"testing"
 
+	"dsr/internal/analysis/schedfeas"
 	"dsr/internal/mem"
 	"dsr/internal/telemetry"
 )
 
-// Satellite coverage for the executive's telemetry contract: rtos.window
-// spans pair begin/end per track, rtos.overrun instants land exactly at
-// the clamped window end, and the Chrome-trace export of a frame trace
-// passes the same span validation dsrstat's validate command applies.
+// The executive's telemetry contract: rtos.window spans pair begin/end
+// per track and end at start+used, and the Chrome-trace export of a
+// frame trace passes the same span validation dsrstat's validate
+// command applies. The overrun instants at the clamped window end are
+// covered by TestTemporalIsolationCutsOverrun.
 
-func TestSchedulerTelemetryChromeTrace(t *testing.T) {
-	ctrl, _ := imagePartition(t, "control", 100, HighCriticality)
-	rogue, _ := imagePartition(t, "processing", 100_000_000, LowCriticality)
-	cfg := DefaultConfig()
-	sched, err := NewScheduler(cfg, []Window{
-		{Partition: rogue, OffsetMillis: 0, BudgetMillis: 10},
-		{Partition: ctrl, OffsetMillis: 100, BudgetMillis: 300},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	log := telemetry.NewEventLog(0)
-	sched.SetEventLog(log)
-	acts, err := sched.RunMajorFrames(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !acts[0].Overrun() || acts[1].Overrun() {
-		t.Fatalf("expected rogue overrun + clean control, got %+v", acts)
-	}
-
-	// Raw event contract: one begin/end pair per window, overrun
-	// instants only for the rogue partition, at the clamped window end.
-	events := log.Events()
-	var begins, ends, overruns int
-	for _, e := range events {
-		switch {
-		case e.Kind == "rtos.window" && e.Phase == telemetry.PhaseBegin:
-			begins++
-		case e.Kind == "rtos.window" && e.Phase == telemetry.PhaseEnd:
-			ends++
-		case e.Kind == "rtos.overrun":
-			if e.Phase != telemetry.PhaseInstant {
-				t.Errorf("overrun emitted as phase %v, want instant", e.Phase)
-			}
-			if e.Track != "processing" {
-				t.Errorf("overrun on track %s", e.Track)
-			}
-			// Temporal isolation clamps the span at offset+budget: frame
-			// f's rogue window [0,10)ms ends at (f*1000+10)*80k cycles.
-			frame := mem.Cycles(overruns)
-			want := (frame*mem.Cycles(cfg.MajorFrameMillis) + 10) * cfg.CyclesPerMilli
-			if e.TS != want {
-				t.Errorf("overrun %d at ts=%d, want %d (clamped window end)", overruns, e.TS, want)
-			}
-			overruns++
-		}
-	}
-	if begins != 4 || ends != 4 {
-		t.Errorf("window begin/end counts %d/%d, want 4/4", begins, ends)
-	}
-	if overruns != 2 {
-		t.Errorf("overrun instants=%d, want 2 (one per frame)", overruns)
-	}
-
-	// Export contract: the Chrome trace passes dsrstat-style span
-	// validation (B/E pairing, nesting, monotonic timestamps per track).
-	var buf bytes.Buffer
-	if err := telemetry.NewDump(telemetry.NewRegistry(), log).WriteChromeTrace(&buf, 0); err != nil {
-		t.Fatal(err)
-	}
-	spans, err := telemetry.ValidateChromeTrace(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("frame trace fails validation: %v", err)
-	}
-	if spans != 4 {
-		t.Errorf("validated %d span pairs, want 4 (2 windows x 2 frames)", spans)
-	}
-}
-
-func TestSchedulerTelemetryCompletedEndsEarly(t *testing.T) {
+func TestTelemetryCompletedEndsEarly(t *testing.T) {
 	// A completing partition's span must end at start+used, strictly
 	// before the window budget expires — the span length is the
 	// partition's measured execution time, not the reservation.
-	ctrl, _ := imagePartition(t, "control", 100, HighCriticality)
-	cfg := DefaultConfig()
-	sched, err := NewScheduler(cfg, []Window{
-		{Partition: ctrl, OffsetMillis: 0, BudgetMillis: 500},
-	})
+	cert := certify(t, schedfeas.Task{Name: "control", PeriodMillis: 1000, BudgetMillis: 500,
+		Criticality: 1, JitterMillis: -1})
+	ex, err := NewRandomizedExecutive(DefaultConfig(),
+		[]*Partition{loopPartition(t, "control", 100, HighCriticality)}, cert, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	log := telemetry.NewEventLog(0)
-	sched.SetEventLog(log)
-	acts, err := sched.RunMajorFrames(1)
+	ex.SetEventLog(log)
+	acts, err := ex.RunMajorFrames(1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var begin, end mem.Cycles
 	for _, e := range log.Events() {
-		if e.Kind != "rtos.window" {
-			continue
-		}
-		if e.Phase == telemetry.PhaseBegin {
-			begin = e.TS
-		}
-		if e.Phase == telemetry.PhaseEnd {
-			end = e.TS
-		}
-		if e.Kind == "rtos.overrun" {
+		switch {
+		case e.Kind == "rtos.overrun":
 			t.Error("completed run emitted an overrun instant")
+		case e.Kind == "rtos.window" && e.Phase == telemetry.PhaseBegin:
+			begin = e.TS
+		case e.Kind == "rtos.window" && e.Phase == telemetry.PhaseEnd:
+			end = e.TS
 		}
 	}
 	if got := end - begin; got != acts[0].Cycles {

@@ -79,17 +79,6 @@ func (c Component) String() string {
 	return fmt.Sprintf("Component(%d)", int(c))
 }
 
-// ComponentByName returns the component with the given name, or
-// CompNone if unknown.
-func ComponentByName(name string) Component {
-	for i, n := range componentNames {
-		if n == name {
-			return Component(i)
-		}
-	}
-	return CompNone
-}
-
 // Attribution accumulates cycles per component for one run. A nil
 // *Attribution is the disabled profiler: every method no-ops (or returns
 // zero) and nothing allocates — the zero-overhead-when-disabled path.
