@@ -118,6 +118,32 @@ func TestRandomizedExecutiveMembership(t *testing.T) {
 	}
 }
 
+func TestSchedulerRejectsDuplicateNames(t *testing.T) {
+	parts := randomizedPair(t)
+	twin := loopPartition(t, "control", 10, LowCriticality)
+	if _, err := NewRandomizedExecutive(DefaultConfig(), []*Partition{parts[0], twin},
+		caseStudyCert(t, fullPolicy()), 1); err == nil {
+		t.Fatal("two distinct partitions sharing a name accepted")
+	}
+	// The same partition owning several windows is legitimate — that is
+	// how a short-period task gets multiple activations per frame — and
+	// its activation number must advance per window.
+	cert := certify(t, schedfeas.Task{Name: "control", PeriodMillis: 500, BudgetMillis: 10,
+		Criticality: 1, JitterMillis: -1})
+	ex, err := NewRandomizedExecutive(DefaultConfig(),
+		[]*Partition{loopPartition(t, "control", 10, HighCriticality)}, cert, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	acts, err := ex.RunMajorFrames(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(acts) != 2 || acts[0].Activation != 0 || acts[1].Activation != 1 {
+		t.Fatalf("multi-window activations %+v, want 0 then 1", acts)
+	}
+}
+
 func TestRandomizedExecutiveValidation(t *testing.T) {
 	parts := randomizedPair(t)
 	cert := caseStudyCert(t, fullPolicy())
@@ -135,10 +161,6 @@ func TestRandomizedExecutiveValidation(t *testing.T) {
 	}
 	if _, err := NewRandomizedExecutive(DefaultConfig(), []*Partition{parts[0], parts[0]}, cert, 1); err == nil {
 		t.Error("duplicate partition accepted")
-	}
-	twin := loopPartition(t, "control", 10, LowCriticality)
-	if _, err := NewRandomizedExecutive(DefaultConfig(), []*Partition{parts[0], twin}, cert, 1); err == nil {
-		t.Error("two distinct partitions sharing a name accepted")
 	}
 	ghost := loopPartition(t, "ghost", 10, LowCriticality)
 	if _, err := NewRandomizedExecutive(DefaultConfig(), []*Partition{parts[0], ghost}, cert, 1); err == nil {

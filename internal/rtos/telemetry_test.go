@@ -12,8 +12,54 @@ import (
 // The executive's telemetry contract: rtos.window spans pair begin/end
 // per track and end at start+used, and the Chrome-trace export of a
 // frame trace passes the same span validation dsrstat's validate
-// command applies. The overrun instants at the clamped window end are
-// covered by TestTemporalIsolationCutsOverrun.
+// command applies.
+
+func TestSchedulerTelemetryChromeTrace(t *testing.T) {
+	acts, log := runRogueFrames(t)
+	if !acts[0].Overrun() || acts[1].Overrun() {
+		t.Fatalf("expected rogue overrun + clean control, got %+v", acts)
+	}
+	// Raw event contract: one begin/end pair per window, overrun
+	// instants (their timestamps are checked by
+	// TestTemporalIsolationCutsOverrun) only for the rogue partition.
+	var begins, ends, overruns int
+	for _, e := range log.Events() {
+		switch {
+		case e.Kind == "rtos.window" && e.Phase == telemetry.PhaseBegin:
+			begins++
+		case e.Kind == "rtos.window" && e.Phase == telemetry.PhaseEnd:
+			ends++
+		case e.Kind == "rtos.overrun":
+			if e.Phase != telemetry.PhaseInstant {
+				t.Errorf("overrun emitted as phase %v, want instant", e.Phase)
+			}
+			if e.Track != "processing" {
+				t.Errorf("overrun on track %s", e.Track)
+			}
+			overruns++
+		}
+	}
+	if begins != 4 || ends != 4 {
+		t.Errorf("window begin/end counts %d/%d, want 4/4", begins, ends)
+	}
+	if overruns != 2 {
+		t.Errorf("overrun instants=%d, want 2 (one per frame)", overruns)
+	}
+
+	// The Chrome-trace export of the frames passes dsrstat-style span
+	// validation (B/E pairing, nesting, monotonic timestamps per track).
+	var buf bytes.Buffer
+	if err := telemetry.NewDump(telemetry.NewRegistry(), log).WriteChromeTrace(&buf, 0); err != nil {
+		t.Fatal(err)
+	}
+	spans, err := telemetry.ValidateChromeTrace(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatalf("frame trace fails validation: %v", err)
+	}
+	if spans != 4 {
+		t.Errorf("validated %d span pairs, want 4 (2 windows x 2 frames)", spans)
+	}
+}
 
 func TestTelemetryCompletedEndsEarly(t *testing.T) {
 	// A completing partition's span must end at start+used, strictly
