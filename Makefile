@@ -55,23 +55,23 @@ dsrlint: build
 	$(GO) run ./cmd/dsrlint -q -builtin control
 	$(GO) run ./cmd/dsrlint -q -builtin processing
 
-# Soundness gate for the static WCET analyzer: (1) dsrwcet must produce
+# Soundness gate for the static WCET analyzer: (1) dsrlint -wcet must produce
 # a finite bound for every shipped program in every layout mode, and
 # (2) the bound must dominate the observed cycles of every run of a
 # 200-run randomised campaign (deterministic and DSR layouts, plus the
 # processing app) — the invariant the analysis exists to provide.
 wcet-check: build
-	$(GO) run ./cmd/dsrwcet -q internal/asm/testdata/uoa.s
-	$(GO) run ./cmd/dsrwcet -q -builtin control
-	$(GO) run ./cmd/dsrwcet -q -mode dsr-eager -builtin control
-	$(GO) run ./cmd/dsrwcet -q -mode dsr-lazy -builtin control
-	$(GO) run ./cmd/dsrwcet -q -builtin processing
-	$(GO) run ./cmd/dsrwcet -q -mode dsr-eager -builtin processing
-	$(GO) run ./cmd/dsrwcet -q cmd/dsrlint/testdata/clean.s
+	$(GO) run ./cmd/dsrlint -q -wcet internal/asm/testdata/uoa.s
+	$(GO) run ./cmd/dsrlint -q -wcet -builtin control
+	$(GO) run ./cmd/dsrlint -q -wcet -mode dsr-eager -builtin control
+	$(GO) run ./cmd/dsrlint -q -wcet -mode dsr-lazy -builtin control
+	$(GO) run ./cmd/dsrlint -q -wcet -builtin processing
+	$(GO) run ./cmd/dsrlint -q -wcet -mode dsr-eager -builtin processing
+	$(GO) run ./cmd/dsrlint -q -wcet cmd/dsrlint/testdata/clean.s
 	WCET_RUNS=200 $(GO) test -run 'TestWCETSound' -count=1 -v ./internal/experiments
 	$(GO) test -run FuzzWCETSound -count=1 ./internal/analysis/wcet
 
-# Leakage-soundness gate for the side-channel analyzer: (1) dsrleak must
+# Leakage-soundness gate for the side-channel analyzer: (1) dsrlint -leak must
 # produce finite channel bounds for every shipped program in every
 # layout mode, and (2) over a 200-run campaign under the simulated
 # prime+probe and evict+time attackers, the measured leakage (log2 of
@@ -79,12 +79,12 @@ wcet-check: build
 # det >= lazy >= eager monotonicity chain and a strictly positive DSR
 # benefit on the access channel (E8's two verdicts).
 leak-check: build
-	$(GO) run ./cmd/dsrleak -q -builtin control
-	$(GO) run ./cmd/dsrleak -q -mode dsr-eager -builtin control
-	$(GO) run ./cmd/dsrleak -q -mode dsr-lazy -builtin control
-	$(GO) run ./cmd/dsrleak -q -builtin processing
-	$(GO) run ./cmd/dsrleak -q -mode dsr-eager -builtin processing
-	$(GO) run ./cmd/dsrleak -q cmd/dsrlint/testdata/clean.s
+	$(GO) run ./cmd/dsrlint -q -leak -builtin control
+	$(GO) run ./cmd/dsrlint -q -leak -mode dsr-eager -builtin control
+	$(GO) run ./cmd/dsrlint -q -leak -mode dsr-lazy -builtin control
+	$(GO) run ./cmd/dsrlint -q -leak -builtin processing
+	$(GO) run ./cmd/dsrlint -q -leak -mode dsr-eager -builtin processing
+	$(GO) run ./cmd/dsrlint -q -leak cmd/dsrlint/testdata/clean.s
 	LEAK_RUNS=200 $(GO) test -run 'TestLeakSound' -count=1 -v ./internal/experiments
 	$(GO) test -run FuzzLeakSound -count=1 ./internal/analysis/leak
 

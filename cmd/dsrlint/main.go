@@ -2,25 +2,40 @@
 // (internal/analysis) over a program: the standard lint passes
 // (reserved registers, return shapes, alignment, frame conventions,
 // unreachable code, dead stores), the static stack/window bound, the
-// L2 layout conflict lint, and — with -dsr — the differential DSR
-// transform verifier over the core.Transform output.
+// L2 layout conflict lint, the differential DSR transform verifier
+// over the core.Transform output, and — on request — the static WCET
+// and side-channel leakage analyzers.
 //
 //	dsrlint prog.s                 lint an assembly source
 //	dsrlint -builtin control       lint a built-in program (control,
 //	                               processing)
 //	dsrlint -dsr prog.s            also verify the DSR transformation
 //	dsrlint -stack prog.s          print the static stack bounds
-//	dsrlint -wcet prog.s           also run the static WCET analyzer
-//	dsrlint -leak prog.s           also run the static side-channel
-//	                               leakage analyzer
+//	dsrlint -wcet prog.s           also bound the WCET
+//	dsrlint -leak prog.s           also bound the cache side-channel
+//	                               leakage
+//	dsrlint -wcet -mode dsr-eager prog.s
+//	                               bound the DSR-transformed program
+//	                               over all feasible placements (det,
+//	                               dsr-eager, dsr-lazy)
 //	dsrlint -json prog.s           emit diagnostics as a stable JSON
 //	                               document (schema: analysis.ReportJSON)
 //	dsrlint -Werror prog.s         treat warnings as errors for the exit
 //	                               status
 //
+// Text output lists the diagnostics, then (unless -q) the L2 conflict
+// tables of three placements — the sequential link map, the cache-aware
+// positioned map (Mezzetti & Vardanega, the paper's reference [12]) and
+// one sample DSR layout — and the WCET and leakage reports, then the
+// bound lines. The WCET bound is sound: observed cycles never exceed
+// it on the simulated platform (make wcet-check); the leakage bounds
+// cap the distinct observations of the simulated attackers (make
+// leak-check).
+//
 // Exit status: 0 when no Error-level diagnostic was produced (under
-// -Werror: no Warning either), 1 otherwise, 2 on usage or input errors
-// — so it can gate a build.
+// -Werror: no Warning either), 1 otherwise — including a -wcet or -leak
+// analysis that found no finite bound — and 2 on usage or input errors,
+// so it can gate a build.
 package main
 
 import (
@@ -34,6 +49,8 @@ import (
 	"dsr/internal/analysis/wcet"
 	"dsr/internal/asm"
 	"dsr/internal/core"
+	"dsr/internal/experiments"
+	"dsr/internal/layout"
 	"dsr/internal/loader"
 	"dsr/internal/platform"
 	"dsr/internal/prog"
@@ -52,16 +69,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 		builtin     = fs.String("builtin", "", "lint a built-in program instead of a source file: control | processing")
 		dsr         = fs.Bool("dsr", true, "run the DSR transform verifier over the core.Transform output")
 		maxOverhead = fs.Float64("max-overhead", 0, "reject DSR static instruction overhead above this fraction (0 disables; the paper's budget is 0.02)")
-		l2          = fs.Bool("l2", true, "run the static L2 layout conflict lint on the sequential placement")
+		l2          = fs.Bool("l2", true, "run the static L2 layout conflict lint on the sequential placement; text mode also prints the conflict tables of three placements")
 		l2MinFrac   = fs.Float64("l2-minfrac", 0.5, "report L2 conflicts above this overlap fraction")
 		stack       = fs.Bool("stack", false, "print the static call-depth/stack/window bounds")
 		runWcet     = fs.Bool("wcet", false, "run the static WCET analyzer and report its bound and diagnostics")
 		runLeak     = fs.Bool("leak", false, "run the static side-channel leakage analyzer and report its channel bounds")
+		modeName    = fs.String("mode", "det", "layout model for -wcet and -leak: det | dsr-eager | dsr-lazy")
 		jsonOut     = fs.Bool("json", false, "emit diagnostics as a stable JSON document on stdout")
 		werror      = fs.Bool("Werror", false, "treat warnings as errors for the exit status")
-		quiet       = fs.Bool("q", false, "suppress info-level diagnostics")
+		quiet       = fs.Bool("q", false, "suppress info-level diagnostics and the report tables, keeping the bound lines")
 	)
 	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	mode, err := wcet.ParseMode(*modeName)
+	if err != nil {
+		fmt.Fprintln(stderr, "dsrlint:", err)
 		return 2
 	}
 
@@ -96,16 +119,25 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
+	// AnalyzeMode analyses what actually runs: the DSR modes bound the
+	// core.Transform output. A program the transform rejects has no
+	// bound, which is an Error finding like any other refusal.
 	var wcetRep *wcet.Report
 	if *runWcet {
-		wcetRep = wcet.Analyze(p, wcet.Config{Lines: lines})
-		diags = append(diags, wcetRep.Diags...)
+		if wcetRep, err = wcet.AnalyzeMode(p, mode, wcet.Config{Lines: lines}); err != nil {
+			diags = append(diags, analysis.Diagnostic{Pass: "wcet", Sev: analysis.Error, Index: -1, Msg: err.Error()})
+		} else {
+			diags = append(diags, wcetRep.Diags...)
+		}
 	}
 
 	var leakRep *leak.Report
 	if *runLeak {
-		leakRep = leak.Analyze(p, leak.Config{Lines: lines})
-		diags = append(diags, leakRep.Diags...)
+		if leakRep, err = leak.AnalyzeMode(p, mode, leak.Config{Lines: lines}); err != nil {
+			diags = append(diags, analysis.Diagnostic{Pass: "leak", Sev: analysis.Error, Index: -1, Msg: err.Error()})
+		} else {
+			diags = append(diags, leakRep.Diags...)
+		}
 	}
 
 	if *stack && !*jsonOut {
@@ -165,6 +197,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintln(stdout, d)
 	}
+	if !*quiet {
+		if *l2 {
+			printLayouts(stdout, p)
+		}
+		if wcetRep != nil {
+			fmt.Fprint(stdout, wcetRep.Format())
+		}
+		if leakRep != nil {
+			fmt.Fprint(stdout, leakRep.Format())
+		}
+	}
 	if wcetRep != nil && wcetRep.Bounded {
 		fmt.Fprintf(stdout, "dsrlint: wcet bound %d cycles (%s mode, %d loops)\n",
 			wcetRep.BoundCycles, wcetRep.Mode, len(wcetRep.Loops))
@@ -185,28 +228,86 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-func loadProgram(builtin string, args []string) (*prog.Program, analysis.LineResolver, error) {
-	switch builtin {
-	case "control":
-		p, err := spaceapp.BuildControl()
-		return p, nil, err
-	case "processing":
-		p, err := spaceapp.BuildProcessing()
-		return p, nil, err
-	case "":
-		if len(args) != 1 {
-			return nil, nil, fmt.Errorf("usage: dsrlint [flags] prog.s | dsrlint -builtin control|processing")
-		}
-		src, err := os.ReadFile(args[0])
+// The L2 conflict tables show pairs sharing at least layoutMinShared
+// sets, at most layoutTop per placement; the DSR table samples the
+// layout of reboot seed layoutSeed.
+const (
+	layoutMinShared = 16
+	layoutTop       = 12
+	layoutSeed      = 1
+)
+
+// printLayouts prints which memory objects alias in the unified
+// direct-mapped L2 under three placements: the naive sequential link
+// map, the cache-aware positioned map and one sample DSR layout. It
+// makes "a bad and rare cache layout for the L2" (§VI) visible.
+func printLayouts(w io.Writer, p *prog.Program) {
+	plat := platform.New(platform.ProximaLEON3())
+	l2 := plat.Cfg.L2
+	weights := experiments.ControlLayoutWeights(p)
+	show := func(name string, pr *prog.Program, pl loader.Placement, err error) {
 		if err != nil {
-			return nil, nil, err
+			fmt.Fprintf(w, "\n[%s]  unavailable: %v\n", name, err)
+			return
 		}
-		p, info, err := asm.AssembleWithInfo(string(src))
-		if err != nil {
-			return nil, nil, err
+		objs := layout.FromPlacement(pr, pl)
+		fmt.Fprintf(w, "\n[%s]  weighted overlap score: %.0f\n",
+			name, layout.TotalWeightedOverlap(objs, l2, weights))
+		cs := layout.Conflicts(objs, l2, layoutMinShared)
+		if len(cs) == 0 {
+			fmt.Fprintln(w, "  no conflicts above threshold")
+			return
 		}
-		return p, info.InstrLine, nil
-	default:
-		return nil, nil, fmt.Errorf("unknown builtin %q (want control or processing)", builtin)
+		fmt.Fprintf(w, "  %-18s %-18s %-12s %s\n", "object A", "object B", "shared sets", "coverage")
+		for i, c := range cs {
+			if i >= layoutTop {
+				fmt.Fprintf(w, "  ... and %d more\n", len(cs)-i)
+				break
+			}
+			fmt.Fprintf(w, "  %-18s %-18s %-12d %.0f%% / %.0f%%\n",
+				c.A, c.B, c.SharedSets, c.FracA*100, c.FracB*100)
+		}
 	}
+
+	var seqPl loader.Placement
+	seq, err := loader.LayoutSequential(p, loader.DefaultSequentialConfig())
+	if err == nil {
+		seqPl = seq.Placement
+	}
+	show("naive sequential link map", p, seqPl, err)
+
+	pos, err := layout.Optimize(p, l2, weights, loader.DefaultSequentialConfig())
+	show("cache-aware positioned map (ref. [12])", p, pos, err)
+
+	// The DSR image is the transformed program: its placement is shown
+	// with the transformed symbol sizes (incl. the metadata tables).
+	name := fmt.Sprintf("sampled DSR layout (seed %d)", layoutSeed)
+	rt, err := core.NewRuntime(p, plat, core.Options{})
+	if err == nil {
+		_, err = rt.Reboot(layoutSeed)
+	}
+	if err != nil {
+		show(name, nil, nil, err)
+		return
+	}
+	show(name, rt.Program(), rt.Placement(), nil)
+}
+
+func loadProgram(builtin string, args []string) (*prog.Program, analysis.LineResolver, error) {
+	if builtin != "" {
+		p, err := spaceapp.Builtin(builtin)
+		return p, nil, err
+	}
+	if len(args) != 1 {
+		return nil, nil, fmt.Errorf("usage: dsrlint [flags] prog.s | dsrlint -builtin control|processing")
+	}
+	src, err := os.ReadFile(args[0])
+	if err != nil {
+		return nil, nil, err
+	}
+	p, info, err := asm.AssembleWithInfo(string(src))
+	if err != nil {
+		return nil, nil, err
+	}
+	return p, info.InstrLine, nil
 }

@@ -20,7 +20,8 @@ func runTool(t *testing.T, args ...string) (code int, stdout, stderr string) {
 }
 
 // TestExitCodes pins the documented contract: 0 clean (warnings do not
-// fail), 1 on errors or -Werror'd warnings, 2 on usage/input problems.
+// fail), 1 on errors, -Werror'd warnings or a -wcet/-leak refusal, 2 on
+// usage/input problems.
 func TestExitCodes(t *testing.T) {
 	cases := []struct {
 		name string
@@ -38,6 +39,13 @@ func TestExitCodes(t *testing.T) {
 		{"builtin control", []string{"-builtin", "control"}, 0},
 		{"clean with wcet", []string{"-wcet", "testdata/clean.s"}, 0},
 		{"clean with leak", []string{"-leak", "testdata/clean.s"}, 0},
+		{"wcet dsr-eager", []string{"-wcet", "-mode", "dsr-eager", "testdata/clean.s"}, 0},
+		{"leak dsr-lazy", []string{"-leak", "-mode", "dsr-lazy", "testdata/clean.s"}, 0},
+		{"unknown mode", []string{"-wcet", "-mode", "nope", "testdata/clean.s"}, 2},
+		// The probe lints clean; only the bound refusals fail it.
+		{"unbounded loop lints clean", []string{"testdata/unbounded.s"}, 0},
+		{"unbounded loop refused by wcet", []string{"-wcet", "testdata/unbounded.s"}, 1},
+		{"unbounded loop refused by leak", []string{"-leak", "testdata/unbounded.s"}, 1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

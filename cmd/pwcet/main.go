@@ -1,9 +1,12 @@
-// Command pwcet is the MBPTA analysis tool (the RVS analysis stage of
-// §V-VI): it reads execution times — either a binary timing trace
-// produced by traceconv -gen, or a text file with one execution time per
-// line — runs the i.i.d. gate, fits the EVT model, and prints the pWCET
-// report and curve.
+// Command pwcet is the MBPTA analysis tool (the RVS path of §V-VI): it
+// reads execution times — either an RVS-style binary timing trace or a
+// text file with one execution time per line — runs the i.i.d. gate,
+// fits the EVT model, and prints the pWCET report and curve. It also
+// produces and converts the traces it reads.
 //
+//	pwcet -gen 200 > trace.bin        run the control task 200 times under
+//	                                  DSR and write the binary trace
+//	pwcet -trace trace.bin -csv       convert a binary trace to CSV
 //	pwcet -trace trace.bin
 //	pwcet -times times.txt -block 50 -target 1e-15
 //	pwcet -times times.txt -static control:dsr-eager
@@ -26,8 +29,10 @@ import (
 	"strings"
 
 	"dsr/internal/analysis/wcet"
+	"dsr/internal/core"
+	"dsr/internal/cpu"
 	"dsr/internal/mbpta"
-	"dsr/internal/prog"
+	"dsr/internal/platform"
 	"dsr/internal/rvs"
 	"dsr/internal/spaceapp"
 )
@@ -35,7 +40,8 @@ import (
 func main() { os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr)) }
 
 // run is the whole tool behind main: it returns the exit status, 0 on a
-// report or -h, 1 on any input or analysis error, 2 on bad flags.
+// report, a trace, a conversion or -h, 1 on any input or analysis
+// error, 2 on bad flags.
 func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("pwcet", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -47,12 +53,36 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		block     = fs.Int("block", 50, "EVT block-maxima size")
 		target    = fs.Float64("target", 1e-15, "target exceedance probability")
 		static    = fs.String("static", "", "static WCET reference: a cycle bound, or app:mode (control|processing : det|dsr-eager|dsr-lazy)")
+		gen       = fs.Int("gen", 0, "write the binary trace of N DSR runs of the control task to stdout instead of a report")
+		csv       = fs.Bool("csv", false, "print the -trace file as CSV instead of a report")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
 		}
 		return 2
+	}
+	if *gen > 0 {
+		if err := generate(stdout, *gen); err != nil {
+			fmt.Fprintln(stderr, "pwcet:", err)
+			return 1
+		}
+		return 0
+	}
+	if *csv {
+		if *traceFile == "" {
+			fmt.Fprintln(stderr, "pwcet: -csv needs -trace FILE")
+			return 2
+		}
+		trace, err := readTrace(*traceFile)
+		if err == nil {
+			err = rvs.WriteCSV(stdout, trace)
+		}
+		if err != nil {
+			fmt.Fprintln(stderr, "pwcet:", err)
+			return 1
+		}
+		return 0
 	}
 
 	staticBound, staticLabel, err := resolveStatic(*static)
@@ -121,31 +151,13 @@ func resolveStatic(spec string) (float64, string, error) {
 	if !ok {
 		return 0, "", fmt.Errorf("-static wants a cycle count or app:mode, got %q", spec)
 	}
-	var (
-		p   *prog.Program
-		err error
-	)
-	switch app {
-	case "control":
-		p, err = spaceapp.BuildControl()
-	case "processing":
-		p, err = spaceapp.BuildProcessing()
-	default:
-		return 0, "", fmt.Errorf("-static app %q: want control or processing", app)
-	}
+	p, err := spaceapp.Builtin(app)
 	if err != nil {
-		return 0, "", err
+		return 0, "", fmt.Errorf("-static: %w", err)
 	}
-	var mode wcet.Mode
-	switch modeName {
-	case "det":
-		mode = wcet.ModeDet
-	case "dsr-eager":
-		mode = wcet.ModeDSREager
-	case "dsr-lazy":
-		mode = wcet.ModeDSRLazy
-	default:
-		return 0, "", fmt.Errorf("-static mode %q: want det, dsr-eager or dsr-lazy", modeName)
+	mode, err := wcet.ParseMode(modeName)
+	if err != nil {
+		return 0, "", fmt.Errorf("-static: %w", err)
 	}
 	rep, err := wcet.AnalyzeMode(p, mode, wcet.Config{})
 	if err != nil {
@@ -181,12 +193,7 @@ func loadTimes(traceFile, timesFile string, enter, exit int32, stdin io.Reader) 
 	case traceFile != "" && timesFile != "":
 		return nil, fmt.Errorf("give either -trace or -times, not both")
 	case traceFile != "":
-		f, err := os.Open(traceFile)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		trace, err := rvs.Decode(f)
+		trace, err := readTrace(traceFile)
 		if err != nil {
 			return nil, err
 		}
@@ -222,4 +229,43 @@ func readTimes(r io.Reader) ([]float64, error) {
 		out = append(out, v)
 	}
 	return out, sc.Err()
+}
+
+func readTrace(path string) ([]cpu.TracePoint, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return rvs.Decode(f)
+}
+
+// generate writes the binary trace of n DSR runs of the control task:
+// run i reboots with layout seed 1+i and applies control input 9000+i.
+func generate(w io.Writer, n int) error {
+	p, err := spaceapp.BuildControl()
+	if err != nil {
+		return err
+	}
+	plat := platform.New(platform.ProximaLEON3())
+	rt, err := core.NewRuntime(p, plat, core.Options{})
+	if err != nil {
+		return err
+	}
+	var trace []cpu.TracePoint
+	for i := 0; i < n; i++ {
+		if _, err := rt.Reboot(1 + uint64(i)); err != nil {
+			return err
+		}
+		in := spaceapp.GenControlInput(9000 + uint64(i))
+		if err := spaceapp.ApplyControlInput(plat.Mem, rt.Image(), in); err != nil {
+			return err
+		}
+		res, err := rt.Run()
+		if err != nil {
+			return err
+		}
+		trace = append(trace, res.Trace...)
+	}
+	return rvs.Encode(w, trace)
 }

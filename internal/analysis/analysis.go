@@ -94,17 +94,6 @@ func (d Diagnostic) String() string {
 // asm.SourceInfo.InstrLine satisfies it; a nil resolver is allowed.
 type LineResolver func(fn string, index int) (line int, ok bool)
 
-// MaxSeverity returns the highest severity present (Info for none).
-func MaxSeverity(ds []Diagnostic) Severity {
-	max := Info
-	for _, d := range ds {
-		if d.Sev > max {
-			max = d.Sev
-		}
-	}
-	return max
-}
-
 // HasErrors reports whether any diagnostic is Error-level.
 func HasErrors(ds []Diagnostic) bool { return len(Errors(ds)) > 0 }
 

@@ -150,8 +150,8 @@ type Report struct {
 	Diags []analysis.Diagnostic `json:"diags,omitempty"`
 }
 
-// JSON renders the report as indented JSON (the `dsrleak -json`
-// contract).
+// JSON renders the report as indented JSON (the `dsrlint -json -leak`
+// leak section; field names are a stable contract).
 func (r *Report) JSON() ([]byte, error) {
 	return json.MarshalIndent(r, "", "  ")
 }
@@ -166,7 +166,9 @@ func (r *Report) HasErrors() bool {
 	return false
 }
 
-// Format renders the human-readable report (the `dsrleak` text output).
+// Format renders the human-readable report (the `dsrlint -leak` text
+// output). Diagnostics are left to the caller, which prints them with
+// its other findings.
 func (r *Report) Format() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "leak: %s entry %s mode %s\n", r.Program, r.Entry, r.Mode)
@@ -191,9 +193,6 @@ func (r *Report) Format() string {
 		if r.Saturated {
 			b.WriteString("  WARNING: a bound saturated the arithmetic ceiling\n")
 		}
-	}
-	for _, d := range r.Diags {
-		fmt.Fprintf(&b, "  %s\n", d)
 	}
 	return b.String()
 }
@@ -273,7 +272,10 @@ func analyzeModel(m *wcet.Model, wrep *wcet.Report, cfg *Config) *Report {
 	a.accessChannels()
 	a.traceChannel()
 	a.entropy()
-	rep.Bounded = true
+	// A finite bound needs an error-free run, as in wcet: an Error the
+	// front end reported without refusing the model (conflicting loop
+	// annotations) still voids it.
+	rep.Bounded = !rep.HasErrors()
 	rep.Saturated = a.sat
 	return rep
 }

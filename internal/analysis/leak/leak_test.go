@@ -212,6 +212,31 @@ func TestUnboundedLoopRefused(t *testing.T) {
 	}
 }
 
+// TestConflictingAnnotationsRefused: two different dsr:loop-bound
+// annotations on one loop are an Error, and an Error voids the bound in
+// leak exactly as it does in wcet, even though the loop has a bound.
+func TestConflictingAnnotationsRefused(t *testing.T) {
+	b := prog.NewFunc("main", prog.MinFrame).
+		Prologue().
+		SetI(isa.L0, 0x5000_0000).
+		Ld(isa.L1, isa.L0, 0). // data-dependent trip count
+		Label("loop")
+	b.LoopBound(16)
+	b.SubI(isa.L1, isa.L1, 1)
+	b.LoopBound(8)
+	b.CmpI(isa.L1, 0).
+		Bg("loop").
+		Halt()
+	p := mustProgram(t, "conflict", b.MustBuild())
+	if w := wcet.Analyze(p, wcet.Config{}); w.Bounded || !w.HasErrors() {
+		t.Fatalf("wcet: bounded=%v with errors=%v, want a refusal", w.Bounded, w.HasErrors())
+	}
+	r := Analyze(p, Config{})
+	if r.Bounded || !r.HasErrors() {
+		t.Fatalf("leak: bounded=%v with errors=%v, want a refusal:\n%s", r.Bounded, r.HasErrors(), diagText(r))
+	}
+}
+
 // --- mode chain on the real control application ----------------------------
 
 func analyzeControl(t *testing.T, mode wcet.Mode) *Report {

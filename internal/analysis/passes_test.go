@@ -214,9 +214,6 @@ func TestDiagnosticString(t *testing.T) {
 			t.Errorf("diagnostic %q missing %q", s, want)
 		}
 	}
-	if MaxSeverity([]Diagnostic{{Sev: Info}, {Sev: Warning}}) != Warning {
-		t.Error("MaxSeverity wrong")
-	}
 	if !HasErrors([]Diagnostic{{Sev: Error}}) || HasErrors(nil) {
 		t.Error("HasErrors wrong")
 	}

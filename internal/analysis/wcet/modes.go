@@ -10,7 +10,7 @@ import (
 )
 
 // AnalyzeMode bounds the build variant that actually runs under mode,
-// so callers (cmd/dsrwcet, the soundness gate, the experiments harness)
+// so callers (cmd/dsrlint, the soundness gate, the experiments harness)
 // cannot wire the analysis differently from the runtime:
 //
 //   - ModeDet analyses p itself on the deterministic sequential layout

@@ -41,6 +41,8 @@ package wcet
 import (
 	"encoding/json"
 	"fmt"
+	"sort"
+	"strings"
 
 	"dsr/internal/analysis"
 	"dsr/internal/analysis/cachedom"
@@ -81,6 +83,17 @@ func (m Mode) String() string {
 	default:
 		return fmt.Sprintf("Mode(%d)", int(m))
 	}
+}
+
+// ParseMode is the inverse of Mode.String: it maps det, dsr-eager or
+// dsr-lazy to its Mode.
+func ParseMode(s string) (Mode, error) {
+	for m := ModeDet; m <= ModeDSRLazy; m++ {
+		if m.String() == s {
+			return m, nil
+		}
+	}
+	return ModeDet, fmt.Errorf("unknown mode %q (want det, dsr-eager or dsr-lazy)", s)
 }
 
 // Config parameterises the analysis.
@@ -162,8 +175,8 @@ type Report struct {
 	Diags []analysis.Diagnostic `json:"diags,omitempty"`
 }
 
-// JSON renders the report as indented JSON (the `dsrwcet -json` and
-// `dsrlint -json` wcet section; field names are a stable contract).
+// JSON renders the report as indented JSON (the `dsrlint -json -wcet`
+// wcet section; field names are a stable contract).
 func (r *Report) JSON() ([]byte, error) {
 	return json.MarshalIndent(r, "", "  ")
 }
@@ -176,6 +189,50 @@ func (r *Report) HasErrors() bool {
 		}
 	}
 	return false
+}
+
+// Format renders the human-readable report (the `dsrlint -wcet` text
+// output): the bound, the TLB and cache-classification tallies, the
+// loop-bound table and the per-function bounds. Diagnostics are left to
+// the caller, which prints them with its other findings.
+func (r *Report) Format() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "wcet: %s entry %s mode %s\n", r.Program, r.Entry, r.Mode)
+	if !r.Bounded {
+		b.WriteString("  unbounded: the analysis rejected the program (see diagnostics)\n")
+		return b.String()
+	}
+	sat := ""
+	if r.Saturated {
+		sat = " (SATURATED — bound exceeded the arithmetic ceiling)"
+	}
+	fmt.Fprintf(&b, "  WCET bound: %d cycles%s\n", r.BoundCycles, sat)
+	fmt.Fprintf(&b, "  window-safe: %v, ITLB pages: %d, DTLB pages: %d, TLB charge: %d cycles\n",
+		r.WindowSafe, r.ITLBPages, r.DTLBPages, r.TLBCycles)
+	fmt.Fprintf(&b, "  cache classification: %d always-hit, %d always-miss, %d not-classified\n",
+		r.AlwaysHit, r.AlwaysMiss, r.NotClassified)
+	if len(r.Loops) > 0 {
+		b.WriteString("  loops:\n")
+		for _, l := range r.Loops {
+			loc := fmt.Sprintf("%s+%d", l.Fn, l.Head)
+			if l.Line > 0 {
+				loc = fmt.Sprintf("%s (line %d)", loc, l.Line)
+			}
+			fmt.Fprintf(&b, "    %-28s depth %d  bound %-10d %s\n", loc, l.Depth, l.Bound, l.Source)
+		}
+	}
+	if len(r.FuncCycles) > 0 {
+		names := make([]string, 0, len(r.FuncCycles))
+		for n := range r.FuncCycles {
+			names = append(names, n)
+		}
+		sort.Strings(names)
+		b.WriteString("  per-function bounds:\n")
+		for _, n := range names {
+			fmt.Fprintf(&b, "    %-28s %d cycles\n", n, r.FuncCycles[n])
+		}
+	}
+	return b.String()
 }
 
 // dataAcc is one instruction's data access in object coordinates.

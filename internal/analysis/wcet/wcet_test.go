@@ -69,6 +69,32 @@ func countedLoop(n int32) *prog.Function {
 		MustBuild()
 }
 
+func TestParseModeRoundTrip(t *testing.T) {
+	for _, m := range []Mode{ModeDet, ModeDSREager, ModeDSRLazy} {
+		got, err := ParseMode(m.String())
+		if err != nil || got != m {
+			t.Errorf("ParseMode(%q) = %v, %v; want %v", m.String(), got, err, m)
+		}
+	}
+	if _, err := ParseMode("dsr"); err == nil {
+		t.Error(`ParseMode("dsr") accepted an unknown mode`)
+	}
+}
+
+func TestReportFormat(t *testing.T) {
+	r := Analyze(mustProgram(t, "counted", countedLoop(10)), Config{})
+	text := r.Format()
+	for _, want := range []string{"WCET bound:", "cache classification:", "loops:", "main+", "bound 10", "per-function bounds:"} {
+		if !strings.Contains(text, want) {
+			t.Errorf("Format() missing %q:\n%s", want, text)
+		}
+	}
+	r.Bounded = false
+	if text := r.Format(); !strings.Contains(text, "unbounded") || strings.Contains(text, "WCET bound:") {
+		t.Errorf("Format() of a refused report:\n%s", text)
+	}
+}
+
 // --- trip-count unit tests -------------------------------------------------
 
 func TestTripCount(t *testing.T) {

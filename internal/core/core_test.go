@@ -280,12 +280,15 @@ func TestExecutionTimeVariesAcrossReboots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := rt.Collect(1, 30)
-	if err != nil {
-		t.Fatal(err)
-	}
 	distinct := map[mem.Cycles]bool{}
-	for _, r := range results {
+	for seed := uint64(1); seed <= 30; seed++ {
+		if _, err := rt.Reboot(seed); err != nil {
+			t.Fatal(err)
+		}
+		r, err := rt.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
 		distinct[r.Cycles] = true
 		if r.ExitValue != wantSum {
 			t.Fatalf("functional result broke under randomisation: %d", r.ExitValue)

@@ -409,20 +409,3 @@ func (r *Runtime) RunBudget(budget mem.Cycles) (platform.RunResult, bool, error)
 	}
 	return r.plat.RunBudget(budget)
 }
-
-// Collect is the measurement campaign helper: n runs, rebooting with
-// seeds base, base+1, ... before each, returning the per-run results.
-func (r *Runtime) Collect(base uint64, n int) ([]platform.RunResult, error) {
-	out := make([]platform.RunResult, 0, n)
-	for i := 0; i < n; i++ {
-		if _, err := r.Reboot(base + uint64(i)); err != nil {
-			return nil, err
-		}
-		res, err := r.Run()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, res)
-	}
-	return out, nil
-}

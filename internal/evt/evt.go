@@ -3,9 +3,9 @@
 // measured execution times into block maxima, fitting a Gumbel model (the
 // light-tailed EVT family MBPTA targets), and projecting the fit to the
 // very low exceedance probabilities (e.g. 10^-15) at which pWCET
-// estimates are quoted. A peaks-over-threshold exponential-tail fit is
-// provided as the cross-check used by MBPTA implementations, along with
-// the coefficient-of-variation exponentiality test.
+// estimates are quoted. The coefficient-of-variation test checks that
+// the excesses over a high threshold are exponential, the tail shape
+// the Gumbel model assumes.
 package evt
 
 import (
@@ -183,58 +183,6 @@ func DecadeProbs(n int) []float64 {
 		out = append(out, math.Pow(10, -float64(i)))
 	}
 	return out
-}
-
-// ExpTail is a peaks-over-threshold model with exponential excesses: the
-// GPD with shape 0, the tail MBPTA expects from a time-randomised
-// platform.
-type ExpTail struct {
-	U        float64 // threshold
-	Rate     float64 // 1/mean excess
-	TailFrac float64 // fraction of the sample above U
-}
-
-// FitExpTail fits an exponential tail above the q-quantile of times
-// (q is typically 0.8-0.95).
-func FitExpTail(times []float64, q float64) (ExpTail, error) {
-	if q <= 0 || q >= 1 {
-		return ExpTail{}, fmt.Errorf("evt: threshold quantile %g out of (0,1)", q)
-	}
-	if len(times) < 20 {
-		return ExpTail{}, fmt.Errorf("evt: need >=20 samples for a tail fit, got %d", len(times))
-	}
-	u := stats.Quantile(times, q)
-	var excesses []float64
-	for _, t := range times {
-		if t > u {
-			excesses = append(excesses, t-u)
-		}
-	}
-	if len(excesses) < 5 {
-		return ExpTail{}, fmt.Errorf("evt: only %d excesses above threshold", len(excesses))
-	}
-	m := stats.Mean(excesses)
-	if m == 0 {
-		return ExpTail{}, ErrDegenerate
-	}
-	return ExpTail{U: u, Rate: 1 / m, TailFrac: float64(len(excesses)) / float64(len(times))}, nil
-}
-
-// Exceedance returns P(X > x) under the tail model (1 for x below the
-// threshold region's floor).
-func (e ExpTail) Exceedance(x float64) float64 {
-	if x <= e.U {
-		return 1
-	}
-	return e.TailFrac * math.Exp(-e.Rate*(x-e.U))
-}
-
-// Quantile returns the x with P(X > x) = p, for p below TailFrac.
-func (e ExpTail) Quantile(p float64) float64 {
-	if p <= 0 || p >= e.TailFrac {
-		panic(fmt.Sprintf("evt: ExpTail quantile needs 0<p<%g, got %g", e.TailFrac, p))
-	}
-	return e.U + math.Log(e.TailFrac/p)/e.Rate
 }
 
 // CVTest checks the exponentiality of the excesses over the q-quantile

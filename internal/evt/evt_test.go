@@ -162,42 +162,6 @@ func TestDecadeProbs(t *testing.T) {
 	}
 }
 
-func TestExpTailFitAndQuantile(t *testing.T) {
-	src := prng.NewMWC(51)
-	times := expSample(src, 1000, 0.01, 5000) // mean excess 100 over 1000
-	e, err := FitExpTail(times, 0.9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Above the threshold the fitted rate should be close to 0.01 (the
-	// exponential is memoryless, so the excess distribution is unchanged).
-	if math.Abs(e.Rate-0.01)/0.01 > 0.15 {
-		t.Errorf("rate=%f, want ≈0.01", e.Rate)
-	}
-	// Round trip.
-	for _, p := range []float64{1e-3, 1e-9, 1e-15} {
-		x := e.Quantile(p)
-		if got := e.Exceedance(x); math.Abs(got-p)/p > 1e-9 {
-			t.Errorf("exp tail round trip at %g: %g", p, got)
-		}
-	}
-	// Exceedance at/below threshold is 1.
-	if e.Exceedance(e.U) != 1 {
-		t.Error("exceedance at threshold should be 1")
-	}
-}
-
-func TestExpTailErrors(t *testing.T) {
-	if _, err := FitExpTail([]float64{1, 2}, 0.9); err == nil {
-		t.Error("tiny sample accepted")
-	}
-	src := prng.NewMWC(5)
-	times := expSample(src, 0, 1, 100)
-	if _, err := FitExpTail(times, 1.5); err == nil {
-		t.Error("bad quantile accepted")
-	}
-}
-
 func TestCVTestOnExponentialTail(t *testing.T) {
 	src := prng.NewMWC(61)
 	times := expSample(src, 500, 0.05, 4000)

@@ -112,37 +112,6 @@ func TestBlockMaximaLocationShift(t *testing.T) {
 	}
 }
 
-// TestExpTailRateRecoverySweep checks the peaks-over-threshold fit
-// recovers the exponential (GPD xi=0) tail rate across a sweep of true
-// rates and threshold quantiles.
-func TestExpTailRateRecoverySweep(t *testing.T) {
-	const n = 20000
-	var seed uint64 = 100
-	for _, rate := range []float64{0.01, 0.5, 3} {
-		for _, q := range []float64{0.8, 0.9} {
-			seed++
-			// Body below the threshold is uniform; the tail beyond it is
-			// exponential with the target rate.
-			src := prng.NewMWC(seed)
-			sample := make([]float64, 0, n)
-			bodyN := int(float64(n) * q)
-			for i := 0; i < bodyN; i++ {
-				sample = append(sample, 100*prng.Float64(src))
-			}
-			sample = append(sample, gpdSample(src, 100, 1/rate, 0, n-bodyN)...)
-			t.Run(fmt.Sprintf("rate=%g/q=%g", rate, q), func(t *testing.T) {
-				tail, err := FitExpTail(sample, q)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if math.Abs(tail.Rate-rate)/rate > 0.10 {
-					t.Errorf("rate = %g, want %g ± 10%%", tail.Rate, rate)
-				}
-			})
-		}
-	}
-}
-
 // TestCVTestShapeDiscrimination checks the CV exponentiality test
 // sorts the GPD family by shape: the xi=0 member passes, heavy tails
 // (xi > 0, CV > 1) and bounded tails (xi < 0, CV < 1) fail once xi is

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -18,6 +19,28 @@ func e9Config(frames, workers int) Config {
 	cfg.Runs = frames
 	cfg.Workers = workers
 	return cfg
+}
+
+// TestCaseStudyControlBudgetIsE3PWCET keeps the control task's WCET
+// budget in CaseStudySchedSpec equal to the figure it stands for: the
+// E3 pWCET at 10^-15, from the 1000-run DSR campaign that dsrsim -fig3
+// prints (rounded to whole cycles as printed there).
+func TestCaseStudyControlBudgetIsE3PWCET(t *testing.T) {
+	cfg := DefaultConfig()
+	dsr, err := RunDSR(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Figure3(dsr, cfg.MBPTA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pwcet := math.Round(rep.PWCET)
+	for _, task := range CaseStudySchedSpec().Tasks {
+		if task.Name == "control" && task.WCETCycles != pwcet {
+			t.Fatalf("CaseStudySchedSpec control WCETCycles = %.0f, E3 pWCET@1e-15 = %.0f", task.WCETCycles, pwcet)
+		}
+	}
 }
 
 func TestE9Report(t *testing.T) {

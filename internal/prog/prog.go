@@ -268,17 +268,3 @@ func (p *Program) Clone() *Program {
 	}
 	return q
 }
-
-// CallGraphEdges returns (caller, callee) pairs for all direct calls,
-// used by analyses and by the incremental-integration example.
-func (p *Program) CallGraphEdges() [][2]string {
-	var edges [][2]string
-	for _, f := range p.Functions {
-		for i := range f.Code {
-			if f.Code[i].Op == isa.Call {
-				edges = append(edges, [2]string{f.Name, f.Code[i].Sym})
-			}
-		}
-	}
-	return edges
-}

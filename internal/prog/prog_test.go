@@ -230,14 +230,6 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
-func TestCallGraphEdges(t *testing.T) {
-	p := minimalProgram(t)
-	edges := p.CallGraphEdges()
-	if len(edges) != 1 || edges[0] != [2]string{"main", "double"} {
-		t.Errorf("edges=%v", edges)
-	}
-}
-
 func TestLookups(t *testing.T) {
 	p := minimalProgram(t)
 	if p.Function("main") == nil || p.Function("ghost") != nil {

@@ -135,7 +135,7 @@ func Decode(r io.Reader) ([]cpu.TracePoint, error) {
 	return trace, nil
 }
 
-// WriteCSV converts a trace to the host-side CSV format (cmd/traceconv).
+// WriteCSV converts a trace to the host-side CSV format (pwcet -csv).
 func WriteCSV(w io.Writer, trace []cpu.TracePoint) error {
 	bw := bufio.NewWriter(w)
 	if _, err := fmt.Fprintln(bw, "ipoint,cycles"); err != nil {

@@ -24,6 +24,12 @@
 // randomised execution can be checked for functional correctness.
 package spaceapp
 
+import (
+	"fmt"
+
+	"dsr/internal/prog"
+)
+
 // Geometry of the instrument, from §IV of the paper.
 const (
 	// LensGrid is the lenslet array dimension (12×12).
@@ -85,3 +91,15 @@ const (
 	// fineCenter is the window-relative spot reference (float32).
 	fineCenter = float32(7.5)
 )
+
+// Builtin builds the case-study task called name, control or
+// processing: the names the CLIs accept for a built-in program.
+func Builtin(name string) (*prog.Program, error) {
+	switch name {
+	case "control":
+		return BuildControl()
+	case "processing":
+		return BuildProcessing()
+	}
+	return nil, fmt.Errorf("unknown builtin %q (want control or processing)", name)
+}
