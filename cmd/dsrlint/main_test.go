@@ -73,6 +73,15 @@ func TestJSONGolden(t *testing.T) {
 		{"clean+leak", []string{"-json", "-leak", "-dsr=false", "-l2=false", "testdata/clean.s"}, "clean_leak.json"},
 		{"warn", []string{"-json", "-dsr=false", "-l2=false", "testdata/warn.s"}, "warn.json"},
 		{"error", []string{"-json", "-dsr=false", "-l2=false", "testdata/error.s"}, "error.json"},
+		// Both analyzers over the program x mode pairs the wcet-check and
+		// leak-check gates run, with every default pass on.
+		{"uoa det", []string{"-json", "-wcet", "-leak", "-mode", "det", "../../internal/asm/testdata/uoa.s"}, "uoa_det.json"},
+		{"control det", []string{"-json", "-wcet", "-leak", "-mode", "det", "-builtin", "control"}, "control_det.json"},
+		{"control dsr-eager", []string{"-json", "-wcet", "-leak", "-mode", "dsr-eager", "-builtin", "control"}, "control_dsr-eager.json"},
+		{"control dsr-lazy", []string{"-json", "-wcet", "-leak", "-mode", "dsr-lazy", "-builtin", "control"}, "control_dsr-lazy.json"},
+		{"processing det", []string{"-json", "-wcet", "-leak", "-mode", "det", "-builtin", "processing"}, "processing_det.json"},
+		{"processing dsr-eager", []string{"-json", "-wcet", "-leak", "-mode", "dsr-eager", "-builtin", "processing"}, "processing_dsr-eager.json"},
+		{"clean det", []string{"-json", "-wcet", "-leak", "-mode", "det", "testdata/clean.s"}, "clean_det.json"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
