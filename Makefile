@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint race race-campaign bench bench-baseline bench-check profile evaluate examples dsrlint wcet-check leak-check sched-check telemetry-smoke obs-smoke serve-smoke fuzz clean
+.PHONY: all build test vet lint race race-campaign bench bench-baseline bench-check profile evaluate regen-check examples dsrlint wcet-check leak-check sched-check telemetry-smoke obs-smoke serve-smoke fuzz clean
 
 all: build lint test race race-campaign dsrlint wcet-check leak-check sched-check telemetry-smoke obs-smoke serve-smoke
 
@@ -164,6 +164,26 @@ serve-smoke: build
 evaluate: build
 	$(GO) run ./cmd/dsrsim -all -runs 1000
 
+# Regeneration gate: the full paper regeneration must print exactly the
+# bytes it printed when REGEN_SHA256 was recorded, so no change moves a
+# reported cycle, table or verdict unnoticed (every experiment, the E8
+# leakage table and the static-WCET reference lines included). The
+# target also prints the run's wall time. Re-record the hash only with
+# a change that means to move the output.
+REGEN_SHA256 = 6864d8a69751dfeb2d94203597a5e59b9a522c0f42c8888cee0b889239f35515
+
+regen-check: build
+	@mkdir -p regen-out
+	$(GO) build -o regen-out/dsrsim ./cmd/dsrsim
+	@start=$$(date +%s); \
+	regen-out/dsrsim -all -runs 1000 > regen-out/all.txt || exit 1; \
+	end=$$(date +%s); \
+	sum=$$(sha256sum regen-out/all.txt | cut -d' ' -f1); \
+	echo "regen-check: dsrsim -all -runs 1000 took $$((end - start)) s, sha256 $$sum"; \
+	if [ "$$sum" != "$(REGEN_SHA256)" ]; then \
+		echo "regen-check: output differs from the recorded hash $(REGEN_SHA256)"; exit 1; \
+	fi
+
 bench:
 	$(GO) test -bench=. -benchmem .
 
@@ -214,4 +234,4 @@ fuzz:
 
 clean:
 	$(GO) clean ./...
-	rm -rf telemetry-out obs-out serve-out
+	rm -rf telemetry-out obs-out serve-out regen-out

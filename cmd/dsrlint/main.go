@@ -103,13 +103,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
+	// One core.Transform serves the verifier and, in the DSR modes, the
+	// analyzers.
+	analyze := *runWcet || *runLeak
+	var (
+		tp   *prog.Program
+		meta *core.Metadata
+		terr error
+	)
+	if *dsr || (analyze && mode != wcet.ModeDet) {
+		tp, meta, _, terr = core.Transform(p)
+	}
 	if *dsr {
-		tp, meta, _, err := core.Transform(p)
-		if err != nil {
+		if terr != nil {
 			// An untransformable program is a lint finding, not a crash.
 			diags = append(diags, analysis.Diagnostic{
 				Pass: analysis.PassVerifyDSR, Sev: analysis.Error, Index: -1,
-				Msg: "core.Transform failed: " + err.Error(),
+				Msg: "core.Transform failed: " + terr.Error(),
 			})
 		} else {
 			diags = append(diags, analysis.VerifyTransform(p, tp, analysis.TransformInfo{
@@ -119,24 +129,47 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	// AnalyzeMode analyses what actually runs: the DSR modes bound the
-	// core.Transform output. A program the transform rejects has no
-	// bound, which is an Error finding like any other refusal.
-	var wcetRep *wcet.Report
-	if *runWcet {
-		if wcetRep, err = wcet.AnalyzeMode(p, mode, wcet.Config{Lines: lines}); err != nil {
-			diags = append(diags, analysis.Diagnostic{Pass: "wcet", Sev: analysis.Error, Index: -1, Msg: err.Error()})
-		} else {
+	// Both analyzers read one front-end model of what actually runs:
+	// the DSR modes model the core.Transform output. A program the
+	// transform rejects has no bound, which is an Error finding like
+	// any other refusal.
+	var (
+		wcetRep *wcet.Report
+		leakRep *leak.Report
+	)
+	if analyze {
+		var (
+			m     *wcet.Model
+			front *wcet.Report
+		)
+		switch {
+		case mode == wcet.ModeDet:
+			m, front = wcet.BuildModel(p, wcet.Config{Lines: lines})
+		case terr == nil:
+			m, front = wcet.BuildTransformed(tp, meta, mode, wcet.Config{})
+		default:
+			pass := "wcet"
+			if !*runWcet {
+				pass = "leak"
+			}
+			diags = append(diags, analysis.Diagnostic{Pass: pass, Sev: analysis.Error, Index: -1,
+				Msg: "DSR transform failed: " + terr.Error()})
+		}
+		if front != nil && *runWcet {
+			wcetRep = front
+			if m != nil {
+				wcetRep = m.Bound()
+			}
 			diags = append(diags, wcetRep.Diags...)
 		}
-	}
-
-	var leakRep *leak.Report
-	if *runLeak {
-		if leakRep, err = leak.AnalyzeMode(p, mode, leak.Config{Lines: lines}); err != nil {
-			diags = append(diags, analysis.Diagnostic{Pass: "leak", Sev: analysis.Error, Index: -1, Msg: err.Error()})
-		} else {
-			diags = append(diags, leakRep.Diags...)
+		if front != nil && *runLeak {
+			leakRep = leak.Analyze(m, front)
+			own := leakRep.Diags
+			if *runWcet {
+				// The WCET report already lists the front end's findings.
+				own = own[len(front.Diags):]
+			}
+			diags = append(diags, own...)
 		}
 	}
 

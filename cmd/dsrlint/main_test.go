@@ -6,6 +6,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -82,6 +83,8 @@ func TestJSONGolden(t *testing.T) {
 		{"processing det", []string{"-json", "-wcet", "-leak", "-mode", "det", "-builtin", "processing"}, "processing_det.json"},
 		{"processing dsr-eager", []string{"-json", "-wcet", "-leak", "-mode", "dsr-eager", "-builtin", "processing"}, "processing_dsr-eager.json"},
 		{"clean det", []string{"-json", "-wcet", "-leak", "-mode", "det", "testdata/clean.s"}, "clean_det.json"},
+		// Both analyzers share one front end, so its refusal is one error.
+		{"unbounded", []string{"-json", "-wcet", "-leak", "testdata/unbounded.s"}, "unbounded.json"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -120,5 +123,20 @@ func TestJSONStableAcrossRuns(t *testing.T) {
 		if again != first {
 			t.Fatalf("run %d differs from first:\n%s\nvs\n%s", i+2, again, first)
 		}
+	}
+}
+
+// TestFrontEndDiagnosticsOnce: -wcet and -leak share one front end, so
+// the text output lists its refusal once and counts one error.
+func TestFrontEndDiagnosticsOnce(t *testing.T) {
+	code, stdout, stderr := runTool(t, "-q", "-wcet", "-leak", "testdata/unbounded.s")
+	if code != 1 {
+		t.Fatalf("exit %d, want 1", code)
+	}
+	if n := strings.Count(stdout, "loop has no inferable bound"); n != 1 {
+		t.Fatalf("loop diagnostic printed %d times, want 1:\n%s", n, stdout)
+	}
+	if !strings.Contains(stderr, "1 error(s)") {
+		t.Fatalf("stderr %q, want one error", stderr)
 	}
 }

@@ -18,7 +18,7 @@ func BenchmarkLeakAnalyze(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, err := AnalyzeMode(p, wcet.ModeDSREager, Config{})
+		r, err := AnalyzeMode(p, wcet.ModeDSREager)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -8,78 +8,22 @@ import (
 	"math"
 
 	"dsr/internal/analysis/cachedom"
-	"dsr/internal/mem"
 )
 
 // maxExec caps execution-count products; beyond it the report is marked
 // saturated (the bits stay finite, but the bound is useless).
 const maxExec = 1e18
 
-// setCounter accumulates the victim lines that may be resident in each
-// cache set at the end of a run, split — exactly like the WCET
-// persistence footprint — into exactly-placed lines and
-// relatively-counted lines (unknown 8-byte-aligned base: k consecutive
-// lines fall into k consecutive sets, so an unknown-base object of k
-// lines lands at most ceil(k/sets) lines in any single set).
-type setCounter struct {
-	dom      *cachedom.Dom
-	exact    []map[mem.Addr]bool
-	rel      []int
-	relLines int
-	top      bool // an unknown-address access: any line may be resident
-}
-
-func newSetCounter(dom *cachedom.Dom) *setCounter {
-	return &setCounter{
-		dom:   dom,
-		exact: make([]map[mem.Addr]bool, dom.NSets),
-		rel:   make([]int, dom.NSets),
-	}
-}
-
-// addRange adds the concretely-placed lines covering [lo, hi] (byte
-// addresses, inclusive).
-func (sc *setCounter) addRange(lo, hi mem.Addr) {
-	for l := sc.dom.LineOf(lo); l <= sc.dom.LineOf(hi); l++ {
-		s := sc.dom.SetOf(l)
-		if sc.exact[s] == nil {
-			sc.exact[s] = map[mem.Addr]bool{}
-		}
-		sc.exact[s][l] = true
-	}
-}
-
-// addRelative adds an unknown-base object spanning at most k lines.
-func (sc *setCounter) addRelative(k int) {
-	per := (k + int(sc.dom.NSets) - 1) / int(sc.dom.NSets)
-	for s := range sc.rel {
-		sc.rel[s] += per
-	}
-	sc.relLines += k
-}
-
-// setTop records that an access with no statically known address was
-// seen: every set may hold up to associativity victim lines.
-func (sc *setCounter) setTop() { sc.top = true }
-
-// perSet returns the bound on distinct victim lines that may map to set s.
-func (sc *setCounter) perSet(s int) int {
-	if sc.top {
-		return sc.dom.NWays
-	}
-	return len(sc.exact[s]) + sc.rel[s]
-}
-
 // vectorBits is the deterministic (set-attributable) access-channel
 // capacity: the final occupancy of set s is an integer in
 // [0, min(U_s, ways)], so the observation — the per-set occupancy
 // vector — takes at most prod_s (min(U_s, ways)+1) values.
-func (sc *setCounter) vectorBits() float64 {
+func vectorBits(fp *cachedom.Footprint) float64 {
 	var bits float64
-	for s := 0; s < int(sc.dom.NSets); s++ {
-		u := sc.perSet(s)
-		if u > sc.dom.NWays {
-			u = sc.dom.NWays
+	for s := 0; s < int(fp.Dom.NSets); s++ {
+		u := fp.PerSet(s)
+		if u > fp.Dom.NWays {
+			u = fp.Dom.NWays
 		}
 		bits += math.Log2(float64(u + 1))
 	}
@@ -87,13 +31,10 @@ func (sc *setCounter) vectorBits() float64 {
 }
 
 // touchedSets counts the sets with a nonzero per-set bound.
-func (sc *setCounter) touchedSets() int {
-	if sc.top {
-		return int(sc.dom.NSets)
-	}
+func touchedSets(fp *cachedom.Footprint) int {
 	n := 0
-	for s := 0; s < int(sc.dom.NSets); s++ {
-		if sc.perSet(s) > 0 {
+	for s := 0; s < int(fp.Dom.NSets); s++ {
+		if fp.PerSet(s) > 0 {
 			n++
 		}
 	}
@@ -103,19 +44,8 @@ func (sc *setCounter) touchedSets() int {
 // totalLines bounds the total number of distinct victim lines,
 // placement-independent (the K of the multiset channel), capped at the
 // cache capacity.
-func (sc *setCounter) totalLines() int {
-	cap := int(sc.dom.NSets) * sc.dom.NWays
-	if sc.top {
-		return cap
-	}
-	n := sc.relLines
-	for s := range sc.exact {
-		n += len(sc.exact[s])
-	}
-	if n > cap {
-		n = cap
-	}
-	return n
+func totalLines(fp *cachedom.Footprint) int {
+	return min(fp.Lines(), int(fp.Dom.NSets)*fp.Dom.NWays)
 }
 
 // multisetBits bounds the randomised (set-unattributable) access
@@ -169,14 +99,4 @@ func multisetBits(K, S, w int) float64 {
 		classes += pt
 	}
 	return math.Log2(classes)
-}
-
-// lineSpan bounds the distinct cache lines an unknown-base (8-byte
-// aligned) object of size bytes can span (the WCET persistence
-// footprint's relLineSpan, same formula).
-func lineSpan(size int64, lineSz mem.Addr) int {
-	if size <= 0 {
-		return 1
-	}
-	return int((size-1)/int64(lineSz)) + 2
 }

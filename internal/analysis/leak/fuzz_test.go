@@ -43,7 +43,7 @@ func FuzzLeakSound(f *testing.F) {
 		if p == nil {
 			return
 		}
-		r := Analyze(p, Config{})
+		r := analyzeDet(p)
 		if !r.Bounded {
 			// Refusing is sound; claiming is what we check.
 			if !r.HasErrors() {

@@ -1,12 +1,14 @@
 // Package leak is a sound static quantifier of cache side-channel
 // leakage for programs running on the simulated LEON3 platform. It
-// extends the WCET analyzer's abstract cache model (internal/analysis/
-// cachedom, shared via wcet.BuildModel) with a counting component: an
-// upper bound on the number of attacker-distinguishable observation
-// classes a run can produce. By the standard counting argument
-// (CacheAudit; Doychev & Köpf), the channel capacity of any
-// deterministic side channel is at most log2 of the number of reachable
-// observation classes, for any secret distribution and any
+// counts on the WCET analyzer's front-end model (wcet.Model: CFGs,
+// loop bounds, data accesses, must/may classification), the same model
+// the WCET bound is costed from, and builds its per-set victim counts
+// on the shared cachedom.Footprint. What it adds is a counting
+// component: an upper bound on the number of attacker-distinguishable
+// observation classes a run can produce. By the standard counting
+// argument (CacheAudit; Doychev & Köpf), the channel capacity of any
+// deterministic side channel is at most log2 of the number of
+// reachable observation classes, for any secret distribution and any
 // post-processing by the attacker.
 //
 // Two attacker models are bounded:
@@ -37,10 +39,11 @@
 //
 // For the DSR modes the package additionally reports the layout
 // entropy the runtime injects per reboot (a lower bound: the
-// independent per-object placement draws, ignoring pool-order
-// entropy) and the residual guessing entropy of the layout after n
-// observed runs, R(n) >= H - n*C with C the per-run access-channel
-// capacity.
+// independent per-object placement draws under the runtime's default
+// randomisation parameters, core.Options.Randomisation, ignoring
+// pool-order entropy) and the residual guessing entropy of the layout
+// after n observed runs, R(n) >= H - n*C with C the per-run
+// access-channel capacity.
 package leak
 
 import (
@@ -54,39 +57,17 @@ import (
 	"dsr/internal/analysis/cachedom"
 	"dsr/internal/analysis/wcet"
 	"dsr/internal/cache"
+	"dsr/internal/core"
 	"dsr/internal/isa"
-	"dsr/internal/loader"
 	"dsr/internal/mem"
 	"dsr/internal/platform"
 	"dsr/internal/prog"
+	"dsr/internal/tlb"
 )
 
-// Config parameterises the analysis. The zero value analyses the
-// deterministic default layout on the default platform.
-type Config struct {
-	// Platform supplies the cache/TLB geometry. Nil selects
-	// platform.ProximaLEON3().
-	Platform *platform.Config
-	// Mode selects the layout model (wcet.ModeDet, ModeDSREager,
-	// ModeDSRLazy).
-	Mode wcet.Mode
-	// Layout is the deterministic layout analysed in ModeDet.
-	Layout loader.SequentialConfig
-	// Resolve attributes indirect calls; Lines maps instructions to
-	// source lines for diagnostics. Both may be nil.
-	Resolve analysis.CallResolver
-	Lines   analysis.LineResolver
-	// OffsetBound/StackOffsetBound/Align describe the DSR runtime's
-	// randomisation parameters for the layout-entropy accounting; zero
-	// values select the runtime defaults (core.Options.fillDefaults:
-	// the platform's L2 way size and 8-byte alignment).
-	OffsetBound      int
-	StackOffsetBound int
-	Align            int
-	// Budgets are the observation counts for the guessing-entropy
-	// table; nil selects {1, 10, 100, 1000}.
-	Budgets []int
-}
+// guessBudgets are the observation counts of the guessing-entropy
+// table.
+var guessBudgets = [...]int{1, 10, 100, 1000}
 
 // Channel is the access-based bound for one cache level.
 type Channel struct {
@@ -197,75 +178,24 @@ func (r *Report) Format() string {
 	return b.String()
 }
 
-// Analyze bounds the leakage of p under cfg. It never panics on
-// hostile input; front-end failures yield Bounded=false with
-// diagnostics.
-func Analyze(p *prog.Program, cfg Config) *Report {
-	m, wrep := wcet.BuildModel(p, cfg.wcetConfig())
-	fillEntropyDefaults(&cfg, wrep)
-	return analyzeModel(m, wrep, &cfg)
-}
-
-// AnalyzeMode bounds the leakage of the build variant that actually
-// runs under mode, mirroring wcet.AnalyzeMode's wiring: the DSR modes
-// analyse the core.Transform output with the canonical dispatch
-// resolver and the runtime's default randomisation parameters.
-func AnalyzeMode(p *prog.Program, mode wcet.Mode, base Config) (*Report, error) {
-	base.Mode = mode
-	m, wrep, err := wcet.BuildModelMode(p, mode, base.wcetConfig())
-	if err != nil {
-		return nil, fmt.Errorf("leak: %w", err)
-	}
-	fillEntropyDefaults(&base, wrep)
-	return analyzeModel(m, wrep, &base), nil
-}
-
-func (cfg *Config) wcetConfig() wcet.Config {
-	return wcet.Config{
-		Platform: cfg.Platform,
-		Mode:     cfg.Mode,
-		Layout:   cfg.Layout,
-		Resolve:  cfg.Resolve,
-		Lines:    cfg.Lines,
-		// Entropy parameters feed the stack analysis bound too.
-		StackOffsetBound: cfg.StackOffsetBound,
-	}
-}
-
-// fillEntropyDefaults mirrors core.Options.fillDefaults so the entropy
-// accounting describes the runtime that actually executes.
-func fillEntropyDefaults(cfg *Config, wrep *wcet.Report) {
-	if cfg.Platform == nil {
-		def := platform.ProximaLEON3()
-		cfg.Platform = &def
-	}
-	if cfg.OffsetBound == 0 {
-		cfg.OffsetBound = cfg.Platform.L2.WaySize()
-	}
-	if cfg.StackOffsetBound == 0 {
-		cfg.StackOffsetBound = cfg.OffsetBound
-	}
-	if cfg.Align == 0 {
-		cfg.Align = mem.DoubleWord
-	}
-	if cfg.Budgets == nil {
-		cfg.Budgets = []int{1, 10, 100, 1000}
-	}
-	_ = wrep
-}
-
-// analyzeModel derives every bound from the front-end model.
-func analyzeModel(m *wcet.Model, wrep *wcet.Report, cfg *Config) *Report {
+// Analyze bounds the leakage of the program the front-end model m
+// describes (wcet.BuildModel, wcet.BuildModelMode). front is the
+// front-end report — m.Report, or the refusing report when the front
+// end built no model (m == nil) — and the leak report starts with its
+// diagnostics. Analyze leaves m unchanged, so the same model may feed
+// the WCET bound too. It never panics on hostile input; a refused model
+// yields Bounded=false with diagnostics.
+func Analyze(m *wcet.Model, front *wcet.Report) *Report {
 	rep := &Report{
-		Program: wrep.Program,
-		Entry:   wrep.Entry,
-		Mode:    wrep.Mode,
-		Diags:   append([]analysis.Diagnostic(nil), wrep.Diags...),
+		Program: front.Program,
+		Entry:   front.Entry,
+		Mode:    front.Mode,
+		Diags:   append([]analysis.Diagnostic(nil), front.Diags...),
 	}
 	if m == nil {
 		return rep
 	}
-	a := &lkAnalyzer{m: m, wrep: wrep, cfg: cfg, rep: rep}
+	a := &lkAnalyzer{m: m, wrep: front, rep: rep}
 	if !a.validate() {
 		return rep
 	}
@@ -280,10 +210,20 @@ func analyzeModel(m *wcet.Model, wrep *wcet.Report, cfg *Config) *Report {
 	return rep
 }
 
+// AnalyzeMode bounds the leakage of the build variant that actually
+// runs under mode: the model wcet.BuildModelMode builds, so the
+// analysis is wired exactly as the WCET bound and the runtime are.
+func AnalyzeMode(p *prog.Program, mode wcet.Mode) (*Report, error) {
+	m, front, err := wcet.BuildModelMode(p, mode, wcet.Config{})
+	if err != nil {
+		return nil, fmt.Errorf("leak: %w", err)
+	}
+	return Analyze(m, front), nil
+}
+
 type lkAnalyzer struct {
 	m    *wcet.Model
-	wrep *wcet.Report
-	cfg  *Config
+	wrep *wcet.Report // the front-end report
 	rep  *Report
 
 	l2dom *cachedom.Dom
@@ -370,9 +310,9 @@ func (a *lkAnalyzer) det() bool { return a.m.Mode == wcet.ModeDet }
 func (a *lkAnalyzer) accessChannels() {
 	pf := a.m.Platform
 	a.l2dom = cachedom.New(pf.L2)
-	il1c := newSetCounter(a.m.IL1)
-	dl1c := newSetCounter(a.m.DL1)
-	l2c := newSetCounter(a.l2dom)
+	il1c := cachedom.NewFootprint(a.m.IL1)
+	dl1c := cachedom.NewFootprint(a.m.DL1)
+	l2c := cachedom.NewFootprint(a.l2dom)
 
 	a.codeFootprint(il1c, dl1c, l2c)
 	a.dataFootprint(dl1c, l2c)
@@ -392,18 +332,18 @@ func (a *lkAnalyzer) accessChannels() {
 // attribution requires both a deterministic layout and modulo
 // placement; otherwise the multiset bound applies (fresh placement or
 // hash seed per run, secret-independent).
-func (a *lkAnalyzer) channel(name string, sc *setCounter, ccfg cache.Config) Channel {
-	env := sc.vectorBits()
+func (a *lkAnalyzer) channel(name string, fp *cachedom.Footprint, ccfg cache.Config) Channel {
+	env := vectorBits(fp)
 	ch := Channel{
 		Cache:          name,
 		EnvelopeBits:   env,
-		FootprintLines: sc.totalLines(),
-		TouchedSets:    sc.touchedSets(),
+		FootprintLines: totalLines(fp),
+		TouchedSets:    touchedSets(fp),
 	}
 	if a.det() && ccfg.Placement == cache.PlacementModulo {
 		ch.AccessBits = env
 	} else {
-		ch.AccessBits = multisetBits(sc.totalLines(), int(sc.dom.NSets), sc.dom.NWays)
+		ch.AccessBits = multisetBits(ch.FootprintLines, int(fp.Dom.NSets), fp.Dom.NWays)
 	}
 	return ch
 }
@@ -414,20 +354,20 @@ func (a *lkAnalyzer) channel(name string, sc *setCounter, ccfg cache.Config) Cha
 // invalidated by the relocator, and the old L2 lines it refills are
 // invalidated again before the relocator returns, so only DL1 keeps
 // them).
-func (a *lkAnalyzer) codeFootprint(il1c, dl1c, l2c *setCounter) {
+func (a *lkAnalyzer) codeFootprint(il1c, dl1c, l2c *cachedom.Footprint) {
 	lazy := a.m.Mode == wcet.ModeDSRLazy
 	for _, name := range a.reachableFuncs() {
 		fm := a.m.Funcs[name]
 		size := int64(fm.Fn.SizeBytes())
 		if a.det() {
-			il1c.addRange(fm.Base, fm.Base+mem.Addr(size)-1)
-			l2c.addRange(fm.Base, fm.Base+mem.Addr(size)-1)
+			il1c.AddRange(fm.Base, fm.Base+mem.Addr(size)-1)
+			l2c.AddRange(fm.Base, fm.Base+mem.Addr(size)-1)
 			continue
 		}
-		il1c.addRelative(lineSpan(size, a.m.IL1.LineSz))
-		l2c.addRelative(lineSpan(size, a.l2dom.LineSz))
+		il1c.AddRelative(a.m.IL1.SpanLines(size))
+		l2c.AddRelative(a.l2dom.SpanLines(size))
 		if lazy {
-			dl1c.addRelative(lineSpan(size, a.m.DL1.LineSz))
+			dl1c.AddRelative(a.m.DL1.SpanLines(size))
 		}
 	}
 }
@@ -439,7 +379,7 @@ func (a *lkAnalyzer) codeFootprint(il1c, dl1c, l2c *setCounter) {
 // in every mode (it grows down from StackTop; DSR only shifts frames
 // within it). An access with no statically known address saturates the
 // data-side footprints.
-func (a *lkAnalyzer) dataFootprint(dl1c, l2c *setCounter) {
+func (a *lkAnalyzer) dataFootprint(dl1c, l2c *cachedom.Footprint) {
 	pf := a.m.Platform
 	dl1Alloc := pf.DL1.Write == cache.WriteBackAllocate
 	l2Alloc := pf.L2.Write == cache.WriteBackAllocate
@@ -469,8 +409,8 @@ func (a *lkAnalyzer) dataFootprint(dl1c, l2c *setCounter) {
 				if !acc.Valid {
 					a.diag(analysis.Warning,
 						"%s+%d: data access has no statically known address: data-side footprints saturated", name, i)
-					dl1c.setTop()
-					l2c.setTop()
+					dl1c.Saturate()
+					l2c.Saturate()
 					continue
 				}
 				switch {
@@ -478,22 +418,22 @@ func (a *lkAnalyzer) dataFootprint(dl1c, l2c *setCounter) {
 					stackTouched = true
 				case acc.Sym == "":
 					if acc.Lo < 0 {
-						dl1c.setTop()
-						l2c.setTop()
+						dl1c.Saturate()
+						l2c.Saturate()
 						continue
 					}
 					lo, hi := mem.Addr(acc.Lo), mem.Addr(acc.Hi+int64(acc.Size)-1)
 					if installD {
-						dl1c.addRange(lo, hi)
+						dl1c.AddRange(lo, hi)
 					}
 					if installL2 {
-						l2c.addRange(lo, hi)
+						l2c.AddRange(lo, hi)
 					}
 				default:
 					obj := a.m.Prog.DataObject(acc.Sym)
 					if obj == nil {
-						dl1c.setTop()
-						l2c.setTop()
+						dl1c.Saturate()
+						l2c.Saturate()
 						continue
 					}
 					if a.det() {
@@ -501,18 +441,18 @@ func (a *lkAnalyzer) dataFootprint(dl1c, l2c *setCounter) {
 						lo := base + mem.Addr(acc.Lo)
 						hi := base + mem.Addr(acc.Hi) + mem.Addr(acc.Size) - 1
 						if installD {
-							dl1c.addRange(lo, hi)
+							dl1c.AddRange(lo, hi)
 						}
 						if installL2 {
-							l2c.addRange(lo, hi)
+							l2c.AddRange(lo, hi)
 						}
 					} else if !seenObj[acc.Sym] {
 						seenObj[acc.Sym] = true
 						if installD {
-							dl1c.addRelative(lineSpan(int64(obj.Size), a.m.DL1.LineSz))
+							dl1c.AddRelative(a.m.DL1.SpanLines(int64(obj.Size)))
 						}
 						if installL2 {
-							l2c.addRelative(lineSpan(int64(obj.Size), a.l2dom.LineSz))
+							l2c.AddRelative(a.l2dom.SpanLines(int64(obj.Size)))
 						}
 					}
 				}
@@ -523,27 +463,27 @@ func (a *lkAnalyzer) dataFootprint(dl1c, l2c *setCounter) {
 	if stackTouched && a.m.Stack != nil && a.m.Stack.MaxStackBytes > 0 {
 		top := mem.Addr(pf.StackTop)
 		lo := top - mem.Addr(a.m.Stack.MaxStackBytes)
-		dl1c.addRange(lo, top-1)
-		l2c.addRange(lo, top-1)
+		dl1c.AddRange(lo, top-1)
+		l2c.AddRange(lo, top-1)
 	}
 }
 
 // pageTableFootprint: TLB misses walk the page table through the bus,
-// installing the walked entries in the L2 (tlb.TLB does real reads at
-// walkBase-derived addresses). Deterministic mode enumerates the exact
+// installing the walked entries in the L2 (tlb.TLB reads the
+// tlb.WalkAddrs entries). Deterministic mode enumerates the exact
 // entry words for every page the run can touch; DSR joins over
 // placements with one line per walk read per page.
-func (a *lkAnalyzer) pageTableFootprint(l2c *setCounter) {
+func (a *lkAnalyzer) pageTableFootprint(l2c *cachedom.Footprint) {
 	pf := a.m.Platform
 	if a.det() {
 		for _, page := range a.detPages() {
-			for _, w := range walkAddrs(pf.PageTableBase, page) {
-				l2c.addRange(w, w+mem.WordSize-1)
+			for _, w := range tlb.WalkAddrs(pf.PageTableBase, page) {
+				l2c.AddRange(w, w+mem.WordSize-1)
 			}
 		}
 		return
 	}
-	l2c.addRelative(maxWalkReads(pf) * (a.wrep.ITLBPages + a.wrep.DTLBPages))
+	l2c.AddRelative(maxWalkReads(pf) * (a.wrep.ITLBPages + a.wrep.DTLBPages))
 }
 
 // detPages enumerates the page numbers of the code span, the data
@@ -578,24 +518,9 @@ func (a *lkAnalyzer) detPages() []mem.Addr {
 	return out
 }
 
-// walkAddrs mirrors tlb.TLB's three-level SRMMU walk addresses.
-func walkAddrs(base, page mem.Addr) []mem.Addr {
-	return []mem.Addr{
-		base + (page>>12)*mem.WordSize,
-		base + 0x1000 + (page>>6)*mem.WordSize,
-		base + 0x100000 + page*mem.WordSize,
-	}
-}
-
+// maxWalkReads bounds the page-table reads one TLB miss makes.
 func maxWalkReads(pf *platform.Config) int {
-	n := pf.ITLB.WalkReads
-	if pf.DTLB.WalkReads > n {
-		n = pf.DTLB.WalkReads
-	}
-	if n > 3 {
-		n = 3
-	}
-	return n
+	return min(max(pf.ITLB.WalkReads, pf.DTLB.WalkReads), len(tlb.WalkAddrs(0, 0)))
 }
 
 // ---------------------------------------------------------------------
@@ -639,22 +564,8 @@ func (a *lkAnalyzer) traceChannel() {
 	// TLB walks emit real L2 reads. When the page working set fits the
 	// TLBs (the wcet tlbBudget argument) each page walks once; otherwise
 	// every access may walk.
-	unknownAcc := false
-	for _, name := range a.reachableFuncs() {
-		fm := a.m.Funcs[name]
-		for bi, blk := range fm.G.Blocks {
-			if !fm.G.Reachable[bi] {
-				continue
-			}
-			for i := blk.Start; i < blk.End; i++ {
-				if (fm.Acc[i].Load || fm.Acc[i].Store) && !fm.Acc[i].Valid {
-					unknownAcc = true
-				}
-			}
-		}
-	}
 	iFits := a.wrep.ITLBPages <= pf.ITLB.Entries
-	dFits := a.wrep.DTLBPages <= pf.DTLB.Entries && !unknownAcc
+	dFits := a.wrep.DTLBPages <= pf.DTLB.Entries && !a.m.UnknownAccess
 	iWalk, dWalk := float64(pf.ITLB.WalkReads), float64(pf.DTLB.WalkReads)
 
 	var pathBits, siteBits float64
@@ -818,8 +729,9 @@ func (a *lkAnalyzer) entropy() {
 	if a.det() {
 		return
 	}
-	perPlace := math.Log2(float64(a.cfg.OffsetBound / a.cfg.Align))
-	perStack := math.Log2(float64(a.cfg.StackOffsetBound / a.cfg.Align))
+	offset, stack, align := core.Options{}.Randomisation(a.m.Platform)
+	perPlace := math.Log2(float64(offset / align))
+	perStack := math.Log2(float64(stack / align))
 	if perPlace < 0 || perStack < 0 {
 		return
 	}
@@ -838,7 +750,7 @@ func (a *lkAnalyzer) entropy() {
 	// extracting the full per-run capacity about the *current* layout,
 	// so n budgets the attack on any single layout between reboots.
 	c := a.rep.AccessBits
-	for _, n := range a.cfg.Budgets {
+	for _, n := range guessBudgets {
 		r := h - float64(n)*c
 		if r < 0 {
 			r = 0

@@ -23,6 +23,11 @@ func mustProgram(t *testing.T, name string, fns ...*prog.Function) *prog.Program
 	return p
 }
 
+// analyzeDet bounds p as given on the deterministic default layout.
+func analyzeDet(p *prog.Program) *Report {
+	return Analyze(wcet.BuildModel(p, wcet.Config{}))
+}
+
 func diagText(r *Report) string {
 	var sb strings.Builder
 	for _, d := range r.Diags {
@@ -84,20 +89,23 @@ func TestMultisetBitsMonotoneInK(t *testing.T) {
 
 func TestSetCounterVectorBits(t *testing.T) {
 	dom := newTestDom(t)
-	sc := newSetCounter(dom)
+	fp := cachedom.NewFootprint(dom)
 	// Two distinct lines in one set: occupancy in [0,2] -> log2(3).
-	sc.addRange(0, 31)
-	sc.addRange(128*32, 128*32+31)
+	fp.AddRange(0, 31)
+	fp.AddRange(128*32, 128*32+31)
 	want := math.Log2(3)
-	if got := sc.vectorBits(); math.Abs(got-want) > 1e-9 {
+	if got := vectorBits(fp); math.Abs(got-want) > 1e-9 {
 		t.Fatalf("vectorBits = %f; want %f", got, want)
 	}
-	if sc.totalLines() != 2 || sc.touchedSets() != 1 {
-		t.Fatalf("lines=%d sets=%d; want 2, 1", sc.totalLines(), sc.touchedSets())
+	if totalLines(fp) != 2 || touchedSets(fp) != 1 {
+		t.Fatalf("lines=%d sets=%d; want 2, 1", totalLines(fp), touchedSets(fp))
 	}
-	sc.setTop()
-	if got := sc.vectorBits(); math.Abs(got-128*math.Log2(5)) > 1e-9 {
+	fp.Saturate()
+	if got := vectorBits(fp); math.Abs(got-128*math.Log2(5)) > 1e-9 {
 		t.Fatalf("top vectorBits = %f; want 128*log2(5)", got)
+	}
+	if totalLines(fp) != 128*4 || touchedSets(fp) != 128 {
+		t.Fatalf("saturated lines=%d sets=%d; want 512, 128", totalLines(fp), touchedSets(fp))
 	}
 }
 
@@ -110,7 +118,7 @@ func newTestDom(t *testing.T) *cachedom.Dom {
 
 func TestDetStraightLine(t *testing.T) {
 	p := mustProgram(t, "straight", straightLine())
-	r := Analyze(p, Config{})
+	r := analyzeDet(p)
 	if !r.Bounded {
 		t.Fatalf("not bounded:\n%s", diagText(r))
 	}
@@ -140,8 +148,8 @@ func TestDetStraightLine(t *testing.T) {
 }
 
 func TestDetLoopScalesTrace(t *testing.T) {
-	small := Analyze(mustProgram(t, "l", countedLoop(4)), Config{})
-	big := Analyze(mustProgram(t, "l", countedLoop(64)), Config{})
+	small := analyzeDet(mustProgram(t, "l", countedLoop(4)))
+	big := analyzeDet(mustProgram(t, "l", countedLoop(64)))
 	if !small.Bounded || !big.Bounded {
 		t.Fatalf("not bounded:\n%s\n%s", diagText(small), diagText(big))
 	}
@@ -181,7 +189,7 @@ func TestUnknownAddressSaturatesDataSide(t *testing.T) {
 		Halt().
 		MustBuild()
 	p := mustProgram(t, "wild", f)
-	r := Analyze(p, Config{})
+	r := analyzeDet(p)
 	if !r.Bounded {
 		t.Fatalf("not bounded:\n%s", diagText(r))
 	}
@@ -206,7 +214,7 @@ func TestUnboundedLoopRefused(t *testing.T) {
 		Halt().
 		MustBuild()
 	p := mustProgram(t, "unbounded", f)
-	r := Analyze(p, Config{})
+	r := analyzeDet(p)
 	if r.Bounded {
 		t.Fatal("analysis accepted a program with an unbounded loop")
 	}
@@ -231,7 +239,7 @@ func TestConflictingAnnotationsRefused(t *testing.T) {
 	if w := wcet.Analyze(p, wcet.Config{}); w.Bounded || !w.HasErrors() {
 		t.Fatalf("wcet: bounded=%v with errors=%v, want a refusal", w.Bounded, w.HasErrors())
 	}
-	r := Analyze(p, Config{})
+	r := analyzeDet(p)
 	if r.Bounded || !r.HasErrors() {
 		t.Fatalf("leak: bounded=%v with errors=%v, want a refusal:\n%s", r.Bounded, r.HasErrors(), diagText(r))
 	}
@@ -245,7 +253,7 @@ func analyzeControl(t *testing.T, mode wcet.Mode) *Report {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := AnalyzeMode(p, mode, Config{})
+	r, err := AnalyzeMode(p, mode)
 	if err != nil {
 		t.Fatal(err)
 	}

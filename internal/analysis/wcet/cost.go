@@ -53,7 +53,6 @@ import (
 	"dsr/internal/mem"
 	"dsr/internal/platform"
 	"dsr/internal/prog"
-	"dsr/internal/timing"
 )
 
 // satCap is the saturation ceiling for cycle arithmetic.
@@ -65,20 +64,23 @@ type latModel struct {
 	il1MissX  mem.Cycles // extra per IL1 fetch miss
 	loadBase  mem.Cycles // per load: DTLB hit + DL1 hit (+ walk fallback)
 	dl1MissX  mem.Cycles // extra per DL1 load miss
+	storeLat  mem.Cycles // one store through the DL1 write path, none of it hidden
 	storeX    mem.Cycles // per store beyond StoreBase (DTLB hit + buffered WT worst)
 	spillX    mem.Cycles // per Save/SaveX when not window-safe
 	fillX     mem.Cycles // per Restore/Ret when not window-safe
 	walkI     mem.Cycles // one full ITLB page-table walk
 	walkD     mem.Cycles // one full DTLB page-table walk
+	l2LineW   mem.Cycles // one L2 line written back to DRAM
 }
 
 // deriveLat derives the worst-case stall latencies from the platform
-// configuration. cont is an optional per-bus-transaction contention
-// delay; itlbWalkEach/dtlbWalkEach charge a full walk on every access
-// (the fallback when the page working set overflows the TLB).
-func deriveLat(pf *platform.Config, tm timing.Model, cont mem.Cycles, itlbWalkEach, dtlbWalkEach bool) latModel {
-	busR := pf.Bus.ReadLatency + cont
-	busW := pf.Bus.WriteLatency + cont
+// configuration and its CPU timing table. itlbWalkEach/dtlbWalkEach
+// charge a full walk on every access (the fallback when the page
+// working set overflows the TLB).
+func deriveLat(pf *platform.Config, itlbWalkEach, dtlbWalkEach bool) latModel {
+	tm := pf.CPU.Model
+	busR := pf.Bus.ReadLatency
+	busW := pf.Bus.WriteLatency
 	words := func(bytes int) mem.Cycles { return mem.Cycles((bytes + 3) / 4) }
 	dramR := func(bytes int) mem.Cycles { return pf.DRAM.AccessLatency + words(bytes)*pf.DRAM.PerWord }
 	dramW := dramR // symmetric in the DRAM model
@@ -133,15 +135,17 @@ func deriveLat(pf *platform.Config, tm timing.Model, cont mem.Cycles, itlbWalkEa
 		il1MissX:  il1MissX,
 		loadBase:  dtlbAcc + pf.DL1.HitLatency,
 		dl1MissX:  dl1MissX,
+		storeLat:  storeLat,
 		storeX:    dtlbAcc + storeAdj,
 		spillX:    tm.TrapOverhead + 16*(dtlbAcc+tm.StoreBase+storeAdj),
 		fillX:     tm.TrapOverhead + 16*(dtlbAcc+tm.LoadUse+pf.DL1.HitLatency+dl1MissX),
 		walkI:     walkI,
 		walkD:     walkD,
+		l2LineW:   dramW(pf.L2.LineSize),
 	}
 }
 
-// RelocCostBound statically bounds the cost of relocating any single
+// relocCostBound statically bounds the cost of relocating any single
 // function of p at run time — the charge core.Runtime's first-call hook
 // adds inside the measured window under lazy relocation. The model
 // mirrors Runtime.relocationCost from above: a word-copy loop in which
@@ -150,37 +154,10 @@ func deriveLat(pf *platform.Config, tm timing.Model, cont mem.Cycles, itlbWalkEa
 // write path, then the SPARC v8 consistency routine — an L2 writeback
 // sweep of the new range with every line dirty (one probe cycle plus a
 // DRAM line write each) and IL1/L2 invalidation probes of the old range
-// (one cycle per line). cont is the optional worst-case per-bus-
-// transaction contention delay. Feed the result into Config.RelocBound
-// when analysing ModeDSRLazy; ModeDSRLazy charges it once per function.
-func RelocCostBound(p *prog.Program, pf *platform.Config, cont mem.Cycles) mem.Cycles {
-	busR := pf.Bus.ReadLatency + cont
-	busW := pf.Bus.WriteLatency + cont
-	words := func(bytes int) mem.Cycles { return mem.Cycles((bytes + 3) / 4) }
-	dramR := func(bytes int) mem.Cycles { return pf.DRAM.AccessLatency + words(bytes)*pf.DRAM.PerWord }
-	dramW := dramR
-
-	l2Read := pf.L2.HitLatency + dramR(pf.L2.LineSize)
-	if pf.L2.Write == cache.WriteBackAllocate {
-		l2Read += dramW(pf.L2.LineSize)
-	}
-	var l2Write mem.Cycles
-	if pf.L2.Write == cache.WriteBackAllocate {
-		l2Write = pf.L2.HitLatency + dramW(pf.L2.LineSize) + dramR(pf.L2.LineSize)
-	} else {
-		l2Write = pf.L2.HitLatency + dramW(mem.WordSize)
-	}
-
-	readWorst := pf.DL1.HitLatency + busR + l2Read
-	if pf.DL1.Write == cache.WriteBackAllocate {
-		readWorst += busW + l2Write // dirty victim writeback on the fill
-	}
-	var writeWorst mem.Cycles
-	if pf.DL1.Write == cache.WriteThroughNoAllocate {
-		writeWorst = pf.DL1.HitLatency + busW + l2Write
-	} else {
-		writeWorst = pf.DL1.HitLatency + busW + l2Write + busR + l2Read
-	}
+// (one cycle per line). ModeDSRLazy charges it once per function.
+func relocCostBound(p *prog.Program, pf *platform.Config) mem.Cycles {
+	lat := deriveLat(pf, false, false)
+	readWorst := pf.DL1.HitLatency + lat.dl1MissX
 
 	lines := func(size int64, lineSz int) mem.Cycles {
 		if size <= 0 {
@@ -192,9 +169,9 @@ func RelocCostBound(p *prog.Program, pf *platform.Config, cont mem.Cycles) mem.C
 	var worst mem.Cycles
 	for _, f := range p.Functions {
 		size := int64(f.SizeBytes())
-		c := mem.Cycles(size/int64(mem.WordSize)) * (readWorst + writeWorst + 2)
+		c := mem.Cycles(size/int64(mem.WordSize)) * (readWorst + lat.storeLat + 2)
 		// L2 writeback of the new range: every probed line dirty.
-		c += lines(size, pf.L2.LineSize) * (1 + dramW(pf.L2.LineSize))
+		c += lines(size, pf.L2.LineSize) * (1 + lat.l2LineW)
 		// Invalidation probes of the old range.
 		c += lines(size, pf.IL1.LineSize)
 		c += lines(size, pf.L2.LineSize)
@@ -226,74 +203,7 @@ func (a *analyzer) satMul(n int, x mem.Cycles) mem.Cycles {
 }
 
 // ---------------------------------------------------------------------
-// Cache footprints and loop persistence.
-
-// footprint accumulates a region's per-set cache working set, split into
-// exactly-placed lines (deterministic layout) and relatively-counted
-// lines (objects whose base is unknown but 8-byte aligned: stack frames
-// in every mode, all objects under DSR). k consecutive lines fall into
-// k consecutive sets, so an unknown-base object of k lines adds at most
-// ceil(k/sets) lines to every set.
-type footprint struct {
-	dom      *cachedom.Dom
-	exact    []map[mem.Addr]bool
-	rel      []int
-	relLines int
-}
-
-func newFootprint(dom *cachedom.Dom) *footprint {
-	return &footprint{dom: dom, exact: make([]map[mem.Addr]bool, dom.NSets), rel: make([]int, dom.NSets)}
-}
-
-// addRange adds the concretely-placed lines covering [lo, hi] (byte
-// addresses, inclusive).
-func (fp *footprint) addRange(lo, hi mem.Addr) {
-	for l := fp.dom.LineOf(lo); l <= fp.dom.LineOf(hi); l++ {
-		s := fp.dom.SetOf(l)
-		if fp.exact[s] == nil {
-			fp.exact[s] = map[mem.Addr]bool{}
-		}
-		fp.exact[s][l] = true
-	}
-}
-
-// addRelative adds an unknown-base object spanning at most k lines.
-func (fp *footprint) addRelative(k int) {
-	per := (k + int(fp.dom.NSets) - 1) / int(fp.dom.NSets)
-	for s := range fp.rel {
-		fp.rel[s] += per
-	}
-	fp.relLines += k
-}
-
-// fits reports whether every set's footprint is within the cache's
-// associativity, and lines returns the total distinct-line count (the
-// one-time miss charge).
-func (fp *footprint) fits() bool {
-	for s := range fp.rel {
-		if len(fp.exact[s])+fp.rel[s] > fp.dom.NWays {
-			return false
-		}
-	}
-	return true
-}
-
-func (fp *footprint) lines() int {
-	n := fp.relLines
-	for s := range fp.exact {
-		n += len(fp.exact[s])
-	}
-	return n
-}
-
-// relLineSpan bounds the distinct cache lines an unknown-base (8-byte
-// aligned) object of size bytes can span.
-func relLineSpan(size int64, lineSz mem.Addr) int {
-	if size <= 0 {
-		return 1
-	}
-	return int((size-1)/int64(lineSz)) + 2
-}
+// Loop persistence over cache footprints (cachedom.Footprint).
 
 type fitKey struct {
 	fn string
@@ -307,22 +217,22 @@ type fitRes struct {
 
 // regionFit decides loop persistence for loop li of fi. Results are
 // independent of the hot flags and memoised.
-func (a *analyzer) regionFit(fi *fnInfo, li int) fitRes {
-	key := fitKey{fi.fn.Name, li}
+func (a *analyzer) regionFit(fi *FuncModel, li int) fitRes {
+	key := fitKey{fi.Fn.Name, li}
 	if r, ok := a.fit[key]; ok {
 		return r
 	}
 	var r fitRes
 	if a.hotIOK {
-		fpI := newFootprint(a.il1)
+		fpI := cachedom.NewFootprint(a.IL1)
 		if a.regionIFoot(fi, li, fpI, map[string]bool{}) {
-			r.fitI, r.linesI = fpI.fits(), fpI.lines()
+			r.fitI, r.linesI = fpI.Fits(), fpI.Lines()
 		}
 	}
 	if a.hotDOK {
-		fpD := newFootprint(a.dl1)
+		fpD := cachedom.NewFootprint(a.DL1)
 		if a.regionDFoot(fi, li, fpD, map[string]bool{}) {
-			r.fitD, r.linesD = fpD.fits(), fpD.lines()
+			r.fitD, r.linesD = fpD.Fits(), fpD.Lines()
 		}
 	}
 	a.fit[key] = r
@@ -332,16 +242,16 @@ func (a *analyzer) regionFit(fi *fnInfo, li int) fitRes {
 // regionBlocks returns the sorted block IDs of region li of fi
 // (li == -1: the whole function; otherwise the loop's blocks, nested
 // loops included).
-func regionBlocks(fi *fnInfo, li int) []int {
+func regionBlocks(fi *FuncModel, li int) []int {
 	var out []int
 	if li < 0 {
-		for b := range fi.g.Blocks {
-			if fi.g.Reachable[b] {
+		for b := range fi.G.Blocks {
+			if fi.G.Reachable[b] {
 				out = append(out, b)
 			}
 		}
 	} else {
-		for b := range fi.nest.loops[li].blocks {
+		for b := range fi.Loops[li].Blocks {
 			out = append(out, b)
 		}
 		sort.Ints(out)
@@ -352,14 +262,14 @@ func regionBlocks(fi *fnInfo, li int) []int {
 // regionIFoot accumulates the instruction-cache footprint of region li:
 // the region's own code plus the whole code of every transitively
 // called function. seenFn dedupes callees.
-func (a *analyzer) regionIFoot(fi *fnInfo, li int, fp *footprint, seenFn map[string]bool) bool {
+func (a *analyzer) regionIFoot(fi *FuncModel, li int, fp *cachedom.Footprint, seenFn map[string]bool) bool {
 	blocks := regionBlocks(fi, li)
 	if len(blocks) == 0 {
 		return false
 	}
-	lo, hi := fi.g.Blocks[blocks[0]].Start, fi.g.Blocks[blocks[0]].End
+	lo, hi := fi.G.Blocks[blocks[0]].Start, fi.G.Blocks[blocks[0]].End
 	for _, b := range blocks {
-		blk := fi.g.Blocks[b]
+		blk := fi.G.Blocks[b]
 		if blk.Start < lo {
 			lo = blk.Start
 		}
@@ -367,17 +277,17 @@ func (a *analyzer) regionIFoot(fi *fnInfo, li int, fp *footprint, seenFn map[str
 			hi = blk.End
 		}
 		if a.det() {
-			fp.addRange(fi.base+mem.Addr(blk.Start)*isa.InstrBytes,
-				fi.base+mem.Addr(blk.End)*isa.InstrBytes-1)
+			fp.AddRange(fi.Base+mem.Addr(blk.Start)*isa.InstrBytes,
+				fi.Base+mem.Addr(blk.End)*isa.InstrBytes-1)
 		}
 	}
 	if !a.det() {
-		fp.addRelative(relLineSpan(int64(hi-lo)*int64(isa.InstrBytes), a.il1.LineSz))
+		fp.AddRelative(a.IL1.SpanLines(int64(hi-lo) * int64(isa.InstrBytes)))
 	}
 	for _, b := range blocks {
-		blk := fi.g.Blocks[b]
+		blk := fi.G.Blocks[b]
 		for i := blk.Start; i < blk.End; i++ {
-			if c := fi.callee[i]; c != "" && !seenFn[c] {
+			if c := fi.Callee[i]; c != "" && !seenFn[c] {
 				seenFn[c] = true
 				if !a.calleeIFoot(c, fp, seenFn) {
 					return false
@@ -388,19 +298,19 @@ func (a *analyzer) regionIFoot(fi *fnInfo, li int, fp *footprint, seenFn map[str
 	return true
 }
 
-func (a *analyzer) calleeIFoot(name string, fp *footprint, seenFn map[string]bool) bool {
-	ci, ok := a.fns[name]
+func (a *analyzer) calleeIFoot(name string, fp *cachedom.Footprint, seenFn map[string]bool) bool {
+	ci, ok := a.Funcs[name]
 	if !ok {
 		return false
 	}
-	size := int64(len(ci.fn.Code)) * int64(isa.InstrBytes)
+	size := int64(len(ci.Fn.Code)) * int64(isa.InstrBytes)
 	if a.det() {
-		fp.addRange(ci.base, ci.base+mem.Addr(size)-1)
+		fp.AddRange(ci.Base, ci.Base+mem.Addr(size)-1)
 	} else {
-		fp.addRelative(relLineSpan(size, a.il1.LineSz))
+		fp.AddRelative(a.IL1.SpanLines(size))
 	}
-	for i := range ci.fn.Code {
-		if c := ci.callee[i]; c != "" && !seenFn[c] {
+	for i := range ci.Fn.Code {
+		if c := ci.Callee[i]; c != "" && !seenFn[c] {
 			seenFn[c] = true
 			if !a.calleeIFoot(c, fp, seenFn) {
 				return false
@@ -417,17 +327,17 @@ func (a *analyzer) calleeIFoot(name string, fp *footprint, seenFn map[string]boo
 // (same lines wherever they land); stack frames are counted once per
 // distinct static call chain, since each chain gives the frame a
 // different (8-aligned) base.
-func (a *analyzer) regionDFoot(fi *fnInfo, li int, fp *footprint, seenObj map[string]bool) bool {
+func (a *analyzer) regionDFoot(fi *FuncModel, li int, fp *cachedom.Footprint, seenObj map[string]bool) bool {
 	for _, b := range regionBlocks(fi, li) {
-		blk := fi.g.Blocks[b]
+		blk := fi.G.Blocks[b]
 		for i := blk.Start; i < blk.End; i++ {
-			acc := fi.acc[i]
-			if acc.load || acc.store {
+			acc := fi.Acc[i]
+			if acc.Load || acc.Store {
 				if !a.accFoot(acc, fp, seenObj) {
 					return false
 				}
 			}
-			if c := fi.callee[i]; c != "" {
+			if c := fi.Callee[i]; c != "" {
 				if !a.calleeDFoot(c, fp, seenObj) {
 					return false
 				}
@@ -437,19 +347,19 @@ func (a *analyzer) regionDFoot(fi *fnInfo, li int, fp *footprint, seenObj map[st
 	return true
 }
 
-func (a *analyzer) calleeDFoot(name string, fp *footprint, seenObj map[string]bool) bool {
-	ci, ok := a.fns[name]
+func (a *analyzer) calleeDFoot(name string, fp *cachedom.Footprint, seenObj map[string]bool) bool {
+	ci, ok := a.Funcs[name]
 	if !ok {
 		return false
 	}
-	for i := range ci.fn.Code {
-		acc := ci.acc[i]
-		if acc.load || acc.store {
+	for i := range ci.Fn.Code {
+		acc := ci.Acc[i]
+		if acc.Load || acc.Store {
 			if !a.accFoot(acc, fp, seenObj) {
 				return false
 			}
 		}
-		if c := ci.callee[i]; c != "" {
+		if c := ci.Callee[i]; c != "" {
 			// Deliberately no dedupe across call *sites*: each static
 			// chain places the callee's frame at a different address.
 			if !a.calleeDFoot(c, fp, seenObj) {
@@ -461,42 +371,42 @@ func (a *analyzer) calleeDFoot(name string, fp *footprint, seenObj map[string]bo
 }
 
 // accFoot adds one known data access's object to the footprint.
-func (a *analyzer) accFoot(acc dataAcc, fp *footprint, seenObj map[string]bool) bool {
-	if !acc.valid {
+func (a *analyzer) accFoot(acc DataAccess, fp *cachedom.Footprint, seenObj map[string]bool) bool {
+	if !acc.Valid {
 		return false
 	}
 	switch {
-	case acc.sym == "":
-		if acc.lo < 0 {
+	case acc.Sym == "":
+		if acc.Lo < 0 {
 			return false
 		}
-		fp.addRange(mem.Addr(acc.lo), mem.Addr(acc.hi+int64(acc.size)-1))
-	case strings.HasPrefix(acc.sym, "\x00stack:"):
-		owner := a.fns[strings.TrimPrefix(acc.sym, "\x00stack:")]
+		fp.AddRange(mem.Addr(acc.Lo), mem.Addr(acc.Hi+int64(acc.Size)-1))
+	case strings.HasPrefix(acc.Sym, StackSymPrefix):
+		owner := a.Funcs[strings.TrimPrefix(acc.Sym, StackSymPrefix)]
 		if owner == nil {
 			return false
 		}
-		frame := int64(owner.fn.FrameSize)
-		if acc.lo < 0 || acc.hi+int64(acc.size) > frame {
+		frame := int64(owner.Fn.FrameSize)
+		if acc.Lo < 0 || acc.Hi+int64(acc.Size) > frame {
 			return false
 		}
 		// One contribution per call chain — callers dedupe globals but
 		// pass every chain through here.
-		fp.addRelative(relLineSpan(frame, a.dl1.LineSz))
+		fp.AddRelative(a.DL1.SpanLines(frame))
 	default:
-		obj := a.p.DataObject(acc.sym)
+		obj := a.Prog.DataObject(acc.Sym)
 		if obj == nil {
 			return false
 		}
-		if acc.lo < 0 || acc.hi+int64(acc.size) > int64(obj.Size) {
+		if acc.Lo < 0 || acc.Hi+int64(acc.Size) > int64(obj.Size) {
 			return false
 		}
 		if a.det() {
-			base := a.layout[acc.sym]
-			fp.addRange(base+mem.Addr(acc.lo), base+mem.Addr(acc.hi)+mem.Addr(acc.size)-1)
-		} else if !seenObj[acc.sym] {
-			seenObj[acc.sym] = true
-			fp.addRelative(relLineSpan(int64(obj.Size), a.dl1.LineSz))
+			base := a.Layout[acc.Sym]
+			fp.AddRange(base+mem.Addr(acc.Lo), base+mem.Addr(acc.Hi)+mem.Addr(acc.Size)-1)
+		} else if !seenObj[acc.Sym] {
+			seenObj[acc.Sym] = true
+			fp.AddRelative(a.DL1.SpanLines(int64(obj.Size)))
 		}
 	}
 	return true
@@ -523,7 +433,7 @@ func (a *analyzer) costFn(name string, hotI, hotD bool) (mem.Cycles, bool) {
 	if r, ok := a.memo[key]; ok {
 		return r.cyc, r.ok
 	}
-	fi, ok := a.fns[name]
+	fi, ok := a.Funcs[name]
 	if !ok {
 		a.diag(analysis.Error, name, 0, "call to unknown function %q", name)
 		return 0, false
@@ -543,13 +453,13 @@ func (a *analyzer) costFn(name string, hotI, hotD bool) (mem.Cycles, bool) {
 // liftNode maps block b to its node in region li's DAG: the block
 // itself when it belongs directly to the region, else the child loop
 // (direct child of li) containing it. ok=false if b is outside li.
-func liftNode(fi *fnInfo, li, b int) (isLoop bool, id int, ok bool) {
-	cur := fi.nest.innermost[b]
+func liftNode(fi *FuncModel, li, b int) (isLoop bool, id int, ok bool) {
+	cur := fi.Innermost[b]
 	if cur == li {
 		return false, b, true
 	}
-	for cur >= 0 && fi.nest.loops[cur].parent != li {
-		cur = fi.nest.loops[cur].parent
+	for cur >= 0 && fi.Loops[cur].Parent != li {
+		cur = fi.Loops[cur].Parent
 	}
 	if cur < 0 {
 		return false, 0, false
@@ -560,8 +470,8 @@ func liftNode(fi *fnInfo, li, b int) (isLoop bool, id int, ok bool) {
 // regionLongest bounds the longest acyclic path through region li
 // (li == -1: the function body) with child loops collapsed to single
 // nodes costed as bound × body + persistence charge.
-func (a *analyzer) regionLongest(fi *fnInfo, li int, hotI, hotD bool) (mem.Cycles, bool) {
-	nb := len(fi.g.Blocks)
+func (a *analyzer) regionLongest(fi *FuncModel, li int, hotI, hotD bool) (mem.Cycles, bool) {
+	nb := len(fi.G.Blocks)
 	nodeOf := func(isLoop bool, id int) int {
 		if isLoop {
 			return nb + id
@@ -574,10 +484,10 @@ func (a *analyzer) regionLongest(fi *fnInfo, li int, hotI, hotD bool) (mem.Cycle
 	succs := map[int]map[int]bool{}
 	var header int
 	if li >= 0 {
-		header = fi.nest.loops[li].header
+		header = fi.Loops[li].Header
 	}
 	for _, b := range regionBlocks(fi, li) {
-		if li < 0 && !fi.g.Reachable[b] {
+		if li < 0 && !fi.G.Reachable[b] {
 			continue
 		}
 		l1, id1, ok := liftNode(fi, li, b)
@@ -586,9 +496,9 @@ func (a *analyzer) regionLongest(fi *fnInfo, li int, hotI, hotD bool) (mem.Cycle
 		}
 		n1 := nodeOf(l1, id1)
 		nodes[n1] = true
-		for _, s := range fi.g.Blocks[b].Succs {
+		for _, s := range fi.G.Blocks[b].Succs {
 			if li >= 0 {
-				if !fi.nest.loops[li].blocks[s] {
+				if !fi.Loops[li].Blocks[s] {
 					continue // exit edge; the parent region's concern
 				}
 				if s == header {
@@ -603,8 +513,8 @@ func (a *analyzer) regionLongest(fi *fnInfo, li int, hotI, hotD bool) (mem.Cycle
 			if n1 == n2 {
 				continue
 			}
-			if l2 && s != fi.nest.loops[id2].header {
-				a.diag(analysis.Error, fi.fn.Name, fi.g.Blocks[b].End-1,
+			if l2 && s != fi.Loops[id2].Header {
+				a.diag(analysis.Error, fi.Fn.Name, fi.G.Blocks[b].End-1,
 					"irreducible control flow: edge into the middle of a loop")
 				return 0, false
 			}
@@ -622,7 +532,7 @@ func (a *analyzer) regionLongest(fi *fnInfo, li int, hotI, hotD bool) (mem.Cycle
 	}
 	el, eid, ok := liftNode(fi, li, entryBlock)
 	if !ok || el {
-		a.diag(analysis.Error, fi.fn.Name, fi.g.Blocks[entryBlock].Start,
+		a.diag(analysis.Error, fi.Fn.Name, fi.G.Blocks[entryBlock].Start,
 			"irreducible control flow: region entry is inside a nested loop")
 		return 0, false
 	}
@@ -682,7 +592,7 @@ func (a *analyzer) regionLongest(fi *fnInfo, li int, hotI, hotD bool) (mem.Cycle
 		queue = append(queue, next...)
 	}
 	if len(order) != len(reach) {
-		a.diag(analysis.Error, fi.fn.Name, fi.g.Blocks[entryBlock].Start,
+		a.diag(analysis.Error, fi.Fn.Name, fi.G.Blocks[entryBlock].Start,
 			"irreducible control flow: cycle not reducible to natural loops")
 		return 0, false
 	}
@@ -726,9 +636,9 @@ func (a *analyzer) regionLongest(fi *fnInfo, li int, hotI, hotD bool) (mem.Cycle
 // the per-iteration distinct-line charge, and taking the min keeps the
 // mode ordering (det ≤ dsr-eager ≤ dsr-lazy) monotone: extra hotness
 // can now only ever lower a bound.
-func (a *analyzer) loopNodeCost(fi *fnInfo, li int, hotI, hotD bool) (mem.Cycles, bool) {
-	l := fi.nest.loops[li]
-	if l.bound < 1 {
+func (a *analyzer) loopNodeCost(fi *FuncModel, li int, hotI, hotD bool) (mem.Cycles, bool) {
+	l := fi.Loops[li]
+	if l.Bound < 1 {
 		// Already reported by resolveBounds; refuse quietly.
 		return 0, false
 	}
@@ -749,14 +659,14 @@ func (a *analyzer) loopNodeCost(fi *fnInfo, li int, hotI, hotD bool) (mem.Cycles
 	if !ok {
 		return 0, false
 	}
-	cost := a.satAdd(charge, a.satMul(l.bound, body))
+	cost := a.satAdd(charge, a.satMul(l.Bound, body))
 	if nhI != hotI || nhD != hotD {
 		// Alternative: refuse the persistence upgrade entirely.
 		cold, ok := a.regionLongest(fi, li, hotI, hotD)
 		if !ok {
 			return 0, false
 		}
-		if alt := a.satMul(l.bound, cold); alt < cost {
+		if alt := a.satMul(l.Bound, cold); alt < cost {
 			cost = alt
 		}
 	}
@@ -764,17 +674,17 @@ func (a *analyzer) loopNodeCost(fi *fnInfo, li int, hotI, hotD bool) (mem.Cycles
 }
 
 // distinctFetchLines bounds the IL1 lines one execution of blk touches.
-func (a *analyzer) distinctFetchLines(fi *fnInfo, start, end int) int {
+func (a *analyzer) distinctFetchLines(fi *FuncModel, start, end int) int {
 	n := end - start
 	if n <= 0 {
 		return 0
 	}
 	if a.det() {
-		first := a.il1.LineOf(fi.base + mem.Addr(start)*isa.InstrBytes)
-		last := a.il1.LineOf(fi.base + mem.Addr(end)*isa.InstrBytes - 1)
+		first := a.IL1.LineOf(fi.Base + mem.Addr(start)*isa.InstrBytes)
+		last := a.IL1.LineOf(fi.Base + mem.Addr(end)*isa.InstrBytes - 1)
 		return int(last-first) + 1
 	}
-	k := relLineSpan(int64(n)*int64(isa.InstrBytes), a.il1.LineSz)
+	k := a.IL1.SpanLines(int64(n) * int64(isa.InstrBytes))
 	if k > n {
 		k = n
 	}
@@ -782,8 +692,8 @@ func (a *analyzer) distinctFetchLines(fi *fnInfo, start, end int) int {
 }
 
 // blockCost bounds one execution of block b under the hotness context.
-func (a *analyzer) blockCost(fi *fnInfo, b int, hotI, hotD bool) (mem.Cycles, bool) {
-	blk := fi.g.Blocks[b]
+func (a *analyzer) blockCost(fi *FuncModel, b int, hotI, hotD bool) (mem.Cycles, bool) {
+	blk := fi.G.Blocks[b]
 	n := blk.End - blk.Start
 	cost := a.satMul(n, a.lat.fetchBase)
 
@@ -792,9 +702,9 @@ func (a *analyzer) blockCost(fi *fnInfo, b int, hotI, hotD bool) (mem.Cycles, bo
 	fm := 0
 	switch {
 	case hotI:
-	case a.useMustI && fi.cls != nil:
+	case a.UseMustI && fi.Class != nil:
 		for i := blk.Start; i < blk.End; i++ {
-			if !fi.cls.FetchHit[i] {
+			if !fi.Class.FetchHit[i] {
 				fm++
 			}
 		}
@@ -804,13 +714,13 @@ func (a *analyzer) blockCost(fi *fnInfo, b int, hotI, hotD bool) (mem.Cycles, bo
 	cost = a.satAdd(cost, a.satMul(fm, a.lat.il1MissX))
 
 	for i := blk.Start; i < blk.End; i++ {
-		in := &fi.fn.Code[i]
-		cost = a.satAdd(cost, a.tm.WorstOpLatency(in.Op))
+		in := &fi.Fn.Code[i]
+		cost = a.satAdd(cost, a.Platform.CPU.Model.WorstOpLatency(in.Op))
 		switch in.Op {
 		case isa.Ld, isa.Ldub, isa.FLd:
 			cost = a.satAdd(cost, a.lat.loadBase)
 			miss := true
-			if hotD || (a.useMustD && fi.cls != nil && fi.cls.LoadHit[i]) {
+			if hotD || (a.UseMustD && fi.Class != nil && fi.Class.LoadHit[i]) {
 				miss = false
 			}
 			if miss {
@@ -819,17 +729,17 @@ func (a *analyzer) blockCost(fi *fnInfo, b int, hotI, hotD bool) (mem.Cycles, bo
 		case isa.St, isa.Stb, isa.FSt:
 			cost = a.satAdd(cost, a.lat.storeX)
 		case isa.Save, isa.SaveX:
-			if !a.windowSafe {
+			if !a.WindowSafe {
 				cost = a.satAdd(cost, a.lat.spillX)
 			}
 		case isa.Restore, isa.Ret:
-			if !a.windowSafe {
+			if !a.WindowSafe {
 				cost = a.satAdd(cost, a.lat.fillX)
 			}
 		case isa.Call, isa.CallR:
-			callee := fi.callee[i]
+			callee := fi.Callee[i]
 			if callee == "" {
-				a.diag(analysis.Error, fi.fn.Name, i,
+				a.diag(analysis.Error, fi.Fn.Name, i,
 					"indirect call with no statically known callee — bound impossible")
 				return 0, false
 			}

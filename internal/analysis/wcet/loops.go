@@ -38,15 +38,16 @@ const (
 	SourceAnnotated = "annotated"
 )
 
-// loopInfo is one natural loop (all back edges sharing a header merged).
-type loopInfo struct {
-	header int          // header block ID
-	blocks map[int]bool // block IDs in the loop (header included)
-	tails  []int        // back-edge tail blocks
-	parent int          // index of the innermost enclosing loop, -1 for top level
-	depth  int          // 1 = outermost
+// LoopRegion is one natural loop (all back edges sharing a header
+// merged) with its resolved bound.
+type LoopRegion struct {
+	Header int          // header block ID
+	Blocks map[int]bool // block IDs in the loop (header included)
+	Parent int          // index of the innermost enclosing loop, -1 for top level
+	Depth  int          // 1 = outermost
+	Bound  int          // max iterations per entry; 0 = unresolved
 
-	bound  int    // max iterations per entry; 0 = unresolved
+	tails  []int  // back-edge tail blocks
 	source string // SourceInferred | SourceAnnotated | ""
 	why    string // inference refusal reason (for the diagnostic)
 
@@ -59,24 +60,17 @@ type loopInfo struct {
 	brOp   isa.Op
 }
 
-// loopNest is the loop forest of one function.
-type loopNest struct {
-	loops []*loopInfo
-	// innermost[b] is the index in loops of the innermost loop containing
-	// block b, or -1.
-	innermost []int
-}
-
 // buildLoopNest extracts natural loops from the CFG's back edges, merges
-// loops sharing a header, and computes the nesting forest.
-func buildLoopNest(g *cfgView) *loopNest {
-	byHeader := map[int]*loopInfo{}
-	var loops []*loopInfo
+// loops sharing a header, and computes the nesting forest: the loops in
+// header order and, per block, the index of the innermost loop
+// containing it (-1 for none).
+func buildLoopNest(g *cfgView) (loops []*LoopRegion, innermost []int) {
+	byHeader := map[int]*LoopRegion{}
 	for _, e := range g.BackEdges {
 		tail, head := e[0], e[1]
 		l := byHeader[head]
 		if l == nil {
-			l = &loopInfo{header: head, blocks: map[int]bool{head: true}, parent: -1}
+			l = &LoopRegion{Header: head, Blocks: map[int]bool{head: true}, Parent: -1}
 			byHeader[head] = l
 			loops = append(loops, l)
 		}
@@ -87,55 +81,52 @@ func buildLoopNest(g *cfgView) *loopNest {
 		for len(stack) > 0 {
 			b := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			if l.blocks[b] {
+			if l.Blocks[b] {
 				continue
 			}
-			l.blocks[b] = true
+			l.Blocks[b] = true
 			for _, p := range g.Blocks[b].Preds {
 				stack = append(stack, p)
 			}
 		}
 	}
 	// Deterministic order: by header, ties impossible after merging.
-	sort.Slice(loops, func(i, j int) bool { return loops[i].header < loops[j].header })
+	sort.Slice(loops, func(i, j int) bool { return loops[i].Header < loops[j].Header })
 
-	nest := &loopNest{loops: loops, innermost: make([]int, len(g.Blocks))}
-	for i := range nest.innermost {
-		nest.innermost[i] = -1
-	}
+	innermost = make([]int, len(g.Blocks))
 	// Parent: the smallest strictly larger loop containing the header.
 	for i, l := range loops {
 		best := -1
 		for j, o := range loops {
-			if i == j || !o.blocks[l.header] || len(o.blocks) <= len(l.blocks) {
+			if i == j || !o.Blocks[l.Header] || len(o.Blocks) <= len(l.Blocks) {
 				continue
 			}
-			if best < 0 || len(o.blocks) < len(loops[best].blocks) {
+			if best < 0 || len(o.Blocks) < len(loops[best].Blocks) {
 				best = j
 			}
 		}
-		l.parent = best
+		l.Parent = best
 	}
 	for _, l := range loops {
-		l.depth = 1
-		for p := l.parent; p >= 0; p = loops[p].parent {
-			l.depth++
+		l.Depth = 1
+		for p := l.Parent; p >= 0; p = loops[p].Parent {
+			l.Depth++
 		}
 	}
 	// innermost[b]: the containing loop with the greatest depth.
-	for b := range nest.innermost {
+	for b := range innermost {
 		best := -1
 		for j, l := range loops {
-			if !l.blocks[b] {
+			if !l.Blocks[b] {
 				continue
 			}
-			if best < 0 || l.depth > loops[best].depth {
+			if best < 0 || l.Depth > loops[best].Depth {
 				best = j
 			}
 		}
-		nest.innermost[b] = best
+		innermost[b] = best
 	}
-	return nest
+	return loops, innermost
 }
 
 // blockOut replays block b from its converged entry state and returns
@@ -160,10 +151,10 @@ func writesIntReg(in *isa.Instr, r isa.Reg) bool {
 
 // inferCounted attempts counted-loop inference for l, using the phase-1
 // dataflow d (run with call clobbers but no pins). On success it fills
-// l.bound/source/incIdx/reg/init/step/limit/brOp; on failure it records
+// l.Bound/source/incIdx/reg/init/step/limit/brOp; on failure it records
 // the refusal reason in l.why.
-func (d *dataflow) inferCounted(g *cfgView, nest *loopNest, li int) bool {
-	l := nest.loops[li]
+func (d *dataflow) inferCounted(fm *FuncModel, li int) bool {
+	g, l := fm.G, fm.Loops[li]
 	fail := func(why string) bool { l.why = why; return false }
 
 	if len(l.tails) != 1 {
@@ -180,7 +171,7 @@ func (d *dataflow) inferCounted(g *cfgView, nest *loopNest, li int) bool {
 	default:
 		return fail("back edge is not an integer conditional branch")
 	}
-	if brIdx+int(br.Disp) != g.Blocks[l.header].Start {
+	if brIdx+int(br.Disp) != g.Blocks[l.Header].Start {
 		return fail("back-edge branch does not target the loop header")
 	}
 
@@ -208,7 +199,7 @@ func (d *dataflow) inferCounted(g *cfgView, nest *loopNest, li int) bool {
 
 	// Unique-writer scan over the whole loop body.
 	incIdx := -1
-	for b := range l.blocks {
+	for b := range l.Blocks {
 		blk := g.Blocks[b]
 		for i := blk.Start; i < blk.End; i++ {
 			in := &d.fn.Code[i]
@@ -263,15 +254,15 @@ func (d *dataflow) inferCounted(g *cfgView, nest *loopNest, li int) bool {
 	if incBlk == tail && incIdx > cmpIdx {
 		return fail("induction update follows the loop test")
 	}
-	if nest.innermost[incBlk] != li {
+	if fm.Innermost[incBlk] != li {
 		return fail("induction update sits inside a nested loop")
 	}
 
 	// Initial value: meet over the header's out-of-loop predecessors.
 	init := value{}
 	first := true
-	for _, p := range g.Blocks[l.header].Preds {
-		if l.blocks[p] || !g.Reachable[p] {
+	for _, p := range g.Blocks[l.Header].Preds {
+		if l.Blocks[p] || !g.Reachable[p] {
 			continue
 		}
 		out := d.blockOut(p)
@@ -297,7 +288,7 @@ func (d *dataflow) inferCounted(g *cfgView, nest *loopNest, li int) bool {
 		return fail("computed trip count out of range")
 	}
 
-	l.bound, l.source = int(n), SourceInferred
+	l.Bound, l.source = int(n), SourceInferred
 	l.incIdx, l.reg, l.init, l.step, l.limit, l.brOp = incIdx, r, iv, step, limit, br.Op
 	return true
 }
@@ -360,12 +351,12 @@ func tripCount(init, step, limit int64, op isa.Op) (int64, bool) {
 // installPrecision wires an inferred loop's pin and back-edge refinement
 // into the dataflow, so the phase-2 run tracks the induction register's
 // exact iteration range instead of widening it to Top.
-func (d *dataflow) installPrecision(l *loopInfo) {
+func (d *dataflow) installPrecision(l *LoopRegion) {
 	if l.source != SourceInferred {
 		return
 	}
 	lo := l.init + l.step
-	hi := l.init + int64(l.bound)*l.step
+	hi := l.init + int64(l.Bound)*l.step
 	if l.step < 0 {
 		lo, hi = hi, lo
 	}
@@ -373,7 +364,7 @@ func (d *dataflow) installPrecision(l *loopInfo) {
 
 	reg, brOp, limit := l.reg, l.brOp, l.limit
 	step := l.step
-	d.refine[edgeKey{l.tails[0], l.header}] = func(st *regState) {
+	d.refine[edgeKey{l.tails[0], l.Header}] = func(st *regState) {
 		v := st.get(reg)
 		if v.kind != vInt {
 			return
@@ -414,9 +405,10 @@ func (d *dataflow) installPrecision(l *loopInfo) {
 // `dsr:loop-bound` annotations, installs pins/refinements for inferred
 // loops, and emits diagnostics through diag. It returns false if any
 // loop remains unbounded.
-func (d *dataflow) resolveBounds(g *cfgView, nest *loopNest, diag func(sev analysis.Severity, idx int, format string, args ...interface{})) bool {
-	for li := range nest.loops {
-		d.inferCounted(g, nest, li)
+func (d *dataflow) resolveBounds(fm *FuncModel, diag func(sev analysis.Severity, idx int, format string, args ...interface{})) bool {
+	g := fm.G
+	for li := range fm.Loops {
+		d.inferCounted(fm, li)
 	}
 
 	// Annotations, in deterministic instruction order.
@@ -428,14 +420,14 @@ func (d *dataflow) resolveBounds(g *cfgView, nest *loopNest, diag func(sev analy
 	annotated := map[int]int{} // loop index -> annotating instruction
 	for _, i := range idxs {
 		n := d.fn.LoopBounds[i]
-		li := nest.innermost[g.BlockOf(i)]
+		li := fm.Innermost[g.BlockOf(i)]
 		if li < 0 {
 			diag(analysis.Warning, i, "dsr:loop-bound %d annotates an instruction outside any loop", n)
 			continue
 		}
-		l := nest.loops[li]
+		l := fm.Loops[li]
 		if prev, dup := annotated[li]; dup {
-			if l.bound != n || l.source != SourceAnnotated {
+			if l.Bound != n || l.source != SourceAnnotated {
 				diag(analysis.Error, i, "conflicting dsr:loop-bound annotations for one loop (instructions %d and %d)", prev, i)
 			}
 			continue
@@ -443,26 +435,26 @@ func (d *dataflow) resolveBounds(g *cfgView, nest *loopNest, diag func(sev analy
 		annotated[li] = i
 		switch l.source {
 		case SourceInferred:
-			if l.bound != n {
+			if l.Bound != n {
 				diag(analysis.Warning, i,
-					"dsr:loop-bound %d disagrees with the inferred bound %d; keeping the inferred bound", n, l.bound)
+					"dsr:loop-bound %d disagrees with the inferred bound %d; keeping the inferred bound", n, l.Bound)
 			}
 		default:
-			l.bound, l.source = n, SourceAnnotated
+			l.Bound, l.source = n, SourceAnnotated
 		}
 	}
 
 	ok := true
-	for _, l := range nest.loops {
+	for _, l := range fm.Loops {
 		if l.source == SourceInferred {
 			d.installPrecision(l)
 		}
-		if l.bound == 0 {
+		if l.Bound == 0 {
 			why := l.why
 			if why == "" {
 				why = "shape not recognised"
 			}
-			diag(analysis.Error, g.Blocks[l.header].Start,
+			diag(analysis.Error, g.Blocks[l.Header].Start,
 				"loop has no inferable bound (%s) and no dsr:loop-bound annotation", why)
 			ok = false
 		}

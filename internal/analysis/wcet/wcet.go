@@ -45,14 +45,9 @@ import (
 	"strings"
 
 	"dsr/internal/analysis"
-	"dsr/internal/analysis/cachedom"
-	"dsr/internal/cache"
-	"dsr/internal/isa"
-	"dsr/internal/loader"
 	"dsr/internal/mem"
 	"dsr/internal/platform"
 	"dsr/internal/prog"
-	"dsr/internal/timing"
 )
 
 // Mode selects the layout model the bound must cover.
@@ -98,33 +93,27 @@ func ParseMode(s string) (Mode, error) {
 
 // Config parameterises the analysis.
 type Config struct {
-	// Platform supplies cache/TLB/bus/DRAM geometry and latencies.
-	// Nil selects platform.ProximaLEON3().
+	// Platform supplies cache/TLB/bus/DRAM geometry and latencies, and
+	// the CPU's timing table (the one the simulator charges). Nil
+	// selects platform.ProximaLEON3().
 	Platform *platform.Config
-	// Timing overrides the per-instruction timing table; nil uses the
-	// platform CPU's embedded table (the one the simulator charges).
-	Timing *timing.Model
-	// Mode selects the layout model (see Mode).
+	// Mode selects the layout model (see Mode); ModeDet analyses the
+	// deterministic sequential layout (loader.DefaultSequentialConfig).
 	Mode Mode
-	// Layout is the deterministic layout analysed in ModeDet; the zero
-	// value selects loader.DefaultSequentialConfig().
-	Layout loader.SequentialConfig
-	// Resolve attributes indirect calls (analysis.ResolveDispatch for
-	// DSR-transformed programs). Nil leaves CallR unresolved → Error.
-	Resolve analysis.CallResolver
 	// Lines maps (function, instruction) to source lines for
 	// diagnostics and the loop report (asm.SourceInfo). May be nil.
 	Lines analysis.LineResolver
-	// StackOffsetBound is the inclusive upper bound on the per-frame
-	// random stack offset (DSR modes); forwarded to the stack analysis.
-	StackOffsetBound int
-	// BusContention is an optional worst-case per-bus-transaction
-	// interference delay (bus.Contention.MaxDelay under worst-case
-	// contention mode).
-	BusContention mem.Cycles
-	// RelocBound is the caller-supplied bound on the lazy-relocation
-	// machinery, charged once per function in ModeDSRLazy.
+	// RelocBound is the bound on the lazy-relocation machinery, charged
+	// once per function in ModeDSRLazy (BuildTransformed derives it from
+	// the platform when zero).
 	RelocBound mem.Cycles
+
+	// Set by BuildTransformed: resolve attributes the transform's
+	// indirect calls (nil leaves CallR unresolved, an Error), and
+	// stackOffsetBound is the inclusive bound on the per-frame random
+	// stack offset, forwarded to the stack analysis.
+	resolve          analysis.CallResolver
+	stackOffsetBound int
 }
 
 // LoopBound is one resolved loop bound in the report.
@@ -235,113 +224,60 @@ func (r *Report) Format() string {
 	return b.String()
 }
 
-// dataAcc is one instruction's data access in object coordinates.
-type dataAcc struct {
-	valid  bool   // address statically known
-	sym    string // object name; "" = absolute; "\x00stack:f" = f's frame
-	lo, hi int64  // access start offset range
-	size   int    // bytes
-	load   bool
-	store  bool
-}
-
-// fnInfo bundles all per-function analysis artifacts.
-type fnInfo struct {
-	fn     *prog.Function
-	g      *cfgView
-	nest   *loopNest
-	df     *dataflow
-	acc    []dataAcc
-	plan   *cachedom.AccessPlan
-	cls    *cachedom.Classification
-	callee []string // resolved callee name per instruction ("" = none)
-	base   mem.Addr // deterministic code base (0 in DSR modes)
-}
-
-// analyzer is the in-flight analysis state.
+// analyzer is the in-flight costing state over one model.
 type analyzer struct {
-	p   *prog.Program
-	cfg *Config
-	pf  *platform.Config
-	tm  timing.Model
+	*Model
 	lat latModel
 
-	mode       Mode
-	layout     loader.Placement // nil in DSR modes
-	il1, dl1   *cachedom.Dom
-	useMustI   bool
-	useMustD   bool
-	hotIOK     bool
-	hotDOK     bool
-	windowSafe bool
-
-	fns    map[string]*fnInfo
-	reach  map[string]bool // functions reachable from the entry
 	memo   map[costKey]costRes
 	fit    map[fitKey]fitRes
 	onPath map[string]bool
 	rep    *Report
 }
 
-// computeReach marks every function reachable from the entry through
-// resolved call edges. Unreachable functions are pruned from the
-// analysis: their loops need no bounds, they are not classified and not
-// costed — dead code must not be able to veto a live program's bound.
-func (a *analyzer) computeReach() {
-	a.reach = map[string]bool{}
-	var walk func(name string)
-	walk = func(name string) {
-		if a.reach[name] {
-			return
-		}
-		fi, ok := a.fns[name]
-		if !ok {
-			return
-		}
-		a.reach[name] = true
-		for _, c := range fi.callee {
-			if c != "" {
-				walk(c)
-			}
-		}
-	}
-	walk(a.p.Entry)
-	for _, f := range a.p.Functions {
-		if !a.reach[f.Name] {
-			a.diag(analysis.Info, f.Name, 0,
-				"function %q is unreachable from entry %q: pruned from the WCET analysis", f.Name, a.p.Entry)
-		}
-	}
-}
-
-func (a *analyzer) det() bool { return a.mode == ModeDet }
-
-// diag appends a diagnostic, resolving a source line when possible.
+// diag records a costing diagnostic.
 func (a *analyzer) diag(sev analysis.Severity, fn string, idx int, format string, args ...interface{}) {
-	d := analysis.Diagnostic{
-		Pass: "wcet", Sev: sev, Fn: fn, Index: idx,
-		Msg: fmt.Sprintf(format, args...),
-	}
-	if a.cfg.Lines != nil {
-		if ln, ok := a.cfg.Lines(fn, idx); ok {
-			d.Line = ln
-		}
-	}
-	a.rep.Diags = append(a.rep.Diags, d)
+	a.rep.Diags = append(a.rep.Diags, a.newDiag(sev, fn, idx, format, args...))
 }
 
 // Analyze computes a static WCET bound for p under cfg. It never
 // panics: analysis failures are Error diagnostics with Bounded=false.
 func Analyze(p *prog.Program, cfg Config) *Report {
-	a, sb, ok := prepare(p, cfg)
-	rep := a.rep
-	if !ok {
+	m, rep := BuildModel(p, cfg)
+	if m == nil {
 		return rep
+	}
+	return m.Bound()
+}
+
+// AnalyzeMode bounds the build variant that actually runs under mode:
+// it builds the model with BuildModelMode, then costs it.
+func AnalyzeMode(p *prog.Program, mode Mode, base Config) (*Report, error) {
+	m, rep, err := BuildModelMode(p, mode, base)
+	if m == nil {
+		return rep, err
+	}
+	return m.Bound(), nil
+}
+
+// Bound costs the model: the WCET report of m's program under m's mode.
+// It starts from a copy of the front-end report and leaves m unchanged,
+// so the same model may feed other analyses before or after.
+func (m *Model) Bound() *Report {
+	rep := *m.Report
+	rep.Diags = append([]analysis.Diagnostic(nil), m.Report.Diags...)
+	rep.FuncCycles = map[string]mem.Cycles{}
+	a := &analyzer{
+		Model:  m,
+		memo:   map[costKey]costRes{},
+		fit:    map[fitKey]fitRes{},
+		onPath: map[string]bool{},
+		rep:    &rep,
 	}
 
 	// TLB page budgets, then the latency model.
-	itlbEach, dtlbEach := a.tlbBudget(sb)
-	a.lat = deriveLat(a.pf, a.tm, cfg.BusContention, itlbEach, dtlbEach)
+	itlbEach, dtlbEach := a.tlbBudget()
+	a.lat = deriveLat(m.Platform, itlbEach, dtlbEach)
 	if !itlbEach {
 		rep.TLBCycles += a.satMul(rep.ITLBPages, a.lat.walkI)
 	}
@@ -350,314 +286,26 @@ func Analyze(p *prog.Program, cfg Config) *Report {
 	}
 
 	// The bound.
-	cyc, ok := a.costFn(p.Entry, false, false)
+	cyc, ok := a.costFn(m.Prog.Entry, false, false)
 	if !ok {
-		return rep
+		return &rep
 	}
 	bound := a.satAdd(cyc, rep.TLBCycles)
-	if a.mode == ModeDSRLazy && cfg.RelocBound > 0 {
-		bound = a.satAdd(bound, a.satMul(len(p.Functions), cfg.RelocBound))
+	if m.Mode == ModeDSRLazy && m.cfg.RelocBound > 0 {
+		bound = a.satAdd(bound, a.satMul(len(m.Prog.Functions), m.cfg.RelocBound))
 	}
 	rep.BoundCycles = bound
 	rep.Bounded = !rep.HasErrors()
 
-	for _, f := range p.Functions {
-		if !a.reach[f.Name] {
+	for _, f := range m.Prog.Functions {
+		if !m.Reach[f.Name] {
 			continue
 		}
 		if c, ok := a.costFn(f.Name, false, false); ok {
 			rep.FuncCycles[f.Name] = c
 		}
 	}
-	return rep
-}
-
-// prepare runs the analysis front end shared by Analyze and BuildModel:
-// validation, stack analysis, layout, domain gates, per-function CFGs
-// and dataflow, reachability, loop bounds, access plans and must/may
-// classification. ok=false means a hard failure already recorded in
-// a.rep.Diags.
-func prepare(p *prog.Program, cfg Config) (a *analyzer, sb *analysis.StackBound, ok bool) {
-	rep := &Report{Program: p.Name, Entry: p.Entry, Mode: cfg.Mode.String(), FuncCycles: map[string]mem.Cycles{}}
-	pf := cfg.Platform
-	if pf == nil {
-		def := platform.ProximaLEON3()
-		pf = &def
-	}
-	tm := pf.CPU.Model
-	if cfg.Timing != nil {
-		tm = *cfg.Timing
-	}
-	a = &analyzer{
-		p: p, cfg: &cfg, pf: pf, tm: tm, mode: cfg.Mode,
-		il1: cachedom.New(pf.IL1), dl1: cachedom.New(pf.DL1),
-		fns:  map[string]*fnInfo{},
-		memo: map[costKey]costRes{}, fit: map[fitKey]fitRes{},
-		onPath: map[string]bool{},
-		rep:    rep,
-	}
-
-	if err := p.Validate(); err != nil {
-		a.diag(analysis.Error, "", 0, "program does not validate: %v", err)
-		return a, nil, false
-	}
-
-	// Stack analysis: recursion detection and window-trap bound.
-	var err error
-	sb, err = analysis.AnalyzeStack(p, analysis.StackOptions{
-		NumWindows:       pf.CPU.NumWindows,
-		StackOffsetBound: cfg.StackOffsetBound,
-		Resolve:          cfg.Resolve,
-	})
-	if err != nil {
-		a.diag(analysis.Error, "", 0, "stack analysis failed: %v", err)
-		return a, nil, false
-	}
-	a.windowSafe = sb.WindowSpillBound == 0
-	rep.WindowSafe = a.windowSafe
-	if !a.windowSafe {
-		a.diag(analysis.Warning, "", 0,
-			"program is not window-safe (up to %d spill(s)): every save/restore is charged a full trap", sb.WindowSpillBound)
-	}
-
-	// Deterministic layout (ModeDet only).
-	if a.det() {
-		seq := cfg.Layout
-		if seq == (loader.SequentialConfig{}) {
-			seq = loader.DefaultSequentialConfig()
-		}
-		lay, err := loader.LayoutSequential(p, seq)
-		if err != nil {
-			a.diag(analysis.Error, "", 0, "layout failed: %v", err)
-			return a, nil, false
-		}
-		a.layout = lay.Placement
-	}
-
-	// Domain gates.
-	modLRU := func(c cache.Config) bool {
-		return c.Placement == cache.PlacementModulo && c.Replacement == cache.ReplacementLRU
-	}
-	a.useMustI = a.det() && modLRU(pf.IL1)
-	a.useMustD = a.det() && modLRU(pf.DL1) && a.windowSafe
-	a.hotIOK = a.mode != ModeDSRLazy && modLRU(pf.IL1)
-	a.hotDOK = a.mode != ModeDSRLazy && modLRU(pf.DL1) && a.windowSafe
-	if a.det() && (!modLRU(pf.IL1) || !modLRU(pf.DL1)) {
-		a.diag(analysis.Warning, "", 0,
-			"cache is not modulo-placed LRU: must/may analysis and persistence disabled (every access charged as a miss)")
-	}
-
-	// Per-function artifacts.
-	if !a.buildFns() {
-		return a, sb, false
-	}
-	a.computeReach()
-
-	// Loop bounds (reachable functions only: dead code needs none).
-	allBounded := true
-	for _, f := range p.Functions {
-		if !a.reach[f.Name] {
-			continue
-		}
-		fi := a.fns[f.Name]
-		ok := fi.df.resolveBounds(fi.g, fi.nest, func(sev analysis.Severity, idx int, format string, args ...interface{}) {
-			a.diag(sev, f.Name, idx, format, args...)
-		})
-		if !ok {
-			allBounded = false
-		}
-		// Phase 2: precise induction ranges for the address analysis.
-		fi.df.run()
-		a.buildAccesses(fi)
-	}
-	for _, f := range p.Functions {
-		if !a.reach[f.Name] {
-			continue
-		}
-		fi := a.fns[f.Name]
-		for _, l := range fi.nest.loops {
-			lb := LoopBound{Fn: f.Name, Head: fi.g.Blocks[l.header].Start, Bound: l.bound, Source: l.source, Depth: l.depth}
-			if cfg.Lines != nil {
-				if ln, ok := cfg.Lines(f.Name, lb.Head); ok {
-					lb.Line = ln
-				}
-			}
-			rep.Loops = append(rep.Loops, lb)
-		}
-	}
-	if !allBounded {
-		return a, sb, false
-	}
-
-	// Must/may classification.
-	for _, f := range p.Functions {
-		if !a.reach[f.Name] {
-			continue
-		}
-		fi := a.fns[f.Name]
-		fi.cls = cachedom.Classify(fi.g, fi.plan, a.il1, a.dl1, a.useMustI, a.useMustD)
-		rep.AlwaysHit += fi.cls.AlwaysHit
-		rep.AlwaysMiss += fi.cls.AlwaysMiss
-		rep.NotClassified += fi.cls.NotClassified
-	}
-	return a, sb, true
-}
-
-// buildFns constructs CFGs, loop nests, call clobbers and phase-1
-// dataflow for every function.
-func (a *analyzer) buildFns() bool {
-	// Global facts for the clobber model: the registers each leaf
-	// writes, and whether any function writes %sp/%fp as an ordinary
-	// destination (if none does, a caller's %sp survives calls — the
-	// callee sees it as %fp and window rotation restores the rest).
-	leafWrites := map[string][]isa.Reg{}
-	spWritten := false
-	for _, f := range a.p.Functions {
-		var writes []isa.Reg
-		seen := map[isa.Reg]bool{}
-		for i := range f.Code {
-			in := &f.Code[i]
-			for r := isa.G0; r < isa.NumRegs; r++ {
-				if writesIntReg(in, r) {
-					if r == isa.SP || r == isa.FP {
-						spWritten = true
-					}
-					if f.Leaf && !seen[r] {
-						seen[r] = true
-						writes = append(writes, r)
-					}
-				}
-			}
-		}
-		if f.Leaf {
-			leafWrites[f.Name] = writes
-		}
-	}
-	// A non-leaf callee gets a fresh window: the caller keeps its
-	// locals and ins; its globals and outs (the callee's ins) may die.
-	nonLeafClobber := []isa.Reg{
-		isa.G1, isa.G2, isa.G3, isa.G4, isa.G5, isa.G6, isa.G7,
-		isa.O0, isa.O1, isa.O2, isa.O3, isa.O4, isa.O5, isa.O7,
-	}
-	if spWritten {
-		nonLeafClobber = append(nonLeafClobber, isa.SP)
-	}
-
-	for _, f := range a.p.Functions {
-		g := analysis.BuildCFG(f)
-		fi := &fnInfo{
-			fn: f, g: g, nest: buildLoopNest(g),
-			callee: make([]string, len(f.Code)),
-		}
-		if a.det() {
-			fi.base = a.layout[f.Name]
-		}
-		fi.df = newDataflow(f, g)
-		for i := range f.Code {
-			var callee string
-			switch f.Code[i].Op {
-			case isa.Call:
-				callee = f.Code[i].Sym
-			case isa.CallR:
-				if a.cfg.Resolve != nil {
-					if c, ok := a.cfg.Resolve(f, i); ok {
-						callee = c
-					}
-				}
-				if callee == "" {
-					fi.df.clobbers[i] = callClobber{all: true}
-					continue
-				}
-			default:
-				continue
-			}
-			fi.callee[i] = callee
-			target := a.p.Function(callee)
-			switch {
-			case target == nil:
-				fi.df.clobbers[i] = callClobber{all: true}
-			case target.Leaf:
-				fi.df.clobbers[i] = callClobber{regs: leafWrites[callee]}
-			default:
-				fi.df.clobbers[i] = callClobber{regs: nonLeafClobber}
-			}
-		}
-		fi.df.run() // phase 1: feeds loop-bound inference
-		a.fns[f.Name] = fi
-	}
-	return true
-}
-
-// buildAccesses derives the per-instruction data-access summaries and
-// the deterministic-mode access plan from the converged phase-2 states.
-func (a *analyzer) buildAccesses(fi *fnInfo) {
-	n := len(fi.fn.Code)
-	fi.acc = make([]dataAcc, n)
-	fi.plan = &cachedom.AccessPlan{
-		FetchLine: make([]mem.Addr, n),
-		Data:      make([]cachedom.AccessInfo, n),
-		Call:      make([]bool, n),
-	}
-	for i := range fi.fn.Code {
-		op := fi.fn.Code[i].Op
-		if a.det() {
-			fi.plan.FetchLine[i] = a.il1.LineOf(fi.base + mem.Addr(i)*isa.InstrBytes)
-		}
-		if op == isa.Call || op == isa.CallR {
-			fi.plan.Call[i] = true
-		}
-	}
-	fi.df.replay(func(i int, st *regState) {
-		in := &fi.fn.Code[i]
-		var acc dataAcc
-		switch in.Op {
-		case isa.Ld, isa.FLd:
-			acc.load, acc.size = true, mem.WordSize
-		case isa.Ldub:
-			acc.load, acc.size = true, 1
-		case isa.St, isa.FSt:
-			acc.store, acc.size = true, mem.WordSize
-		case isa.Stb:
-			acc.store, acc.size = true, 1
-		default:
-			return
-		}
-		base := st.get(in.Rs1)
-		switch base.kind {
-		case vSym:
-			acc.valid = true
-			acc.sym = base.sym
-			acc.lo, acc.hi = base.lo+int64(in.Imm), base.hi+int64(in.Imm)
-		case vInt:
-			acc.valid = true
-			acc.lo, acc.hi = base.lo+int64(in.Imm), base.hi+int64(in.Imm)
-		}
-		fi.acc[i] = acc
-
-		// Deterministic plan entry for the must/may domains: only
-		// single-line concrete addresses are "known".
-		if a.det() && acc.valid {
-			var lo, hi mem.Addr
-			resolved := false
-			switch {
-			case acc.sym == "":
-				if acc.lo >= 0 {
-					lo, hi = mem.Addr(acc.lo), mem.Addr(acc.hi+int64(acc.size)-1)
-					resolved = true
-				}
-			default:
-				if b, ok := a.layout[acc.sym]; ok && acc.lo >= 0 {
-					lo, hi = b+mem.Addr(acc.lo), b+mem.Addr(acc.hi)+mem.Addr(acc.size)-1
-					resolved = true
-				}
-			}
-			if resolved && a.dl1.LineOf(lo) == a.dl1.LineOf(hi) {
-				fi.plan.Data[i] = cachedom.AccessInfo{Load: acc.load, Store: acc.store, LineKnown: true, Line: a.dl1.LineOf(lo)}
-				return
-			}
-		}
-		fi.plan.Data[i] = cachedom.AccessInfo{Load: acc.load, Store: acc.store}
-	})
+	return &rep
 }
 
 // tlbBudget bounds the page working sets. When a working set fits its
@@ -665,7 +313,7 @@ func (a *analyzer) buildAccesses(fi *fnInfo) {
 // so no page is ever evicted below capacity), each page walks at most
 // once and the walks are charged once, up front; otherwise every access
 // is charged a full walk and a Warning is emitted.
-func (a *analyzer) tlbBudget(sb *analysis.StackBound) (itlbEach, dtlbEach bool) {
+func (a *analyzer) tlbBudget() (itlbEach, dtlbEach bool) {
 	pg := int64(mem.PageSize)
 	pages := func(size int64) int { return int((size-1)/pg) + 2 } // unknown base: +1 slack
 
@@ -674,8 +322,8 @@ func (a *analyzer) tlbBudget(sb *analysis.StackBound) (itlbEach, dtlbEach bool) 
 		// Code and data are contiguous spans with known bases.
 		var cLo, cHi, dLo, dHi mem.Addr
 		first := true
-		for _, f := range a.p.Functions {
-			b := a.layout[f.Name]
+		for _, f := range a.Prog.Functions {
+			b := a.Layout[f.Name]
 			e := b + f.SizeBytes()
 			if first || b < cLo {
 				cLo = b
@@ -687,8 +335,8 @@ func (a *analyzer) tlbBudget(sb *analysis.StackBound) (itlbEach, dtlbEach bool) 
 		}
 		iPages = int(cHi/mem.Addr(pg)-cLo/mem.Addr(pg)) + 1
 		first = true
-		for _, d := range a.p.Data {
-			b := a.layout[d.Name]
+		for _, d := range a.Prog.Data {
+			b := a.Layout[d.Name]
 			e := b + d.Size
 			if first || b < dLo {
 				dLo = b
@@ -702,50 +350,32 @@ func (a *analyzer) tlbBudget(sb *analysis.StackBound) (itlbEach, dtlbEach bool) 
 			dPages = int(dHi/mem.Addr(pg)-dLo/mem.Addr(pg)) + 1
 		}
 	} else {
-		for _, f := range a.p.Functions {
+		for _, f := range a.Prog.Functions {
 			iPages += pages(int64(f.SizeBytes()))
 		}
-		for _, d := range a.p.Data {
+		for _, d := range a.Prog.Data {
 			dPages += pages(int64(d.Size))
 		}
 	}
 	// The stack span below StackTop is concrete in every mode.
-	stackBytes := int64(sb.MaxStackBytes)
+	stackBytes := int64(a.Stack.MaxStackBytes)
 	if stackBytes > 0 {
 		dPages += int(stackBytes/pg) + 1
 	}
 	a.rep.ITLBPages, a.rep.DTLBPages = iPages, dPages
 
 	// An unknown-address data access could touch a fresh page each
-	// time; the budget argument then fails. Only reachable code counts
-	// (pruned functions never execute and carry no access summaries).
-	unknownAcc := false
-	for _, fi := range a.fns {
-		if !a.reach[fi.fn.Name] {
-			continue
-		}
-		for b := range fi.g.Blocks {
-			if !fi.g.Reachable[b] {
-				continue
-			}
-			blk := fi.g.Blocks[b]
-			for i := blk.Start; i < blk.End; i++ {
-				acc := fi.acc[i]
-				if (acc.load || acc.store) && !acc.valid {
-					unknownAcc = true
-				}
-			}
-		}
-	}
+	// time; the budget argument then fails.
+	unknownAcc := a.UnknownAccess
 
-	if iPages > a.pf.ITLB.Entries {
+	if iPages > a.Platform.ITLB.Entries {
 		itlbEach = true
 		a.diag(analysis.Warning, "", 0,
-			"code spans %d pages > %d ITLB entries: charging a page walk per fetch", iPages, a.pf.ITLB.Entries)
+			"code spans %d pages > %d ITLB entries: charging a page walk per fetch", iPages, a.Platform.ITLB.Entries)
 	}
-	if dPages > a.pf.DTLB.Entries || unknownAcc {
+	if dPages > a.Platform.DTLB.Entries || unknownAcc {
 		dtlbEach = true
-		why := fmt.Sprintf("data+stack span %d pages > %d DTLB entries", dPages, a.pf.DTLB.Entries)
+		why := fmt.Sprintf("data+stack span %d pages > %d DTLB entries", dPages, a.Platform.DTLB.Entries)
 		if unknownAcc {
 			why = "a data access has no statically known address"
 		}

@@ -18,6 +18,18 @@ import (
 // resume from it with Config.First.
 var ErrInterrupted = errors.New("campaign: interrupted")
 
+// RunObserver receives a campaign's live progress feed (satisfied by
+// *obs.Campaign). All calls arrive from the merge goroutine in
+// canonical run order; a run's index is its canonical campaign index,
+// and uoa is its merged unit-of-analysis duration in cycles.
+// Observation is strictly one-way: an observer cannot influence the
+// merge.
+type RunObserver interface {
+	BeginSeries(series string, total int)
+	ObserveRun(series string, index int, uoa float64)
+	EndSeries(series string)
+}
+
 // Config dimensions an engine execution.
 type Config struct {
 	// Runs is the number of independent runs to execute (canonical

@@ -58,16 +58,27 @@ type Options struct {
 	DataPoolSize mem.Addr
 }
 
+// Randomisation returns the placement offset bound, the stack offset
+// bound and the offset alignment the runtime draws with under o on a
+// platform configured as cfg: each zero field takes its default (the L2
+// way size, the placement offset bound, 8 bytes). The static analyzers
+// read the runtime's parameters here.
+func (o Options) Randomisation(cfg *platform.Config) (offsetBound, stackOffsetBound, align int) {
+	offsetBound, stackOffsetBound, align = o.OffsetBound, o.StackOffsetBound, o.Align
+	if offsetBound == 0 {
+		offsetBound = cfg.L2.WaySize()
+	}
+	if stackOffsetBound == 0 {
+		stackOffsetBound = offsetBound
+	}
+	if align == 0 {
+		align = mem.DoubleWord
+	}
+	return offsetBound, stackOffsetBound, align
+}
+
 func (o *Options) fillDefaults(plat *platform.Platform) {
-	if o.OffsetBound == 0 {
-		o.OffsetBound = plat.Cfg.L2.WaySize()
-	}
-	if o.StackOffsetBound == 0 {
-		o.StackOffsetBound = o.OffsetBound
-	}
-	if o.Align == 0 {
-		o.Align = mem.DoubleWord
-	}
+	o.OffsetBound, o.StackOffsetBound, o.Align = o.Randomisation(&plat.Cfg)
 	if o.Source == nil {
 		o.Source = prng.NewMWC(1)
 	}

@@ -96,17 +96,7 @@ type Config struct {
 	// merged unit-of-analysis value, in canonical order from the calling
 	// goroutine — the live-introspection feed behind internal/obs. Like
 	// Progress, it observes the merge; it cannot influence it.
-	Observer RunObserver
-}
-
-// RunObserver receives the campaign's live progress feed. All calls
-// arrive from the merge goroutine in canonical run order; a run's
-// index is its canonical campaign index, and uoa is its merged
-// unit-of-analysis duration in cycles.
-type RunObserver interface {
-	BeginSeries(series string, total int)
-	ObserveRun(series string, index int, uoa float64)
-	EndSeries(series string)
+	Observer campaign.RunObserver
 }
 
 // DefaultConfig returns the paper-scale campaign configuration.

@@ -129,7 +129,7 @@ func RunLeak(cfg Config, mode wcet.Mode) (*LeakSeries, error) {
 	if err != nil {
 		return nil, err
 	}
-	static, err := leak.AnalyzeMode(p, mode, leak.Config{})
+	static, err := leak.AnalyzeMode(p, mode)
 	if err != nil {
 		return nil, err
 	}

@@ -4,7 +4,7 @@
 //
 // The design constraint is strict one-way observation: the campaign
 // engine and its merge goroutine must never block on an observer.
-// Campaign implements experiments.RunObserver; every mutation is a
+// Campaign implements campaign.RunObserver; every mutation is a
 // short critical section, SSE fan-out uses non-blocking sends (slow
 // consumers lose deltas, never stall workers), and MBPTA tail fits run
 // on the scraping goroutine against a copied sample — the merge
@@ -76,7 +76,7 @@ func (s *Subscription) C() <-chan []byte { return s.ch }
 const subscriberBuffer = 64
 
 // Campaign is the observable state of one running campaign. It
-// implements experiments.RunObserver; wire it via Config.Observer and
+// implements campaign.RunObserver; wire it via Config.Observer and
 // (optionally) hand the same Registry/Tracer to Serve.
 type Campaign struct {
 	registry *telemetry.Registry
@@ -121,7 +121,7 @@ func (c *Campaign) Registry() *telemetry.Registry { return c.registry }
 // nil).
 func (c *Campaign) Tracer() *telemetry.Tracer { return c.tracer }
 
-// BeginSeries implements experiments.RunObserver. Like every observer
+// BeginSeries implements campaign.RunObserver. Like every observer
 // method it is a no-op on a nil receiver, so callers can wire an
 // optional view without guarding each call site.
 func (c *Campaign) BeginSeries(series string, total int) {
@@ -137,7 +137,7 @@ func (c *Campaign) BeginSeries(series string, total int) {
 	c.mu.Unlock()
 }
 
-// ObserveRun implements experiments.RunObserver; called from the merge
+// ObserveRun implements campaign.RunObserver; called from the merge
 // goroutine in canonical order.
 func (c *Campaign) ObserveRun(series string, index int, uoa float64) {
 	if c == nil {
@@ -159,7 +159,7 @@ func (c *Campaign) ObserveRun(series string, index int, uoa float64) {
 	c.mu.Unlock()
 }
 
-// EndSeries implements experiments.RunObserver.
+// EndSeries implements campaign.RunObserver.
 func (c *Campaign) EndSeries(series string) {
 	if c == nil {
 		return

@@ -35,15 +35,6 @@ type Point struct {
 	Attr telemetry.AttributionSnapshot `json:"attr"`
 }
 
-// RunObserver is the live-introspection feed of a running job; it is
-// satisfied by *obs.Campaign. Calls arrive from the merge goroutine in
-// canonical order; observation is strictly one-way.
-type RunObserver interface {
-	BeginSeries(series string, total int)
-	ObserveRun(series string, index int, uoa float64)
-	EndSeries(series string)
-}
-
 // Hooks is the runner's observation and control surface. Every field
 // is optional; the zero value runs the campaign exactly as the dsrrun
 // CLI does.
@@ -59,7 +50,7 @@ type Hooks struct {
 	// deterministic output).
 	Tracer *telemetry.Tracer
 	// Observer receives the live progress feed (SSE views).
-	Observer RunObserver
+	Observer campaign.RunObserver
 }
 
 // Outcome is everything a finished campaign emits: the surfaces the

@@ -231,23 +231,30 @@ func (t *TLB) translateScan(page mem.Addr) mem.Cycles {
 	return t.translateMiss(page)
 }
 
+// WalkAddrs returns the addresses of the page-table entries a walk for
+// page reads, level 1 first, with the tables at base. The walk is
+// modelled after the SRMMU's multi-level tables: the upper-level
+// entries are shared by large page groups (a level-1 entry covers
+// 16 MB, a level-2 entry 256 KB), so walks for nearby pages re-read the
+// same table lines and hit in the L2 — only the per-page level-3 entry
+// is unique. This is what keeps TLB-miss cost low even when the DSR
+// pools spread objects over many pages. A walk reads the first
+// Config.WalkReads of them.
+func WalkAddrs(base, page mem.Addr) [3]mem.Addr {
+	return [3]mem.Addr{
+		base + (page>>12)*mem.WordSize,         // level 1
+		base + 0x1000 + (page>>6)*mem.WordSize, // level 2
+		base + 0x100000 + page*mem.WordSize,    // level 3
+	}
+}
+
 // translateMiss is the outlined walk path, keeping the hit path compact.
 //
 //go:noinline
 func (t *TLB) translateMiss(page mem.Addr) mem.Cycles {
 	t.ctr.Misses++
 	lat := t.cfg.HitLatency
-	// Page-table walk, modelled after the SRMMU's multi-level tables:
-	// the upper-level entries are shared by large page groups (a level-1
-	// entry covers 16 MB, a level-2 entry 256 KB), so walks for nearby
-	// pages re-read the same table lines and hit in the L2 — only the
-	// per-page level-3 entry is unique. This is what keeps TLB-miss cost
-	// low even when the DSR pools spread objects over many pages.
-	levels := [3]mem.Addr{
-		t.walkBase + (page>>12)*mem.WordSize,         // level 1
-		t.walkBase + 0x1000 + (page>>6)*mem.WordSize, // level 2
-		t.walkBase + 0x100000 + page*mem.WordSize,    // level 3
-	}
+	levels := WalkAddrs(t.walkBase, page)
 	n := t.cfg.WalkReads
 	if n > len(levels) {
 		n = len(levels)
