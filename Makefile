@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint race race-campaign bench bench-baseline bench-check profile evaluate regen-check examples dsrlint wcet-check leak-check sched-check telemetry-smoke obs-smoke serve-smoke fuzz clean
+.PHONY: all build test vet lint race race-campaign bench bench-baseline bench-check profile evaluate regen-check examples perfbench-build dsrlint wcet-check leak-check sched-check telemetry-smoke obs-smoke serve-smoke fuzz clean
 
 all: build lint test race race-campaign dsrlint wcet-check leak-check sched-check telemetry-smoke obs-smoke serve-smoke
 
@@ -208,6 +208,12 @@ profile:
 		-cpuprofile profile-out/cpu.pprof -memprofile profile-out/mem.pprof \
 		-o profile-out/dsr.test .
 	$(GO) tool pprof -top -nodecount 15 profile-out/dsr.test profile-out/cpu.pprof
+
+# The benchmark under perfbench/ is a nested module (its go.mod replaces
+# dsr with ../), so the root `go build ./...` skips it: build and vet it
+# on its own so an API change it compiles against is caught here.
+perfbench-build:
+	cd perfbench && $(GO) build ./... && $(GO) vet ./...
 
 examples: build
 	$(GO) run ./examples/quickstart

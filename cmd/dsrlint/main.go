@@ -122,10 +122,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 				Msg: "core.Transform failed: " + terr.Error(),
 			})
 		} else {
-			diags = append(diags, analysis.VerifyTransform(p, tp, analysis.TransformInfo{
-				FTableSym: core.FTableSym, OffsetsSym: core.OffsetsSym,
-				Funcs: meta.Funcs, MaxOverheadFrac: *maxOverhead,
-			})...)
+			info := meta.TransformInfo()
+			info.MaxOverheadFrac = *maxOverhead
+			diags = append(diags, analysis.VerifyTransform(p, tp, info)...)
 		}
 	}
 

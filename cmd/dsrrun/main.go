@@ -104,10 +104,7 @@ func main() {
 
 	// Verify the DSR transformation before measuring anything: a
 	// malformed rewrite would corrupt the campaign silently.
-	verify := analysis.VerifyTransform(p, rt.Program(), analysis.TransformInfo{
-		FTableSym: core.FTableSym, OffsetsSym: core.OffsetsSym,
-		Funcs: rt.Metadata().Funcs,
-	})
+	verify := analysis.VerifyTransform(p, rt.Program(), rt.Metadata().TransformInfo())
 	if analysis.HasErrors(verify) {
 		for _, d := range analysis.Errors(verify) {
 			fmt.Fprintln(os.Stderr, "dsrrun:", d)

@@ -185,11 +185,7 @@ func Lint(p *Program) []Diagnostic {
 // measurement campaign — a malformed rewrite breaks the i.i.d. premise
 // without breaking the program visibly.
 func Verify(orig *Program, rt *Runtime) []Diagnostic {
-	return analysis.VerifyTransform(orig, rt.Program(), analysis.TransformInfo{
-		FTableSym:  core.FTableSym,
-		OffsetsSym: core.OffsetsSym,
-		Funcs:      rt.Metadata().Funcs,
-	})
+	return analysis.VerifyTransform(orig, rt.Program(), rt.Metadata().TransformInfo())
 }
 
 // HasErrors reports whether any diagnostic is Error-level.

@@ -253,17 +253,6 @@ func (g *CFG) findLoops() {
 	}
 }
 
-// NumLoops returns the number of natural-loop headers.
-func (g *CFG) NumLoops() int {
-	n := 0
-	for _, h := range g.LoopHeads {
-		if h {
-			n++
-		}
-	}
-	return n
-}
-
 // UnreachableInstrs lists instruction indices in blocks not reachable
 // from the entry.
 func (g *CFG) UnreachableInstrs() []int {

@@ -62,9 +62,6 @@ func TestDominatorsAndLoops(t *testing.T) {
 	if g.Dominates(exit, body) {
 		t.Error("exit cannot dominate the loop body")
 	}
-	if g.NumLoops() != 1 {
-		t.Errorf("loops=%d, want 1", g.NumLoops())
-	}
 	if len(g.BackEdges) != 1 || g.BackEdges[0] != [2]int{body, body} {
 		t.Errorf("back edges=%v, want one self edge on block %d", g.BackEdges, body)
 	}
@@ -96,8 +93,8 @@ func TestDiamondDominators(t *testing.T) {
 	if g.Dominates(thenB, join) || g.Dominates(elseB, join) {
 		t.Error("an arm of the diamond cannot dominate the join")
 	}
-	if g.NumLoops() != 0 {
-		t.Errorf("diamond has %d loops, want 0", g.NumLoops())
+	if len(g.BackEdges) != 0 {
+		t.Errorf("diamond has back edges %v, want none", g.BackEdges)
 	}
 }
 

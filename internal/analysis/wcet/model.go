@@ -139,9 +139,7 @@ func BuildModelMode(p *prog.Program, mode Mode, base Config) (*Model, *Report, e
 func BuildTransformed(tp *prog.Program, meta *core.Metadata, mode Mode, base Config) (*Model, *Report) {
 	base.Mode = mode
 	base.Lines = nil
-	base.resolve = analysis.ResolveDispatch(analysis.TransformInfo{
-		FTableSym: core.FTableSym, OffsetsSym: core.OffsetsSym, Funcs: meta.Funcs,
-	})
+	base.resolve = analysis.ResolveDispatch(meta.TransformInfo())
 	if base.Platform == nil {
 		def := platform.ProximaLEON3()
 		base.Platform = &def

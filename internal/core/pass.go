@@ -28,6 +28,7 @@ package core
 import (
 	"fmt"
 
+	"dsr/internal/analysis"
 	"dsr/internal/isa"
 	"dsr/internal/mem"
 	"dsr/internal/prog"
@@ -56,6 +57,13 @@ type Metadata struct {
 	Funcs []string
 	// Index maps a function name to its table index.
 	Index map[string]int
+}
+
+// TransformInfo describes the transform that produced m to the static
+// verifier and the dispatch resolver: the metadata table symbols and
+// the function table order.
+func (m *Metadata) TransformInfo() analysis.TransformInfo {
+	return analysis.TransformInfo{FTableSym: FTableSym, OffsetsSym: OffsetsSym, Funcs: m.Funcs}
 }
 
 // PassStats summarises the code-size cost of the transformation; the

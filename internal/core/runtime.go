@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"dsr/internal/cpu"
 	"dsr/internal/heap"
 	"dsr/internal/isa"
 	"dsr/internal/loader"
@@ -406,17 +407,15 @@ func (r *Runtime) lazyHook(target mem.Addr) {
 // been called; the paper's protocol is one Reboot per Run so that every
 // measurement sees a fresh random layout.
 func (r *Runtime) Run() (platform.RunResult, error) {
-	if r.img == nil {
-		return platform.RunResult{}, fmt.Errorf("core: Run before Reboot")
-	}
-	return r.plat.Run()
+	res, _, err := r.RunBudget(cpu.NoBudget)
+	return res, err
 }
 
 // RunBudget is Run under a partition-window cycle budget; the flag
 // reports whether the program completed within it.
 func (r *Runtime) RunBudget(budget mem.Cycles) (platform.RunResult, bool, error) {
 	if r.img == nil {
-		return platform.RunResult{}, false, fmt.Errorf("core: RunBudget before Reboot")
+		return platform.RunResult{}, false, fmt.Errorf("core: run before Reboot")
 	}
 	return r.plat.RunBudget(budget)
 }

@@ -17,14 +17,6 @@ import (
 	"dsr/internal/spaceapp"
 )
 
-func verifyInfo(meta *Metadata) analysis.TransformInfo {
-	return analysis.TransformInfo{
-		FTableSym:  FTableSym,
-		OffsetsSym: OffsetsSym,
-		Funcs:      meta.Funcs,
-	}
-}
-
 // corpus returns every program the repository ships, by name.
 func corpus(t testing.TB) map[string]*prog.Program {
 	t.Helper()
@@ -48,7 +40,7 @@ func TestVerifyTransformCorpusClean(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: Transform: %v", name, err)
 		}
-		diags := analysis.VerifyTransform(p, tp, verifyInfo(meta))
+		diags := analysis.VerifyTransform(p, tp, meta.TransformInfo())
 		for _, d := range diags {
 			t.Errorf("%s: unexpected diagnostic: %s", name, d)
 		}
@@ -193,7 +185,7 @@ func TestVerifyTransformRejectsMutations(t *testing.T) {
 				t.Fatal(err)
 			}
 			tc.mutate(tp)
-			diags := analysis.VerifyTransform(p, tp, verifyInfo(meta))
+			diags := analysis.VerifyTransform(p, tp, meta.TransformInfo())
 			if !analysis.HasErrors(diags) {
 				t.Fatalf("mutation accepted; want at least one error")
 			}
@@ -223,7 +215,7 @@ func TestVerifyOverheadBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	info := verifyInfo(meta)
+	info := meta.TransformInfo()
 	info.MaxOverheadFrac = 0.02
 	diags := analysis.VerifyTransform(p, tp, info)
 	found := false
@@ -259,7 +251,7 @@ func TestVerifyOverheadBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	binfo := verifyInfo(bmeta)
+	binfo := bmeta.TransformInfo()
 	binfo.MaxOverheadFrac = 0.02
 	if diags := analysis.VerifyTransform(big, btp, binfo); analysis.HasErrors(diags) {
 		t.Errorf("compute-heavy program failed the 2%% budget: %v", analysis.Errors(diags))

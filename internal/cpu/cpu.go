@@ -902,7 +902,7 @@ var branchTable = func() (t [1 << 8]uint16) {
 
 // Run executes until Halt, an error, or the instruction watchdog.
 // It returns the cycle counter value at halt.
-func (c *CPU) Run() (mem.Cycles, error) { return c.RunBudget(noBudget) }
+func (c *CPU) Run() (mem.Cycles, error) { return c.RunBudget(NoBudget) }
 
 // RunBudget executes until Halt or until the cycle counter reaches
 // budget — the RTOS partition-window enforcement. Check Halted() to see

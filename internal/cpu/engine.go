@@ -42,8 +42,10 @@ import (
 // dwrite, the inline re-arm through ifetch, and base issue is booked in
 // bulk on return.
 
-// noBudget makes RunBudget's cycle gate unreachable for plain Run.
-const noBudget = ^mem.Cycles(0)
+// NoBudget is the budget of an unbounded run: it makes RunBudget's
+// cycle gate unreachable, so RunBudget(NoBudget) stops only at Halt or
+// on an error.
+const NoBudget = ^mem.Cycles(0)
 
 // rfileSlots is the padded register-file size the engine addresses: one
 // more than the largest index a resolved uint8 operand can carry, so
@@ -101,7 +103,7 @@ outer:
 		}
 		// Per-instruction gates, before any fetch side effects — budget
 		// before watchdog, the same order as RunBudget's loop condition
-		// (plain Run passes noBudget, so the budget gate is inert there).
+		// (plain Run passes NoBudget, so the budget gate is inert there).
 		if c.cycles >= budget {
 			return nil
 		}

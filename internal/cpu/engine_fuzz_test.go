@@ -43,7 +43,7 @@ func FuzzEngineEquiv(f *testing.F) {
 
 		// The interpreter's full run scales the cuts: a cut c of 65536
 		// steps lands at 1 + c·total/65536.
-		_ = cutRun(slow, img, flushSlow, noBudget, 0)
+		_ = cutRun(slow, img, flushSlow, NoBudget, 0)
 		cut := func(c uint16, total uint64) uint64 {
 			if c == 0 {
 				return 0
@@ -52,7 +52,7 @@ func FuzzEngineEquiv(f *testing.F) {
 		}
 		budget := mem.Cycles(cut(budgetCut, uint64(slow.cycles)))
 		if budget == 0 {
-			budget = noBudget
+			budget = NoBudget
 		}
 		maxInstrs := cut(watchdogCut, slow.ctr.Instrs)
 

@@ -476,7 +476,7 @@ func TestEngineEquivalenceBudgetCuts(t *testing.T) {
 		img := equivImage(t, delta)
 		fast, flushFast := newAttributedEquivCPU(img, false, true)
 		slow, flushSlow := newAttributedEquivCPU(img, true, true)
-		if err := cutRun(slow, img, flushSlow, noBudget, 0); err != nil || !slow.halted {
+		if err := cutRun(slow, img, flushSlow, NoBudget, 0); err != nil || !slow.halted {
 			t.Fatalf("class %d: uncut run: halted=%v err=%v", delta, slow.halted, err)
 		}
 		total, instrs := slow.cycles, slow.ctr.Instrs
@@ -495,7 +495,7 @@ func TestEngineEquivalenceBudgetCuts(t *testing.T) {
 			check(fmt.Sprintf("budget %d of %d", b, total), b, 0)
 		}
 		for m := uint64(1); m < instrs; m++ {
-			check(fmt.Sprintf("watchdog %d of %d", m, instrs), noBudget, m)
+			check(fmt.Sprintf("watchdog %d of %d", m, instrs), NoBudget, m)
 		}
 	}
 }

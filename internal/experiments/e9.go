@@ -6,10 +6,7 @@ import (
 
 	"dsr/internal/analysis/schedfeas"
 	"dsr/internal/campaign"
-	"dsr/internal/core"
-	"dsr/internal/loader"
 	"dsr/internal/mbpta"
-	"dsr/internal/mem"
 	"dsr/internal/platform"
 	"dsr/internal/rtos"
 	"dsr/internal/spaceapp"
@@ -212,112 +209,6 @@ func (s *E9Series) OffsetsWithinSupport() error {
 	return nil
 }
 
-// e9Runner hosts one E9 partition: it applies the activation's input
-// vector on Activate (after the layout reboot, when the cell
-// randomises layouts) and verifies the functional result on Execute —
-// randomisation on either axis must never change what the software
-// computes.
-type e9Runner struct {
-	name string
-	plat *platform.Platform
-	// Fixed-layout hosting: image + booted snapshot, restored per run.
-	img  *loader.Image
-	snap *platform.Snapshot
-	// DSR hosting: runtime rebooted per activation with a schedule seed.
-	rt    *core.Runtime
-	seeds campaign.Schedule
-	// Input generation.
-	inputBase uint64
-	control   bool
-	lastIn    *spaceapp.ControlInput
-	lastScene *spaceapp.Scene
-}
-
-func (r *e9Runner) Name() string { return r.name }
-
-func (r *e9Runner) image() *loader.Image {
-	if r.rt != nil {
-		return r.rt.Image()
-	}
-	return r.img
-}
-
-// Activate implements rtos.Runner: partition reboot (fresh layout draw
-// under DSR, memory restore otherwise), then the activation's input.
-func (r *e9Runner) Activate(act uint64) error {
-	if r.rt != nil {
-		if _, err := r.rt.Reboot(r.seeds.Seed(int(act))); err != nil {
-			return err
-		}
-	} else {
-		r.plat.Restore(r.snap)
-	}
-	if r.control {
-		r.lastIn = spaceapp.GenControlInput(r.inputBase + act)
-		return spaceapp.ApplyControlInput(r.plat.Mem, r.image(), r.lastIn)
-	}
-	r.lastScene = spaceapp.GenScene(r.inputBase+act, spaceapp.LitFraction)
-	return spaceapp.ApplyScene(r.plat.Mem, r.image(), r.lastScene)
-}
-
-// Execute implements rtos.Runner and verifies the run against the
-// golden model before reporting it.
-func (r *e9Runner) Execute(budget mem.Cycles) (platform.RunResult, bool, error) {
-	var (
-		res  platform.RunResult
-		done bool
-		err  error
-	)
-	if r.rt != nil {
-		res, done, err = r.rt.RunBudget(budget)
-	} else {
-		res, done, err = r.plat.RunBudget(budget)
-	}
-	if err != nil || !done {
-		return res, done, err
-	}
-	if r.control {
-		if err := verify(res, r.lastIn); err != nil {
-			return res, done, err
-		}
-	} else if want := spaceapp.ProcessingReference(r.lastScene).RMSBits; res.ExitValue != want {
-		return res, done, fmt.Errorf("experiments: processing mismatch: %#x vs %#x", res.ExitValue, want)
-	}
-	return res, done, nil
-}
-
-// newE9Runner builds one partition's runner on a platform of its own.
-// With layoutRand the program runs under DSR and activation k reboots
-// it with layoutSeeds.Seed(k); otherwise it is a fixed sequential image
-// restored from its booted snapshot on every activation.
-func newE9Runner(control, layoutRand bool, layoutSeeds campaign.Schedule, inputBase uint64) (*e9Runner, error) {
-	build, name := spaceapp.BuildProcessing, "processing"
-	if control {
-		build, name = spaceapp.BuildControl, "control"
-	}
-	p, err := build()
-	if err != nil {
-		return nil, err
-	}
-	plat := platform.New(platform.ProximaLEON3())
-	r := &e9Runner{name: name, plat: plat, inputBase: inputBase, control: control}
-	if layoutRand {
-		rt, err := core.NewRuntime(p, plat, core.Options{})
-		if err != nil {
-			return nil, err
-		}
-		r.rt, r.seeds = rt, layoutSeeds
-		return r, nil
-	}
-	img, err := loader.Load(p, loader.DefaultSequentialConfig())
-	if err != nil {
-		return nil, err
-	}
-	plat.LoadImage(img)
-	r.img, r.snap = img, plat.Snapshot()
-	return r, nil
-}
-
 // NewE9Executive builds one E9 cell's partitions and the executive
 // over them, certified by cert: the control partition (DSR-rebooted
 // per activation when the cell randomises layouts) and the fixed-image
@@ -327,12 +218,15 @@ func newE9Runner(control, layoutRand bool, layoutSeeds campaign.Schedule, inputB
 // e9SchedStream at the cell's grid index, so frame f is a pure
 // function of (cfg, cell, f).
 func NewE9Executive(cfg Config, cell E9Cell, cert *schedfeas.Certificate) (*rtos.RandomizedExecutive, error) {
-	sched := cfg.schedule()
-	ctrl, err := newE9Runner(true, cell.LayoutRand, sched, cfg.InputSeedBase)
+	ctrlLayout := fixedLayout
+	if cell.LayoutRand {
+		ctrlLayout = policy{dsr: defaultDSR}
+	}
+	ctrl, err := newHost(cfg, platform.ProximaLEON3(), ctrlLayout, controlTask)
 	if err != nil {
 		return nil, err
 	}
-	proc, err := newE9Runner(false, false, sched, cfg.InputSeedBase)
+	proc, err := newHost(cfg, platform.ProximaLEON3(), fixedLayout, processingTask(spaceapp.LitFraction))
 	if err != nil {
 		return nil, err
 	}
@@ -340,7 +234,7 @@ func NewE9Executive(cfg Config, cell E9Cell, cert *schedfeas.Certificate) (*rtos
 		{Name: "control", Criticality: rtos.HighCriticality, Runner: ctrl, PeriodMillis: 1000},
 		{Name: "processing", Criticality: rtos.LowCriticality, Runner: proc, PeriodMillis: 100},
 	}
-	return rtos.NewRandomizedExecutive(rtos.DefaultConfig(), parts, cert, sched.Split(e9SchedStream).Seed(cell.index()))
+	return rtos.NewRandomizedExecutive(rtos.DefaultConfig(), parts, cert, cfg.schedule().Split(e9SchedStream).Seed(cell.index()))
 }
 
 // e9Shard is one frame's outcome before the canonical merge.

@@ -9,6 +9,7 @@ import (
 	"dsr/internal/mem"
 	"dsr/internal/platform"
 	"dsr/internal/rtos"
+	"dsr/internal/spaceapp"
 )
 
 // e9Config dimensions a short E9 campaign for the unit tests; the CI
@@ -136,18 +137,18 @@ func TestCampaignDeterminismE9(t *testing.T) {
 }
 
 // runE9 activates r for act and executes it under the control window's
-// budget; the runner's own golden-model check rejects a wrong result.
-func runE9(t *testing.T, r *e9Runner, act uint64) platform.RunResult {
+// budget; the host's own golden-model check rejects a wrong result.
+func runE9(t *testing.T, r *host, act uint64) platform.RunResult {
 	t.Helper()
 	if err := r.Activate(act); err != nil {
 		t.Fatal(err)
 	}
 	res, done, err := r.Execute(60 * rtos.DefaultConfig().CyclesPerMilli)
 	if err != nil {
-		t.Fatalf("%s activation %d: %v", r.name, act, err)
+		t.Fatalf("%s activation %d: %v", r.Name(), act, err)
 	}
 	if !done {
-		t.Fatalf("%s activation %d overran its window", r.name, act)
+		t.Fatalf("%s activation %d overran its window", r.Name(), act)
 	}
 	return res
 }
@@ -157,12 +158,12 @@ func runE9(t *testing.T, r *e9Runner, act uint64) platform.RunResult {
 // activations ran on the platform before it.
 func TestE9FixedRunnerRestoresPerActivation(t *testing.T) {
 	cfg := DefaultConfig()
-	for _, control := range []bool{true, false} {
-		a, err := newE9Runner(control, false, cfg.schedule(), cfg.InputSeedBase)
+	for _, tk := range []task{controlTask, processingTask(spaceapp.LitFraction)} {
+		a, err := newHost(cfg, platform.ProximaLEON3(), fixedLayout, tk)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := newE9Runner(control, false, cfg.schedule(), cfg.InputSeedBase)
+		b, err := newHost(cfg, platform.ProximaLEON3(), fixedLayout, tk)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,7 +172,7 @@ func TestE9FixedRunnerRestoresPerActivation(t *testing.T) {
 		}
 		runE9(t, b, 9)
 		if ra, rb := runE9(t, a, 5), runE9(t, b, 5); !reflect.DeepEqual(ra, rb) {
-			t.Errorf("%s activation 5 depends on its history: %d vs %d cycles", a.name, ra.Cycles, rb.Cycles)
+			t.Errorf("%s activation 5 depends on its history: %d vs %d cycles", a.Name(), ra.Cycles, rb.Cycles)
 		}
 	}
 }
@@ -182,14 +183,14 @@ func TestE9FixedRunnerRestoresPerActivation(t *testing.T) {
 // still matches the golden model.
 func TestE9LayoutRunnerRerandomisesPerActivation(t *testing.T) {
 	cfg := DefaultConfig()
-	r, err := newE9Runner(true, true, cfg.schedule(), cfg.InputSeedBase)
+	r, err := newHost(cfg, platform.ProximaLEON3(), policy{dsr: defaultDSR}, controlTask)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cycles, entries := map[mem.Cycles]bool{}, map[mem.Addr]bool{}
 	for act := uint64(0); act < 12; act++ {
 		cycles[runE9(t, r, act).Cycles] = true
-		entries[r.image().Entry] = true
+		entries[r.img.Entry] = true
 	}
 	if len(cycles) < 2 || len(entries) < 2 {
 		t.Errorf("12 DSR activations drew %d distinct execution times over %d distinct entry points",

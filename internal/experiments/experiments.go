@@ -19,8 +19,8 @@ import (
 	"dsr/internal/bus"
 	"dsr/internal/campaign"
 	"dsr/internal/core"
+	"dsr/internal/cpu"
 	"dsr/internal/layout"
-	"dsr/internal/loader"
 	"dsr/internal/mbpta"
 	"dsr/internal/platform"
 	"dsr/internal/prng"
@@ -125,36 +125,22 @@ func (s *Series) MinMeanMax() (min, mean, max float64) {
 	return stats.Min(s.Cycles), stats.Mean(s.Cycles), stats.Max(s.Cycles)
 }
 
-// verify checks a run against the golden model; layout randomisation
-// must never change functional results.
-func verify(res platform.RunResult, in *spaceapp.ControlInput) error {
-	if want := spaceapp.ControlReference(in); res.ExitValue != want {
-		return fmt.Errorf("experiments: functional mismatch: got %#x, golden %#x", res.ExitValue, want)
-	}
-	return nil
-}
-
-// instrument applies the campaign's observability configuration to a
-// freshly built platform.
-func (cfg *Config) instrument(plat *platform.Platform) {
+// observe attaches the campaign's observability to worker w's host:
+// cycle attribution, the worker's span track and, on a DSR runtime, a
+// private capture log for runtime events (nil, the valid no-op log,
+// when telemetry is disabled).
+func (cfg *Config) observe(h *host, w int) {
 	if cfg.Attribution {
-		plat.EnableAttribution()
+		h.plat.EnableAttribution()
 	}
-}
-
-// trace returns the span track of worker w; nil (the valid no-op
-// track) when tracing is disabled.
-func (cfg *Config) trace(w int) *telemetry.WorkerTracer {
-	return cfg.Tracer.Worker(w)
-}
-
-// newCapture returns a per-worker capture log for runtime events, or
-// nil (the valid no-op log) when telemetry is disabled.
-func (cfg *Config) newCapture() *telemetry.EventLog {
-	if cfg.Telemetry == nil {
-		return nil
+	h.wt = cfg.Tracer.Worker(w)
+	if h.rt != nil {
+		h.rt.SetTracer(h.wt)
+		if cfg.Telemetry != nil {
+			h.capture = telemetry.NewCaptureLog()
+			h.rt.SetEventLog(h.capture)
+		}
 	}
-	return telemetry.NewCaptureLog()
 }
 
 // schedule returns the campaign's layout-seed schedule.
@@ -200,15 +186,12 @@ type shard struct {
 	events []telemetry.Event
 }
 
-// worker executes one run by canonical index on worker-private state.
-type worker = campaign.RunFunc[shard]
-
-// runSeries shards a series' runs across the campaign engine and
-// merges the results back in canonical run order: replayed runtime
-// events first (exactly where the sequential loop would have emitted
-// them live, at the pre-run campaign-clock position), then the run
-// record itself.
-func (cfg Config) runSeries(name string, newWorker func(w int) (worker, error)) (*Series, error) {
+// runSeries runs task under pol on platforms built from pc, one host
+// per campaign worker, and merges the results back in canonical run
+// order: replayed runtime events first (exactly where the sequential
+// loop would have emitted them live, at the pre-run campaign-clock
+// position), then the run record itself.
+func (cfg Config) runSeries(name string, pc platform.Config, pol policy, t task) (*Series, error) {
 	s := &Series{
 		Name:    name,
 		Cycles:  make([]float64, cfg.Runs),
@@ -218,6 +201,24 @@ func (cfg Config) runSeries(name string, newWorker func(w int) (worker, error)) 
 		cfg.Observer.BeginSeries(name, cfg.Runs)
 	}
 	ecfg := campaign.Config{Runs: cfg.Runs, Workers: cfg.Workers, Tracer: cfg.Tracer, Interrupt: cfg.Interrupt}
+	newWorker := func(w int) (campaign.RunFunc[shard], error) {
+		h, err := newHost(cfg, pc, pol, t)
+		if err != nil {
+			return nil, err
+		}
+		cfg.observe(h, w)
+		return func(i int) (shard, error) {
+			seed := h.seed(i)
+			if err := h.prepare(i, seed); err != nil {
+				return shard{}, err
+			}
+			res, _, err := h.run(cpu.NoBudget)
+			if err != nil {
+				return shard{}, err
+			}
+			return shard{seed: seed, res: res, events: h.capture.Take()}, nil
+		}, nil
+	}
 	err := campaign.Execute(ecfg, newWorker, func(i int, sh shard) error {
 		if cfg.Telemetry != nil {
 			cfg.Telemetry.Events.ReplayAt(cfg.Telemetry.Now(), sh.events)
@@ -248,101 +249,26 @@ func uoaCycles(res platform.RunResult) float64 {
 // sequential layout, fresh input per run, cache flush and memory reload
 // between runs — the paper's COTS configuration.
 func RunBaseline(cfg Config) (*Series, error) {
-	return cfg.runSeries("No Rand", func(w int) (worker, error) {
-		p, err := spaceapp.BuildControl()
-		if err != nil {
-			return nil, err
-		}
-		img, err := loader.Load(p, loader.DefaultSequentialConfig())
-		if err != nil {
-			return nil, err
-		}
-		plat := platform.New(platform.ProximaLEON3())
-		cfg.instrument(plat)
-		plat.LoadImage(img)
-		// Boot once, then fork the booted platform before every run: the
-		// copy-on-write restore touches only the pages the previous run
-		// dirtied, where the old clear-and-reload path re-applied the whole
-		// image (and, before dirty-page tracking, reallocated every page).
-		snap := plat.Snapshot()
-		wt := cfg.trace(w)
-		return func(i int) (shard, error) {
-			in := spaceapp.GenControlInput(cfg.InputSeedBase + uint64(i))
-			boot := wt.Begin(telemetry.SpanBoot, -1)
-			plat.Restore(snap)
-			err := spaceapp.ApplyControlInput(plat.Mem, img, in)
-			wt.End(boot)
-			if err != nil {
-				return shard{}, err
-			}
-			exec := wt.Begin(telemetry.SpanExecute, -1)
-			res, err := plat.Run()
-			wt.End(exec)
-			if err != nil {
-				return shard{}, err
-			}
-			if err := verify(res, in); err != nil {
-				return shard{}, err
-			}
-			return shard{res: res}, nil
-		}, nil
-	})
+	return cfg.runSeries("No Rand", platform.ProximaLEON3(), fixedLayout, controlTask)
 }
 
-// dsrSeries is the common DSR campaign: each worker owns a fresh
-// platform and DSR runtime (newOpts builds worker-private options, in
-// particular a private PRNG source), and every run reboots with its
-// schedule-derived seed.
+// dsrSeries is the common DSR campaign: every run reboots with its
+// schedule-derived seed; newOpts builds worker-private options, in
+// particular a private PRNG source.
 func dsrSeries(cfg Config, name string, newOpts func() core.Options) (*Series, error) {
-	sched := cfg.schedule()
-	return cfg.runSeries(name, func(w int) (worker, error) {
-		p, err := spaceapp.BuildControl()
-		if err != nil {
-			return nil, err
-		}
-		plat := platform.New(platform.ProximaLEON3())
-		cfg.instrument(plat)
-		rt, err := core.NewRuntime(p, plat, newOpts())
-		if err != nil {
-			return nil, err
-		}
-		capture := cfg.newCapture()
-		rt.SetEventLog(capture)
-		wt := cfg.trace(w)
-		rt.SetTracer(wt)
-		return func(i int) (shard, error) {
-			seed := sched.Seed(i)
-			if _, err := rt.Reboot(seed); err != nil {
-				return shard{}, err
-			}
-			in := spaceapp.GenControlInput(cfg.InputSeedBase + uint64(i))
-			if err := spaceapp.ApplyControlInput(plat.Mem, rt.Image(), in); err != nil {
-				return shard{}, err
-			}
-			exec := wt.Begin(telemetry.SpanExecute, -1)
-			res, err := rt.Run()
-			wt.End(exec)
-			if err != nil {
-				return shard{}, err
-			}
-			if err := verify(res, in); err != nil {
-				return shard{}, err
-			}
-			return shard{seed: seed, res: res, events: capture.Take()}, nil
-		}, nil
-	})
+	return cfg.runSeries(name, platform.ProximaLEON3(), policy{dsr: newOpts}, controlTask)
 }
 
 // RunDSR measures the dynamically software-randomised binary: partition
 // reboot with a fresh seed before every run (§IV).
 func RunDSR(cfg Config) (*Series, error) {
-	return dsrSeries(cfg, "Sw Rand", func() core.Options { return core.Options{} })
+	return dsrSeries(cfg, "Sw Rand", defaultDSR)
 }
 
 // RunDSRLazy is the A1 ablation: lazy relocation inside the measured
 // window.
 func RunDSRLazy(cfg Config) (*Series, error) {
-	return dsrSeries(cfg, "Sw Rand (lazy)", func() core.Options { return core.Options{Mode: core.Lazy} })
+	return dsrSeries(cfg, "Sw Rand (lazy)", lazyDSR)
 }
 
 // RunDSRWithOffsetBound is the A2 ablation: DSR with a caller-chosen
@@ -365,92 +291,13 @@ func RunDSRWithPRNG(cfg Config, newSrc func() prng.Source, name string) (*Series
 // time-randomised caches (random placement and replacement), reseeded
 // per run.
 func RunHWRand(cfg Config) (*Series, error) {
-	sched := cfg.schedule()
-	return cfg.runSeries("Hw Rand", func(w int) (worker, error) {
-		p, err := spaceapp.BuildControl()
-		if err != nil {
-			return nil, err
-		}
-		img, err := loader.Load(p, loader.DefaultSequentialConfig())
-		if err != nil {
-			return nil, err
-		}
-		plat := platform.New(platform.HWRandLEON3())
-		cfg.instrument(plat)
-		plat.LoadImage(img)
-		// Fork the booted platform per run; the per-run cache reseed comes
-		// after the restore so every run's placement hash and replacement
-		// stream are the schedule's, exactly as on a fresh boot.
-		snap := plat.Snapshot()
-		wt := cfg.trace(w)
-		return func(i int) (shard, error) {
-			seed := sched.Seed(i)
-			boot := wt.Begin(telemetry.SpanBoot, -1)
-			plat.Restore(snap)
-			plat.ReseedCaches(seed)
-			in := spaceapp.GenControlInput(cfg.InputSeedBase + uint64(i))
-			err := spaceapp.ApplyControlInput(plat.Mem, img, in)
-			wt.End(boot)
-			if err != nil {
-				return shard{}, err
-			}
-			exec := wt.Begin(telemetry.SpanExecute, -1)
-			res, err := plat.Run()
-			wt.End(exec)
-			if err != nil {
-				return shard{}, err
-			}
-			if err := verify(res, in); err != nil {
-				return shard{}, err
-			}
-			return shard{seed: seed, res: res}, nil
-		}, nil
-	})
+	return cfg.runSeries("Hw Rand", platform.HWRandLEON3(), policy{place: sequentialImage, reseed: true}, controlTask)
 }
 
 // RunStatic is the A5 ablation: static software randomisation — one
 // fresh randomised binary per run, zero runtime overhead (TASA-style).
 func RunStatic(cfg Config) (*Series, error) {
-	sched := cfg.schedule()
-	return cfg.runSeries("Static Rand", func(w int) (worker, error) {
-		p, err := spaceapp.BuildControl()
-		if err != nil {
-			return nil, err
-		}
-		plat := platform.New(platform.ProximaLEON3())
-		cfg.instrument(plat)
-		wt := cfg.trace(w)
-		return func(i int) (shard, error) {
-			seed := sched.Seed(i)
-			// Static randomisation pays its cost at build time: the fresh
-			// per-run image build is the relocation phase here.
-			reloc := wt.Begin(telemetry.SpanReloc, -1)
-			img, err := core.StaticBuild(p, loader.DefaultSequentialConfig(), plat.Cfg.L2.WaySize(), seed)
-			wt.End(reloc)
-			if err != nil {
-				return shard{}, err
-			}
-			boot := wt.Begin(telemetry.SpanBoot, -1)
-			plat.LoadImage(img)
-			plat.Reload()
-			in := spaceapp.GenControlInput(cfg.InputSeedBase + uint64(i))
-			err = spaceapp.ApplyControlInput(plat.Mem, img, in)
-			wt.End(boot)
-			if err != nil {
-				return shard{}, err
-			}
-			exec := wt.Begin(telemetry.SpanExecute, -1)
-			res, err := plat.Run()
-			wt.End(exec)
-			if err != nil {
-				return shard{}, err
-			}
-			if err := verify(res, in); err != nil {
-				return shard{}, err
-			}
-			return shard{seed: seed, res: res}, nil
-		}, nil
-	})
+	return cfg.runSeries("Static Rand", platform.ProximaLEON3(), staticLayout, controlTask)
 }
 
 // counterRange formats a min-max counter span the way Table I does
@@ -609,52 +456,7 @@ func FormatMargin(mc mbpta.MarginComparison, dsrMOET float64) string {
 // worst-case model every transaction is padded, giving the conventional
 // deterministic upper-bounding treatment for comparison.
 func RunDSRWithContention(cfg Config, cont bus.Contention, name string) (*Series, error) {
-	sched := cfg.schedule()
-	busSched := sched.Split(busStream)
-	return cfg.runSeries(name, func(w int) (worker, error) {
-		p, err := spaceapp.BuildControl()
-		if err != nil {
-			return nil, err
-		}
-		plat := platform.New(platform.ProximaLEON3())
-		cfg.instrument(plat)
-		plat.Bus.SetContention(cont)
-		rt, err := core.NewRuntime(p, plat, core.Options{})
-		if err != nil {
-			return nil, err
-		}
-		capture := cfg.newCapture()
-		rt.SetEventLog(capture)
-		wt := cfg.trace(w)
-		rt.SetTracer(wt)
-		return func(i int) (shard, error) {
-			seed := sched.Seed(i)
-			// Reseed before boot too: the relocation pass's bus traffic
-			// must draw from run i's contention stream, not from state
-			// left by whatever run this worker executed before — the
-			// determinism invariant again. The second reseed restores
-			// the measured window's canonical draw sequence.
-			plat.Bus.ReseedContention(busSched.Seed(i))
-			if _, err := rt.Reboot(seed); err != nil {
-				return shard{}, err
-			}
-			plat.Bus.ReseedContention(busSched.Seed(i))
-			in := spaceapp.GenControlInput(cfg.InputSeedBase + uint64(i))
-			if err := spaceapp.ApplyControlInput(plat.Mem, rt.Image(), in); err != nil {
-				return shard{}, err
-			}
-			exec := wt.Begin(telemetry.SpanExecute, -1)
-			res, err := rt.Run()
-			wt.End(exec)
-			if err != nil {
-				return shard{}, err
-			}
-			if err := verify(res, in); err != nil {
-				return shard{}, err
-			}
-			return shard{seed: seed, res: res, events: capture.Take()}, nil
-		}, nil
-	})
+	return cfg.runSeries(name, platform.ProximaLEON3(), policy{dsr: defaultDSR, contention: &cont}, controlTask)
 }
 
 // RunProcessing measures the image-processing task under DSR with scenes
@@ -665,43 +467,7 @@ func RunDSRWithContention(cfg Config, cont bus.Contention, name string) (*Series
 // lit, litFrac=1) upper-bound the path dimension the way EPC
 // (Ziccardi et al., RTSS'15) would.
 func RunProcessing(cfg Config, litFrac float64, name string) (*Series, error) {
-	sched := cfg.schedule()
-	return cfg.runSeries(name, func(w int) (worker, error) {
-		p, err := spaceapp.BuildProcessing()
-		if err != nil {
-			return nil, err
-		}
-		plat := platform.New(platform.ProximaLEON3())
-		cfg.instrument(plat)
-		rt, err := core.NewRuntime(p, plat, core.Options{})
-		if err != nil {
-			return nil, err
-		}
-		capture := cfg.newCapture()
-		rt.SetEventLog(capture)
-		wt := cfg.trace(w)
-		rt.SetTracer(wt)
-		return func(i int) (shard, error) {
-			seed := sched.Seed(i)
-			if _, err := rt.Reboot(seed); err != nil {
-				return shard{}, err
-			}
-			scene := spaceapp.GenScene(cfg.InputSeedBase+uint64(i), litFrac)
-			if err := spaceapp.ApplyScene(plat.Mem, rt.Image(), scene); err != nil {
-				return shard{}, err
-			}
-			exec := wt.Begin(telemetry.SpanExecute, -1)
-			res, err := rt.Run()
-			wt.End(exec)
-			if err != nil {
-				return shard{}, err
-			}
-			if want := spaceapp.ProcessingReference(scene).RMSBits; res.ExitValue != want {
-				return shard{}, fmt.Errorf("experiments: processing mismatch: %#x vs %#x", res.ExitValue, want)
-			}
-			return shard{seed: seed, res: res, events: capture.Take()}, nil
-		}, nil
-	})
+	return cfg.runSeries(name, platform.ProximaLEON3(), policy{dsr: defaultDSR}, processingTask(litFrac))
 }
 
 // ControlLayoutWeights returns the interaction weights of the control
@@ -730,43 +496,5 @@ func ControlLayoutWeights(p *prog.Program) layout.Weights {
 // layout, offers no representativeness argument and must be re-derived
 // at every integration.
 func RunPositioned(cfg Config) (*Series, error) {
-	return cfg.runSeries("Positioned", func(w int) (worker, error) {
-		p, err := spaceapp.BuildControl()
-		if err != nil {
-			return nil, err
-		}
-		plat := platform.New(platform.ProximaLEON3())
-		pl, err := layout.Optimize(p, plat.Cfg.L2, ControlLayoutWeights(p), loader.DefaultSequentialConfig())
-		if err != nil {
-			return nil, err
-		}
-		img, err := loader.BuildImage(p, pl)
-		if err != nil {
-			return nil, err
-		}
-		cfg.instrument(plat)
-		plat.LoadImage(img)
-		snap := plat.Snapshot()
-		wt := cfg.trace(w)
-		return func(i int) (shard, error) {
-			in := spaceapp.GenControlInput(cfg.InputSeedBase + uint64(i))
-			boot := wt.Begin(telemetry.SpanBoot, -1)
-			plat.Restore(snap)
-			err := spaceapp.ApplyControlInput(plat.Mem, img, in)
-			wt.End(boot)
-			if err != nil {
-				return shard{}, err
-			}
-			exec := wt.Begin(telemetry.SpanExecute, -1)
-			res, err := plat.Run()
-			wt.End(exec)
-			if err != nil {
-				return shard{}, err
-			}
-			if err := verify(res, in); err != nil {
-				return shard{}, err
-			}
-			return shard{res: res}, nil
-		}, nil
-	})
+	return cfg.runSeries("Positioned", platform.ProximaLEON3(), policy{place: positionedImage}, controlTask)
 }

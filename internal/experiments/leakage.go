@@ -8,8 +8,7 @@ import (
 	"dsr/internal/analysis/wcet"
 	"dsr/internal/attack"
 	"dsr/internal/campaign"
-	"dsr/internal/core"
-	"dsr/internal/loader"
+	"dsr/internal/cpu"
 	"dsr/internal/mem"
 	"dsr/internal/platform"
 	"dsr/internal/spaceapp"
@@ -150,65 +149,30 @@ func RunLeak(cfg Config, mode wcet.Mode) (*LeakSeries, error) {
 		Obs:    make([]attack.Observation, cfg.Runs),
 		Cycles: make([]float64, cfg.Runs),
 	}
-	sched := cfg.schedule()
-
+	pol := fixedLayout
+	switch mode {
+	case wcet.ModeDSREager:
+		pol = policy{dsr: defaultDSR}
+	case wcet.ModeDSRLazy:
+		pol = policy{dsr: lazyDSR}
+	}
 	newWorker := func(w int) (campaign.RunFunc[leakShard], error) {
-		p, err := spaceapp.BuildControl()
+		h, err := newHost(cfg, platform.ProximaLEON3(), pol, controlTask)
 		if err != nil {
 			return nil, err
 		}
-		plat := platform.New(platform.ProximaLEON3())
-		if mode == wcet.ModeDet {
-			img, err := loader.Load(p, loader.DefaultSequentialConfig())
-			if err != nil {
-				return nil, err
-			}
-			plat.LoadImage(img)
-			probe := attack.Attach(plat)
-			return func(i int) (leakShard, error) {
-				plat.Reload()
-				in := spaceapp.GenControlInput(cfg.InputSeedBase + uint64(i))
-				if err := spaceapp.ApplyControlInput(plat.Mem, img, in); err != nil {
-					return leakShard{}, err
-				}
-				probe.Reset()
-				res, err := plat.Run()
-				if err != nil {
-					return leakShard{}, err
-				}
-				if err := verify(res, in); err != nil {
-					return leakShard{}, err
-				}
-				return leakShard{obs: probe.Snapshot(res.Cycles), cycles: uoaCycles(res)}, nil
-			}, nil
-		}
-		opts := core.Options{}
-		if mode == wcet.ModeDSRLazy {
-			opts.Mode = core.Lazy
-		}
-		rt, err := core.NewRuntime(p, plat, opts)
-		if err != nil {
-			return nil, err
-		}
-		probe := attack.Attach(plat)
+		probe := attack.Attach(h.plat)
 		return func(i int) (leakShard, error) {
-			seed := sched.Seed(i % leakLayouts)
-			if _, err := rt.Reboot(seed); err != nil {
+			seed := h.seed(i % leakLayouts)
+			if err := h.prepare(i, seed); err != nil {
 				return leakShard{}, err
 			}
-			in := spaceapp.GenControlInput(cfg.InputSeedBase + uint64(i))
-			if err := spaceapp.ApplyControlInput(plat.Mem, rt.Image(), in); err != nil {
-				return leakShard{}, err
-			}
-			// Eager relocation ran inside Reboot, before the observed
-			// window; Reset drops its events. Lazy relocates inside Run
+			// Eager relocation ran inside the reboot, before the observed
+			// window; Reset drops its events. Lazy relocates inside the run
 			// and is charged to the trace channel by the analyzer.
 			probe.Reset()
-			res, err := rt.Run()
+			res, _, err := h.run(cpu.NoBudget)
 			if err != nil {
-				return leakShard{}, err
-			}
-			if err := verify(res, in); err != nil {
 				return leakShard{}, err
 			}
 			return leakShard{seed: seed, obs: probe.Snapshot(res.Cycles), cycles: uoaCycles(res)}, nil

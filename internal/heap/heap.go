@@ -24,8 +24,6 @@ type Pool struct {
 	align       int
 	src         prng.Source
 
-	allocs int
-
 	// chunks recycles the chunk records handed to the space: the pool
 	// allocates with the same object sequence every run (placement order
 	// is drawn before allocation), so after a Reset each record — name
@@ -62,15 +60,11 @@ func NewPool(name string, base, size mem.Addr, offsetBound, align int, src prng.
 // OffsetBound returns the pool's random-offset bound.
 func (p *Pool) OffsetBound() int { return p.offsetBound }
 
-// Allocs returns the number of objects placed since the last Reset.
-func (p *Pool) Allocs() int { return p.allocs }
-
 // Reset forgets all placements and reseeds the random source: the start
 // of a new DSR run (partition reboot, §IV).
 func (p *Pool) Reset(seed uint64) {
 	p.space.Reset()
 	p.src.Seed(seed)
-	p.allocs = 0
 	p.live = 0
 }
 
@@ -109,7 +103,6 @@ func (p *Pool) Allocate(obj *mem.Object) (mem.Addr, error) {
 		return 0, fmt.Errorf("heap %q: %w", p.name, err)
 	}
 	obj.Base = chunk.Base + offset
-	p.allocs++
 	return obj.Base, nil
 }
 

@@ -195,30 +195,6 @@ func (o Op) IsBranch() bool {
 	return o >= Ba && o <= Fbg
 }
 
-// IsFPU reports whether o executes in the floating-point unit. This is
-// the class counted by the FPU performance counter in Table I.
-func (o Op) IsFPU() bool {
-	return o >= Fadd && o <= Fstoi
-}
-
-// IsMemory reports whether o performs a data memory access.
-func (o Op) IsMemory() bool {
-	switch o {
-	case Ld, St, Ldub, Stb, FLd, FSt:
-		return true
-	}
-	return false
-}
-
-// IsStore reports whether o writes data memory.
-func (o Op) IsStore() bool {
-	switch o {
-	case St, Stb, FSt:
-		return true
-	}
-	return false
-}
-
 // Instr is one decoded instruction. The zero value is a Nop. A single
 // struct covers all formats; unused fields are zero. UseImm selects the
 // immediate as the second ALU source.

@@ -38,32 +38,6 @@ func TestOpClassification(t *testing.T) {
 			t.Errorf("%s should not be a branch", o)
 		}
 	}
-	fpu := []Op{Fadd, Fsub, Fmul, Fdiv, Fsqrt, Fcmp, Fitos, Fstoi}
-	for _, o := range fpu {
-		if !o.IsFPU() {
-			t.Errorf("%s should be FPU", o)
-		}
-	}
-	// Loads/stores of FP values are memory ops, not FPU ops (they do not
-	// use the arithmetic pipeline), matching the Table I counter split.
-	if FLd.IsFPU() || FSt.IsFPU() {
-		t.Error("FP loads/stores must not count as FPU ops")
-	}
-	mem := []Op{Ld, St, Ldub, Stb, FLd, FSt}
-	for _, o := range mem {
-		if !o.IsMemory() {
-			t.Errorf("%s should be memory", o)
-		}
-	}
-	stores := []Op{St, Stb, FSt}
-	for _, o := range stores {
-		if !o.IsStore() {
-			t.Errorf("%s should be a store", o)
-		}
-	}
-	if Ld.IsStore() || FLd.IsStore() {
-		t.Error("loads must not be stores")
-	}
 }
 
 func TestEveryOpHasName(t *testing.T) {

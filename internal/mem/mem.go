@@ -48,9 +48,6 @@ func IsAligned(a Addr, align Addr) bool {
 // Page returns the page number containing a.
 func Page(a Addr) Addr { return a / PageSize }
 
-// PageOffset returns the offset of a within its page.
-func PageOffset(a Addr) Addr { return a % PageSize }
-
 // ObjectKind distinguishes the classes of memory object the randomiser
 // can move. The paper randomises functions (code) and stack frames; data
 // objects are placed through the randomised pool allocator as well.
@@ -199,16 +196,6 @@ func (s *Space) PlaceAt(obj *Object, base Addr) error {
 func (s *Space) Reset() {
 	s.next = s.base
 	s.objs = s.objs[:0]
-}
-
-// FindByAddr returns the object containing a, or nil.
-func (s *Space) FindByAddr(a Addr) *Object {
-	for _, o := range s.objs {
-		if o.Contains(a) {
-			return o
-		}
-	}
-	return nil
 }
 
 // PagesTouched returns the sorted set of distinct page numbers covered by

@@ -66,9 +66,6 @@ func TestPageHelpers(t *testing.T) {
 	if Page(0) != 0 || Page(4095) != 0 || Page(4096) != 1 {
 		t.Error("Page boundaries wrong")
 	}
-	if PageOffset(4097) != 1 {
-		t.Errorf("PageOffset(4097)=%d, want 1", PageOffset(4097))
-	}
 }
 
 func TestObjectContainsOverlaps(t *testing.T) {
@@ -155,20 +152,6 @@ func TestSpaceReset(t *testing.T) {
 	}
 	if err := s.Place(&Object{Name: "y", Size: 1024, Align: 4}); err != nil {
 		t.Errorf("full-size placement after Reset failed: %v", err)
-	}
-}
-
-func TestSpaceFindByAddr(t *testing.T) {
-	s := NewSpace(0, 4096)
-	a := &Object{Name: "a", Size: 100, Align: 4}
-	if err := s.Place(a); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.FindByAddr(50); got != a {
-		t.Errorf("FindByAddr(50)=%v, want a", got)
-	}
-	if got := s.FindByAddr(200); got != nil {
-		t.Errorf("FindByAddr(200)=%v, want nil", got)
 	}
 }
 

@@ -295,24 +295,8 @@ type RunResult struct {
 // caches and TLBs, zero the counters, reset the core (PC at entry, SP at
 // the configured stack top), execute to Halt, snapshot everything.
 func (p *Platform) Run() (RunResult, error) {
-	if p.img == nil {
-		return RunResult{}, fmt.Errorf("platform: no image loaded")
-	}
-	p.FlushCaches()
-	p.ResetCounters()
-	p.CPU.Reset(p.Cfg.StackTop)
-	cycles, err := p.CPU.Run()
-	if err != nil {
-		return RunResult{}, fmt.Errorf("platform: run failed: %w", err)
-	}
-	res := RunResult{
-		Cycles:      cycles,
-		PMCs:        p.Counters(),
-		ExitValue:   p.CPU.Reg(isa.O0),
-		Attribution: p.att.Snapshot(),
-	}
-	res.Trace = append(res.Trace, p.CPU.Trace()...)
-	return res, nil
+	res, _, err := p.RunBudget(cpu.NoBudget)
+	return res, err
 }
 
 // RunBudget is Run with a partition-window budget: execution stops when

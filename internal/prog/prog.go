@@ -106,24 +106,6 @@ func (p *Program) AddData(d *DataObject) error {
 	return nil
 }
 
-// CodeBytes returns the total code size.
-func (p *Program) CodeBytes() mem.Addr {
-	var n mem.Addr
-	for _, f := range p.Functions {
-		n += f.SizeBytes()
-	}
-	return n
-}
-
-// DataBytes returns the total data size, ignoring alignment padding.
-func (p *Program) DataBytes() mem.Addr {
-	var n mem.Addr
-	for _, d := range p.Data {
-		n += d.Size
-	}
-	return n
-}
-
 // Validate checks structural invariants: the entry point exists and is
 // not a leaf, every Call/Set symbol resolves, branch displacements stay
 // inside their function, frames are legal, and leaf functions neither

@@ -34,10 +34,7 @@ func minimalProgram(t *testing.T) *Program {
 }
 
 func TestMinimalProgramValid(t *testing.T) {
-	p := minimalProgram(t)
-	if p.CodeBytes() != 6*isa.InstrBytes {
-		t.Errorf("CodeBytes=%d, want %d", p.CodeBytes(), 6*isa.InstrBytes)
-	}
+	minimalProgram(t)
 }
 
 func TestBuilderLabelResolution(t *testing.T) {
@@ -238,8 +235,5 @@ func TestLookups(t *testing.T) {
 	p.Data = append(p.Data, &DataObject{Name: "tbl", Size: 8})
 	if p.DataObject("tbl") == nil || p.DataObject("ghost") != nil {
 		t.Error("DataObject lookup wrong")
-	}
-	if p.DataBytes() != 8 {
-		t.Errorf("DataBytes=%d, want 8", p.DataBytes())
 	}
 }

@@ -104,10 +104,7 @@ func (s *Spec) Validate() error {
 	if err != nil {
 		return fmt.Errorf("serve: dsr runtime: %w", err)
 	}
-	diags := analysis.VerifyTransform(p, rt.Program(), analysis.TransformInfo{
-		FTableSym: core.FTableSym, OffsetsSym: core.OffsetsSym,
-		Funcs: rt.Metadata().Funcs,
-	})
+	diags := analysis.VerifyTransform(p, rt.Program(), rt.Metadata().TransformInfo())
 	if analysis.HasErrors(diags) {
 		return fmt.Errorf("serve: DSR transform verification failed: %v", analysis.Errors(diags)[0])
 	}

@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -227,18 +226,4 @@ func (l *EventLog) ReplayAt(ts mem.Cycles, events []Event) {
 		e := &events[i]
 		l.EmitAt(ts+e.TS, e.Track, e.Kind, e.Phase, e.Attrs...)
 	}
-}
-
-// Tracks returns the distinct track names in the log, sorted.
-func (l *EventLog) Tracks() []string {
-	seen := map[string]bool{}
-	for _, e := range l.Events() {
-		seen[e.Track] = true
-	}
-	out := make([]string, 0, len(seen))
-	for t := range seen {
-		out = append(out, t)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -201,19 +201,19 @@ func TestBottleneckHeuristics(t *testing.T) {
 		want string
 	}{
 		{"merge", SpanReport{CampaignNs: 1000, MergeNs: 600,
-			Workers: []WorkerStats{{SpanNs: 1000, BusyNs: 300, Busy: 0.3}}}, "merge serialisation"},
+			Workers: []WorkerStats{{SpanNs: 1000, BusyNs: 300, Busy: 0.3}}}, BottleneckMerge},
 		{"setup", SpanReport{CampaignNs: 1000, SetupNs: 400,
-			Workers: []WorkerStats{{SpanNs: 1000, SetupNs: 400, BusyNs: 300, Busy: 0.3}}}, "platform construction"},
+			Workers: []WorkerStats{{SpanNs: 1000, SetupNs: 400, BusyNs: 300, Busy: 0.3}}}, BottleneckConstruction},
 		{"claim", SpanReport{CampaignNs: 1000,
-			Workers: []WorkerStats{{SpanNs: 1000, ClaimNs: 300, BusyNs: 300, Busy: 0.3}}}, "claim contention"},
+			Workers: []WorkerStats{{SpanNs: 1000, ClaimNs: 300, BusyNs: 300, Busy: 0.3}}}, BottleneckClaim},
 		{"alloc", SpanReport{CampaignNs: 1000,
-			Workers: []WorkerStats{{SpanNs: 1000, BusyNs: 900, Busy: 0.9}}}, "shared allocation"},
+			Workers: []WorkerStats{{SpanNs: 1000, BusyNs: 900, Busy: 0.9}}}, BottleneckMemoryPressure},
 		{"tail", SpanReport{CampaignNs: 1000,
-			Workers: []WorkerStats{{SpanNs: 1000, BusyNs: 300, Busy: 0.3, IdleNs: 700}}}, "load imbalance"},
+			Workers: []WorkerStats{{SpanNs: 1000, BusyNs: 300, Busy: 0.3, IdleNs: 700}}}, BottleneckImbalance},
 	}
 	for _, c := range cases {
-		if got := c.rep.Bottleneck(); !strings.Contains(got, c.want) {
-			t.Errorf("%s: Bottleneck() = %q, want substring %q", c.name, got, c.want)
+		if got := c.rep.BottleneckClass(); got != c.want {
+			t.Errorf("%s: BottleneckClass() = %q, want %q", c.name, got, c.want)
 		}
 	}
 }

@@ -153,25 +153,20 @@ const (
 )
 
 // BottleneckClass returns the dominant limiter as a stable token from
-// the Bottleneck* constants; Bottleneck() wraps the same classification
-// in a quantified prose justification.
+// the Bottleneck* constants; Render prints the same classification with
+// a quantified prose justification.
 func (r *SpanReport) BottleneckClass() string {
 	class, _ := r.bottleneck()
 	return class
 }
 
-// Bottleneck names the dominant parallel-scaling limiter with a
+// bottleneck names the dominant parallel-scaling limiter with a
 // quantified justification. The checks run in causal priority order:
 // a serialised merge starves everyone downstream, expensive setup
 // dominates short campaigns, claim contention points at the shared
 // counter, and high busy fractions with poor scaling indicate the
 // bottleneck is below the engine (shared allocation, memory
 // bandwidth).
-func (r *SpanReport) Bottleneck() string {
-	_, prose := r.bottleneck()
-	return prose
-}
-
 func (r *SpanReport) bottleneck() (class, prose string) {
 	if r.CampaignNs == 0 || len(r.Workers) == 0 {
 		return BottleneckInsufficientData, "insufficient data"

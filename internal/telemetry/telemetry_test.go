@@ -242,9 +242,6 @@ func TestEventLogRing(t *testing.T) {
 	if v, ok := evs[0].Attr("i"); !ok || v != "2" {
 		t.Errorf("attr i = %q (%v)", v, ok)
 	}
-	if got := l.Tracks(); len(got) != 1 || got[0] != "t" {
-		t.Errorf("tracks = %v", got)
-	}
 }
 
 func TestEventLogClockAndNil(t *testing.T) {
