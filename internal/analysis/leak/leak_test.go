@@ -318,6 +318,45 @@ func TestControlModeChain(t *testing.T) {
 	}
 }
 
+// TestDSREagerControlChargesDTLBWalks pins the page working set both
+// analyzers read from the front end: under dsr-eager the control task's
+// data and stack pages overflow the 64-entry DTLB, so every data access
+// may walk, and the trace bound must exceed the bound on a platform
+// whose DTLB holds the whole working set (where each page walks once).
+func TestDSREagerControlChargesDTLBWalks(t *testing.T) {
+	p, err := spaceapp.BuildControl()
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := func(cfg wcet.Config) (*wcet.Model, *wcet.Report) {
+		m, front, err := wcet.BuildModelMode(p, wcet.ModeDSREager, cfg)
+		if err != nil || m == nil {
+			t.Fatalf("front end refused the control task: %v", err)
+		}
+		return m, front
+	}
+	m, front := build(wcet.Config{})
+	if front.DTLBPages <= m.Platform.DTLB.Entries {
+		t.Fatalf("front end counts %d DTLB pages, want more than the %d entries", front.DTLBPages, m.Platform.DTLB.Entries)
+	}
+	if b := m.Bound(); b.ITLBPages != front.ITLBPages || b.DTLBPages != front.DTLBPages {
+		t.Errorf("WCET bound reads %d/%d pages, front end %d/%d", b.ITLBPages, b.DTLBPages, front.ITLBPages, front.DTLBPages)
+	}
+	walks := Analyze(m, front)
+
+	big := *m.Platform
+	big.DTLB.Entries = front.DTLBPages
+	bm, bfront := build(wcet.Config{Platform: &big})
+	fits := Analyze(bm, bfront)
+	if !walks.Bounded || !fits.Bounded {
+		t.Fatalf("unbounded: %s%s", diagText(walks), diagText(fits))
+	}
+	if walks.TraceBits <= fits.TraceBits {
+		t.Errorf("trace bound %.2f with %d DTLB entries, %.2f when the %d pages fit: no per-access walks charged",
+			walks.TraceBits, m.Platform.DTLB.Entries, fits.TraceBits, front.DTLBPages)
+	}
+}
+
 func TestReportFormatAndJSON(t *testing.T) {
 	r := analyzeControl(t, wcet.ModeDSREager)
 	text := r.Format()

@@ -285,7 +285,64 @@ func (m *Model) build() bool {
 		rep.AlwaysMiss += fm.Class.AlwaysMiss
 		rep.NotClassified += fm.Class.NotClassified
 	}
+	rep.ITLBPages, rep.DTLBPages = m.pageSets()
 	return true
+}
+
+// pageSets bounds the code and data+stack page working sets, the
+// numbers of distinct pages the run can touch through the ITLB and the
+// DTLB. Under the deterministic layout code and data are contiguous
+// spans with known bases; under DSR each object may straddle one page
+// more than its size needs. Both analyses read the result from the
+// front-end report: the WCET bound charges the walks (Model.Bound's TLB
+// budget) and the leakage analysis counts them as observable events.
+func (m *Model) pageSets() (iPages, dPages int) {
+	pg := int64(mem.PageSize)
+	pages := func(size int64) int { return int((size-1)/pg) + 2 } // unknown base: +1 slack
+
+	if m.det() {
+		var cLo, cHi, dLo, dHi mem.Addr
+		first := true
+		for _, f := range m.Prog.Functions {
+			b := m.Layout[f.Name]
+			e := b + f.SizeBytes()
+			if first || b < cLo {
+				cLo = b
+			}
+			if first || e > cHi {
+				cHi = e
+			}
+			first = false
+		}
+		iPages = int(cHi/mem.Addr(pg)-cLo/mem.Addr(pg)) + 1
+		first = true
+		for _, d := range m.Prog.Data {
+			b := m.Layout[d.Name]
+			e := b + d.Size
+			if first || b < dLo {
+				dLo = b
+			}
+			if first || e > dHi {
+				dHi = e
+			}
+			first = false
+		}
+		if !first {
+			dPages = int(dHi/mem.Addr(pg)-dLo/mem.Addr(pg)) + 1
+		}
+	} else {
+		for _, f := range m.Prog.Functions {
+			iPages += pages(int64(f.SizeBytes()))
+		}
+		for _, d := range m.Prog.Data {
+			dPages += pages(int64(d.Size))
+		}
+	}
+	// The stack span below StackTop is concrete in every mode.
+	if stackBytes := int64(m.Stack.MaxStackBytes); stackBytes > 0 {
+		dPages += int(stackBytes/pg) + 1
+	}
+	return iPages, dPages
 }
 
 // computeReach marks every function reachable from the entry through

@@ -143,9 +143,10 @@ type Report struct {
 	// WindowSafe: the stack analysis proved no register-window
 	// spill/fill traps can occur.
 	WindowSafe bool `json:"window_safe"`
-	// ITLBPages/DTLBPages are the page working-set bounds; TLBCycles is
-	// the one-time walk charge included in the bound when the working
-	// set fits the TLB.
+	// ITLBPages/DTLBPages are the page working-set bounds, counted by
+	// the front end (so the leakage analysis reads them too); TLBCycles
+	// is the one-time walk charge included in the bound when the
+	// working set fits the TLB.
 	ITLBPages int        `json:"itlb_pages"`
 	DTLBPages int        `json:"dtlb_pages"`
 	TLBCycles mem.Cycles `json:"tlb_cycles"`
@@ -308,61 +309,14 @@ func (m *Model) Bound() *Report {
 	return &rep
 }
 
-// tlbBudget bounds the page working sets. When a working set fits its
-// fully-associative LRU TLB (whose insertion prefers invalid entries,
-// so no page is ever evicted below capacity), each page walks at most
-// once and the walks are charged once, up front; otherwise every access
-// is charged a full walk and a Warning is emitted.
+// tlbBudget decides how the page working sets (Report.ITLBPages/
+// DTLBPages, counted by the front end) are charged. When a working set
+// fits its fully-associative LRU TLB (whose insertion prefers invalid
+// entries, so no page is ever evicted below capacity), each page walks
+// at most once and the walks are charged once, up front; otherwise every
+// access is charged a full walk and a Warning is emitted.
 func (a *analyzer) tlbBudget() (itlbEach, dtlbEach bool) {
-	pg := int64(mem.PageSize)
-	pages := func(size int64) int { return int((size-1)/pg) + 2 } // unknown base: +1 slack
-
-	var iPages, dPages int
-	if a.det() {
-		// Code and data are contiguous spans with known bases.
-		var cLo, cHi, dLo, dHi mem.Addr
-		first := true
-		for _, f := range a.Prog.Functions {
-			b := a.Layout[f.Name]
-			e := b + f.SizeBytes()
-			if first || b < cLo {
-				cLo = b
-			}
-			if first || e > cHi {
-				cHi = e
-			}
-			first = false
-		}
-		iPages = int(cHi/mem.Addr(pg)-cLo/mem.Addr(pg)) + 1
-		first = true
-		for _, d := range a.Prog.Data {
-			b := a.Layout[d.Name]
-			e := b + d.Size
-			if first || b < dLo {
-				dLo = b
-			}
-			if first || e > dHi {
-				dHi = e
-			}
-			first = false
-		}
-		if !first {
-			dPages = int(dHi/mem.Addr(pg)-dLo/mem.Addr(pg)) + 1
-		}
-	} else {
-		for _, f := range a.Prog.Functions {
-			iPages += pages(int64(f.SizeBytes()))
-		}
-		for _, d := range a.Prog.Data {
-			dPages += pages(int64(d.Size))
-		}
-	}
-	// The stack span below StackTop is concrete in every mode.
-	stackBytes := int64(a.Stack.MaxStackBytes)
-	if stackBytes > 0 {
-		dPages += int(stackBytes/pg) + 1
-	}
-	a.rep.ITLBPages, a.rep.DTLBPages = iPages, dPages
+	iPages, dPages := a.rep.ITLBPages, a.rep.DTLBPages
 
 	// An unknown-address data access could touch a fresh page each
 	// time; the budget argument then fails.
