@@ -562,10 +562,9 @@ func (a *lkAnalyzer) traceChannel() {
 	}
 
 	// TLB walks emit real L2 reads. When the page working set fits the
-	// TLBs (the wcet tlbBudget argument) each page walks once; otherwise
-	// every access may walk.
-	iFits := a.wrep.ITLBPages <= pf.ITLB.Entries
-	dFits := a.wrep.DTLBPages <= pf.DTLB.Entries && !a.m.UnknownAccess
+	// TLBs (wcet.Model.TLBFits, the WCET bound's argument too) each page
+	// walks once; otherwise every access may walk.
+	iFits, dFits := a.m.TLBFits()
 	iWalk, dWalk := float64(pf.ITLB.WalkReads), float64(pf.DTLB.WalkReads)
 
 	var pathBits, siteBits float64

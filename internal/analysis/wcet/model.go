@@ -345,6 +345,19 @@ func (m *Model) pageSets() (iPages, dPages int) {
 	return iPages, dPages
 }
 
+// TLBFits reports whether the code and the data+stack page working
+// sets (Report.ITLBPages/DTLBPages) fit their fully-associative LRU
+// TLBs, whose insertion prefers invalid entries, so no page is evicted
+// below capacity and each page walks at most once. An unknown-address
+// data access could touch a fresh page each time, so the data side
+// never fits then. The WCET bound charges the walks of a fitting set
+// once, up front, and the leakage analysis counts them once.
+func (m *Model) TLBFits() (iFits, dFits bool) {
+	iFits = m.Report.ITLBPages <= m.Platform.ITLB.Entries
+	dFits = m.Report.DTLBPages <= m.Platform.DTLB.Entries && !m.UnknownAccess
+	return iFits, dFits
+}
+
 // computeReach marks every function reachable from the entry through
 // resolved call edges. Unreachable functions are pruned from the
 // analysis: their loops need no bounds, they are not classified and not

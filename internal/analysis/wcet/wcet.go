@@ -311,29 +311,21 @@ func (m *Model) Bound() *Report {
 
 // tlbBudget decides how the page working sets (Report.ITLBPages/
 // DTLBPages, counted by the front end) are charged. When a working set
-// fits its fully-associative LRU TLB (whose insertion prefers invalid
-// entries, so no page is ever evicted below capacity), each page walks
-// at most once and the walks are charged once, up front; otherwise every
-// access is charged a full walk and a Warning is emitted.
+// fits its TLB (Model.TLBFits) each page walks at most once and the
+// walks are charged once, up front; otherwise every access is charged a
+// full walk and a Warning is emitted.
 func (a *analyzer) tlbBudget() (itlbEach, dtlbEach bool) {
-	iPages, dPages := a.rep.ITLBPages, a.rep.DTLBPages
-
-	// An unknown-address data access could touch a fresh page each
-	// time; the budget argument then fails.
-	unknownAcc := a.UnknownAccess
-
-	if iPages > a.Platform.ITLB.Entries {
-		itlbEach = true
+	iFits, dFits := a.TLBFits()
+	if !iFits {
 		a.diag(analysis.Warning, "", 0,
-			"code spans %d pages > %d ITLB entries: charging a page walk per fetch", iPages, a.Platform.ITLB.Entries)
+			"code spans %d pages > %d ITLB entries: charging a page walk per fetch", a.rep.ITLBPages, a.Platform.ITLB.Entries)
 	}
-	if dPages > a.Platform.DTLB.Entries || unknownAcc {
-		dtlbEach = true
-		why := fmt.Sprintf("data+stack span %d pages > %d DTLB entries", dPages, a.Platform.DTLB.Entries)
-		if unknownAcc {
+	if !dFits {
+		why := fmt.Sprintf("data+stack span %d pages > %d DTLB entries", a.rep.DTLBPages, a.Platform.DTLB.Entries)
+		if a.UnknownAccess {
 			why = "a data access has no statically known address"
 		}
 		a.diag(analysis.Warning, "", 0, "%s: charging a page walk per data access", why)
 	}
-	return itlbEach, dtlbEach
+	return !iFits, !dFits
 }

@@ -235,12 +235,11 @@ func (cfg Config) runSeries(name string, pc platform.Config, pol policy, t task)
 	return s, nil
 }
 
-// uoaCycles extracts the unit-of-analysis duration from the run's
-// instrumentation trace (ipoints 1→2, §V); it falls back to the whole
-// run when the trace is absent.
+// uoaCycles is the run's unit-of-analysis duration (rvs.UoA, ipoints
+// 1→2, §V); it falls back to the whole run when the trace is absent.
 func uoaCycles(res platform.RunResult) float64 {
-	if ds := rvs.Durations(res.Trace, 1, 2); len(ds) > 0 {
-		return float64(ds[0])
+	if uoa, ok := rvs.UoA(res.Trace); ok {
+		return float64(uoa)
 	}
 	return float64(res.Cycles)
 }

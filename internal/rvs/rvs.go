@@ -45,6 +45,15 @@ func Durations(trace []cpu.TracePoint, enter, exit int32) []mem.Cycles {
 	return out
 }
 
+// UoA returns the run's unit-of-analysis duration, the first
+// UoAEnter→UoAExit window of its trace, and whether the trace holds one.
+func UoA(trace []cpu.TracePoint) (mem.Cycles, bool) {
+	if ds := Durations(trace, UoAEnter, UoAExit); len(ds) > 0 {
+		return ds[0], true
+	}
+	return 0, false
+}
+
 // ToFloats converts cycle durations for the statistics layer.
 func ToFloats(ds []mem.Cycles) []float64 {
 	out := make([]float64, len(ds))

@@ -37,8 +37,10 @@ func BenchmarkServeSubmitLatency(b *testing.B) {
 
 // BenchmarkCheckpointJob is one job's checkpoint layer: a 1000-point
 // prefix merged through one writer, checkpointed every 50 points (the
-// daemon's default cadence), 20 checkpoint files in all. Each point is
-// encoded once; each checkpoint hashes and writes the prefix so far.
+// daemon's default cadence), 20 checkpoints in all. Each point is
+// encoded once; the first checkpoint writes a fresh journal and each
+// later one appends the segment merged since, so every point is hashed
+// and written once.
 func BenchmarkCheckpointJob(b *testing.B) {
 	pts := bytesCheckpoint(1000, true, true).Points
 	dir := b.TempDir()

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -12,14 +13,12 @@ import (
 	"dsr/internal/jsonenc"
 )
 
-// Checkpoint file names inside a job directory. The current snapshot
-// is rotated to the .prev name before each replacement, so a crash at
-// any instant leaves at least one intact, checksummed snapshot on
-// disk.
-const (
-	checkpointFile = "checkpoint.json"
-	checkpointPrev = "checkpoint.prev.json"
-)
+// checkpointFile is the job's checkpoint journal: a header line naming
+// the job and spec hash, then one line per checkpoint segment holding
+// the points merged since the previous segment. Every line carries the
+// sha256 of its own bytes, and every segment the sum of the line before
+// it, so the lines form a chain rooted in the header.
+const checkpointFile = "checkpoint.log"
 
 // Checkpoint is a persisted campaign prefix: the merged points in
 // canonical order plus the seed-schedule cursor (the next index to
@@ -29,77 +28,58 @@ const (
 type Checkpoint struct {
 	// Job is the owning job id.
 	Job string `json:"job"`
-	// SpecHash binds the snapshot to the exact spec it was taken under;
-	// a snapshot from a different spec is treated as corrupt.
+	// SpecHash binds the journal to the exact spec it was taken under;
+	// a journal from a different spec is treated as corrupt.
 	SpecHash string `json:"spec_hash"`
 	// Cursor is the resume index: Points[0:Cursor] are merged, the
 	// engine restarts at First=Cursor.
 	Cursor int `json:"cursor"`
 	// Points is the merged canonical prefix.
 	Points []Point `json:"points"`
-	// Sum is the hex sha256 of the checkpoint JSON with Sum itself
-	// cleared; a truncated or bit-flipped snapshot fails verification
-	// and the loader falls back to the previous rotation.
+	// Sum is the hex sha256 of the newest verified journal line, the
+	// head of the chain.
 	Sum string `json:"sum"`
 }
 
-// verify checks integrity (checksum) and consistency (ownership,
-// cursor/prefix agreement) of a loaded snapshot. The checksum is
-// recomputed by re-encoding the snapshot the way checkpointWriter wrote
-// it.
-func (c *Checkpoint) verify(job, specHash string) error {
-	w := oneShotWriter("", c)
-	if _, sum := w.encode(c.Cursor, c.Points == nil); w.err != nil || c.Sum != sum {
-		return fmt.Errorf("serve: checkpoint checksum mismatch")
-	}
-	if c.Job != job {
-		return fmt.Errorf("serve: checkpoint belongs to job %q, not %q", c.Job, job)
-	}
-	if c.SpecHash != specHash {
-		return fmt.Errorf("serve: checkpoint spec hash mismatch")
-	}
-	if c.Cursor != len(c.Points) {
-		return fmt.Errorf("serve: checkpoint cursor %d disagrees with %d points", c.Cursor, len(c.Points))
-	}
-	for k, pt := range c.Points {
-		if pt.Index != k {
-			return fmt.Errorf("serve: checkpoint prefix not contiguous at %d", k)
-		}
-	}
-	return nil
-}
-
-// WriteCheckpoint atomically persists a snapshot into dir: the payload
-// is checksummed, written to a temporary file and renamed over the
-// current checkpoint, which is first rotated to the .prev name. The
-// job directory therefore always holds a loadable snapshot, whatever
-// instant the process dies at. It is a one-shot use of the writer the
-// daemon keeps per running job, so both produce the same bytes.
+// WriteCheckpoint persists a checkpoint into dir as a fresh journal:
+// the header and one segment holding every point, written to a
+// temporary file and renamed over the old journal, so the job
+// directory holds a loadable journal whatever instant the process dies
+// at. It is a one-shot use of the writer the daemon keeps per running
+// job, so both produce the same bytes. The cursor is written as given;
+// LoadCheckpoint rejects a segment whose cursor disagrees with its
+// points.
 func WriteCheckpoint(dir string, c Checkpoint) error {
-	return oneShotWriter(dir, &c).write(c.Cursor, c.Points == nil)
-}
-
-// oneShotWriter returns a writer into dir holding c's points.
-func oneShotWriter(dir string, c *Checkpoint) *checkpointWriter {
 	w := &checkpointWriter{dir: dir, job: c.Job, specHash: c.SpecHash}
 	for _, pt := range c.Points {
 		w.add(pt)
 	}
-	return w
+	return w.write(c.Cursor, c.Points == nil)
 }
 
-// checkpointWriter persists successive checkpoints of one growing
+// checkpointWriter journals successive checkpoints of one growing
 // prefix, encoding each Point once: points holds the comma-joined
-// encodings of every added Point, byte-identical to the Points array
-// of json.Marshal(Checkpoint). A periodic checkpoint then costs one
-// hash and one file write of the prefix.
+// encodings of every added Point, which feed both the journal segments
+// and points.json. The first write of a writer replaces the journal
+// with a fresh one holding the whole prefix; later writes append one
+// segment with the points added since, so a job's checkpoints hash and
+// write each point once.
 type checkpointWriter struct {
 	dir, job, specHash string
 
 	points []byte // comma-joined encodings of the added points
 	n      int    // number of added points
 	err    error  // first encoding error; sticky
-	buf    []byte // file image, reused across writes
+	buf    []byte // journal lines, reused across writes
+
+	// started: the journal on disk is this writer's and ends with an
+	// intact segment, so the next write may append. A failed write
+	// clears it, and the next write starts a fresh journal.
+	started bool
+	// Journalled prefix: points[:mark] holds the first segN points,
+	// and prev is the sum of the journal's last line.
+	mark, segN int
+	prev       string
 }
 
 // add appends pt's encoding to the prefix. The bytes are json.Marshal's
@@ -153,80 +133,185 @@ func (w *checkpointWriter) pointsJSON() ([]byte, error) {
 	return append(b, ']', '\n'), nil
 }
 
-// encode renders the prefix as a checkpoint file at cursor (written as
-// given: the loader, not the writer, checks it against the points) and
-// returns the bytes with their checksum. null selects the encoding of
-// a nil Points slice. The bytes equal json.Marshal of the Checkpoint
-// with Sum set, plus a newline: the checksum is the sha256 of the
-// "sum":"" form, spliced in afterwards. The bytes alias w's buffer.
-func (w *checkpointWriter) encode(cursor int, null bool) ([]byte, string) {
-	b := append(w.buf[:0], `{"job":`...)
-	b = jsonenc.String(b, w.job)
-	b = append(b, `,"spec_hash":`...)
-	b = jsonenc.String(b, w.specHash)
-	b = append(b, `,"cursor":`...)
+// seal closes the journal line b[start:], which ends just after
+// `"sum":"`: it hashes the line with an empty sum, splices the hex sum
+// in and ends the line. It returns the extended b and the sum.
+func seal(b []byte, start int) ([]byte, string) {
+	mark := len(b)
+	b = append(b, `"}`...)
+	h := sha256.Sum256(b[start:])
+	sum := hex.EncodeToString(h[:])
+	b = append(b[:mark], sum...)
+	return append(b, '"', '}', '\n'), sum
+}
+
+// write journals the points added since the last successful write as
+// one segment at cursor (see WriteCheckpoint). null selects the
+// encoding of a nil Points slice in a fresh journal. An append with no
+// new points writes nothing.
+func (w *checkpointWriter) write(cursor int, null bool) error {
+	if w.err != nil {
+		return w.err
+	}
+	if w.started && w.n == w.segN {
+		return nil
+	}
+	b := w.buf[:0]
+	body := w.points
+	if w.started {
+		body = w.points[w.mark:]
+		if w.segN > 0 {
+			body = body[1:] // the comma after the journalled prefix
+		}
+	} else {
+		b = append(b, `{"job":`...)
+		b = jsonenc.String(b, w.job)
+		b = append(b, `,"spec_hash":`...)
+		b = jsonenc.String(b, w.specHash)
+		b = append(b, `,"sum":"`...)
+		b, w.prev = seal(b, 0)
+	}
+	start := len(b)
+	b = append(b, `{"cursor":`...)
 	b = strconv.AppendInt(b, int64(cursor), 10)
 	b = append(b, `,"points":`...)
 	if null {
 		b = append(b, "null"...)
 	} else {
 		b = append(b, '[')
-		b = append(b, w.points...)
+		b = append(b, body...)
 		b = append(b, ']')
 	}
-	b = append(b, `,"sum":"`...)
-	mark := len(b)
-	b = append(b, `"}`...)
-	h := sha256.Sum256(b)
-	sum := hex.EncodeToString(h[:])
-	b = append(b[:mark], sum...)
-	b = append(b, '"', '}', '\n')
+	b = append(b, `,"prev":"`...)
+	b = append(b, w.prev...)
+	b = append(b, `","sum":"`...)
+	b, sum := seal(b, start)
 	w.buf = b
-	return b, sum
+
+	var err error
+	if w.started {
+		err = w.appendSegment(b)
+	} else {
+		err = w.replace(b)
+	}
+	if err != nil {
+		w.started = false
+		return err
+	}
+	w.started, w.mark, w.segN, w.prev = true, len(w.points), w.n, sum
+	return nil
 }
 
-// write persists the prefix as a checkpoint at cursor (see encode).
-func (w *checkpointWriter) write(cursor int, null bool) error {
-	if w.err != nil {
-		return w.err
-	}
-	b, _ := w.encode(cursor, null)
+// replace writes a fresh journal: a temporary file renamed over the
+// old one.
+func (w *checkpointWriter) replace(b []byte) error {
 	tmp := filepath.Join(w.dir, checkpointFile+".tmp")
 	if err := os.WriteFile(tmp, b, 0o644); err != nil {
 		return fmt.Errorf("serve: write checkpoint: %w", err)
 	}
-	cur := filepath.Join(w.dir, checkpointFile)
-	if _, err := os.Stat(cur); err == nil {
-		if err := os.Rename(cur, filepath.Join(w.dir, checkpointPrev)); err != nil {
-			return fmt.Errorf("serve: rotate checkpoint: %w", err)
-		}
-	}
-	if err := os.Rename(tmp, cur); err != nil {
+	if err := os.Rename(tmp, filepath.Join(w.dir, checkpointFile)); err != nil {
 		return fmt.Errorf("serve: commit checkpoint: %w", err)
 	}
 	return nil
 }
 
-// LoadCheckpoint returns the newest intact snapshot for the job, or
-// (nil, "") when none survives: the current checkpoint if it verifies,
-// else the previous rotation, else nothing — a corrupt file is never
-// trusted, and the caller restarts from scratch rather than resuming
-// from damaged state. The second result names the file the snapshot
-// came from, so callers can log fallbacks.
+// appendSegment appends one segment line to the journal. The file is
+// opened per append and never created: a journal that vanished fails
+// the append rather than growing a headless file.
+func (w *checkpointWriter) appendSegment(b []byte) error {
+	f, err := os.OpenFile(filepath.Join(w.dir, checkpointFile), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		return fmt.Errorf("serve: append checkpoint: %w", err)
+	}
+	_, err = f.Write(b)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("serve: append checkpoint: %w", err)
+	}
+	return nil
+}
+
+// LoadCheckpoint returns the longest verified prefix of the job's
+// journal, or (nil, "") when none survives; the second result names
+// the journal file. A corrupt line is never trusted: the loader stops
+// at the first torn or damaged segment, so a crash mid-append costs at
+// most one checkpoint cadence of runs, and a damaged header restarts
+// the job from scratch.
 func LoadCheckpoint(dir, job, specHash string) (*Checkpoint, string) {
-	for _, name := range []string{checkpointFile, checkpointPrev} {
-		b, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			continue
-		}
-		var c Checkpoint
-		if err := json.Unmarshal(b, &c); err != nil {
-			continue
-		}
-		if err := c.verify(job, specHash); err != nil {
-			continue
-		}
-		return &c, name
+	b, err := os.ReadFile(filepath.Join(dir, checkpointFile))
+	if err != nil {
+		return nil, ""
+	}
+	if cp := loadJournal(b, job, specHash); cp != nil {
+		return cp, checkpointFile
 	}
 	return nil, ""
+}
+
+// loadJournal verifies the journal b for the job: the header's sum and
+// ownership, then each segment's sum, its link to the line before, the
+// contiguity of its indices and its cursor against the running count.
+// It returns the prefix up to the last segment that verifies, or nil
+// when the header or the first segment does not.
+func loadJournal(b []byte, job, specHash string) *Checkpoint {
+	line, rest, ok := bytes.Cut(b, []byte{'\n'})
+	if !ok {
+		return nil
+	}
+	var cp Checkpoint
+	sum, ok := sealed(line)
+	if !ok || json.Unmarshal(line, &cp) != nil || cp.Job != job || cp.SpecHash != specHash {
+		return nil
+	}
+	cp.Sum = sum
+	segs := 0
+	for len(rest) > 0 {
+		if line, rest, ok = bytes.Cut(rest, []byte{'\n'}); !ok {
+			break
+		}
+		var seg struct {
+			Cursor int     `json:"cursor"`
+			Points []Point `json:"points"`
+			Prev   string  `json:"prev"`
+		}
+		sum, ok := sealed(line)
+		if !ok || json.Unmarshal(line, &seg) != nil || seg.Prev != cp.Sum ||
+			seg.Cursor != len(cp.Points)+len(seg.Points) || !contiguous(seg.Points, len(cp.Points)) {
+			break
+		}
+		cp.Points = append(cp.Points, seg.Points...)
+		cp.Cursor, cp.Sum = seg.Cursor, sum
+		segs++
+	}
+	if segs == 0 {
+		return nil
+	}
+	return &cp
+}
+
+// contiguous reports whether pts are the runs first, first+1, ….
+func contiguous(pts []Point, first int) bool {
+	for k, pt := range pts {
+		if pt.Index != first+k {
+			return false
+		}
+	}
+	return true
+}
+
+// sealed checks a journal line's own sum — the sha256 of the line with
+// the sum emptied, as seal computed it — and returns it.
+func sealed(line []byte) (string, bool) {
+	const key, tail = `,"sum":"`, `"}`
+	i := len(line) - len(tail) - sha256.Size*2
+	if i < len(key) || !bytes.Equal(line[i-len(key):i], []byte(key)) || !bytes.HasSuffix(line, []byte(tail)) {
+		return "", false
+	}
+	h := sha256.New()
+	h.Write(line[:i])
+	h.Write([]byte(tail))
+	sum := hex.EncodeToString(h.Sum(nil))
+	return sum, sum == string(line[i:len(line)-len(tail)])
 }

@@ -363,11 +363,11 @@ func TestCampaignServeGracefulStopResume(t *testing.T) {
 	determtest.Check(t, "stop+resume vs CLI", ref, jobOutput(t, cl2, "suspend"))
 }
 
-// TestCampaignServeCorruptCheckpointRestart: a crash that damages the
-// newest checkpoint falls back to the previous rotation; damaging both
-// restarts the job from scratch. Either way the final outputs are
-// byte-identical to the CLI path — corruption costs progress, never
-// correctness.
+// TestCampaignServeCorruptCheckpointRestart: a crash that damages a
+// segment in the middle of the journal resumes at the segment before
+// it; damaging the header restarts the job from scratch. Either way
+// the final outputs are byte-identical to the CLI path — corruption
+// costs progress, never correctness.
 func TestCampaignServeCorruptCheckpointRestart(t *testing.T) {
 	const runs = 20000
 	spec := testSpec(t, "bitrot", runs, 2, 42)
@@ -378,24 +378,23 @@ func TestCampaignServeCorruptCheckpointRestart(t *testing.T) {
 	if _, err := cl.Submit(spec); err != nil {
 		t.Fatalf("submit: %v", err)
 	}
-	// Two checkpoint generations must exist before the kill so the
-	// fallback has somewhere to land.
+	// Several segments must exist before the kill so the damaged one
+	// has a verified prefix before it.
 	waitProgress(t, cl, "bitrot", 500)
 	s.Kill()
 	ts.Close()
 
 	jobDir := filepath.Join(dir, "jobs", "bitrot")
+	whole, _ := LoadCheckpoint(jobDir, "bitrot", spec.Hash())
+	if whole == nil {
+		t.Fatal("no checkpoint on disk after kill")
+	}
 	cur := filepath.Join(jobDir, checkpointFile)
-	b, err := os.ReadFile(cur)
-	if err != nil {
-		t.Fatalf("read checkpoint: %v", err)
-	}
-	b[len(b)/2] ^= 0x01 // bit-flip mid-payload
-	if err := os.WriteFile(cur, b, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if cp, src := LoadCheckpoint(jobDir, "bitrot", spec.Hash()); cp == nil || src != checkpointPrev {
-		t.Fatalf("corrupt current did not fall back to prev (got %q)", src)
+	b := readFile(t, cur)
+	b[len(b)/2] ^= 0x01 // bit-flip mid-journal
+	writeFile(t, cur, b)
+	if cp, _ := LoadCheckpoint(jobDir, "bitrot", spec.Hash()); cp == nil || cp.Cursor == 0 || cp.Cursor >= whole.Cursor {
+		t.Fatalf("corrupt middle segment did not fall back to an earlier segment (whole journal at %d)", whole.Cursor)
 	}
 
 	s2, ts2, cl2 := startServer(t, dir, Config{Executors: 1, CheckpointEvery: 100})
@@ -408,9 +407,9 @@ func TestCampaignServeCorruptCheckpointRestart(t *testing.T) {
 	determtest.Check(t, "corrupt-checkpoint restart vs CLI", ref, jobOutput(t, cl2, "bitrot"))
 }
 
-// TestCampaignServeScratchRestart: when every checkpoint generation is
-// destroyed, recovery restarts the job from run zero and still matches
-// the CLI byte for byte.
+// TestCampaignServeScratchRestart: when the journal's header is
+// destroyed no segment can be trusted, and recovery restarts the job
+// from run zero and still matches the CLI byte for byte.
 func TestCampaignServeScratchRestart(t *testing.T) {
 	const runs = 2000
 	spec := testSpec(t, "scratch", runs, 2, 42)
@@ -426,10 +425,12 @@ func TestCampaignServeScratchRestart(t *testing.T) {
 	ts.Close()
 
 	jobDir := filepath.Join(dir, "jobs", "scratch")
-	for _, name := range []string{checkpointFile, checkpointPrev} {
-		if err := os.WriteFile(filepath.Join(jobDir, name), []byte("xx"), 0o644); err != nil {
-			t.Fatal(err)
-		}
+	cur := filepath.Join(jobDir, checkpointFile)
+	b := readFile(t, cur)
+	b[len(`{"job":"`)] ^= 0x01 // the job id in the header
+	writeFile(t, cur, b)
+	if cp, _ := LoadCheckpoint(jobDir, "scratch", spec.Hash()); cp != nil {
+		t.Fatalf("journal with a corrupt header loaded at cursor %d", cp.Cursor)
 	}
 
 	s2, ts2, cl2 := startServer(t, dir, Config{Executors: 1, CheckpointEvery: 100})

@@ -164,8 +164,8 @@ func Run(spec Spec, resume []Point, h Hooks) (*Outcome, error) {
 					return Point{}, err
 				}
 				pt := Point{Index: i, Seed: seed, Cycles: res.Cycles, Attr: res.Attribution}
-				if ds := rvs.Durations(res.Trace, 1, 2); len(ds) > 0 {
-					pt.UoA = float64(ds[0])
+				if uoa, ok := rvs.UoA(res.Trace); ok {
+					pt.UoA = float64(uoa)
 				}
 				return pt, nil
 			}, nil

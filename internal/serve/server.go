@@ -116,7 +116,7 @@ func (j *job) resetRun() {
 // in front of a pool of campaign executors, with an HTTP/JSON API for
 // submission, inspection, SSE streaming, cancellation and metrics.
 // Construction scans DataDir and re-enqueues every non-terminal job
-// (resuming from its newest intact checkpoint), which is how the
+// (resuming from its longest verified checkpoint prefix), which is how the
 // daemon survives crashes without losing or duplicating work.
 type Server struct {
 	cfg      Config
@@ -293,7 +293,7 @@ func (s *Server) persistState(j *job, sw stateWrite) {
 // recover scans DataDir/jobs and rebuilds the in-memory job table: a
 // terminal job is registered for inspection; a queued or running job —
 // including one a crash left mid-flight — is re-enqueued and will
-// resume from its newest intact checkpoint.
+// resume from its longest verified checkpoint prefix.
 func (s *Server) recover() error {
 	root := filepath.Join(s.cfg.DataDir, "jobs")
 	entries, err := os.ReadDir(root)
@@ -347,12 +347,8 @@ func (s *Server) recover() error {
 		if !j.state.terminal() {
 			j.state = StateQueued
 			j.done = 0
-			if cp, src := LoadCheckpoint(s.jobDir(j.spec.ID), j.spec.ID, j.hash); cp != nil {
+			if cp, _ := LoadCheckpoint(s.jobDir(j.spec.ID), j.spec.ID, j.hash); cp != nil {
 				j.done = cp.Cursor
-				if src != checkpointFile {
-					s.logf("serve: job %s: current checkpoint corrupt, falling back to %s (cursor %d)",
-						j.spec.ID, src, cp.Cursor)
-				}
 			}
 			s.persistState(j, j.snapshotLocked())
 			heap.Push(&s.pending, j)
@@ -401,7 +397,7 @@ func (s *Server) executor() {
 	}
 }
 
-// runJob executes one job end to end: load the newest checkpoint,
+// runJob executes one job end to end: load the verified checkpoint prefix,
 // resume the campaign through the shared runner, checkpoint
 // periodically from the merge hook, and persist the terminal
 // artifacts. The runner's Interrupt is the job's cancel channel, which
@@ -410,13 +406,9 @@ func (s *Server) executor() {
 func (s *Server) runJob(j *job) {
 	dir := s.jobDir(j.spec.ID)
 	var resume []Point
-	if cp, src := LoadCheckpoint(dir, j.spec.ID, j.hash); cp != nil {
+	if cp, _ := LoadCheckpoint(dir, j.spec.ID, j.hash); cp != nil {
 		resume = cp.Points
-		if src != checkpointFile {
-			s.logf("serve: job %s: resuming from fallback checkpoint %s (cursor %d)", j.spec.ID, src, cp.Cursor)
-		} else {
-			s.logf("serve: job %s: resuming at run %d/%d", j.spec.ID, cp.Cursor, j.spec.Runs)
-		}
+		s.logf("serve: job %s: resuming at run %d/%d", j.spec.ID, cp.Cursor, j.spec.Runs)
 	}
 
 	merged := s.registry.Counter("dsrserve_runs_merged_total", telemetry.Labels{"job": j.spec.ID})
@@ -504,7 +496,7 @@ func (s *Server) runJob(j *job) {
 	}
 }
 
-// checkpoint snapshots the merged prefix held by w, logging a failure
+// checkpoint journals the merged prefix held by w, logging a failure
 // (what names the attempt) and counting it in
 // dsrserve_checkpoint_errors_total.
 func (s *Server) checkpoint(j *job, w *checkpointWriter, what string) {

@@ -3,7 +3,7 @@
 // an HTTP/JSON job API — submit a program plus a campaign
 // configuration, get a job id; stream live MBPTA progress over SSE;
 // scrape per-job metrics; cancel; and survive crashes through
-// checksummed, atomically written checkpoints that resume
+// checksummed, append-only checkpoint journals that resume
 // byte-identically.
 //
 // The package's hard invariant — inherited from the campaign engine
@@ -141,7 +141,7 @@ func (s *Spec) Name() string {
 
 // Hash is the canonical content hash of the spec minus its id: two
 // submissions measure the same campaign exactly when their hashes
-// agree. Checkpoints embed it so a resumed job can prove the snapshot
+// agree. Checkpoints embed it so a resumed job can prove the journal
 // belongs to this spec.
 func (s *Spec) Hash() string {
 	c := *s
