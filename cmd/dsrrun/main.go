@@ -24,9 +24,7 @@ import (
 	"os"
 	"time"
 
-	"dsr/internal/analysis"
 	"dsr/internal/asm"
-	"dsr/internal/core"
 	"dsr/internal/loader"
 	"dsr/internal/obs"
 	"dsr/internal/platform"
@@ -95,21 +93,11 @@ func main() {
 		return
 	}
 
-	plat := platform.New(platform.ProximaLEON3())
-	if *telem {
-		plat.EnableAttribution()
-	}
-	rt, err := core.NewRuntime(p, plat, core.Options{})
-	die(err)
-
 	// Verify the DSR transformation before measuring anything: a
 	// malformed rewrite would corrupt the campaign silently.
-	verify := analysis.VerifyTransform(p, rt.Program(), rt.Metadata().TransformInfo())
-	if analysis.HasErrors(verify) {
-		for _, d := range analysis.Errors(verify) {
-			fmt.Fprintln(os.Stderr, "dsrrun:", d)
-		}
-		fmt.Fprintln(os.Stderr, "dsrrun: DSR transform verification failed; refusing to run the campaign")
+	if err := spec.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "dsrrun:", err)
+		fmt.Fprintln(os.Stderr, "dsrrun: refusing to run the campaign")
 		os.Exit(1)
 	}
 

@@ -29,8 +29,9 @@ import (
 	"strings"
 
 	"dsr/internal/analysis/wcet"
-	"dsr/internal/core"
 	"dsr/internal/cpu"
+	"dsr/internal/experiments"
+	"dsr/internal/host"
 	"dsr/internal/mbpta"
 	"dsr/internal/platform"
 	"dsr/internal/rvs"
@@ -240,28 +241,20 @@ func readTrace(path string) ([]cpu.TracePoint, error) {
 	return rvs.Decode(f)
 }
 
-// generate writes the binary trace of n DSR runs of the control task:
-// run i reboots with layout seed 1+i and applies control input 9000+i.
+// generate writes the binary trace of n DSR runs of the control task
+// on a host: run i reboots with layout seed 1+i, applies control input
+// 9000+i and is checked against the golden model.
 func generate(w io.Writer, n int) error {
-	p, err := spaceapp.BuildControl()
-	if err != nil {
-		return err
-	}
-	plat := platform.New(platform.ProximaLEON3())
-	rt, err := core.NewRuntime(p, plat, core.Options{})
+	h, err := host.New(platform.ProximaLEON3(), host.DSR, experiments.ControlTask, 0, 9000)
 	if err != nil {
 		return err
 	}
 	var trace []cpu.TracePoint
 	for i := 0; i < n; i++ {
-		if _, err := rt.Reboot(1 + uint64(i)); err != nil {
+		if err := h.Prepare(i, 1+uint64(i)); err != nil {
 			return err
 		}
-		in := spaceapp.GenControlInput(9000 + uint64(i))
-		if err := spaceapp.ApplyControlInput(plat.Mem, rt.Image(), in); err != nil {
-			return err
-		}
-		res, err := rt.Run()
+		res, _, err := h.Run(cpu.NoBudget)
 		if err != nil {
 			return err
 		}

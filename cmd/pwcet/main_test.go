@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -88,6 +90,12 @@ func TestExitCodes(t *testing.T) {
 			}
 			if n := len(rvs.Durations(got, rvs.UoAEnter, rvs.UoAExit)); n != 60 {
 				t.Errorf("-gen 60 trace holds %d UoA times, want 60", n)
+			}
+			// Layout seeds 1..60 and control inputs 9000..9059: the trace
+			// is a pure function of those, pinned byte for byte.
+			const wantSHA = "aafb0f7774c7e389f9a4c45e3fba412a93c3b2ed7ef642739acdef00bc017740"
+			if sum := sha256.Sum256([]byte(out)); hex.EncodeToString(sum[:]) != wantSHA || len(out) != 1450 {
+				t.Errorf("-gen 60 trace is %d bytes with sha256 %x, want 1450 bytes with %s", len(out), sum, wantSHA)
 			}
 		}},
 		{"trace csv", "", []string{"-trace", traceFile, "-csv"}, 0, "", func(t *testing.T, out string) {

@@ -6,6 +6,7 @@ import (
 
 	"dsr/internal/analysis/schedfeas"
 	"dsr/internal/campaign"
+	"dsr/internal/host"
 	"dsr/internal/mbpta"
 	"dsr/internal/platform"
 	"dsr/internal/rtos"
@@ -39,7 +40,7 @@ import (
 // randomisation axes under study.
 
 // e9SchedStream is the Split stream of the per-frame schedule-draw
-// seeds (busStream = 1 is taken by the contention experiments). Layout
+// seeds (stream 1 is the host's bus-contention stream). Layout
 // seeds deliberately use the campaign's root stream: activation f of
 // the control task reboots with the same layout seed run f of the
 // RunDSR campaign uses, so the Layout Rand cell reproduces the E2/E3
@@ -220,13 +221,13 @@ func (s *E9Series) OffsetsWithinSupport() error {
 func NewE9Executive(cfg Config, cell E9Cell, cert *schedfeas.Certificate) (*rtos.RandomizedExecutive, error) {
 	ctrlLayout := fixedLayout
 	if cell.LayoutRand {
-		ctrlLayout = policy{dsr: defaultDSR}
+		ctrlLayout = host.DSR
 	}
-	ctrl, err := newHost(cfg, platform.ProximaLEON3(), ctrlLayout, controlTask)
+	ctrl, err := cfg.newHost(platform.ProximaLEON3(), ctrlLayout, ControlTask)
 	if err != nil {
 		return nil, err
 	}
-	proc, err := newHost(cfg, platform.ProximaLEON3(), fixedLayout, processingTask(spaceapp.LitFraction))
+	proc, err := cfg.newHost(platform.ProximaLEON3(), fixedLayout, processingTask(spaceapp.LitFraction))
 	if err != nil {
 		return nil, err
 	}
@@ -234,7 +235,7 @@ func NewE9Executive(cfg Config, cell E9Cell, cert *schedfeas.Certificate) (*rtos
 		{Name: "control", Criticality: rtos.HighCriticality, Runner: ctrl, PeriodMillis: 1000},
 		{Name: "processing", Criticality: rtos.LowCriticality, Runner: proc, PeriodMillis: 100},
 	}
-	return rtos.NewRandomizedExecutive(rtos.DefaultConfig(), parts, cert, cfg.schedule().Split(e9SchedStream).Seed(cell.index()))
+	return rtos.NewRandomizedExecutive(rtos.DefaultConfig(), parts, cert, campaign.NewSchedule(cfg.SeedBase).Split(e9SchedStream).Seed(cell.index()))
 }
 
 // e9Shard is one frame's outcome before the canonical merge.

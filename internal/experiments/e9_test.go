@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"dsr/internal/host"
 	"dsr/internal/mem"
 	"dsr/internal/platform"
 	"dsr/internal/rtos"
@@ -138,7 +139,7 @@ func TestCampaignDeterminismE9(t *testing.T) {
 
 // runE9 activates r for act and executes it under the control window's
 // budget; the host's own golden-model check rejects a wrong result.
-func runE9(t *testing.T, r *host, act uint64) platform.RunResult {
+func runE9(t *testing.T, r *host.Host, act uint64) platform.RunResult {
 	t.Helper()
 	if err := r.Activate(act); err != nil {
 		t.Fatal(err)
@@ -158,12 +159,12 @@ func runE9(t *testing.T, r *host, act uint64) platform.RunResult {
 // activations ran on the platform before it.
 func TestE9FixedRunnerRestoresPerActivation(t *testing.T) {
 	cfg := DefaultConfig()
-	for _, tk := range []task{controlTask, processingTask(spaceapp.LitFraction)} {
-		a, err := newHost(cfg, platform.ProximaLEON3(), fixedLayout, tk)
+	for _, tk := range []host.Task{ControlTask, processingTask(spaceapp.LitFraction)} {
+		a, err := cfg.newHost(platform.ProximaLEON3(), fixedLayout, tk)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := newHost(cfg, platform.ProximaLEON3(), fixedLayout, tk)
+		b, err := cfg.newHost(platform.ProximaLEON3(), fixedLayout, tk)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -183,14 +184,21 @@ func TestE9FixedRunnerRestoresPerActivation(t *testing.T) {
 // still matches the golden model.
 func TestE9LayoutRunnerRerandomisesPerActivation(t *testing.T) {
 	cfg := DefaultConfig()
-	r, err := newHost(cfg, platform.ProximaLEON3(), policy{dsr: defaultDSR}, controlTask)
+	r, err := cfg.newHost(platform.ProximaLEON3(), host.DSR, ControlTask)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cycles, entries := map[mem.Cycles]bool{}, map[mem.Addr]bool{}
+	r.Observe(false, nil, true) // capture each reboot's dsr.reboot event
+	cycles, entries := map[mem.Cycles]bool{}, map[string]bool{}
 	for act := uint64(0); act < 12; act++ {
 		cycles[runE9(t, r, act).Cycles] = true
-		entries[r.img.Entry] = true
+		for _, ev := range r.Events() {
+			for _, a := range ev.Attrs {
+				if ev.Kind == "dsr.reboot" && a.Key == "entry" {
+					entries[a.Value] = true
+				}
+			}
+		}
 	}
 	if len(cycles) < 2 || len(entries) < 2 {
 		t.Errorf("12 DSR activations drew %d distinct execution times over %d distinct entry points",

@@ -20,7 +20,9 @@ import (
 	"dsr/internal/campaign"
 	"dsr/internal/core"
 	"dsr/internal/cpu"
+	"dsr/internal/host"
 	"dsr/internal/layout"
+	"dsr/internal/loader"
 	"dsr/internal/mbpta"
 	"dsr/internal/platform"
 	"dsr/internal/prng"
@@ -125,32 +127,11 @@ func (s *Series) MinMeanMax() (min, mean, max float64) {
 	return stats.Min(s.Cycles), stats.Mean(s.Cycles), stats.Max(s.Cycles)
 }
 
-// observe attaches the campaign's observability to worker w's host:
-// cycle attribution, the worker's span track and, on a DSR runtime, a
-// private capture log for runtime events (nil, the valid no-op log,
-// when telemetry is disabled).
-func (cfg *Config) observe(h *host, w int) {
-	if cfg.Attribution {
-		h.plat.EnableAttribution()
-	}
-	h.wt = cfg.Tracer.Worker(w)
-	if h.rt != nil {
-		h.rt.SetTracer(h.wt)
-		if cfg.Telemetry != nil {
-			h.capture = telemetry.NewCaptureLog()
-			h.rt.SetEventLog(h.capture)
-		}
-	}
+// newHost builds a worker host for t under pol on a platform built
+// from pc, with the campaign's layout seeds and input seed base.
+func (cfg *Config) newHost(pc platform.Config, pol host.Policy, t host.Task) (*host.Host, error) {
+	return host.New(pc, pol, t, cfg.SeedBase, cfg.InputSeedBase)
 }
-
-// schedule returns the campaign's layout-seed schedule.
-func (cfg *Config) schedule() campaign.Schedule {
-	return campaign.NewSchedule(cfg.SeedBase)
-}
-
-// busStream is the Split stream index of the bus-contention seed
-// schedule (kept distinct from the layout stream).
-const busStream = 1
 
 // record books one merged run into the series, the telemetry campaign
 // and the MBPTA stream, and fires the progress callback. It is called
@@ -191,7 +172,7 @@ type shard struct {
 // order: replayed runtime events first (exactly where the sequential
 // loop would have emitted them live, at the pre-run campaign-clock
 // position), then the run record itself.
-func (cfg Config) runSeries(name string, pc platform.Config, pol policy, t task) (*Series, error) {
+func (cfg Config) runSeries(name string, pc platform.Config, pol host.Policy, t host.Task) (*Series, error) {
 	s := &Series{
 		Name:    name,
 		Cycles:  make([]float64, cfg.Runs),
@@ -202,21 +183,21 @@ func (cfg Config) runSeries(name string, pc platform.Config, pol policy, t task)
 	}
 	ecfg := campaign.Config{Runs: cfg.Runs, Workers: cfg.Workers, Tracer: cfg.Tracer, Interrupt: cfg.Interrupt}
 	newWorker := func(w int) (campaign.RunFunc[shard], error) {
-		h, err := newHost(cfg, pc, pol, t)
+		h, err := cfg.newHost(pc, pol, t)
 		if err != nil {
 			return nil, err
 		}
-		cfg.observe(h, w)
+		h.Observe(cfg.Attribution, cfg.Tracer.Worker(w), cfg.Telemetry != nil)
 		return func(i int) (shard, error) {
-			seed := h.seed(i)
-			if err := h.prepare(i, seed); err != nil {
+			seed := h.Seed(i)
+			if err := h.Prepare(i, seed); err != nil {
 				return shard{}, err
 			}
-			res, _, err := h.run(cpu.NoBudget)
+			res, _, err := h.Run(cpu.NoBudget)
 			if err != nil {
 				return shard{}, err
 			}
-			return shard{seed: seed, res: res, events: h.capture.Take()}, nil
+			return shard{seed: seed, res: res, events: h.Events()}, nil
 		}, nil
 	}
 	err := campaign.Execute(ecfg, newWorker, func(i int, sh shard) error {
@@ -244,36 +225,86 @@ func uoaCycles(res platform.RunResult) float64 {
 	return float64(res.Cycles)
 }
 
+// Every campaign in this package runs on a host.Host (one per
+// campaign worker, or one per E9 partition); the tasks and layout
+// policies below are the data that tells the campaigns apart.
+
+// ControlTask is the control application under a fresh sensor input
+// per run, checked against its golden model.
+var ControlTask = host.Task{
+	Name:  "control",
+	Build: spaceapp.BuildControl,
+	Input: func(m *cpu.Memory, img *loader.Image, seed uint64) (uint32, error) {
+		in := spaceapp.GenControlInput(seed)
+		if err := spaceapp.ApplyControlInput(m, img, in); err != nil {
+			return 0, err
+		}
+		return spaceapp.ControlReference(in), nil
+	},
+}
+
+// processingTask is the image-processing application under scenes
+// drawn at the given lit-lens fraction.
+func processingTask(litFrac float64) host.Task {
+	return host.Task{
+		Name:  "processing",
+		Build: spaceapp.BuildProcessing,
+		Input: func(m *cpu.Memory, img *loader.Image, seed uint64) (uint32, error) {
+			scene := spaceapp.GenScene(seed, litFrac)
+			if err := spaceapp.ApplyScene(m, img, scene); err != nil {
+				return 0, err
+			}
+			return spaceapp.ProcessingReference(scene).RMSBits, nil
+		},
+	}
+}
+
+// sequentialImage is the original binary's fixed sequential layout.
+func sequentialImage(p *prog.Program, _ platform.Config) (*loader.Image, error) {
+	return loader.Load(p, loader.DefaultSequentialConfig())
+}
+
+// positionedImage is the cache-aware fixed layout of the control task
+// (see RunPositioned).
+func positionedImage(p *prog.Program, pc platform.Config) (*loader.Image, error) {
+	pl, err := layout.Optimize(p, pc.L2, ControlLayoutWeights(p), loader.DefaultSequentialConfig())
+	if err != nil {
+		return nil, err
+	}
+	return loader.BuildImage(p, pl)
+}
+
+var (
+	fixedLayout  = host.Policy{Place: sequentialImage}
+	staticLayout = host.Policy{}
+	// lazyLayout is the A1 ablation's DSR: lazy relocation inside the
+	// measured window.
+	lazyLayout = host.Policy{DSR: func() core.Options { return core.Options{Mode: core.Lazy} }}
+)
+
 // RunBaseline measures the original (non-randomised) binary: one fixed
 // sequential layout, fresh input per run, cache flush and memory reload
 // between runs — the paper's COTS configuration.
 func RunBaseline(cfg Config) (*Series, error) {
-	return cfg.runSeries("No Rand", platform.ProximaLEON3(), fixedLayout, controlTask)
-}
-
-// dsrSeries is the common DSR campaign: every run reboots with its
-// schedule-derived seed; newOpts builds worker-private options, in
-// particular a private PRNG source.
-func dsrSeries(cfg Config, name string, newOpts func() core.Options) (*Series, error) {
-	return cfg.runSeries(name, platform.ProximaLEON3(), policy{dsr: newOpts}, controlTask)
+	return cfg.runSeries("No Rand", platform.ProximaLEON3(), fixedLayout, ControlTask)
 }
 
 // RunDSR measures the dynamically software-randomised binary: partition
 // reboot with a fresh seed before every run (§IV).
 func RunDSR(cfg Config) (*Series, error) {
-	return dsrSeries(cfg, "Sw Rand", defaultDSR)
+	return cfg.runSeries("Sw Rand", platform.ProximaLEON3(), host.DSR, ControlTask)
 }
 
 // RunDSRLazy is the A1 ablation: lazy relocation inside the measured
 // window.
 func RunDSRLazy(cfg Config) (*Series, error) {
-	return dsrSeries(cfg, "Sw Rand (lazy)", lazyDSR)
+	return cfg.runSeries("Sw Rand (lazy)", platform.ProximaLEON3(), lazyLayout, ControlTask)
 }
 
 // RunDSRWithOffsetBound is the A2 ablation: DSR with a caller-chosen
 // placement offset bound (e.g. the L1 way size instead of the L2's).
 func RunDSRWithOffsetBound(cfg Config, bound int, name string) (*Series, error) {
-	return dsrSeries(cfg, name, func() core.Options { return core.Options{OffsetBound: bound} })
+	return cfg.runSeries(name, platform.ProximaLEON3(), host.Policy{DSR: func() core.Options { return core.Options{OffsetBound: bound} }}, ControlTask)
 }
 
 // RunDSRWithPRNG is the A3 ablation: DSR drawing from a caller-chosen
@@ -283,20 +314,20 @@ func RunDSRWithOffsetBound(cfg Config, bound int, name string) (*Series, error) 
 // so factory-fresh instances give identical results at any worker
 // count.
 func RunDSRWithPRNG(cfg Config, newSrc func() prng.Source, name string) (*Series, error) {
-	return dsrSeries(cfg, name, func() core.Options { return core.Options{Source: newSrc()} })
+	return cfg.runSeries(name, platform.ProximaLEON3(), host.Policy{DSR: func() core.Options { return core.Options{Source: newSrc()} }}, ControlTask)
 }
 
 // RunHWRand is the A4 ablation: the unmodified binary on hardware
 // time-randomised caches (random placement and replacement), reseeded
 // per run.
 func RunHWRand(cfg Config) (*Series, error) {
-	return cfg.runSeries("Hw Rand", platform.HWRandLEON3(), policy{place: sequentialImage, reseed: true}, controlTask)
+	return cfg.runSeries("Hw Rand", platform.HWRandLEON3(), host.Policy{Place: sequentialImage, Reseed: true}, ControlTask)
 }
 
 // RunStatic is the A5 ablation: static software randomisation — one
 // fresh randomised binary per run, zero runtime overhead (TASA-style).
 func RunStatic(cfg Config) (*Series, error) {
-	return cfg.runSeries("Static Rand", platform.ProximaLEON3(), staticLayout, controlTask)
+	return cfg.runSeries("Static Rand", platform.ProximaLEON3(), staticLayout, ControlTask)
 }
 
 // counterRange formats a min-max counter span the way Table I does
@@ -455,7 +486,9 @@ func FormatMargin(mc mbpta.MarginComparison, dsrMOET float64) string {
 // worst-case model every transaction is padded, giving the conventional
 // deterministic upper-bounding treatment for comparison.
 func RunDSRWithContention(cfg Config, cont bus.Contention, name string) (*Series, error) {
-	return cfg.runSeries(name, platform.ProximaLEON3(), policy{dsr: defaultDSR, contention: &cont}, controlTask)
+	pol := host.DSR
+	pol.Contention = &cont
+	return cfg.runSeries(name, platform.ProximaLEON3(), pol, ControlTask)
 }
 
 // RunProcessing measures the image-processing task under DSR with scenes
@@ -466,7 +499,7 @@ func RunDSRWithContention(cfg Config, cont bus.Contention, name string) (*Series
 // lit, litFrac=1) upper-bound the path dimension the way EPC
 // (Ziccardi et al., RTSS'15) would.
 func RunProcessing(cfg Config, litFrac float64, name string) (*Series, error) {
-	return cfg.runSeries(name, platform.ProximaLEON3(), policy{dsr: defaultDSR}, processingTask(litFrac))
+	return cfg.runSeries(name, platform.ProximaLEON3(), host.DSR, processingTask(litFrac))
 }
 
 // ControlLayoutWeights returns the interaction weights of the control
@@ -495,5 +528,5 @@ func ControlLayoutWeights(p *prog.Program) layout.Weights {
 // layout, offers no representativeness argument and must be re-derived
 // at every integration.
 func RunPositioned(cfg Config) (*Series, error) {
-	return cfg.runSeries("Positioned", platform.ProximaLEON3(), policy{place: positionedImage}, controlTask)
+	return cfg.runSeries("Positioned", platform.ProximaLEON3(), host.Policy{Place: positionedImage}, ControlTask)
 }

@@ -9,6 +9,7 @@ import (
 	"dsr/internal/attack"
 	"dsr/internal/campaign"
 	"dsr/internal/cpu"
+	"dsr/internal/host"
 	"dsr/internal/mem"
 	"dsr/internal/platform"
 	"dsr/internal/spaceapp"
@@ -152,26 +153,26 @@ func RunLeak(cfg Config, mode wcet.Mode) (*LeakSeries, error) {
 	pol := fixedLayout
 	switch mode {
 	case wcet.ModeDSREager:
-		pol = policy{dsr: defaultDSR}
+		pol = host.DSR
 	case wcet.ModeDSRLazy:
-		pol = policy{dsr: lazyDSR}
+		pol = lazyLayout
 	}
 	newWorker := func(w int) (campaign.RunFunc[leakShard], error) {
-		h, err := newHost(cfg, platform.ProximaLEON3(), pol, controlTask)
+		h, err := cfg.newHost(platform.ProximaLEON3(), pol, ControlTask)
 		if err != nil {
 			return nil, err
 		}
-		probe := attack.Attach(h.plat)
+		probe := attack.Attach(h.Platform())
 		return func(i int) (leakShard, error) {
-			seed := h.seed(i % leakLayouts)
-			if err := h.prepare(i, seed); err != nil {
+			seed := h.Seed(i % leakLayouts)
+			if err := h.Prepare(i, seed); err != nil {
 				return leakShard{}, err
 			}
 			// Eager relocation ran inside the reboot, before the observed
 			// window; Reset drops its events. Lazy relocates inside the run
 			// and is charged to the trace channel by the analyzer.
 			probe.Reset()
-			res, _, err := h.run(cpu.NoBudget)
+			res, _, err := h.Run(cpu.NoBudget)
 			if err != nil {
 				return leakShard{}, err
 			}

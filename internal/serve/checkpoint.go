@@ -234,20 +234,16 @@ func (w *checkpointWriter) appendSegment(b []byte) error {
 }
 
 // LoadCheckpoint returns the longest verified prefix of the job's
-// journal, or (nil, "") when none survives; the second result names
-// the journal file. A corrupt line is never trusted: the loader stops
-// at the first torn or damaged segment, so a crash mid-append costs at
-// most one checkpoint cadence of runs, and a damaged header restarts
-// the job from scratch.
-func LoadCheckpoint(dir, job, specHash string) (*Checkpoint, string) {
+// journal, or nil when none survives. A corrupt line is never trusted:
+// the loader stops at the first torn or damaged segment, so a crash
+// mid-append costs at most one checkpoint cadence of runs, and a
+// damaged header restarts the job from scratch.
+func LoadCheckpoint(dir, job, specHash string) *Checkpoint {
 	b, err := os.ReadFile(filepath.Join(dir, checkpointFile))
 	if err != nil {
-		return nil, ""
+		return nil
 	}
-	if cp := loadJournal(b, job, specHash); cp != nil {
-		return cp, checkpointFile
-	}
-	return nil, ""
+	return loadJournal(b, job, specHash)
 }
 
 // loadJournal verifies the journal b for the job: the header's sum and

@@ -68,7 +68,7 @@ func readFile(t testing.TB, name string) []byte {
 // -1 when nothing loads.
 func loadCursor(t *testing.T, dir string) int {
 	t.Helper()
-	cp, _ := LoadCheckpoint(dir, "j1", "h1")
+	cp := LoadCheckpoint(dir, "j1", "h1")
 	if cp == nil {
 		return -1
 	}
@@ -83,12 +83,9 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if err := WriteCheckpoint(dir, testCheckpoint(10)); err != nil {
 		t.Fatal(err)
 	}
-	cp, src := LoadCheckpoint(dir, "j1", "h1")
+	cp := LoadCheckpoint(dir, "j1", "h1")
 	if cp == nil {
 		t.Fatal("no checkpoint loaded")
-	}
-	if src != checkpointFile {
-		t.Fatalf("loaded from %s, want %s", src, checkpointFile)
 	}
 	if cp.Cursor != 10 || len(cp.Points) != 10 {
 		t.Fatalf("cursor=%d points=%d, want 10/10", cp.Cursor, len(cp.Points))
@@ -294,10 +291,10 @@ func TestCheckpointOwnership(t *testing.T) {
 	if err := WriteCheckpoint(dir, testCheckpoint(5)); err != nil {
 		t.Fatal(err)
 	}
-	if cp, _ := LoadCheckpoint(dir, "other-job", "h1"); cp != nil {
+	if cp := LoadCheckpoint(dir, "other-job", "h1"); cp != nil {
 		t.Fatal("checkpoint crossed job identity")
 	}
-	if cp, _ := LoadCheckpoint(dir, "j1", "other-hash"); cp != nil {
+	if cp := LoadCheckpoint(dir, "j1", "other-hash"); cp != nil {
 		t.Fatal("checkpoint crossed spec hash")
 	}
 }
@@ -337,7 +334,7 @@ func TestCheckpointBadPrefix(t *testing.T) {
 	if err := WriteCheckpoint(dir, cp); err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := LoadCheckpoint(dir, "j1", "h1"); got != nil {
+	if got := LoadCheckpoint(dir, "j1", "h1"); got != nil {
 		t.Fatal("loaded checkpoint with cursor/points mismatch")
 	}
 
@@ -347,7 +344,7 @@ func TestCheckpointBadPrefix(t *testing.T) {
 	if err := WriteCheckpoint(dir2, cp); err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := LoadCheckpoint(dir2, "j1", "h1"); got != nil {
+	if got := LoadCheckpoint(dir2, "j1", "h1"); got != nil {
 		t.Fatal("loaded checkpoint with non-contiguous points")
 	}
 
@@ -478,8 +475,8 @@ func TestCheckpointJournalBytes(t *testing.T) {
 		if err := WriteCheckpoint(one, c); err != nil {
 			t.Fatal(err)
 		}
-		a, _ := LoadCheckpoint(inc, full.Job, full.SpecHash)
-		b, _ := LoadCheckpoint(one, full.Job, full.SpecHash)
+		a := LoadCheckpoint(inc, full.Job, full.SpecHash)
+		b := LoadCheckpoint(one, full.Job, full.SpecHash)
 		if a == nil || b == nil || a.Cursor != k+1 || b.Cursor != k+1 || !reflect.DeepEqual(a.Points, b.Points) {
 			t.Fatalf("cursor %d: incremental checkpoint loads differently from one-shot", k+1)
 		}

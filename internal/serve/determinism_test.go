@@ -345,7 +345,7 @@ func TestCampaignServeGracefulStopResume(t *testing.T) {
 
 	// The final checkpoint must cover everything merged at suspension:
 	// no progress may be lost on a graceful stop.
-	cp, _ := LoadCheckpoint(filepath.Join(dir, "jobs", "suspend"), "suspend", spec.Hash())
+	cp := LoadCheckpoint(filepath.Join(dir, "jobs", "suspend"), "suspend", spec.Hash())
 	if cp == nil {
 		t.Fatal("no checkpoint after graceful stop")
 	}
@@ -385,7 +385,7 @@ func TestCampaignServeCorruptCheckpointRestart(t *testing.T) {
 	ts.Close()
 
 	jobDir := filepath.Join(dir, "jobs", "bitrot")
-	whole, _ := LoadCheckpoint(jobDir, "bitrot", spec.Hash())
+	whole := LoadCheckpoint(jobDir, "bitrot", spec.Hash())
 	if whole == nil {
 		t.Fatal("no checkpoint on disk after kill")
 	}
@@ -393,7 +393,7 @@ func TestCampaignServeCorruptCheckpointRestart(t *testing.T) {
 	b := readFile(t, cur)
 	b[len(b)/2] ^= 0x01 // bit-flip mid-journal
 	writeFile(t, cur, b)
-	if cp, _ := LoadCheckpoint(jobDir, "bitrot", spec.Hash()); cp == nil || cp.Cursor == 0 || cp.Cursor >= whole.Cursor {
+	if cp := LoadCheckpoint(jobDir, "bitrot", spec.Hash()); cp == nil || cp.Cursor == 0 || cp.Cursor >= whole.Cursor {
 		t.Fatalf("corrupt middle segment did not fall back to an earlier segment (whole journal at %d)", whole.Cursor)
 	}
 
@@ -429,7 +429,7 @@ func TestCampaignServeScratchRestart(t *testing.T) {
 	b := readFile(t, cur)
 	b[len(`{"job":"`)] ^= 0x01 // the job id in the header
 	writeFile(t, cur, b)
-	if cp, _ := LoadCheckpoint(jobDir, "scratch", spec.Hash()); cp != nil {
+	if cp := LoadCheckpoint(jobDir, "scratch", spec.Hash()); cp != nil {
 		t.Fatalf("journal with a corrupt header loaded at cursor %d", cp.Cursor)
 	}
 

@@ -7,10 +7,12 @@ import (
 
 	"dsr/internal/asm"
 	"dsr/internal/campaign"
-	"dsr/internal/core"
+	"dsr/internal/cpu"
+	"dsr/internal/host"
 	"dsr/internal/mbpta"
 	"dsr/internal/mem"
 	"dsr/internal/platform"
+	"dsr/internal/prog"
 	"dsr/internal/rvs"
 	"dsr/internal/telemetry"
 )
@@ -130,36 +132,26 @@ func Run(spec Spec, resume []Point, h Hooks) (*Outcome, error) {
 		record(pt)
 	}
 
-	sched := campaign.NewSchedule(spec.Seed)
+	// The job's task: spec.Source with no input and no golden model,
+	// laid out by the paper's DSR policy with the spec's layout seeds.
+	task := host.Task{Name: p.Name, Build: func() (*prog.Program, error) { return asm.Assemble(spec.Source) }}
 	err = campaign.Execute(
 		campaign.Config{
 			Runs: spec.Runs, First: len(resume), Workers: spec.Workers,
 			Interrupt: h.Interrupt, Tracer: h.Tracer,
 		},
 		func(w int) (campaign.RunFunc[Point], error) {
-			// Worker-private program, platform and DSR runtime.
-			wp, err := asm.Assemble(spec.Source)
+			wh, err := host.New(platform.ProximaLEON3(), host.DSR, task, spec.Seed, 0)
 			if err != nil {
 				return nil, err
 			}
-			wplat := platform.New(platform.ProximaLEON3())
-			if spec.Attribution {
-				wplat.EnableAttribution()
-			}
-			wrt, err := core.NewRuntime(wp, wplat, core.Options{})
-			if err != nil {
-				return nil, err
-			}
-			wt := h.Tracer.Worker(w)
-			wrt.SetTracer(wt)
+			wh.Observe(spec.Attribution, h.Tracer.Worker(w), false)
 			return func(i int) (Point, error) {
-				seed := sched.Seed(i)
-				if _, err := wrt.Reboot(seed); err != nil {
+				seed := wh.Seed(i)
+				if err := wh.Prepare(i, seed); err != nil {
 					return Point{}, err
 				}
-				exec := wt.Begin(telemetry.SpanExecute, -1)
-				res, err := wrt.Run()
-				wt.End(exec)
+				res, _, err := wh.Run(cpu.NoBudget)
 				if err != nil {
 					return Point{}, err
 				}

@@ -347,7 +347,7 @@ func (s *Server) recover() error {
 		if !j.state.terminal() {
 			j.state = StateQueued
 			j.done = 0
-			if cp, _ := LoadCheckpoint(s.jobDir(j.spec.ID), j.spec.ID, j.hash); cp != nil {
+			if cp := LoadCheckpoint(s.jobDir(j.spec.ID), j.spec.ID, j.hash); cp != nil {
 				j.done = cp.Cursor
 			}
 			s.persistState(j, j.snapshotLocked())
@@ -406,7 +406,7 @@ func (s *Server) executor() {
 func (s *Server) runJob(j *job) {
 	dir := s.jobDir(j.spec.ID)
 	var resume []Point
-	if cp, _ := LoadCheckpoint(dir, j.spec.ID, j.hash); cp != nil {
+	if cp := LoadCheckpoint(dir, j.spec.ID, j.hash); cp != nil {
 		resume = cp.Points
 		s.logf("serve: job %s: resuming at run %d/%d", j.spec.ID, cp.Cursor, j.spec.Runs)
 	}
@@ -597,7 +597,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	j := s.newJob(spec)
 	cursor := 0
 	if spec.ID != "" {
-		if cp, _ := LoadCheckpoint(s.jobDir(spec.ID), spec.ID, hash); cp != nil {
+		if cp := LoadCheckpoint(s.jobDir(spec.ID), spec.ID, hash); cp != nil {
 			cursor = cp.Cursor
 		}
 	}

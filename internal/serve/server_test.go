@@ -1,15 +1,23 @@
 package serve
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
+	"dsr/internal/analysis"
+	"dsr/internal/asm"
+	"dsr/internal/cpu"
+	"dsr/internal/host"
+	"dsr/internal/platform"
+	"dsr/internal/prog"
 	"dsr/internal/telemetry"
 )
 
@@ -85,7 +93,7 @@ func TestCampaignServeResubmitFreshViewAndCursor(t *testing.T) {
 	if st := waitTerminal(t, cl, "fresh"); st.State != StateCancelled {
 		t.Fatalf("cancelled job ended %s", st.State)
 	}
-	cp, _ := LoadCheckpoint(filepath.Join(dir, "jobs", "fresh"), "fresh", spec.Hash())
+	cp := LoadCheckpoint(filepath.Join(dir, "jobs", "fresh"), "fresh", spec.Hash())
 	if cp == nil || cp.Cursor == 0 {
 		t.Fatal("no checkpoint on disk after mid-flight cancel")
 	}
@@ -161,5 +169,93 @@ func TestCampaignServeCheckpointFailureCadence(t *testing.T) {
 	}
 	if limit := runs/every + 1; logged > limit {
 		t.Fatalf("%d checkpoint errors logged, want at most %d (one per %d-run boundary)", logged, limit, every)
+	}
+}
+
+// addrSource exits with the DSR-placed address of buf, so its exit
+// word differs with every layout: a program with no golden model.
+const addrSource = `.program addr
+.entry main
+
+.data buf size=64 align=8
+.word 1 2 3 4
+
+.func main frame=96
+    save 96
+    ipoint 1
+    set buf, %o0
+    ipoint 2
+    halt
+`
+
+// TestServeRunsProgramWithoutGoldenModel: a job's runs are measured,
+// never checked — serve's task has no input and no golden model. A job
+// whose exit word moves with the layout completes, with the same
+// points and telemetry at every worker count.
+func TestServeRunsProgramWithoutGoldenModel(t *testing.T) {
+	task := host.Task{Name: "addr", Build: func() (*prog.Program, error) { return asm.Assemble(addrSource) }}
+	h, err := host.New(platform.ProximaLEON3(), host.DSR, task, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, want := range []uint32{0x54005b30, 0x54001608, 0x540042b8} {
+		if err := h.Prepare(k, uint64(k+1)); err != nil {
+			t.Fatal(err)
+		}
+		if res, _, err := h.Run(cpu.NoBudget); err != nil || res.ExitValue != want {
+			t.Fatalf("layout seed %d: exit word %#x, %v; want %#x", k+1, res.ExitValue, err, want)
+		}
+	}
+
+	s, ts, cl := startServer(t, t.TempDir(), Config{Executors: 1})
+	defer ts.Close()
+	defer s.Stop()
+	var points [2][]Point
+	var telem [2][]byte
+	for w := 1; w <= 2; w++ {
+		id := fmt.Sprintf("addr-w%d", w)
+		if _, err := cl.Submit(Spec{ID: id, Source: addrSource, Runs: 200, Seed: 1, Workers: w}); err != nil {
+			t.Fatalf("submit: %v", err)
+		}
+		if st := waitTerminal(t, cl, id); st.State != StateDone {
+			t.Fatalf("job %s ended %s: %s", id, st.State, st.Error)
+		}
+		if points[w-1], err = cl.Points(id); err != nil {
+			t.Fatal(err)
+		}
+		if telem[w-1], err = cl.Telemetry(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(points[0]) != 200 || !reflect.DeepEqual(points[0], points[1]) {
+		t.Errorf("points differ between 1 and 2 workers (%d vs %d points)", len(points[0]), len(points[1]))
+	}
+	if !bytes.Equal(telem[0], telem[1]) {
+		t.Error("telemetry bytes differ between 1 and 2 workers")
+	}
+}
+
+// TestVerifyErrorNamesEveryError: dsrrun prints Validate's error as its
+// refusal, so a failed transform verification names each Error
+// diagnostic, not only the first, and no lesser finding.
+func TestVerifyErrorNamesEveryError(t *testing.T) {
+	if err := verifyError([]analysis.Diagnostic{{Pass: "dsr-verify", Sev: analysis.Warning, Msg: "w"}}); err != nil {
+		t.Fatalf("a warning alone failed verification: %v", err)
+	}
+	err := verifyError([]analysis.Diagnostic{
+		{Pass: "dsr-verify", Sev: analysis.Error, Fn: "main", Index: 3, Msg: "first error"},
+		{Pass: "dsr-verify", Sev: analysis.Warning, Fn: "main", Index: 4, Msg: "a warning"},
+		{Pass: "dsr-verify", Sev: analysis.Error, Fn: "fold", Index: 1, Msg: "second error"},
+	})
+	if err == nil {
+		t.Fatal("two Error diagnostics passed verification")
+	}
+	for _, want := range []string{"main+3: first error", "fold+1: second error"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
+	}
+	if strings.Contains(err.Error(), "a warning") {
+		t.Errorf("error %q names a warning", err)
 	}
 }

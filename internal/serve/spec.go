@@ -21,12 +21,13 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"strings"
 
 	"dsr/internal/analysis"
 	"dsr/internal/asm"
 	"dsr/internal/core"
+	"dsr/internal/loader"
 	"dsr/internal/mbpta"
-	"dsr/internal/platform"
 )
 
 // Spec is one campaign job: the program to measure plus the campaign
@@ -82,9 +83,10 @@ func ValidID(id string) bool {
 }
 
 // Validate checks the job id and campaign dimensions, assembles the
-// program and verifies the DSR transform — the same gate dsrrun
-// applies before measuring anything. A spec that validates will
-// execute (modulo analysis-stage errors such as an i.i.d. rejection).
+// program, transforms it and links it as the DSR runtime does, and
+// verifies the transform — the same gate dsrrun applies before
+// measuring anything. A spec that validates will execute (modulo
+// analysis-stage errors such as an i.i.d. rejection).
 func (s *Spec) Validate() error {
 	if s.ID != "" && !ValidID(s.ID) {
 		return fmt.Errorf("serve: job id %q is not a safe path segment (want [A-Za-z0-9._-]{1,64}, not %q or %q)", s.ID, ".", "..")
@@ -99,16 +101,27 @@ func (s *Spec) Validate() error {
 	if err != nil {
 		return fmt.Errorf("serve: assemble: %w", err)
 	}
-	plat := platform.New(platform.ProximaLEON3())
-	rt, err := core.NewRuntime(p, plat, core.Options{})
+	tp, meta, _, err := core.Transform(p)
+	if err == nil {
+		_, err = loader.LayoutSequential(tp, loader.DefaultSequentialConfig())
+	}
 	if err != nil {
 		return fmt.Errorf("serve: dsr runtime: %w", err)
 	}
-	diags := analysis.VerifyTransform(p, rt.Program(), rt.Metadata().TransformInfo())
-	if analysis.HasErrors(diags) {
-		return fmt.Errorf("serve: DSR transform verification failed: %v", analysis.Errors(diags)[0])
+	return verifyError(analysis.VerifyTransform(p, tp, meta.TransformInfo()))
+}
+
+// verifyError names every Error diagnostic of the transform verifier,
+// or is nil when there is none.
+func verifyError(diags []analysis.Diagnostic) error {
+	var msgs []string
+	for _, d := range analysis.Errors(diags) {
+		msgs = append(msgs, d.String())
 	}
-	return nil
+	if msgs == nil {
+		return nil
+	}
+	return fmt.Errorf("serve: DSR transform verification failed: %s", strings.Join(msgs, "; "))
 }
 
 // MBPTAOptions resolves the analysis options exactly as the dsrrun CLI
