@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint race race-campaign bench bench-baseline bench-check profile evaluate regen-check examples perfbench-build dsrlint wcet-check leak-check sched-check telemetry-smoke obs-smoke serve-smoke fuzz clean
+.PHONY: all build test vet lint race race-campaign bench bench-baseline bench-check profile evaluate regen-check examples perfbench-build loc dsrlint wcet-check leak-check sched-check telemetry-smoke obs-smoke serve-smoke fuzz clean
 
 all: build lint test race race-campaign dsrlint wcet-check leak-check sched-check telemetry-smoke obs-smoke serve-smoke
 
@@ -214,6 +214,15 @@ profile:
 # on its own so an API change it compiles against is caught here.
 perfbench-build:
 	cd perfbench && $(GO) build ./... && $(GO) vet ./...
+
+# The two line counts every change reports: non-test Go outside the
+# benchmark module (perfbench/) and its scratch tree (.bench_build/),
+# then test Go outside the same two trees. Information, not a gate.
+GO_FILES = find . -name '*.go' -not -path './perfbench/*' -not -path './.bench_build/*'
+
+loc:
+	@echo "non-test Go lines: $$($(GO_FILES) ! -name '*_test.go' | xargs cat | wc -l)"
+	@echo "test Go lines:     $$($(GO_FILES) -name '*_test.go' | xargs cat | wc -l)"
 
 examples: build
 	$(GO) run ./examples/quickstart

@@ -95,7 +95,7 @@ func main() {
 
 	// Verify the DSR transformation before measuring anything: a
 	// malformed rewrite would corrupt the campaign silently.
-	if err := spec.Validate(); err != nil {
+	if _, err := spec.Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, "dsrrun:", err)
 		fmt.Fprintln(os.Stderr, "dsrrun: refusing to run the campaign")
 		os.Exit(1)

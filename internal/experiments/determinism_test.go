@@ -21,9 +21,9 @@ import (
 // byte-identical at every worker count. These tests run every Run*
 // series once on the legacy sequential path (Workers=1) and once
 // sharded wide (Workers=8), and compare everything observable —
-// cycles, run results, cycle attribution, the MBPTA stream, progress
-// callback order, and the full telemetry export (metrics, events,
-// sequence numbers, campaign-clock timestamps) byte for byte.
+// cycles, run results, cycle attribution, progress callback order,
+// and the full telemetry export (metrics, events, sequence numbers,
+// campaign-clock timestamps) byte for byte.
 //
 // The suite runs under -race in CI (make race-campaign), which also
 // makes it the data-race detector for the worker pool.
@@ -67,7 +67,6 @@ func determinismSeries() []seriesRun {
 // comparison; output converts it to the shared determtest surface.
 type campaignOutput struct {
 	series    *Series
-	stream    []float64
 	progress  []int
 	telemetry []byte // full Dump as JSONL
 }
@@ -78,7 +77,6 @@ func (c campaignOutput) output() determtest.Output {
 		Cycles:      c.series.Cycles,
 		Results:     c.series.Results,
 		Attribution: c.series.Attribution,
-		Stream:      c.stream,
 		Progress:    c.progress,
 		Telemetry:   c.telemetry,
 	}
@@ -89,13 +87,11 @@ func (c campaignOutput) output() determtest.Output {
 func runCampaign(t *testing.T, sr seriesRun, workers int) campaignOutput {
 	t.Helper()
 	camp := telemetry.NewCampaign(0)
-	stream := mbpta.NewStream(mbpta.Options{BlockSize: 4})
 	cfg := DefaultConfig()
 	cfg.Runs = sr.runs
 	cfg.Workers = workers
 	cfg.Attribution = true
 	cfg.Telemetry = camp
-	cfg.Stream = stream
 	var progress []int
 	cfg.Progress = func(series string, done, total int) {
 		if total != sr.runs {
@@ -113,7 +109,6 @@ func runCampaign(t *testing.T, sr seriesRun, workers int) campaignOutput {
 	}
 	return campaignOutput{
 		series:    s,
-		stream:    append([]float64(nil), stream.Times()...),
 		progress:  progress,
 		telemetry: buf.Bytes(),
 	}
@@ -176,13 +171,11 @@ func TestCampaignDeterminismObserved(t *testing.T) {
 		io.Copy(io.Discard, resp.Body) //nolint:errcheck // closed by Close
 	}()
 
-	stream := mbpta.NewStream(mbpta.Options{BlockSize: 4})
 	cfg := DefaultConfig()
 	cfg.Runs = sr.runs
 	cfg.Workers = 8
 	cfg.Attribution = true
 	cfg.Telemetry = camp
-	cfg.Stream = stream
 	cfg.Tracer = tracer
 	cfg.Observer = view
 	var progress []int
@@ -202,7 +195,6 @@ func TestCampaignDeterminismObserved(t *testing.T) {
 		Cycles:      s.Cycles,
 		Results:     s.Results,
 		Attribution: s.Attribution,
-		Stream:      stream.Times(),
 		Progress:    progress,
 		Telemetry:   buf.Bytes(),
 	})

@@ -287,7 +287,7 @@ func RunE9Cell(cfg Config, cell E9Cell) (*E9Series, error) {
 		}, nil
 	}
 
-	ecfg := campaign.Config{Runs: cfg.Runs, Workers: cfg.Workers, Interrupt: cfg.Interrupt}
+	ecfg := campaign.Config{Runs: cfg.Runs, Workers: cfg.Workers}
 	err := campaign.Execute(ecfg, newWorker, func(i int, sh e9Shard) error {
 		s.ControlCycles[i] = sh.cycles
 		s.ControlOffsets[i] = sh.offset

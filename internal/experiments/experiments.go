@@ -66,10 +66,6 @@ type Config struct {
 	// canonical-order merge, on the calling goroutine, so worker count
 	// does not change what is recorded.
 	Telemetry *telemetry.Campaign
-	// Stream, when non-nil, receives every merged unit-of-analysis
-	// duration in canonical run order as shards complete: streaming
-	// MBPTA ingestion, ready for Stream.Report once the campaign ends.
-	Stream *mbpta.Stream
 	// Attribution enables the cycle-attribution profiler on every
 	// campaign platform, so each RunResult carries a per-component
 	// cycle split (and Series.Attribution the campaign aggregate).
@@ -78,15 +74,6 @@ type Config struct {
 	// the series name, the runs finished so far, and the total; calls
 	// arrive in canonical order from the calling goroutine.
 	Progress func(series string, done, total int)
-
-	// Interrupt, when non-nil, requests a cooperative campaign stop when
-	// it fires (see campaign.Config.Interrupt): the engine drains
-	// in-flight runs, merges the contiguous completed prefix, and the
-	// series constructor returns campaign.ErrInterrupted. A cancelled
-	// campaign leaves every already-merged surface (telemetry, stream,
-	// progress) exactly as an uncancelled campaign would have at that
-	// prefix.
-	Interrupt <-chan struct{}
 
 	// Tracer, when non-nil, records host wall-time spans of the campaign
 	// execution itself (worker/run/boot/reloc/execute phases) for the
@@ -133,10 +120,10 @@ func (cfg *Config) newHost(pc platform.Config, pol host.Policy, t host.Task) (*h
 	return host.New(pc, pol, t, cfg.SeedBase, cfg.InputSeedBase)
 }
 
-// record books one merged run into the series, the telemetry campaign
-// and the MBPTA stream, and fires the progress callback. It is called
-// only from the engine's canonical-order merge, so writes land in run
-// order on the calling goroutine.
+// record books one merged run into the series and the telemetry
+// campaign, and fires the progress callback. It is called only from
+// the engine's canonical-order merge, so writes land in run order on
+// the calling goroutine.
 func (cfg *Config) record(s *Series, i int, seed uint64, res platform.RunResult) {
 	uoa := uoaCycles(res)
 	// Pre-sized indexed writes, not append: the slices are allocated to
@@ -146,7 +133,6 @@ func (cfg *Config) record(s *Series, i int, seed uint64, res platform.RunResult)
 	s.Cycles[i] = uoa
 	s.Results[i] = res
 	s.Attribution.Add(res.Attribution)
-	cfg.Stream.Observe(uoa)
 	cfg.Telemetry.RecordRun(telemetry.RunRecord{
 		Series: s.Name, Index: i, Seed: seed,
 		Cycles: res.Cycles, UoA: uoa, Attribution: res.Attribution,
@@ -181,7 +167,7 @@ func (cfg Config) runSeries(name string, pc platform.Config, pol host.Policy, t 
 	if cfg.Observer != nil {
 		cfg.Observer.BeginSeries(name, cfg.Runs)
 	}
-	ecfg := campaign.Config{Runs: cfg.Runs, Workers: cfg.Workers, Tracer: cfg.Tracer, Interrupt: cfg.Interrupt}
+	ecfg := campaign.Config{Runs: cfg.Runs, Workers: cfg.Workers, Tracer: cfg.Tracer}
 	newWorker := func(w int) (campaign.RunFunc[shard], error) {
 		h, err := cfg.newHost(pc, pol, t)
 		if err != nil {

@@ -148,14 +148,6 @@ type Report struct {
 // if the i.i.d. gate rejects, and ErrNonFinite (wrapped) for a NaN or
 // infinite sample; use CheckIID alone to inspect a rejected sample.
 func Analyse(times []float64, opts Options) (*Report, error) {
-	return analyse(times, nil, opts)
-}
-
-// analyse is the shared pipeline behind Analyse and Stream.Report:
-// maxima, when non-nil, are the precomputed block maxima of times
-// (the streaming path maintains them incrementally; nil re-derives
-// them from the series).
-func analyse(times, maxima []float64, opts Options) (*Report, error) {
 	if opts.BlockSize <= 0 {
 		return nil, fmt.Errorf("mbpta: non-positive block size")
 	}
@@ -163,9 +155,7 @@ func analyse(times, maxima []float64, opts Options) (*Report, error) {
 		return nil, fmt.Errorf("mbpta: need at least %d runs for block size %d, got %d",
 			4*opts.BlockSize, opts.BlockSize, len(times))
 	}
-	if maxima == nil {
-		maxima = evt.BlockMaxima(times, opts.BlockSize)
-	}
+	maxima := evt.BlockMaxima(times, opts.BlockSize)
 	iid, err := CheckIID(times, opts)
 	if err != nil {
 		return nil, err

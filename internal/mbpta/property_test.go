@@ -2,11 +2,9 @@ package mbpta
 
 import (
 	"fmt"
-	"math"
 	"reflect"
 	"testing"
 
-	"dsr/internal/evt"
 	"dsr/internal/prng"
 )
 
@@ -146,10 +144,10 @@ func TestKSToleratesSmallShift(t *testing.T) {
 	}
 }
 
-// --- Stream parity: the streaming path must be the batch path ---
+// --- Stream parity: the stream's report must be the batch report ---
 
-// TestStreamReportMatchesAnalyse checks the campaign engine's
-// streaming ingestion gives byte-identical analysis to the batch call.
+// TestStreamReportMatchesAnalyse checks that a sample observed one
+// time at a time gives the same analysis as the batch call.
 func TestStreamReportMatchesAnalyse(t *testing.T) {
 	times := iidSample(3, 1000)
 	opts := DefaultOptions()
@@ -167,55 +165,16 @@ func TestStreamReportMatchesAnalyse(t *testing.T) {
 	}
 }
 
-// TestStreamBlockMaximaIncremental checks the incrementally maintained
-// maxima equal the batch derivation for sizes that do and do not
-// divide the block size.
-func TestStreamBlockMaximaIncremental(t *testing.T) {
-	opts := DefaultOptions()
-	opts.BlockSize = 7
-	for _, n := range []int{0, 6, 7, 8, 70, 75} {
-		times := iidSample(uint64(n)+1, n)
-		s := NewStream(opts)
-		for _, x := range times {
-			s.Observe(x)
-		}
-		want := evt.BlockMaxima(times, opts.BlockSize)
-		if len(want) == 0 {
-			want = nil
-		}
-		if got := s.BlockMaxima(); !reflect.DeepEqual(got, want) {
-			t.Errorf("n=%d: stream maxima %v, batch %v", n, got, want)
-		}
-	}
-}
-
-// TestStreamDescriptives checks the running min/mean/max/N.
-func TestStreamDescriptives(t *testing.T) {
-	s := NewStream(Options{BlockSize: 4})
-	for _, x := range []float64{5, 1, 9, 3} {
-		s.Observe(x)
-	}
-	if s.N() != 4 || s.Min() != 1 || s.Max() != 9 {
-		t.Errorf("N/Min/Max = %d/%g/%g", s.N(), s.Min(), s.Max())
-	}
-	if got := s.Mean(); math.Abs(got-4.5) > 1e-12 {
-		t.Errorf("Mean = %g, want 4.5", got)
-	}
-}
-
 // TestStreamNilAndEmpty checks the disabled-stream conventions.
 func TestStreamNilAndEmpty(t *testing.T) {
 	var nilStream *Stream
 	nilStream.Observe(1) // must not panic
-	if nilStream.N() != 0 || nilStream.Times() != nil || nilStream.BlockMaxima() != nil {
+	if nilStream.Times() != nil {
 		t.Error("nil stream not inert")
 	}
-	if !math.IsInf(nilStream.Min(), 1) || !math.IsInf(nilStream.Max(), -1) || !math.IsNaN(nilStream.Mean()) {
-		t.Error("nil stream descriptive conventions")
-	}
 	empty := NewStream(Options{})
-	if empty.N() != 0 || !math.IsNaN(empty.Mean()) {
-		t.Error("empty stream descriptive conventions")
+	if empty.Times() != nil {
+		t.Error("empty stream holds a sample")
 	}
 	if _, err := empty.Report(); err == nil {
 		t.Error("empty stream Report did not error")

@@ -1,30 +1,17 @@
 package mbpta
 
-import "math"
-
-// Stream ingests execution times one at a time, in canonical run
-// order, as the campaign engine merges shards — the streaming side of
-// the parallel campaign pipeline. It maintains the descriptive
-// statistics (min/mean/max) and the EVT block maxima incrementally, so
-// that once the campaign ends Report needs no second pass over the
-// series to fit the tail model (the i.i.d. gate still needs the full
-// series, which the stream retains).
+// Stream collects execution times one at a time, in canonical run
+// order, as a campaign merges its runs; once the campaign ends Report
+// analyses the ordered sample exactly as Analyse would.
 //
 // A nil *Stream is the disabled stream: Observe no-ops, mirroring the
 // telemetry conventions, so campaign code needs no guards.
 //
-// Stream is not safe for concurrent use; the campaign engine calls
-// Observe only from the single-threaded canonical-order merge.
+// Stream is not safe for concurrent use; call Observe only from the
+// single-threaded canonical-order merge.
 type Stream struct {
-	opts Options
-
-	times  []float64
-	min    float64
-	max    float64
-	sum    float64
-	maxima []float64 // completed blocks only
-	curMax float64   // running maximum of the open block
-	curN   int       // observations in the open block
+	opts  Options
+	times []float64
 }
 
 // NewStream returns a stream analysing under opts; a non-positive
@@ -33,67 +20,19 @@ func NewStream(opts Options) *Stream {
 	if opts.BlockSize <= 0 {
 		opts.BlockSize = DefaultOptions().BlockSize
 	}
-	return &Stream{opts: opts, min: math.Inf(1), max: math.Inf(-1)}
+	return &Stream{opts: opts}
 }
 
-// Observe ingests one execution time; nil-safe.
+// Observe appends one execution time to the sample; nil-safe.
 func (s *Stream) Observe(x float64) {
 	if s == nil {
 		return
 	}
 	s.times = append(s.times, x)
-	s.sum += x
-	if x < s.min {
-		s.min = x
-	}
-	if x > s.max {
-		s.max = x
-	}
-	if s.curN == 0 || x > s.curMax {
-		s.curMax = x
-	}
-	s.curN++
-	if s.curN == s.opts.BlockSize {
-		s.maxima = append(s.maxima, s.curMax)
-		s.curN, s.curMax = 0, 0
-	}
 }
 
-// N returns the number of observations; nil-safe (0).
-func (s *Stream) N() int {
-	if s == nil {
-		return 0
-	}
-	return len(s.times)
-}
-
-// Min returns the smallest observation (+Inf when empty); nil-safe.
-func (s *Stream) Min() float64 {
-	if s == nil {
-		return math.Inf(1)
-	}
-	return s.min
-}
-
-// Max returns the largest observation, the running MOET (-Inf when
-// empty); nil-safe.
-func (s *Stream) Max() float64 {
-	if s == nil {
-		return math.Inf(-1)
-	}
-	return s.max
-}
-
-// Mean returns the running mean (NaN when empty); nil-safe.
-func (s *Stream) Mean() float64 {
-	if s == nil || len(s.times) == 0 {
-		return math.NaN()
-	}
-	return s.sum / float64(len(s.times))
-}
-
-// Times returns the ingested series in canonical run order (not a
-// copy); nil-safe.
+// Times returns the sample in canonical run order (not a copy);
+// nil-safe.
 func (s *Stream) Times() []float64 {
 	if s == nil {
 		return nil
@@ -101,20 +40,8 @@ func (s *Stream) Times() []float64 {
 	return s.times
 }
 
-// BlockMaxima returns the incrementally maintained maxima of the
-// completed blocks — identical to evt.BlockMaxima(Times(), BlockSize),
-// with any trailing partial block dropped as the batch path does.
-func (s *Stream) BlockMaxima() []float64 {
-	if s == nil {
-		return nil
-	}
-	return s.maxima
-}
-
 // Report runs the full MBPTA pipeline over everything observed so far:
-// the i.i.d. gate on the retained series, then the EVT fit reusing the
-// incrementally maintained block maxima. The result is identical to
 // Analyse(Times(), opts).
 func (s *Stream) Report() (*Report, error) {
-	return analyse(s.times, s.maxima, s.opts)
+	return Analyse(s.times, s.opts)
 }

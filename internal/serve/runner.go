@@ -134,7 +134,9 @@ func Run(spec Spec, resume []Point, h Hooks) (*Outcome, error) {
 
 	// The job's task: spec.Source with no input and no golden model,
 	// laid out by the paper's DSR policy with the spec's layout seeds.
-	task := host.Task{Name: p.Name, Build: func() (*prog.Program, error) { return asm.Assemble(spec.Source) }}
+	// Every worker shares the one assembled program: the host only reads
+	// it (core.Transform clones its input).
+	task := host.Task{Name: p.Name, Build: func() (*prog.Program, error) { return p, nil }}
 	err = campaign.Execute(
 		campaign.Config{
 			Runs: spec.Runs, First: len(resume), Workers: spec.Workers,

@@ -71,7 +71,7 @@ type Config struct {
 type job struct {
 	spec      Spec
 	hash      string
-	name      string // program name, cached at creation (assembling is not free)
+	name      string // program name, from the spec's validation
 	seq       uint64
 	heapIndex int // position in the pending heap, -1 when not queued
 
@@ -324,7 +324,12 @@ func (s *Server) recover() error {
 			continue
 		}
 		spec.ID = e.Name()
-		j := s.newJob(spec)
+		p, verr := spec.Validate()
+		name := spec.ID
+		if verr == nil {
+			name = p.Name
+		}
+		j := s.newJob(spec, name)
 		j.state = StateQueued
 		if pb, err := os.ReadFile(filepath.Join(dir, "state.json")); err == nil {
 			var ps persistedState
@@ -334,6 +339,12 @@ func (s *Server) recover() error {
 					j.state = ps.State
 				}
 			}
+		}
+		if verr != nil && !j.state.terminal() {
+			// A spec this daemon no longer accepts is never run.
+			j.state, j.errMsg = StateFailed, verr.Error()
+			s.persistState(j, j.snapshotLocked())
+			s.logf("serve: job %s: failed: %v", j.spec.ID, verr)
 		}
 		recovered = append(recovered, j)
 	}
@@ -358,14 +369,14 @@ func (s *Server) recover() error {
 	return nil
 }
 
-// newJob builds the in-memory job for a validated spec. It assembles
-// the program once to cache the name, so callers on the request path
-// should invoke it before taking s.mu.
-func (s *Server) newJob(spec Spec) *job {
+// newJob builds the in-memory job for a spec whose program is called
+// name. It hashes the spec, so callers on the request path should
+// invoke it before taking s.mu.
+func (s *Server) newJob(spec Spec, name string) *job {
 	j := &job{
 		spec:      spec,
 		hash:      spec.Hash(),
-		name:      spec.Name(),
+		name:      name,
 		state:     StateQueued,
 		heapIndex: -1,
 	}
@@ -470,28 +481,10 @@ func (s *Server) runJob(j *job) {
 			s.logf("serve: job %s: suspended at run %d/%d", j.spec.ID, ckpt.n, j.spec.Runs)
 			return
 		}
-		// Explicit cancellation. The view is captured under the lock: the
-		// instant the state goes terminal a resubmission may swap in a
-		// fresh view, and Done must land on the old one.
-		s.mu.Lock()
-		j.state = StateCancelled
-		view := j.view
-		sw := j.snapshotLocked()
-		s.mu.Unlock()
-		s.persistState(j, sw)
-		view.Done()
-		s.countTerminal(StateCancelled)
+		s.markTerminal(j, StateCancelled, "")
 		s.logf("serve: job %s: cancelled at run %d/%d", j.spec.ID, ckpt.n, j.spec.Runs)
 	default:
-		s.mu.Lock()
-		j.state = StateFailed
-		j.errMsg = err.Error()
-		view := j.view
-		sw := j.snapshotLocked()
-		s.mu.Unlock()
-		s.persistState(j, sw)
-		view.Done()
-		s.countTerminal(StateFailed)
+		s.markTerminal(j, StateFailed, err.Error())
 		s.logf("serve: job %s: failed: %v", j.spec.ID, err)
 	}
 }
@@ -522,9 +515,20 @@ func (s *Server) finishJob(j *job, out *Outcome, w *checkpointWriter, state JobS
 	write("report.txt", []byte(FormatReport(out)))
 	write("telemetry.jsonl", out.Telemetry)
 
+	s.markTerminal(j, state, errMsg)
+	s.logf("serve: job %s: %s (%d runs)", j.spec.ID, state, len(out.Points))
+}
+
+// markTerminal moves a job that has stopped running into the terminal
+// state with errMsg, persists that state, ends the job's live view and
+// counts it (countTerminal). Its done count is already final: the
+// runner's OnPoint hook updated it for every merged point. The view is
+// captured under the lock: the instant the state goes terminal a
+// resubmission may swap in a fresh view, and Done must land on the old
+// one.
+func (s *Server) markTerminal(j *job, state JobState, errMsg string) {
 	s.mu.Lock()
 	j.state = state
-	j.done = len(out.Points)
 	j.errMsg = errMsg
 	view := j.view
 	sw := j.snapshotLocked()
@@ -532,9 +536,11 @@ func (s *Server) finishJob(j *job, out *Outcome, w *checkpointWriter, state JobS
 	s.persistState(j, sw)
 	view.Done()
 	s.countTerminal(state)
-	s.logf("serve: job %s: %s (%d runs)", j.spec.ID, state, len(out.Points))
 }
 
+// countTerminal counts a job reaching state in
+// dsrserve_jobs_finished_total. The registry takes only its own locks,
+// so callers may hold s.mu.
 func (s *Server) countTerminal(state JobState) {
 	s.registry.Counter("dsrserve_jobs_finished_total", telemetry.Labels{"state": string(state)}).Inc()
 }
@@ -584,17 +590,18 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	if err := spec.Validate(); err != nil {
+	p, err := spec.Validate()
+	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	hash := (&spec).Hash()
-	// Off-lock preparation: building the job assembles the program (to
-	// cache its name), and a resubmission's checkpoint cursor is read
-	// from disk — neither belongs under s.mu. The cursor is what a
-	// re-enqueued job reports as done until the executor starts
-	// replaying; on a fresh submission no checkpoint exists and it is 0.
-	j := s.newJob(spec)
+	// Off-lock preparation: building the job hashes the spec, and a
+	// resubmission's checkpoint cursor is read from disk — neither
+	// belongs under s.mu. The cursor is what a re-enqueued job reports
+	// as done until the executor starts replaying; on a fresh
+	// submission no checkpoint exists and it is 0.
+	j := s.newJob(spec, p.Name)
+	hash := j.hash
 	cursor := 0
 	if spec.ID != "" {
 		if cp := LoadCheckpoint(s.jobDir(spec.ID), spec.ID, hash); cp != nil {
@@ -762,7 +769,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		j.state = StateCancelled
 		sw = j.snapshotLocked()
 		view = j.view
-		s.countTerminalLockedOK(StateCancelled)
+		s.countTerminal(StateCancelled)
 	case StateRunning:
 		j.userCancel = true
 		j.cancelOnce.Do(func() { close(j.cancel) })
@@ -774,13 +781,6 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		view.Done()
 	}
 	writeJSON(w, http.StatusOK, st)
-}
-
-// countTerminalLockedOK is countTerminal for call sites already under
-// s.mu (the registry takes only its own locks, so this is safe; the
-// name just documents the intent).
-func (s *Server) countTerminalLockedOK(state JobState) {
-	s.registry.Counter("dsrserve_jobs_finished_total", telemetry.Labels{"state": string(state)}).Inc()
 }
 
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -32,14 +33,14 @@ func TestSpecValidateRejectsUnsafeID(t *testing.T) {
 	}
 	for _, id := range bad {
 		sp := Spec{ID: id, Source: src, Runs: 600, Seed: 1}
-		if err := sp.Validate(); err == nil {
+		if _, err := sp.Validate(); err == nil {
 			t.Errorf("Validate accepted unsafe id %q", id)
 		}
 	}
 	good := []string{"job-0", "A.b_c-9", strings.Repeat("x", 64)}
 	for _, id := range good {
 		sp := Spec{ID: id, Source: src, Runs: 600, Seed: 1}
-		if err := sp.Validate(); err != nil {
+		if _, err := sp.Validate(); err != nil {
 			t.Errorf("Validate rejected id %q: %v", id, err)
 		}
 	}
@@ -257,5 +258,55 @@ func TestVerifyErrorNamesEveryError(t *testing.T) {
 	}
 	if strings.Contains(err.Error(), "a warning") {
 		t.Errorf("error %q names a warning", err)
+	}
+}
+
+// TestServeRecoverInvalidSpecFails: a queued job whose spec on disk no
+// longer validates is registered as failed with Validate's error, with
+// that state persisted, and never runs; a valid job beside it still
+// completes.
+func TestServeRecoverInvalidSpecFails(t *testing.T) {
+	dir := t.TempDir()
+	bad := testSpec(t, "bad", 10, 1, 42) // too few runs for any block size
+	good := testSpec(t, "good", 200, 1, 42)
+	for _, sp := range []Spec{bad, good} {
+		jd := filepath.Join(dir, "jobs", sp.ID)
+		if err := os.MkdirAll(jd, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(jd, "spec.json"), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, want := bad.Validate()
+	if want == nil {
+		t.Fatal("the bad spec validates")
+	}
+
+	s, ts, cl := startServer(t, dir, Config{Executors: 1})
+	defer ts.Close()
+	defer s.Stop()
+	st, err := cl.Status("bad")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != StateFailed || st.Error != want.Error() || st.Name != "bad" {
+		t.Fatalf("recovered invalid job: state %s, error %q, name %q; want failed, %q, bad", st.State, st.Error, st.Name, want)
+	}
+	var ps persistedState
+	if b, err := os.ReadFile(filepath.Join(dir, "jobs", "bad", "state.json")); err != nil {
+		t.Fatal(err)
+	} else if err := json.Unmarshal(b, &ps); err != nil || ps.State != StateFailed {
+		t.Fatalf("persisted state %+v, %v; want failed", ps, err)
+	}
+	if st := waitTerminal(t, cl, "good"); st.State != StateDone {
+		t.Fatalf("valid job ended %s: %s", st.State, st.Error)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "jobs", "bad", "report.txt")); !os.IsNotExist(err) {
+		t.Fatalf("the invalid job ran: %v", err)
 	}
 }

@@ -28,6 +28,7 @@ import (
 	"dsr/internal/core"
 	"dsr/internal/loader"
 	"dsr/internal/mbpta"
+	"dsr/internal/prog"
 )
 
 // Spec is one campaign job: the program to measure plus the campaign
@@ -85,30 +86,34 @@ func ValidID(id string) bool {
 // Validate checks the job id and campaign dimensions, assembles the
 // program, transforms it and links it as the DSR runtime does, and
 // verifies the transform — the same gate dsrrun applies before
-// measuring anything. A spec that validates will execute (modulo
+// measuring anything. It returns the assembled program (its Name is
+// the job's series label). A spec that validates will execute (modulo
 // analysis-stage errors such as an i.i.d. rejection).
-func (s *Spec) Validate() error {
+func (s *Spec) Validate() (*prog.Program, error) {
 	if s.ID != "" && !ValidID(s.ID) {
-		return fmt.Errorf("serve: job id %q is not a safe path segment (want [A-Za-z0-9._-]{1,64}, not %q or %q)", s.ID, ".", "..")
+		return nil, fmt.Errorf("serve: job id %q is not a safe path segment (want [A-Za-z0-9._-]{1,64}, not %q or %q)", s.ID, ".", "..")
 	}
 	if s.Runs <= 0 {
-		return fmt.Errorf("serve: runs must be positive, got %d", s.Runs)
+		return nil, fmt.Errorf("serve: runs must be positive, got %d", s.Runs)
 	}
 	if s.Runs < 4*s.MBPTAOptions().BlockSize {
-		return fmt.Errorf("serve: %d runs too few for MBPTA block size %d", s.Runs, s.MBPTAOptions().BlockSize)
+		return nil, fmt.Errorf("serve: %d runs too few for MBPTA block size %d", s.Runs, s.MBPTAOptions().BlockSize)
 	}
 	p, err := asm.Assemble(s.Source)
 	if err != nil {
-		return fmt.Errorf("serve: assemble: %w", err)
+		return nil, fmt.Errorf("serve: assemble: %w", err)
 	}
 	tp, meta, _, err := core.Transform(p)
 	if err == nil {
 		_, err = loader.LayoutSequential(tp, loader.DefaultSequentialConfig())
 	}
 	if err != nil {
-		return fmt.Errorf("serve: dsr runtime: %w", err)
+		return nil, fmt.Errorf("serve: dsr runtime: %w", err)
 	}
-	return verifyError(analysis.VerifyTransform(p, tp, meta.TransformInfo()))
+	if err := verifyError(analysis.VerifyTransform(p, tp, meta.TransformInfo())); err != nil {
+		return nil, err
+	}
+	return p, nil
 }
 
 // verifyError names every Error diagnostic of the transform verifier,
@@ -140,16 +145,6 @@ func (s *Spec) MBPTAOptions() mbpta.Options {
 		}
 	}
 	return opts
-}
-
-// Name returns the program name (from the .program directive), used as
-// the series label; jobs that fail to assemble report their id.
-func (s *Spec) Name() string {
-	p, err := asm.Assemble(s.Source)
-	if err != nil {
-		return s.ID
-	}
-	return p.Name
 }
 
 // Hash is the canonical content hash of the spec minus its id: two

@@ -7,122 +7,6 @@ import (
 	"dsr/internal/mem"
 )
 
-func TestRegistryMergeCounters(t *testing.T) {
-	a, b := NewRegistry(), NewRegistry()
-	a.Counter("runs", Labels{"series": "dsr"}).Add(3)
-	b.Counter("runs", Labels{"series": "dsr"}).Add(4)
-	b.Counter("runs", Labels{"series": "base"}).Add(2)
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if got := a.Counter("runs", Labels{"series": "dsr"}).Value(); got != 7 {
-		t.Errorf("merged dsr counter = %d, want 7", got)
-	}
-	if got := a.Counter("runs", Labels{"series": "base"}).Value(); got != 2 {
-		t.Errorf("merged base counter = %d, want 2", got)
-	}
-	// Source is unchanged.
-	if got := b.Counter("runs", Labels{"series": "dsr"}).Value(); got != 4 {
-		t.Errorf("source counter mutated: %d", got)
-	}
-}
-
-func TestRegistryMergeGaugesLastWriterWins(t *testing.T) {
-	a, b := NewRegistry(), NewRegistry()
-	a.Gauge("depth", nil).Set(10)
-	b.Gauge("depth", nil).Set(3)
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if got := a.Gauge("depth", nil).Value(); got != 3 {
-		t.Errorf("merged gauge = %g, want src value 3", got)
-	}
-}
-
-func TestRegistryMergeHistograms(t *testing.T) {
-	bounds := []float64{1, 10, 100}
-	a, b := NewRegistry(), NewRegistry()
-	for _, v := range []float64{0.5, 5, 50} {
-		a.Histogram("lat", nil, bounds).Observe(v)
-	}
-	for _, v := range []float64{5, 500} {
-		b.Histogram("lat", nil, bounds).Observe(v)
-	}
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	h := a.Histogram("lat", nil, bounds)
-	if h.Count() != 5 {
-		t.Errorf("merged count = %d, want 5", h.Count())
-	}
-	if h.Sum() != 0.5+5+50+5+500 {
-		t.Errorf("merged sum = %g", h.Sum())
-	}
-	wantCum := []uint64{1, 3, 4} // cumulative at bounds 1, 10, 100; Count() holds the +Inf total
-	if !reflect.DeepEqual(h.Cumulative(), wantCum) {
-		t.Errorf("merged cumulative counts = %v, want %v", h.Cumulative(), wantCum)
-	}
-}
-
-func TestRegistryMergeBoundsMismatch(t *testing.T) {
-	a, b := NewRegistry(), NewRegistry()
-	a.Histogram("lat", nil, []float64{1, 2}).Observe(1)
-	b.Histogram("lat", nil, []float64{1, 3}).Observe(1)
-	before := a.Snapshot()
-	if err := a.Merge(b); err == nil {
-		t.Fatal("bounds mismatch did not error")
-	}
-	if !MetricsEqual(before, a.Snapshot()) {
-		t.Error("failed merge partially applied")
-	}
-}
-
-func TestRegistryMergeNilSafe(t *testing.T) {
-	var nilReg *Registry
-	r := NewRegistry()
-	r.Counter("c", nil).Inc()
-	if err := nilReg.Merge(r); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Merge(nilReg); err != nil {
-		t.Fatal(err)
-	}
-	if got := r.Counter("c", nil).Value(); got != 1 {
-		t.Errorf("merge with nil changed counter: %d", got)
-	}
-}
-
-// TestRegistryMergeOrderDeterministic checks the campaign reduction
-// property: merging per-worker registries in canonical order always
-// produces the same snapshot.
-func TestRegistryMergeOrderDeterministic(t *testing.T) {
-	build := func() []*Registry {
-		regs := make([]*Registry, 3)
-		for w := range regs {
-			regs[w] = NewRegistry()
-			regs[w].Counter("runs", nil).Add(uint64(w + 1))
-			regs[w].Histogram("lat", nil, []float64{10, 100}).Observe(float64(w) * 42)
-			regs[w].Gauge("last", nil).Set(float64(w))
-		}
-		return regs
-	}
-	merged := func() []Metric {
-		root := NewRegistry()
-		for _, r := range build() {
-			if err := root.Merge(r); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return root.Snapshot()
-	}
-	first := merged()
-	for i := 0; i < 5; i++ {
-		if !MetricsEqual(first, merged()) {
-			t.Fatal("repeated canonical-order merges disagree")
-		}
-	}
-}
-
 // TestCaptureTakeReplay is the engine's event-merge primitive: events
 // captured on a clockless worker log and replayed at the campaign
 // clock must be indistinguishable from events emitted live into the

@@ -149,7 +149,8 @@ func (t *Tracer) Worker(id int) *WorkerTracer {
 // Spans merges every worker track into one timeline, sorted by
 // (Start, longer-first, Worker) so parents precede their children —
 // the cross-worker merge that makes the trace exportable as a single
-// artefact, mirroring Registry.Merge for metrics. Nil-safe (nil).
+// artefact (metrics need none: Campaign.RecordRun books them in the
+// campaign's canonical-order merge). Nil-safe (nil).
 // It is safe to call while workers are still recording; each track is
 // snapshot under its own lock.
 func (t *Tracer) Spans() []Span {

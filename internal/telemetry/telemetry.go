@@ -143,40 +143,19 @@ func (h *Histogram) Bounds() []float64 {
 	return h.bounds
 }
 
-// Cumulative returns the cumulative counts per bound (Prometheus
-// convention: counts[i] = observations <= bounds[i]), excluding +Inf.
-func (h *Histogram) Cumulative() []uint64 {
-	if h == nil {
-		return nil
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.cumulativeLocked()
-}
-
-// cumulativeLocked computes the cumulative counts; h.mu must be held.
-func (h *Histogram) cumulativeLocked() []uint64 {
-	out := make([]uint64, len(h.bounds))
-	var cum uint64
-	for i := range h.bounds {
-		cum += h.counts[i]
-		out[i] = cum
-	}
-	return out
-}
-
-// snapshot captures a consistent (counts, sum, n) triple.
+// snapshot captures a consistent (counts, sum, n) triple; the counts
+// are cumulative per bound (Prometheus convention: cum[i] =
+// observations <= bounds[i]), excluding +Inf.
 func (h *Histogram) snapshot() (cum []uint64, sum float64, n uint64) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.cumulativeLocked(), h.sum, h.n
-}
-
-// rawSnapshot captures the per-bucket (non-cumulative) counts.
-func (h *Histogram) rawSnapshot() (counts []uint64, sum float64, n uint64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return append([]uint64(nil), h.counts...), h.sum, h.n
+	cum = make([]uint64, len(h.bounds))
+	var c uint64
+	for i := range h.bounds {
+		c += h.counts[i]
+		cum[i] = c
+	}
+	return cum, h.sum, h.n
 }
 
 // ExpBounds returns n exponentially spaced bounds starting at start with

@@ -36,7 +36,7 @@ func TestHistogramBuckets(t *testing.T) {
 	if h.Count() != 5 || h.Sum() != 5125 {
 		t.Errorf("count=%d sum=%g", h.Count(), h.Sum())
 	}
-	cum := h.Cumulative()
+	cum, _, _ := h.snapshot()
 	want := []uint64{2, 4, 4} // <=10: {5,10}; <=100: +{11,99}; <=1000: same
 	for i := range want {
 		if cum[i] != want[i] {
