@@ -233,8 +233,9 @@ examples: build
 # Short fuzzing pass over the parsers (assembler, trace codec), the
 # DSR transform verifier, the static analyzers' soundness oracles, the
 # engine/interpreter equivalence oracle, the MBPTA pipeline on
-# degenerate series, the JSON append encoder against encoding/json and
-# the dsrserve checkpoint journal loader on damaged journals.
+# degenerate series, the JSON append encoder and the Chrome trace
+# writers against encoding/json and the dsrserve checkpoint journal
+# loader on damaged journals.
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzAssemble -fuzztime=20s -fuzzminimizetime=5s ./internal/asm
 	$(GO) test -run=^$$ -fuzz=FuzzDecode -fuzztime=20s -fuzzminimizetime=5s ./internal/rvs
@@ -247,6 +248,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzSchedFeas -fuzztime=20s -fuzzminimizetime=5s ./internal/analysis/schedfeas
 	$(GO) test -run=^$$ -fuzz=FuzzMBPTA -fuzztime=20s -fuzzminimizetime=5s ./internal/mbpta
 	$(GO) test -run=^$$ -fuzz=FuzzJSONEnc -fuzztime=20s -fuzzminimizetime=5s ./internal/jsonenc
+	$(GO) test -run=^$$ -fuzz=FuzzChromeTrace -fuzztime=20s -fuzzminimizetime=5s ./internal/telemetry
 	$(GO) test -run=^$$ -fuzz=FuzzCheckpointJournal -fuzztime=20s -fuzzminimizetime=5s ./internal/serve
 
 clean:

@@ -312,11 +312,8 @@ func BenchmarkTelemetryDisabled(b *testing.B) {
 	var reg *telemetry.Registry
 	noop := func() {
 		att.Charge(telemetry.CompBaseIssue, 1)
-		prev, eff := att.SetOverride(telemetry.CompWindowTrap)
-		att.Rebate(eff, 1)
-		att.ClearOverride(prev)
-		att.Suspend()
-		att.Resume()
+		att.Hush()
+		att.Unhush(telemetry.CompWindowTrap, 1)
 		att.Reset()
 		_ = att.Total()
 		log.Emit("track", "kind", telemetry.PhaseInstant)

@@ -72,7 +72,10 @@ func BenchmarkCampaignWorkers8(b *testing.B) { benchmarkCampaignWorkers(b, 8) }
 // deliberately loose (parallel ≤ 1.15x sequential) — the benchmarks
 // above quantify the actual speedup; this test only catches the
 // engine regressing into "parallel in name only" (e.g. a serialising
-// lock on the run path).
+// lock on the run path). It times three interleaved sequential/parallel
+// pairs and compares the best of each, so a burst of other work on the
+// host (other packages' tests running beside this one) slows one
+// sample, not the verdict.
 func TestCampaignParallelNotSlower(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing smoke test skipped in -short mode")
@@ -85,25 +88,29 @@ func TestCampaignParallelNotSlower(t *testing.T) {
 	}
 	cfg := experiments.DefaultConfig()
 	cfg.Runs = 300
-
-	seqCfg := cfg
-	seqCfg.Workers = 1
-	start := time.Now()
-	if _, err := experiments.RunDSR(seqCfg); err != nil {
-		t.Fatal(err)
+	timeRun := func(workers int) time.Duration {
+		c := cfg
+		c.Workers = workers // 0: the default, NumCPU
+		start := time.Now()
+		if _, err := experiments.RunDSR(c); err != nil {
+			t.Fatal(err)
+		}
+		return time.Since(start)
 	}
-	seq := time.Since(start)
-
-	parCfg := cfg
-	parCfg.Workers = 0 // default: NumCPU
-	start = time.Now()
-	if _, err := experiments.RunDSR(parCfg); err != nil {
-		t.Fatal(err)
+	const pairs = 3
+	var seq, par time.Duration
+	for i := 0; i < pairs; i++ {
+		s, p := timeRun(1), timeRun(0)
+		if i == 0 || s < seq {
+			seq = s
+		}
+		if i == 0 || p < par {
+			par = p
+		}
 	}
-	par := time.Since(start)
 
-	t.Logf("sequential %v, parallel (%d CPUs) %v, ratio %.2fx",
-		seq, runtime.NumCPU(), par, float64(seq)/float64(par))
+	t.Logf("best of %d: sequential %v, parallel (%d CPUs) %v, ratio %.2fx",
+		pairs, seq, runtime.NumCPU(), par, float64(seq)/float64(par))
 	if float64(par) > 1.15*float64(seq) {
 		t.Errorf("parallel campaign slower than sequential: %v vs %v", par, seq)
 	}

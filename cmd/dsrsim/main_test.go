@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"testing"
@@ -35,5 +36,44 @@ func TestOutputPinned(t *testing.T) {
 	if got := hex.EncodeToString(sum[:]); got != wantSHA256 || stdout.Len() != wantBytes {
 		t.Fatalf("dsrsim stdout is %d bytes, sha256 %s; want %d bytes, sha256 %s:\n%s",
 			stdout.Len(), got, wantBytes, wantSHA256, stdout.Bytes())
+	}
+}
+
+// TestTelemetryExportsPinned pins the deterministic telemetry exports of
+// `-fig2 -runs 200 -workers 2 -telemetry DIR`: the JSONL records (which
+// carry every per-component dsr_attributed_cycles_total, so a cycle that
+// moves between attribution buckets fails here), the CSV, the Prometheus
+// exposition and the simulated-time Chrome trace. They are the same
+// bytes at any -workers value. The wall-clock span files
+// (spans.jsonl, spans-trace.json) are not deterministic and are not
+// pinned. Re-record only with a change that means to move the exports.
+func TestTelemetryExportsPinned(t *testing.T) {
+	want := map[string]string{
+		"telemetry.jsonl": "4bdaadd1e7eb07ab141f8dabd8c92939f36623b742780917dc525981ce4c12d8",
+		"trace.json":      "eda7ad0ec2b5633bd0c9f68bdba154a804fdf07873ad464c9c5b027b45a93c57",
+		"telemetry.csv":   "5fd0b220b2d4b7b73d38d3d911cd33bc9ca4a0b0e9a28b4cbc4bebf1cf2ae3c6",
+		"telemetry.prom":  "2967e2def4be64305f8261f7ea659f83edfb09d121fef83bb687177b78bf1bca",
+	}
+	tmp := t.TempDir()
+	bin := filepath.Join(tmp, "dsrsim")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	dir := filepath.Join(tmp, "telemetry")
+	var stderr bytes.Buffer
+	cmd := exec.Command(bin, "-fig2", "-runs", "200", "-workers", "2", "-telemetry", dir)
+	cmd.Stderr = &stderr
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("dsrsim: %v\n%s", err, stderr.Bytes())
+	}
+	for name, w := range want {
+		b, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(b)
+		if got := hex.EncodeToString(sum[:]); got != w {
+			t.Errorf("%s is %d bytes, sha256 %s; want sha256 %s", name, len(b), got, w)
+		}
 	}
 }

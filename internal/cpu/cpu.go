@@ -307,7 +307,8 @@ func (c *CPU) ResetCounters() { c.ctr = Counters{} }
 // booking into the same profiler, as platform.EnableAttribution does.
 func (c *CPU) SetAttribution(a *telemetry.Attribution) { c.att = a }
 
-// charge adds n cycles and books them to comp (or the active override).
+// charge adds n cycles and books them to comp (nothing inside a hushed
+// span).
 func (c *CPU) charge(comp telemetry.Component, n mem.Cycles) {
 	c.cycles += n
 	if c.att != nil {
@@ -323,7 +324,8 @@ func book(a *telemetry.Attribution, comp telemetry.Component, n mem.Cycles) mem.
 }
 
 // translate performs a TLB translation and returns its cost, booking
-// all of it — hit latency plus any page-table walk traffic — to comp.
+// all of it — hit latency plus any page-table walk traffic — to comp in
+// one hushed span.
 func (c *CPU) translate(t *tlb.TLB, addr mem.Addr, comp telemetry.Component) mem.Cycles {
 	if t == nil {
 		return 0
@@ -331,12 +333,9 @@ func (c *CPU) translate(t *tlb.TLB, addr mem.Addr, comp telemetry.Component) mem
 	if c.att == nil {
 		return t.Translate(addr)
 	}
-	prev, eff := c.att.SetOverride(comp)
-	start := c.att.Total()
+	c.att.Hush()
 	lat := t.Translate(addr)
-	// The walk traffic booked lat-(hit latency); book the remainder.
-	c.att.Charge(eff, lat-(c.att.Total()-start))
-	c.att.ClearOverride(prev)
+	c.att.Unhush(comp, lat)
 	return lat
 }
 
@@ -445,15 +444,18 @@ func (c *CPU) misaligned(in *isa.Instr) error {
 
 // ifetch, dread and dwrite are the core's timed accesses — an
 // instruction fetch, a data load, a data store — and its only accesses
-// to its L1 fronts; dread and dwrite also move the data. Each books its
-// translation through translate and then applies the front-booking
-// rule: the L1 access returns its latency lat, and lat minus whatever
-// the levels below booked during the same synchronous transaction (the
-// change in att.Total()) is booked to CompIL1 or CompDL1, or to the
-// active override. The bookings of one access thus add up to exactly its
-// latency — the self-latency a telemetry.Probe in front of the L1
-// would book — while the fronts stay bare caches, devirtualised through
-// icacheC/dcacheC and eligible for the engine's inline window re-arm.
+// to its L1 fronts besides the engine's inline window re-arm; dread and
+// dwrite also move the data. Each books its translation through
+// translate. ifetch and dread then apply the front-booking rule: the L1
+// access returns its latency lat, and lat minus whatever the levels
+// below booked during the same synchronous transaction (the change in
+// att.Total()) is booked to CompIL1 or CompDL1. The bookings of one
+// access thus add up to exactly its latency — the self-latency a
+// telemetry.Probe in front of the L1 would book — while the fronts stay
+// bare caches, devirtualised through icacheC/dcacheC. dwrite books its
+// whole store path in one hushed span instead. The load-use and
+// store-issue cycles are not booked here: bookFixed books them in bulk
+// from the PMCs.
 
 // ifetch charges the fetch of the instruction at pc: ITLB translation
 // and the IL1 read.
@@ -475,8 +477,7 @@ func (c *CPU) ifetch(pc mem.Addr) {
 // load-use cycle and the DL1 read.
 func (c *CPU) dread(ea mem.Addr, size int) uint32 {
 	c.ctr.Loads++
-	c.cycles += c.translate(c.dtlb, ea, telemetry.CompDTLBWalk)
-	c.charge(telemetry.CompLoadStore, c.cfg.LoadUse)
+	c.cycles += c.translate(c.dtlb, ea, telemetry.CompDTLBWalk) + c.cfg.LoadUse
 	start := c.att.Total()
 	var lat mem.Cycles
 	if c.dcacheC != nil {
@@ -494,30 +495,23 @@ func (c *CPU) dread(ea mem.Addr, size int) uint32 {
 
 // dwrite performs a store of v's low size bytes (a word or a byte) at
 // ea: it charges DTLB translation, the store-issue cycles and the
-// store-buffer-adjusted write-through cost.
-// With attribution the DL1 write, hierarchy traffic included, books
-// under the store-path override, and the store-buffer-hidden portion —
-// booked but never charged — is rebated, so the booked cycles match
-// the charged cycles exactly.
+// store-buffer-adjusted write-through cost. The DL1 write, hierarchy
+// traffic included, runs in a hushed span that books only the charged
+// (not store-buffer-hidden) cycles to CompStorePath, so the booked
+// cycles match the charged cycles exactly.
 func (c *CPU) dwrite(ea mem.Addr, size int, v uint32) {
 	c.ctr.Stores++
-	c.cycles += c.translate(c.dtlb, ea, telemetry.CompDTLBWalk)
-	c.charge(telemetry.CompLoadStore, c.cfg.StoreBase)
-	prev, eff := c.att.SetOverride(telemetry.CompStorePath)
-	start := c.att.Total()
+	c.cycles += c.translate(c.dtlb, ea, telemetry.CompDTLBWalk) + c.cfg.StoreBase
+	c.att.Hush()
 	var lat mem.Cycles
 	if c.dcacheC != nil {
 		lat = c.dcacheC.WriteLine(ea, size)
 	} else {
 		lat = c.dcache.Write(ea, size)
 	}
-	c.att.Charge(telemetry.CompDL1, lat-(c.att.Total()-start))
-	hidden := min(lat, c.cfg.StoreHidden)
-	if c.att != nil {
-		c.att.Rebate(eff, hidden)
-		c.att.ClearOverride(prev)
-	}
-	c.cycles += lat - hidden
+	lat -= min(lat, c.cfg.StoreHidden)
+	c.att.Unhush(telemetry.CompStorePath, lat)
+	c.cycles += lat
 	if size == 1 {
 		c.data.StoreByte(ea, v)
 	} else {
@@ -525,42 +519,49 @@ func (c *CPU) dwrite(ea mem.Addr, size int, v uint32) {
 	}
 }
 
-// spillWindow stores 16 registers (locals then ins) of window w at sp.
-// With attribution enabled the whole trap — entry/exit overhead plus the
-// 16-word store traffic through the data cache — is booked to the
-// window-trap component, which is how stack placement randomisation
-// shows up in the attribution profile.
+// windowWords is the number of words one window spill stores and one
+// fill loads: the window's 8 locals, then its 8 ins.
+const windowWords = 16
+
+// spillWindow stores the windowWords registers of window w at sp.
+// The whole trap — entry/exit overhead plus the store traffic through
+// the data cache, DTLB walks included — runs in one hushed span booked
+// to the window-trap component, which is how stack placement
+// randomisation shows up in the attribution profile.
 func (c *CPU) spillWindow(w int, sp uint32) {
 	c.ctr.WindowOverflows++
-	prev, _ := c.att.SetOverride(telemetry.CompWindowTrap)
-	c.charge(telemetry.CompWindowTrap, c.cfg.TrapOverhead)
+	c.att.Hush()
+	start := c.cycles
+	c.cycles += c.cfg.TrapOverhead
 	base := mem.Addr(sp)
 	lb := localBase(w)
-	for i := 0; i < 8; i++ {
+	for i := 0; i < windowWords/2; i++ {
 		c.dwrite(base+mem.Addr(i)*4, mem.WordSize, c.rfile[lb+int32(i)])
 	}
 	ib := outBase((w + 1) % c.cfg.NumWindows)
-	for i := 0; i < 8; i++ {
+	for i := 0; i < windowWords/2; i++ {
 		c.dwrite(base+mem.Addr(32+i*4), mem.WordSize, c.rfile[ib+int32(i)])
 	}
-	c.att.ClearOverride(prev)
+	c.att.Unhush(telemetry.CompWindowTrap, c.cycles-start)
 }
 
-// fillWindow loads 16 registers of window w from sp.
+// fillWindow loads the windowWords registers of window w from sp, in
+// a hushed span booked to the window-trap component like spillWindow.
 func (c *CPU) fillWindow(w int, sp uint32) {
 	c.ctr.WindowUnderflows++
-	prev, _ := c.att.SetOverride(telemetry.CompWindowTrap)
-	c.charge(telemetry.CompWindowTrap, c.cfg.TrapOverhead)
+	c.att.Hush()
+	start := c.cycles
+	c.cycles += c.cfg.TrapOverhead
 	base := mem.Addr(sp)
 	lb := localBase(w)
-	for i := 0; i < 8; i++ {
+	for i := 0; i < windowWords/2; i++ {
 		c.rfile[lb+int32(i)] = c.dread(base+mem.Addr(i)*4, mem.WordSize)
 	}
 	ib := outBase((w + 1) % c.cfg.NumWindows)
-	for i := 0; i < 8; i++ {
+	for i := 0; i < windowWords/2; i++ {
 		c.rfile[ib+int32(i)] = c.dread(base+mem.Addr(32+i*4), mem.WordSize)
 	}
-	c.att.ClearOverride(prev)
+	c.att.Unhush(telemetry.CompWindowTrap, c.cycles-start)
 }
 
 // save rotates the window down, handling overflow, and sets the new SP.
@@ -601,11 +602,11 @@ func (c *CPU) restore() {
 	c.setWindowBases()
 }
 
-// runCallHook fires the DSR call hook. With attribution enabled, probe
-// bookings are suspended for the duration (the hook's own cache traffic
-// is part of the modelled runtime routine, not application stalls) and
-// the hook's entire cycle delta — AddCycles charges plus direct cache
-// traffic — is booked to the DSR runtime component.
+// runCallHook fires the DSR call hook in a hushed span: the hook's own
+// cache traffic is part of the modelled runtime routine, not application
+// stalls, so its probe bookings are dropped and the hook's entire cycle
+// delta — AddCycles charges plus direct cache traffic — is booked to
+// the DSR runtime component.
 func (c *CPU) runCallHook(target mem.Addr) {
 	if c.callHook == nil {
 		return
@@ -613,15 +614,10 @@ func (c *CPU) runCallHook(target mem.Addr) {
 	// The hook may invalidate IL1 ranges (lazy relocation), so the
 	// fetch window cannot survive it.
 	c.fetchLo, c.fetchHi = 0, 0
-	if c.att == nil {
-		c.callHook(target)
-		return
-	}
-	c.att.Suspend()
-	base := c.cycles
+	c.att.Hush()
+	start := c.cycles
 	c.callHook(target)
-	c.att.Resume()
-	c.att.Charge(telemetry.CompDSR, c.cycles-base)
+	c.att.Unhush(telemetry.CompDSR, c.cycles-start)
 }
 
 // Step executes one instruction: the interpreter, the plain reference
@@ -637,9 +633,30 @@ func (c *CPU) Step() error {
 	if err != nil {
 		return err
 	}
+	if c.att != nil {
+		from := c.ctr
+		defer c.bookFixed(&from)
+	}
 	c.ctr.Instrs++
-	c.charge(telemetry.CompBaseIssue, 1) // base cycle
+	c.cycles++ // base cycle
 	return c.exec(in)
+}
+
+// bookFixed books, in bulk, the fixed-latency cycles charged outside
+// hushed spans since the PMC values from: base issue (one cycle per
+// retired instruction), the taken-branch penalty, load-use and
+// store-issue. Each PMC counts its event exactly; the windowWords loads
+// of a fill and stores of a spill are subtracted, because their cycles
+// are part of the window-trap span that books them. Step books per
+// instruction, the engine once when it returns; exec and the helpers
+// book none of these four.
+func (c *CPU) bookFixed(from *Counters) {
+	a, d := c.att, &c.ctr
+	loads := d.Loads - from.Loads - windowWords*(d.WindowUnderflows-from.WindowUnderflows)
+	stores := d.Stores - from.Stores - windowWords*(d.WindowOverflows-from.WindowOverflows)
+	a.Charge(telemetry.CompBaseIssue, mem.Cycles(d.Instrs-from.Instrs))
+	a.Charge(telemetry.CompBranch, mem.Cycles(d.TakenBranches-from.TakenBranches)*c.cfg.BranchTaken)
+	a.Charge(telemetry.CompLoadStore, mem.Cycles(loads)*c.cfg.LoadUse+mem.Cycles(stores)*c.cfg.StoreBase)
 }
 
 // exec executes in, the instruction at c.pc whose base issue cycle is
@@ -813,9 +830,10 @@ func (c *CPU) exec(in *isa.Instr) error {
 // accesses call dread and dwrite directly). exec and the engine's arms
 // for these families (engine.go) both call them, and each is small
 // enough to inline into the engine. A latency comes back as a cycle
-// count already booked to its component, for the caller to add to
-// whichever cycle counter it keeps; the memory helpers charge c.cycles
-// through dread and dwrite.
+// count for the caller to add to whichever cycle counter it keeps,
+// already booked to its component (the taken-branch penalty by
+// bookFixed, in bulk); the memory helpers charge c.cycles through dread
+// and dwrite.
 
 // mul is the integer multiply: the product and its latency.
 func (c *CPU) mul(a, b uint32) (uint32, mem.Cycles) {
@@ -834,7 +852,7 @@ func (c *CPU) fmul(a, b float32) (float32, mem.Cycles) { return a * b, c.fpu(c.c
 
 // branch counts a branch and reports whether op is taken in the
 // current condition state; takeBranch counts a taken one and returns
-// its penalty.
+// its penalty, which bookFixed books from the count.
 func (c *CPU) branch(op isa.Op) bool {
 	c.ctr.Branches++
 	s := uint(c.fcc+1) << 2
@@ -849,7 +867,7 @@ func (c *CPU) branch(op isa.Op) bool {
 
 func (c *CPU) takeBranch() mem.Cycles {
 	c.ctr.TakenBranches++
-	return book(c.att, telemetry.CompBranch, c.cfg.BranchTaken)
+	return c.cfg.BranchTaken
 }
 
 // ld and st are the timed word load and store at ea. On a misaligned

@@ -38,9 +38,11 @@ import (
 // calls that read or charge them, and at every exit.
 //
 // Attribution does not change the dispatch: exec and the shared helpers
-// book every charge point, memory traffic books through dread and
-// dwrite, the inline re-arm through ifetch, and base issue is booked in
-// bulk on return.
+// book the variable charge points, memory traffic books through dread
+// and dwrite and their hushed spans, the inline re-arm books its IL1
+// front directly, and the fixed-latency events (base issue, taken
+// branches, load-use, store-issue) are booked in bulk from the PMCs on
+// return (bookFixed).
 
 // NoBudget is the budget of an unbounded run: it makes RunBudget's
 // cycle gate unreachable, so RunBudget(NoBudget) stops only at Halt or
@@ -78,15 +80,13 @@ func (c *CPU) runFast(budget mem.Cycles) error {
 	line := c.fetchLine
 	itlb, icC := c.itlb, c.icacheC
 	att := c.att
-	// Base issue is one cycle per retired instruction, so under
-	// attribution the engine books it in bulk when it returns rather
-	// than at every instruction, which keeps the fused runs free of
-	// booking.
+	// Under attribution the engine books the fixed-latency events —
+	// base issue, taken branches, load-use, store-issue — in bulk from
+	// the PMCs when it returns rather than at every event, which keeps
+	// the fused runs and the hot arms free of booking.
 	if att != nil {
-		ins0 := c.ctr.Instrs
-		defer func() {
-			att.Charge(telemetry.CompBaseIssue, mem.Cycles(c.ctr.Instrs-ins0))
-		}()
+		from := c.ctr
+		defer c.bookFixed(&from)
 	}
 	// maxI as an effective bound: MaxInstrs==0 means no watchdog, which
 	// the sentinel makes a plain always-false compare instead of a
@@ -328,8 +328,9 @@ outer:
 					// window = line ∩ page ∩ function. The page clamp is
 					// vacuous here: the line size divides the page size
 					// (engineOK), so an aligned line never straddles a
-					// page. Under attribution the accesses book through
-					// ifetch, exactly as fetchSlow's do.
+					// page. Under attribution the accesses book as
+					// ifetch's do: the translation through translate,
+					// the IL1 read by the front-booking rule.
 					pc := base + mem.Addr(i)*isa.InstrBytes
 					if att == nil {
 						if itlb != nil {
@@ -337,9 +338,11 @@ outer:
 						}
 						cyc += icC.ReadLine(pc)
 					} else {
-						c.cycles = cyc
-						c.ifetch(pc)
-						cyc = c.cycles
+						cyc += c.translate(itlb, pc, telemetry.CompITLBWalk)
+						start := att.Total()
+						lat := icC.ReadLine(pc)
+						att.Charge(telemetry.CompIL1, lat-(att.Total()-start))
+						cyc += lat
 					}
 					lo := pc &^ (line - 1)
 					hi := lo + line

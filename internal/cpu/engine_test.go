@@ -500,6 +500,66 @@ func TestEngineEquivalenceBudgetCuts(t *testing.T) {
 	}
 }
 
+// TestAttributionWalkInsideWindowTrap pins the nesting of hushed
+// spans on a real hierarchy: a program whose only data accesses are
+// the spills and fills of a deep recursion takes all its DTLB misses
+// inside window traps, so each walk books to window_trap (the outer
+// span wins) and nothing to dtlb_walk, and none of the spills' stores
+// or the fills' loads books store-issue or load-use cycles outside
+// their trap — on both dispatchers.
+func TestAttributionWalkInsideWindowTrap(t *testing.T) {
+	p := &prog.Program{Name: "spill", Entry: "main"}
+	deep := prog.NewFunc("deep", prog.MinFrame).
+		Prologue().
+		CmpI(isa.I0, 1).
+		Ble("base").
+		SubI(isa.O0, isa.I0, 1).
+		Call("deep").
+		Add(isa.I0, isa.I0, isa.O0).
+		Label("base").
+		Epilogue().
+		MustBuild()
+	main := prog.NewFunc("main", prog.MinFrame).
+		Prologue().
+		MovI(isa.O0, 10).
+		Call("deep").
+		Halt().
+		MustBuild()
+	for _, f := range []*prog.Function{main, deep} {
+		if err := p.AddFunction(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	img, err := shiftedImage(p, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snaps [2]telemetry.AttributionSnapshot
+	for i, forceInterp := range []bool{false, true} {
+		c, _ := newAttributedEquivCPU(img, forceInterp, true)
+		runToHalt(t, c)
+		snap := c.att.Snapshot()
+		snaps[i] = snap
+		if c.ctr.WindowOverflows == 0 || c.ctr.WindowUnderflows == 0 || c.dtlb.Counters().Misses == 0 {
+			t.Fatalf("interp=%v: vacuous run: %+v, DTLB %+v", forceInterp, c.ctr, c.dtlb.Counters())
+		}
+		if snap.Total() != c.Cycles() {
+			t.Errorf("interp=%v: booked %d cycles, charged %d", forceInterp, snap.Total(), c.Cycles())
+		}
+		for _, comp := range []telemetry.Component{telemetry.CompDTLBWalk, telemetry.CompLoadStore, telemetry.CompStorePath, telemetry.CompDL1} {
+			if v := snap.Component(comp); v != 0 {
+				t.Errorf("interp=%v: %s booked %d cycles outside the window traps", forceInterp, comp, v)
+			}
+		}
+		if snap.Component(telemetry.CompWindowTrap) == 0 {
+			t.Errorf("interp=%v: window_trap booked nothing", forceInterp)
+		}
+	}
+	if snaps[0] != snaps[1] {
+		t.Errorf("engine booked %+v, interpreter %+v", snaps[0], snaps[1])
+	}
+}
+
 // TestAttributionConservationBareFronts pins the SetAttribution
 // contract without any probe wiring: over bare caches and an unprobed
 // hierarchy the core's own bookings still add up to the cycle counter,

@@ -127,9 +127,10 @@ func New(cfg Config) *Platform {
 // Attribution). Idempotent; call before or after LoadImage.
 //
 // The probe chain mirrors the hardware topology: DRAM, L2 and bus each
-// book their self-latency, and TLB walks route through the probed bus
-// so walk traffic is redirected to the walk component by the CPU's
-// override. The L1s carry no probe: the core books its own L1 accesses
+// book their self-latency, and TLB walks route through the probed bus;
+// the CPU runs each translation in a hushed span, so the walk traffic's
+// probe bookings are dropped and the whole translation books to the
+// walk component. The L1s carry no probe: the core books its own L1 accesses
 // (see cpu.CPU.SetAttribution), so the probes sit only on the miss path
 // and the core's devirtualised hit paths and threaded-code engine stay
 // engaged under attribution.

@@ -15,13 +15,10 @@ import (
 type Component int
 
 // Attribution components. CompBaseIssue..CompDSR partition the cycle
-// counter; CompNone marks "no override active".
+// counter.
 const (
-	// CompNone is the sentinel "no component" (no override active).
-	CompNone Component = iota - 1
-
 	// CompBaseIssue is the one base cycle charged per instruction.
-	CompBaseIssue Component = iota - 1
+	CompBaseIssue Component = iota
 	// CompLoadStore is the pipeline's own load-use and store-issue
 	// cycles (independent of the hierarchy latency).
 	CompLoadStore
@@ -87,20 +84,18 @@ func (c Component) String() string {
 // hierarchy: components book their *self* latency (total minus whatever
 // deeper levels booked during the same transaction), so the sum of all
 // bookings during a memory transaction equals exactly the latency the
-// CPU is charged. Overrides redirect all bookings inside a span (a TLB
-// walk, a window trap, the store path) to a single component, keeping
-// the partition exact while matching the architectural cause.
+// CPU is charged. A hushed span (Hush … Unhush) gives a whole stretch
+// of work — a TLB translation, a window trap, the store path, the DSR
+// call hook — to one component: inside it every booking is dropped, and
+// at its end the outermost open span books the stretch's whole cycle
+// delta with one Charge. Spans nest, and the outer one wins: a TLB walk
+// inside a window trap is trap cost.
 type Attribution struct {
 	buckets [NumComponents]mem.Cycles
 	total   mem.Cycles
-	// override/overridden: the active booking redirect. A separate bool
-	// keeps the zero value of Attribution usable (Component's zero value
-	// is CompBaseIssue, not CompNone).
-	override   Component
-	overridden bool
-	// suspended disables booking entirely; used while the DSR runtime
-	// issues its own cache traffic whose cost is charged separately.
-	suspended bool
+	// hushed counts the open hushed spans; Charge books nothing while it
+	// is non-zero.
+	hushed int
 }
 
 // NewAttribution returns an enabled, zeroed profiler. The zero value of
@@ -115,90 +110,35 @@ func (a *Attribution) Reset() {
 	if a == nil {
 		return
 	}
-	a.buckets = [NumComponents]mem.Cycles{}
-	a.total = 0
-	a.override = CompNone
-	a.overridden = false
-	a.suspended = false
+	*a = Attribution{}
 }
 
-// Charge books n cycles to comp, or to the active override; nil-safe.
+// Charge books n cycles to comp, unless a hushed span is open; nil-safe.
 func (a *Attribution) Charge(comp Component, n mem.Cycles) {
-	if a == nil || a.suspended || n == 0 {
+	if a == nil || a.hushed != 0 || n == 0 {
 		return
-	}
-	if a.overridden {
-		comp = a.override
 	}
 	a.buckets[comp] += n
 	a.total += n
 }
 
-// Rebate removes n cycles from comp (or the active override): the
-// store-buffer-hidden portion of a store's hierarchy latency is booked
-// by the store's L1 access and the probes below it but never charged to
-// the cycle counter, so it must be taken back out to preserve
-// conservation. Nil-safe.
-func (a *Attribution) Rebate(comp Component, n mem.Cycles) {
-	if a == nil || a.suspended || n == 0 {
-		return
+// Hush opens a hushed span: until the matching Unhush, Charge books
+// nothing. Nil-safe.
+func (a *Attribution) Hush() {
+	if a != nil {
+		a.hushed++
 	}
-	if a.overridden {
-		comp = a.override
-	}
-	if a.buckets[comp] < n || a.total < n {
-		panic(fmt.Sprintf("telemetry: rebate of %d from %s underflows (bucket=%d)",
-			n, comp, a.buckets[comp]))
-	}
-	a.buckets[comp] -= n
-	a.total -= n
 }
 
-// SetOverride activates comp as the booking destination unless an outer
-// override is already active (outer wins: a TLB walk inside a window
-// trap is trap cost). It returns the previous override, to be passed to
-// ClearOverride, and the effective destination. Nil-safe.
-func (a *Attribution) SetOverride(comp Component) (prev, eff Component) {
-	if a == nil {
-		return CompNone, comp
-	}
-	if !a.overridden {
-		a.override = comp
-		a.overridden = true
-		return CompNone, comp
-	}
-	return a.override, a.override
-}
-
-// ClearOverride restores the override returned by SetOverride; nil-safe.
-func (a *Attribution) ClearOverride(prev Component) {
+// Unhush closes the innermost hushed span, whose whole cycle delta is n.
+// The outermost span books n to comp; an inner span books nothing,
+// since its cycles are part of the delta its outer span books. Nil-safe.
+func (a *Attribution) Unhush(comp Component, n mem.Cycles) {
 	if a == nil {
 		return
 	}
-	if prev == CompNone {
-		a.overridden = false
-		a.override = CompNone
-		return
-	}
-	a.override = prev
-	a.overridden = true
-}
-
-// Suspend stops all booking until Resume; nil-safe. The CPU suspends
-// attribution while the DSR call hook runs, then books the hook's whole
-// cycle delta to CompDSR — the hook's direct cache traffic must not be
-// double-booked.
-func (a *Attribution) Suspend() {
-	if a != nil {
-		a.suspended = true
-	}
-}
-
-// Resume re-enables booking; nil-safe.
-func (a *Attribution) Resume() {
-	if a != nil {
-		a.suspended = false
-	}
+	a.hushed--
+	a.Charge(comp, n)
 }
 
 // Total returns the cycles booked so far across all components;

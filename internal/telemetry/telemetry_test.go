@@ -89,7 +89,7 @@ func TestNilRegistryNoops(t *testing.T) {
 
 func TestAttributionZeroValueUsable(t *testing.T) {
 	// Regression: Component's zero value is CompBaseIssue, so the zero
-	// Attribution must not treat it as an active override.
+	// Attribution must book to the charged component, not redirect.
 	var a Attribution
 	a.Charge(CompDRAM, 7)
 	a.Charge(CompL2, 3)
@@ -101,53 +101,46 @@ func TestAttributionZeroValueUsable(t *testing.T) {
 	}
 }
 
-func TestAttributionOverrideOuterWins(t *testing.T) {
+func TestAttributionHushOuterWins(t *testing.T) {
 	a := NewAttribution()
-	prevTrap, effTrap := a.SetOverride(CompWindowTrap)
-	if prevTrap != CompNone || effTrap != CompWindowTrap {
-		t.Fatalf("outer SetOverride = (%v, %v)", prevTrap, effTrap)
-	}
-	// Inner override (a TLB walk inside the trap) must not displace it.
-	prevWalk, effWalk := a.SetOverride(CompDTLBWalk)
-	if effWalk != CompWindowTrap {
-		t.Errorf("inner override effective = %v, want the outer %v", effWalk, CompWindowTrap)
-	}
+	a.Charge(CompDL1, 3)
+	// A window trap (outer span) around a DTLB walk (inner span): the
+	// walk's own probe bookings are dropped, the inner span books
+	// nothing, and the outer span books its whole delta to the trap.
+	a.Hush()
 	a.Charge(CompDRAM, 10)
-	a.ClearOverride(prevWalk)
+	a.Hush()
+	a.Charge(CompBus, 4)
+	a.Unhush(CompDTLBWalk, 14)
 	a.Charge(CompDL1, 5)
-	a.ClearOverride(prevTrap)
+	a.Unhush(CompWindowTrap, 25)
 	a.Charge(CompDL1, 2)
-	if got := a.Component(CompWindowTrap); got != 15 {
-		t.Errorf("trap bucket = %d, want 15 (all charges inside the span)", got)
+	if got := a.Component(CompWindowTrap); got != 25 {
+		t.Errorf("trap bucket = %d, want 25 (the outer span's delta)", got)
 	}
-	if got := a.Component(CompDL1); got != 2 {
-		t.Errorf("dl1 bucket = %d, want 2 (only the post-span charge)", got)
+	for _, c := range []Component{CompDTLBWalk, CompDRAM, CompBus} {
+		if got := a.Component(c); got != 0 {
+			t.Errorf("%s bucket = %d, want 0 (booked inside the span)", c, got)
+		}
 	}
-	if a.Total() != 17 {
-		t.Errorf("total = %d, want 17", a.Total())
+	if got := a.Component(CompDL1); got != 5 {
+		t.Errorf("dl1 bucket = %d, want 5 (only the charges outside the span)", got)
 	}
-}
-
-func TestAttributionRebateAndSuspend(t *testing.T) {
-	a := NewAttribution()
-	a.Charge(CompStorePath, 10)
-	a.Rebate(CompStorePath, 4)
-	if a.Component(CompStorePath) != 6 || a.Total() != 6 {
-		t.Errorf("after rebate: bucket=%d total=%d, want 6/6", a.Component(CompStorePath), a.Total())
+	if a.Total() != 30 {
+		t.Errorf("total = %d, want 30", a.Total())
 	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("over-rebate did not panic")
-			}
-		}()
-		a.Rebate(CompStorePath, 100)
-	}()
-	a.Suspend()
-	a.Charge(CompDRAM, 50)
-	a.Resume()
-	if a.Component(CompDRAM) != 0 {
-		t.Error("suspended attribution still booked cycles")
+	// A lone span books to its own component, and Reset closes any
+	// span left open.
+	a.Hush()
+	a.Unhush(CompStorePath, 6)
+	if got := a.Component(CompStorePath); got != 6 {
+		t.Errorf("store_path bucket = %d, want 6", got)
+	}
+	a.Hush()
+	a.Reset()
+	a.Charge(CompDRAM, 1)
+	if a.Total() != 1 {
+		t.Errorf("after Reset a charge booked %d cycles, want 1", a.Total())
 	}
 }
 

@@ -1,10 +1,16 @@
 package telemetry
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
+
+	"dsr/internal/jsonenc"
 )
 
 // TraceEvent is one Chrome trace_event record (the JSON Array / Object
@@ -28,12 +34,12 @@ type TraceEvent struct {
 	Args map[string]string `json:"args,omitempty"`
 }
 
-// traceFile is the Object Format wrapper, which Perfetto and
-// chrome://tracing both accept and which allows metadata.
+// traceFile is the part of the Object Format wrapper (which Perfetto
+// and chrome://tracing both accept and which allows metadata) that
+// ValidateChromeTrace reads; the writers append the whole file,
+// displayTimeUnit and otherData included (traceEnc).
 type traceFile struct {
-	TraceEvents     []TraceEvent      `json:"traceEvents"`
-	DisplayTimeUnit string            `json:"displayTimeUnit"`
-	OtherData       map[string]string `json:"otherData,omitempty"`
+	TraceEvents []TraceEvent `json:"traceEvents"`
 }
 
 // DefaultCyclesPerMicro converts simulated cycles to trace microseconds:
@@ -56,76 +62,54 @@ func (d *Dump) WriteChromeTrace(w io.Writer, cyclesPerMicro float64) error {
 	}
 	tids := map[string]int{}
 	var order []string
-	for _, e := range d.Events {
-		if _, ok := tids[e.Track]; !ok {
-			tids[e.Track] = len(tids) + 1
-			order = append(order, e.Track)
+	for i := range d.Events {
+		if track := d.Events[i].Track; tids[track] == 0 {
+			tids[track] = len(tids) + 1
+			order = append(order, track)
 		}
 	}
-	tf := traceFile{
-		DisplayTimeUnit: "ms",
-		OtherData:       map[string]string{"generator": "dsr internal/telemetry"},
-		TraceEvents:     make([]TraceEvent, 0, len(d.Events)+len(order)),
-	}
+	t := newTraceEnc(len(d.Events)+len(order), 272)
 	// Thread-name metadata rows so the UI shows track names.
 	for _, track := range order {
 		name := track
 		if name == "" {
 			name = "events"
 		}
-		tf.TraceEvents = append(tf.TraceEvents, TraceEvent{
-			Name: "thread_name", Cat: "__metadata", Ph: "M", Pid: 1, Tid: tids[track],
-			Args: map[string]string{"name": name},
-		})
+		t.event("thread_name", "__metadata", "M", 0, tids[track], false, []Attr{{Key: "name", Value: name}})
 	}
-	openByTid := map[int][]string{}
-	lastTsByTid := map[int]float64{}
-	for _, e := range d.Events {
-		te := TraceEvent{
-			Name: e.Kind,
-			Cat:  kindCategory(e.Kind),
-			Ph:   string(rune(e.Phase)),
-			Ts:   float64(e.TS) / cyclesPerMicro,
-			Pid:  1,
-			Tid:  tids[e.Track],
-		}
-		if e.Phase == PhaseInstant {
-			te.S = "t"
-		}
+	// Per tid (index): the kinds of the open B events, and the last
+	// timestamp.
+	open := make([][]string, len(order)+1)
+	lastTs := make([]float64, len(order)+1)
+	var args []Attr
+	for i := range d.Events {
+		e := &d.Events[i]
+		tid := tids[e.Track]
 		switch e.Phase {
 		case PhaseBegin:
-			openByTid[te.Tid] = append(openByTid[te.Tid], e.Kind)
+			open[tid] = append(open[tid], e.Kind)
 		case PhaseEnd:
-			stack := openByTid[te.Tid]
+			stack := open[tid]
 			if len(stack) == 0 || stack[len(stack)-1] != e.Kind {
 				continue // begin evicted from the ring
 			}
-			openByTid[te.Tid] = stack[:len(stack)-1]
+			open[tid] = stack[:len(stack)-1]
 		}
-		lastTsByTid[te.Tid] = te.Ts
-		if len(e.Attrs) > 0 {
-			te.Args = make(map[string]string, len(e.Attrs))
-			for _, a := range e.Attrs {
-				te.Args[a.Key] = a.Value
-			}
-		}
-		tf.TraceEvents = append(tf.TraceEvents, te)
+		ts := float64(e.TS) / cyclesPerMicro
+		lastTs[tid] = ts
+		args = argsOf(args[:0], e.Attrs)
+		t.event(e.Kind, kindCategory(e.Kind), phaseString(e.Phase), ts, tid, e.Phase == PhaseInstant, args)
 	}
 	// Close anything still open (an interrupted recording) at its
 	// track's last timestamp, innermost first.
 	for _, track := range order {
 		tid := tids[track]
-		stack := openByTid[tid]
+		stack := open[tid]
 		for i := len(stack) - 1; i >= 0; i-- {
-			tf.TraceEvents = append(tf.TraceEvents, TraceEvent{
-				Name: stack[i], Cat: kindCategory(stack[i]), Ph: "E",
-				Ts: lastTsByTid[tid], Pid: 1, Tid: tid,
-			})
+			t.event(stack[i], kindCategory(stack[i]), "E", lastTs[tid], tid, false, nil)
 		}
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	if err := enc.Encode(tf); err != nil {
+	if err := t.finish(w, "[]", "dsr internal/telemetry"); err != nil {
 		return fmt.Errorf("telemetry: chrome trace: %w", err)
 	}
 	return nil
@@ -138,52 +122,43 @@ func (d *Dump) WriteChromeTrace(w io.Writer, cyclesPerMicro float64) error {
 // ValidateChromeTrace and loads in chrome://tracing / Perfetto — this
 // is the worker-timeline artifact `make obs-smoke` uploads.
 func WriteSpanTrace(w io.Writer, spans []Span) error {
-	byWorker := map[int][]Span{}
-	var ids []int
-	for _, s := range spans {
-		if _, ok := byWorker[s.Worker]; !ok {
-			ids = append(ids, s.Worker)
-		}
-		byWorker[s.Worker] = append(byWorker[s.Worker], s)
+	// Worker rows in ascending worker id, each in SortSpans order.
+	sorted := slices.Clone(spans)
+	slices.SortStableFunc(sorted, func(a, b Span) int {
+		return cmp.Or(cmp.Compare(a.Worker, b.Worker), cmp.Compare(a.Start, b.Start),
+			cmp.Compare(b.Dur, a.Dur), strings.Compare(a.Kind, b.Kind))
+	})
+	t := newTraceEnc(2*len(sorted), 144)
+	type openSpan struct {
+		name string
+		end  float64
 	}
-	sort.Ints(ids)
-	tf := traceFile{
-		DisplayTimeUnit: "ms",
-		OtherData:       map[string]string{"generator": "dsr internal/telemetry (spans)"},
-	}
-	for ti, id := range ids {
-		tid := ti + 1
-		name := fmt.Sprintf("worker %d", id)
-		if id < 0 {
-			name = "campaign"
+	var (
+		open []openSpan
+		args [1]Attr
+	)
+	for lo, tid := 0, 1; lo < len(sorted); tid++ {
+		id := sorted[lo].Worker
+		hi := lo + 1
+		for hi < len(sorted) && sorted[hi].Worker == id {
+			hi++
 		}
-		tf.TraceEvents = append(tf.TraceEvents, TraceEvent{
-			Name: "thread_name", Cat: "__metadata", Ph: "M", Pid: 1, Tid: tid,
-			Args: map[string]string{"name": name},
-		})
-		track := byWorker[id]
-		SortSpans(track)
+		name := "campaign"
+		if id >= 0 {
+			name = "worker " + strconv.Itoa(id)
+		}
+		t.event("thread_name", "__metadata", "M", 0, tid, false, []Attr{{Key: "name", Value: name}})
 		// Emit properly nested B/E pairs: close every open span that
 		// ends at or before the next span's start, defensively clamping
 		// children to their parent's end so the E stack always matches.
-		type openSpan struct {
-			name string
-			end  float64
-		}
-		var open []openSpan
-		emit := func(ph, name string, ts float64, args map[string]string) {
-			tf.TraceEvents = append(tf.TraceEvents, TraceEvent{
-				Name: name, Cat: "campaign", Ph: ph, Ts: ts, Pid: 1, Tid: tid, Args: args,
-			})
-		}
-		for i := range track {
-			s := &track[i]
+		for i := lo; i < hi; i++ {
+			s := &sorted[i]
 			start := float64(s.Start) / 1e3
 			end := float64(s.End()) / 1e3
 			for len(open) > 0 && open[len(open)-1].end <= start {
 				top := open[len(open)-1]
 				open = open[:len(open)-1]
-				emit("E", top.name, top.end, nil)
+				t.event(top.name, "campaign", "E", top.end, tid, false, nil)
 			}
 			if len(open) > 0 && end > open[len(open)-1].end {
 				end = open[len(open)-1].end
@@ -191,25 +166,135 @@ func WriteSpanTrace(w io.Writer, spans []Span) error {
 			if end < start {
 				end = start
 			}
-			var args map[string]string
+			var a []Attr
 			if s.Run >= 0 {
-				args = map[string]string{"run": fmt.Sprint(s.Run)}
+				args[0] = Attr{Key: "run", Value: strconv.Itoa(s.Run)}
+				a = args[:]
 			}
-			emit("B", s.Kind, start, args)
+			t.event(s.Kind, "campaign", "B", start, tid, false, a)
 			open = append(open, openSpan{name: s.Kind, end: end})
 		}
 		for len(open) > 0 {
 			top := open[len(open)-1]
 			open = open[:len(open)-1]
-			emit("E", top.name, top.end, nil)
+			t.event(top.name, "campaign", "E", top.end, tid, false, nil)
 		}
+		lo = hi
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	if err := enc.Encode(tf); err != nil {
+	if err := t.finish(w, "null", "dsr internal/telemetry (spans)"); err != nil {
 		return fmt.Errorf("telemetry: span trace: %w", err)
 	}
 	return nil
+}
+
+// traceEnc appends a Chrome trace file into one buffer: exactly the
+// bytes json.Encoder with SetIndent("", " ") writes for a traceFile
+// (fields in declaration order, omitempty applied, args keys sorted,
+// strings and floats as encoding/json writes them), without building
+// the TraceEvent slice or the args maps. FuzzChromeTrace holds both
+// writers to the encoding/json ones.
+type traceEnc struct {
+	b      []byte
+	events int   // traceEvents elements appended so far
+	err    error // the first timestamp encoding error (a non-finite ts)
+}
+
+// newTraceEnc sizes the buffer for about events elements of perEvent
+// bytes each and opens the file.
+func newTraceEnc(events, perEvent int) *traceEnc {
+	t := &traceEnc{b: make([]byte, 0, 128+events*perEvent)}
+	t.b = append(t.b, "{\n \"traceEvents\": "...)
+	return t
+}
+
+// event appends one trace event; s:"t" marks an instant (thread scope),
+// and args, sorted by key without repeats, may be empty.
+func (t *traceEnc) event(name, cat, ph string, ts float64, tid int, instant bool, args []Attr) {
+	if t.events == 0 {
+		t.b = append(t.b, "[\n  {\n   \"name\": "...)
+	} else {
+		t.b = append(t.b, ",\n  {\n   \"name\": "...)
+	}
+	t.events++
+	t.b = jsonenc.String(t.b, name)
+	t.b = append(t.b, ",\n   \"cat\": "...)
+	t.b = jsonenc.String(t.b, cat)
+	t.b = append(t.b, ",\n   \"ph\": "...)
+	t.b = jsonenc.String(t.b, ph)
+	t.b = append(t.b, ",\n   \"ts\": "...)
+	var err error
+	if t.b, err = jsonenc.Float(t.b, ts); err != nil && t.err == nil {
+		t.err = err
+	}
+	t.b = append(t.b, ",\n   \"pid\": 1,\n   \"tid\": "...)
+	t.b = strconv.AppendInt(t.b, int64(tid), 10)
+	if instant {
+		t.b = append(t.b, ",\n   \"s\": \"t\""...)
+	}
+	if len(args) > 0 {
+		t.b = append(t.b, ",\n   \"args\": {"...)
+		for i, a := range args {
+			if i > 0 {
+				t.b = append(t.b, ',')
+			}
+			t.b = append(t.b, "\n    "...)
+			t.b = jsonenc.String(t.b, a.Key)
+			t.b = append(t.b, ": "...)
+			t.b = jsonenc.String(t.b, a.Value)
+		}
+		t.b = append(t.b, "\n   }"...)
+	}
+	t.b = append(t.b, "\n  }"...)
+}
+
+// finish closes the file — empty is what an empty event list encodes
+// as ("[]" for an empty slice, "null" for a nil one) and generator the
+// otherData generator — and writes it to w in one call. After an
+// encoding error it writes nothing, as json.Encoder does.
+func (t *traceEnc) finish(w io.Writer, empty, generator string) error {
+	if t.err != nil {
+		return t.err
+	}
+	if t.events == 0 {
+		t.b = append(t.b, empty...)
+	} else {
+		t.b = append(t.b, "\n ]"...)
+	}
+	t.b = append(t.b, ",\n \"displayTimeUnit\": \"ms\",\n \"otherData\": {\n  \"generator\": "...)
+	t.b = jsonenc.String(t.b, generator)
+	t.b = append(t.b, "\n }\n}\n"...)
+	_, err := w.Write(t.b)
+	return err
+}
+
+// argsOf appends attrs to dst as the args map encodes them: sorted by
+// key, and for a repeated key only the last value, which is the one a
+// map keeps.
+func argsOf(dst, attrs []Attr) []Attr {
+	dst = append(dst, attrs...)
+	slices.SortStableFunc(dst, func(a, b Attr) int { return strings.Compare(a.Key, b.Key) })
+	out := dst[:0]
+	for i := range dst {
+		if i+1 < len(dst) && dst[i+1].Key == dst[i].Key {
+			continue
+		}
+		out = append(out, dst[i])
+	}
+	return out
+}
+
+// phaseString is the trace phase of p: string(rune(p)), without the
+// allocation for the phases the log records.
+func phaseString(p Phase) string {
+	switch p {
+	case PhaseBegin:
+		return "B"
+	case PhaseEnd:
+		return "E"
+	case PhaseInstant:
+		return "i"
+	}
+	return string(rune(p))
 }
 
 // kindCategory returns the dotted prefix of an event kind ("dsr.reboot"
