@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint race race-campaign bench bench-baseline bench-check profile evaluate regen-check examples perfbench-build loc dsrlint wcet-check leak-check sched-check telemetry-smoke obs-smoke serve-smoke fuzz clean
+.PHONY: all build test vet lint inline-check race race-campaign bench bench-baseline bench-check profile evaluate regen-check examples perfbench-build loc dsrlint wcet-check leak-check sched-check telemetry-smoke obs-smoke serve-smoke fuzz clean
 
-all: build lint test race race-campaign dsrlint wcet-check leak-check sched-check telemetry-smoke obs-smoke serve-smoke
+all: build lint inline-check test race race-campaign dsrlint wcet-check leak-check sched-check telemetry-smoke obs-smoke serve-smoke
 
 build:
 	$(GO) build ./...
@@ -36,6 +36,25 @@ lint: vet
 
 test: vet
 	$(GO) test ./...
+
+# Inlining gate: the unobserved hot path (fig2-control, e9-grid, every
+# run with attribution off) depends on the compiler inlining the TLB
+# translation, the L1 single-line accesses and the profiler's nil-safe
+# entry points into the core's access routines. The target fails when
+# `go build -gcflags=-m` stops reporting any of them as inlinable —
+# the first sign of booking code creeping into the unobserved path.
+INLINE_FUNCS = '(*TLB).Translate' '(*Cache).ReadLine' '(*Cache).WriteLine' \
+	'(*Attribution).Charge' '(*Attribution).Total' '(*Attribution).Hush' '(*Attribution).Unhush'
+
+inline-check:
+	@out=$$($(GO) build -gcflags=-m ./internal/tlb ./internal/cache ./internal/telemetry 2>&1) || { echo "$$out"; exit 1; }; \
+	fail=0; \
+	for f in $(INLINE_FUNCS); do \
+		if ! printf '%s\n' "$$out" | grep -qF "can inline $$f"; then \
+			echo "inline-check: $$f is no longer inlinable"; fail=1; \
+		fi; \
+	done; \
+	[ $$fail -eq 0 ] && echo "inline-check: all hot-path functions inlinable"
 
 race:
 	$(GO) test -race ./...

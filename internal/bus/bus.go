@@ -11,6 +11,7 @@ import (
 
 	"dsr/internal/mem"
 	"dsr/internal/prng"
+	"dsr/internal/telemetry"
 )
 
 // Config describes the bus latency model.
@@ -80,6 +81,7 @@ type Bus struct {
 
 	cont Contention
 	src  prng.Source
+	att  *telemetry.Attribution // see SetAttribution
 }
 
 // New builds a bus in front of next.
@@ -93,14 +95,10 @@ func New(cfg Config, next mem.Backend) *Bus {
 // Config returns the bus configuration.
 func (b *Bus) Config() Config { return b.cfg }
 
-// SetNext rebinds the downstream device; used to interpose telemetry
-// probes after construction. Panics on nil.
-func (b *Bus) SetNext(next mem.Backend) {
-	if next == nil {
-		panic(fmt.Sprintf("bus %q: nil downstream device", b.cfg.Name))
-	}
-	b.next = next
-}
+// SetAttribution installs (or clears, with nil) the cycle-attribution
+// profiler, which then books each transaction's bus latency, co-runner
+// delay included, to CompBus; the downstream device books its own.
+func (b *Bus) SetAttribution(att *telemetry.Attribution) { b.att = att }
 
 // Counters returns a snapshot of the transaction counters.
 func (b *Bus) Counters() Counters { return b.ctr }
@@ -155,11 +153,15 @@ func (b *Bus) contend() mem.Cycles {
 // Read implements mem.Backend.
 func (b *Bus) Read(addr mem.Addr, size int) mem.Cycles {
 	b.ctr.Reads++
-	return b.cfg.ReadLatency + b.contend() + b.next.Read(addr, size)
+	self := b.cfg.ReadLatency + b.contend()
+	b.att.Charge(telemetry.CompBus, self)
+	return self + b.next.Read(addr, size)
 }
 
 // Write implements mem.Backend.
 func (b *Bus) Write(addr mem.Addr, size int) mem.Cycles {
 	b.ctr.Writes++
-	return b.cfg.WriteLatency + b.contend() + b.next.Write(addr, size)
+	self := b.cfg.WriteLatency + b.contend()
+	b.att.Charge(telemetry.CompBus, self)
+	return self + b.next.Write(addr, size)
 }

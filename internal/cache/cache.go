@@ -18,6 +18,7 @@ import (
 
 	"dsr/internal/mem"
 	"dsr/internal/prng"
+	"dsr/internal/telemetry"
 )
 
 // Placement selects how a line address is mapped to a set.
@@ -233,6 +234,9 @@ type Cache struct {
 
 	hashSeed uint64
 	repl     prng.Source // used only for ReplacementRandom
+
+	att  *telemetry.Attribution // see SetAttribution
+	comp telemetry.Component
 }
 
 // Observer receives one event per line access serviced by the cache: the
@@ -305,13 +309,13 @@ func New(cfg Config, next mem.Backend) *Cache {
 // Config returns the cache's configuration.
 func (c *Cache) Config() Config { return c.cfg }
 
-// SetNext rebinds the downstream level; used to interpose telemetry
-// probes after construction. Panics on nil.
-func (c *Cache) SetNext(next mem.Backend) {
-	if next == nil {
-		panic(fmt.Sprintf("cache %q: nil next level", c.cfg.Name))
-	}
-	c.next = next
+// SetAttribution installs (or clears, with nil) the cycle-attribution
+// profiler, which then books the cache's self-latency to comp: the hit
+// latency per line accessed through Read and Write, one cycle per line
+// probed by InvalidateRange and WritebackRange. ReadLine and WriteLine,
+// the core's L1 front entry points, book nothing.
+func (c *Cache) SetAttribution(att *telemetry.Attribution, comp telemetry.Component) {
+	c.att, c.comp = att, comp
 }
 
 // Counters returns a snapshot of the event counters.
@@ -446,6 +450,7 @@ func (c *Cache) Read(addr mem.Addr, size int) mem.Cycles {
 	}
 	first := addr >> c.lineShift
 	last := (addr + mem.Addr(size) - 1) >> c.lineShift
+	c.att.Charge(c.comp, mem.Cycles(last-first+1)*c.hitLat)
 	if first == last {
 		return c.readLine(first)
 	}
@@ -533,6 +538,7 @@ func (c *Cache) Write(addr mem.Addr, size int) mem.Cycles {
 	}
 	first := addr >> c.lineShift
 	last := (addr + mem.Addr(size) - 1) >> c.lineShift
+	c.att.Charge(c.comp, mem.Cycles(last-first+1)*c.hitLat)
 	if first == last {
 		return c.writeLine(first, size)
 	}
@@ -666,6 +672,7 @@ func (c *Cache) InvalidateRange(base mem.Addr, size int) mem.Cycles {
 		}
 		lat++ // one cycle per probed line, matching a software loop of ASI stores
 	}
+	c.att.Charge(c.comp, lat)
 	return lat
 }
 
@@ -687,6 +694,7 @@ func (c *Cache) WritebackRange(base mem.Addr, size int) mem.Cycles {
 		}
 		lat++
 	}
+	c.att.Charge(c.comp, mem.Cycles(last-first+1))
 	return lat
 }
 

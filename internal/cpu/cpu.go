@@ -168,9 +168,10 @@ type CPU struct {
 	// att, when set, receives a cycle-attribution booking for every
 	// cycle this core charges, partitioning the cycle counter into the
 	// components of telemetry.Component under a hard conservation
-	// invariant. The core books its own charge points and its L1 fronts;
-	// the levels below the L1s book themselves when they are
-	// telemetry.Probe chains (platform.EnableAttribution wires them).
+	// invariant. The core books its own charge points and its L1 fronts,
+	// and its TLBs book their translations; the levels below the L1s
+	// book themselves when they have the same profiler installed
+	// (platform.EnableAttribution wires them).
 	att *telemetry.Attribution
 }
 
@@ -299,13 +300,21 @@ func (c *CPU) Counters() Counters { return c.ctr }
 func (c *CPU) ResetCounters() { c.ctr = Counters{} }
 
 // SetAttribution installs (or clears, with nil) the cycle-attribution
-// profiler. The core books every cycle it charges, its L1 front
-// accesses included, so the booked total equals the cycle counter
-// exactly whatever the memory fronts are. Without probes, an access's
-// whole hierarchy latency books to CompIL1/CompDL1; to split it per
-// level, wrap the levels below the L1s in telemetry.Probe chains
-// booking into the same profiler, as platform.EnableAttribution does.
-func (c *CPU) SetAttribution(a *telemetry.Attribution) { c.att = a }
+// profiler on the core and its TLBs. The core books every cycle it
+// charges, L1 front accesses included, and each TLB its translations,
+// so the booked total equals the cycle counter exactly whatever the
+// memory fronts are. An access's latency below the L1 books to
+// CompIL1/CompDL1 unless the levels there book themselves into the
+// same profiler, as platform.EnableAttribution wires them.
+func (c *CPU) SetAttribution(a *telemetry.Attribution) {
+	c.att = a
+	if c.itlb != nil {
+		c.itlb.SetAttribution(a, telemetry.CompITLBWalk)
+	}
+	if c.dtlb != nil {
+		c.dtlb.SetAttribution(a, telemetry.CompDTLBWalk)
+	}
+}
 
 // charge adds n cycles and books them to comp (nothing inside a hushed
 // span).
@@ -321,22 +330,6 @@ func (c *CPU) charge(comp telemetry.Component, n mem.Cycles) {
 func book(a *telemetry.Attribution, comp telemetry.Component, n mem.Cycles) mem.Cycles {
 	a.Charge(comp, n)
 	return n
-}
-
-// translate performs a TLB translation and returns its cost, booking
-// all of it — hit latency plus any page-table walk traffic — to comp in
-// one hushed span.
-func (c *CPU) translate(t *tlb.TLB, addr mem.Addr, comp telemetry.Component) mem.Cycles {
-	if t == nil {
-		return 0
-	}
-	if c.att == nil {
-		return t.Translate(addr)
-	}
-	c.att.Hush()
-	lat := t.Translate(addr)
-	c.att.Unhush(comp, lat)
-	return lat
 }
 
 // Trace returns the instrumentation points recorded so far.
@@ -445,14 +438,15 @@ func (c *CPU) misaligned(in *isa.Instr) error {
 // ifetch, dread and dwrite are the core's timed accesses — an
 // instruction fetch, a data load, a data store — and its only accesses
 // to its L1 fronts besides the engine's inline window re-arm; dread and
-// dwrite also move the data. Each books its translation through
-// translate. ifetch and dread then apply the front-booking rule: the L1
-// access returns its latency lat, and lat minus whatever the levels
-// below booked during the same synchronous transaction (the change in
-// att.Total()) is booked to CompIL1 or CompDL1. The bookings of one
-// access thus add up to exactly its latency — the self-latency a
-// telemetry.Probe in front of the L1 would book — while the fronts stay
-// bare caches, devirtualised through icacheC/dcacheC. dwrite books its
+// dwrite also move the data. Each first translates through its TLB, if
+// any, which books the translation itself. ifetch and dread then apply
+// the front-booking rule: the L1 access returns its latency lat, and
+// lat minus whatever the levels below booked during the same
+// synchronous transaction (the change in att.Total()) is booked to
+// CompIL1 or CompDL1. The bookings of one access thus add up to exactly
+// its latency — the L1's self-latency plus what the levels below book
+// themselves — while the fronts stay bare caches, devirtualised through
+// icacheC/dcacheC. dwrite books its
 // whole store path in one hushed span instead. The load-use and
 // store-issue cycles are not booked here: bookFixed books them in bulk
 // from the PMCs.
@@ -460,7 +454,9 @@ func (c *CPU) misaligned(in *isa.Instr) error {
 // ifetch charges the fetch of the instruction at pc: ITLB translation
 // and the IL1 read.
 func (c *CPU) ifetch(pc mem.Addr) {
-	c.cycles += c.translate(c.itlb, pc, telemetry.CompITLBWalk)
+	if c.itlb != nil {
+		c.cycles += c.itlb.Translate(pc)
+	}
 	start := c.att.Total()
 	var lat mem.Cycles
 	if c.icacheC != nil {
@@ -477,7 +473,10 @@ func (c *CPU) ifetch(pc mem.Addr) {
 // load-use cycle and the DL1 read.
 func (c *CPU) dread(ea mem.Addr, size int) uint32 {
 	c.ctr.Loads++
-	c.cycles += c.translate(c.dtlb, ea, telemetry.CompDTLBWalk) + c.cfg.LoadUse
+	if c.dtlb != nil {
+		c.cycles += c.dtlb.Translate(ea)
+	}
+	c.cycles += c.cfg.LoadUse
 	start := c.att.Total()
 	var lat mem.Cycles
 	if c.dcacheC != nil {
@@ -501,7 +500,10 @@ func (c *CPU) dread(ea mem.Addr, size int) uint32 {
 // cycles match the charged cycles exactly.
 func (c *CPU) dwrite(ea mem.Addr, size int, v uint32) {
 	c.ctr.Stores++
-	c.cycles += c.translate(c.dtlb, ea, telemetry.CompDTLBWalk) + c.cfg.StoreBase
+	if c.dtlb != nil {
+		c.cycles += c.dtlb.Translate(ea)
+	}
+	c.cycles += c.cfg.StoreBase
 	c.att.Hush()
 	var lat mem.Cycles
 	if c.dcacheC != nil {
@@ -604,9 +606,9 @@ func (c *CPU) restore() {
 
 // runCallHook fires the DSR call hook in a hushed span: the hook's own
 // cache traffic is part of the modelled runtime routine, not application
-// stalls, so its probe bookings are dropped and the hook's entire cycle
-// delta — AddCycles charges plus direct cache traffic — is booked to
-// the DSR runtime component.
+// stalls, so the levels' own bookings are dropped and the hook's entire
+// cycle delta — AddCycles charges plus direct cache traffic — is booked
+// to the DSR runtime component.
 func (c *CPU) runCallHook(target mem.Addr) {
 	if c.callHook == nil {
 		return

@@ -188,26 +188,33 @@ func newEquivCPU(img *loader.Image, forceInterp bool) *CPU {
 // newProximaHierarchy builds the ProximaLEON3 memory hierarchy below a
 // core — IL1 and DL1 over the AHB bus, a direct-mapped L2 and SDRAM,
 // both TLBs walking through the bus — with non-zero miss latencies, so
-// every attribution component on the memory path is exercised. With
-// probes, DRAM, L2 and bus each book their self-latency to att, as
-// platform.EnableAttribution wires them; without, the L1 fronts sit
-// over an unprobed hierarchy. flush returns the hierarchy to its cold
-// state and zeroes att, as platform.Run does before every run.
-func newProximaHierarchy(att *telemetry.Attribution, probes bool) (il1, dl1 *cache.Cache, it, dt *tlb.TLB, flush func()) {
-	wrap := func(b mem.Backend, comp telemetry.Component) mem.Backend {
-		if !probes {
-			return b
-		}
-		return telemetry.NewProbe(b, att, comp)
-	}
+// every attribution component on the memory path is exercised. wired
+// installs att on the bus, L2 and DRAM, which then book their
+// self-latency as platform.EnableAttribution wires them; unwired, the
+// L1 fronts sit over a hierarchy that books nothing. itHit and dtHit
+// are the ITLB and DTLB hit latencies (0 on the modelled LEON3). flush
+// returns the hierarchy to its cold state and zeroes att, as
+// platform.Run does before every run.
+func newProximaHierarchy(att *telemetry.Attribution, wired bool, itHit, dtHit mem.Cycles) (il1, dl1 *cache.Cache, it, dt *tlb.TLB, flush func()) {
+	d := dram.New(dram.Config{Name: "SDRAM", AccessLatency: 20, PerWord: 2})
 	l2 := cache.New(cache.Config{
 		Name: "L2", Size: 32 * 1024, LineSize: 32, Ways: 1,
 		HitLatency: 6, Placement: cache.PlacementModulo,
 		Replacement: cache.ReplacementLRU, Write: cache.WriteBackAllocate,
-	}, wrap(dram.New(dram.Config{Name: "SDRAM", AccessLatency: 20, PerWord: 2}), telemetry.CompDRAM))
-	b := wrap(bus.New(bus.Config{Name: "AHB", ReadLatency: 2, WriteLatency: 2},
-		wrap(l2, telemetry.CompL2)), telemetry.CompBus)
+	}, d)
+	b := bus.New(bus.Config{Name: "AHB", ReadLatency: 2, WriteLatency: 2}, l2)
+	if wired {
+		b.SetAttribution(att)
+		l2.SetAttribution(att, telemetry.CompL2)
+		d.SetAttribution(att)
+	}
 	il1, dl1, it, dt = proximaFronts(b)
+	withHit := func(t *tlb.TLB, hit mem.Cycles) *tlb.TLB {
+		cfg := t.Config()
+		cfg.HitLatency = hit
+		return tlb.New(cfg, b, 0x7000_0000)
+	}
+	it, dt = withHit(it, itHit), withHit(dt, dtHit)
 	flush = func() {
 		il1.FlushAll()
 		dl1.FlushAll()
@@ -221,14 +228,15 @@ func newProximaHierarchy(att *telemetry.Attribution, probes bool) (il1, dl1 *cac
 
 // newAttributedEquivCPU is newEquivCPU on newProximaHierarchy with
 // attribution installed.
-func newAttributedEquivCPU(img *loader.Image, forceInterp, probes bool) (c *CPU, flush func()) {
-	return newAttributedCPU(NewDefaultConfig(), img, forceInterp, probes)
+func newAttributedEquivCPU(img *loader.Image, forceInterp, wired bool) (c *CPU, flush func()) {
+	return newAttributedCPU(NewDefaultConfig(), img, forceInterp, wired, 0, 0)
 }
 
-// newAttributedCPU is newAttributedEquivCPU under cfg.
-func newAttributedCPU(cfg Config, img *loader.Image, forceInterp, probes bool) (c *CPU, flush func()) {
+// newAttributedCPU is newAttributedEquivCPU under cfg, with ITLB and
+// DTLB hit latencies itHit and dtHit.
+func newAttributedCPU(cfg Config, img *loader.Image, forceInterp, wired bool, itHit, dtHit mem.Cycles) (c *CPU, flush func()) {
 	att := telemetry.NewAttribution()
-	il1, dl1, it, dt, flush := newProximaHierarchy(att, probes)
+	il1, dl1, it, dt, flush := newProximaHierarchy(att, wired, itHit, dtHit)
 	c = New(cfg, img, il1, dl1, it, dt, NewMemory())
 	reload(c, img)
 	c.SetAttribution(att)
@@ -342,9 +350,9 @@ func checkAttributedEquivalent(t *testing.T, fast, slow *CPU) {
 }
 
 // TestEngineInterpreterEquivalenceAttribution is the attribution-on
-// twin of TestEngineInterpreterEquivalence: on a real hierarchy with
-// probes below the L1s, the engine must also book every cycle to the
-// same component as the interpreter.
+// twin of TestEngineInterpreterEquivalence: on a real hierarchy whose
+// levels below the L1s book themselves, the engine must also book every
+// cycle to the same component as the interpreter.
 func TestEngineInterpreterEquivalenceAttribution(t *testing.T) {
 	for _, delta := range layoutClasses {
 		delta := delta
@@ -356,7 +364,7 @@ func TestEngineInterpreterEquivalenceAttribution(t *testing.T) {
 			runToHalt(t, slow)
 			checkAttributedEquivalent(t, fast, slow)
 			// The L1s hit in zero cycles, so their self-latency is zero
-			// here and the miss traffic lands on the probed levels.
+			// here and the miss traffic lands on the levels below.
 			for _, comp := range []telemetry.Component{telemetry.CompBranch, telemetry.CompIntOp,
 				telemetry.CompFPUBase, telemetry.CompBus, telemetry.CompL2, telemetry.CompDRAM,
 				telemetry.CompStorePath, telemetry.CompITLBWalk, telemetry.CompDTLBWalk,
@@ -561,9 +569,10 @@ func TestAttributionWalkInsideWindowTrap(t *testing.T) {
 }
 
 // TestAttributionConservationBareFronts pins the SetAttribution
-// contract without any probe wiring: over bare caches and an unprobed
-// hierarchy the core's own bookings still add up to the cycle counter,
-// with every memory stall landing on the L1 fronts.
+// contract without any level wiring: over bare caches and a hierarchy
+// that books nothing, the core's and its TLBs' bookings still add up
+// to the cycle counter, with every memory stall landing on the L1
+// fronts.
 func TestAttributionConservationBareFronts(t *testing.T) {
 	img := equivImage(t, 8)
 	for _, forceInterp := range []bool{false, true} {
@@ -578,7 +587,56 @@ func TestAttributionConservationBareFronts(t *testing.T) {
 		}
 		for _, comp := range []telemetry.Component{telemetry.CompBus, telemetry.CompL2, telemetry.CompDRAM} {
 			if v := snap.Component(comp); v != 0 {
-				t.Errorf("interp=%v: unprobed %s booked %d", forceInterp, comp, v)
+				t.Errorf("interp=%v: unwired %s booked %d", forceInterp, comp, v)
+			}
+		}
+	}
+}
+
+// TestAttributionTLBHitLatency covers TLB hit booking, which the
+// modelled LEON3's 0-cycle hits never exercise: with non-zero hit
+// latencies, conservation and engine ≡ interpreter must hold, and every
+// cycle the hit latencies add over a 0-cycle reference run must book
+// to the TLB's walk component (or, for a DTLB hit inside a window
+// trap, to the trap). A non-zero ITLB hit latency closes the engine's
+// fetch-window gate, so that case compares the interpreter with itself
+// and checks the booking only.
+func TestAttributionTLBHitLatency(t *testing.T) {
+	img := equivImage(t, 8)
+	ref, _ := newAttributedCPU(NewDefaultConfig(), img, true, true, 0, 0)
+	runToHalt(t, ref)
+	r := ref.att.Snapshot()
+	for _, tc := range []struct {
+		name         string
+		itHit, dtHit mem.Cycles
+	}{{"dtlb", 0, 3}, {"itlb+dtlb", 2, 3}} {
+		fast, _ := newAttributedCPU(NewDefaultConfig(), img, false, true, tc.itHit, tc.dtHit)
+		slow, _ := newAttributedCPU(NewDefaultConfig(), img, true, true, tc.itHit, tc.dtHit)
+		if fast.engineOK() != (tc.itHit == 0) {
+			t.Fatalf("%s: engineOK() = %v", tc.name, fast.engineOK())
+		}
+		runToHalt(t, fast)
+		runToHalt(t, slow)
+		if d := attributedDiff(fast, slow); d != "" {
+			t.Errorf("%s: %s", tc.name, d)
+		}
+		s := slow.att.Snapshot()
+		itAcc, dtAcc := mem.Cycles(slow.itlb.Counters().Accesses), mem.Cycles(slow.dtlb.Counters().Accesses)
+		if got, want := s.Component(telemetry.CompITLBWalk)-r.Component(telemetry.CompITLBWalk), tc.itHit*itAcc; got != want {
+			t.Errorf("%s: ITLB hit latency added %d cycles to itlb_walk, want %d", tc.name, got, want)
+		}
+		dtGot := s.Component(telemetry.CompDTLBWalk) + s.Component(telemetry.CompWindowTrap) -
+			r.Component(telemetry.CompDTLBWalk) - r.Component(telemetry.CompWindowTrap)
+		if want := tc.dtHit * dtAcc; dtGot != want || dtAcc == 0 {
+			t.Errorf("%s: DTLB hit latency added %d cycles to dtlb_walk+window_trap, want %d over %d translations", tc.name, dtGot, want, dtAcc)
+		}
+		for comp := telemetry.Component(0); comp < telemetry.NumComponents; comp++ {
+			switch comp {
+			case telemetry.CompITLBWalk, telemetry.CompDTLBWalk, telemetry.CompWindowTrap:
+			default:
+				if s.Component(comp) != r.Component(comp) {
+					t.Errorf("%s: %s booked %d, %d with 0-cycle TLB hits", tc.name, comp, s.Component(comp), r.Component(comp))
+				}
 			}
 		}
 	}

@@ -8,6 +8,7 @@ package dram
 
 import (
 	"dsr/internal/mem"
+	"dsr/internal/telemetry"
 )
 
 // Config describes the memory-controller latency model.
@@ -31,6 +32,7 @@ type Counters struct {
 type DRAM struct {
 	cfg Config
 	ctr Counters
+	att *telemetry.Attribution // see SetAttribution
 }
 
 // New builds a DRAM controller.
@@ -45,6 +47,10 @@ func (d *DRAM) Counters() Counters { return d.ctr }
 // ResetCounters zeroes the traffic counters.
 func (d *DRAM) ResetCounters() { d.ctr = Counters{} }
 
+// SetAttribution installs (or clears, with nil) the cycle-attribution
+// profiler, which then books every access's whole latency to CompDRAM.
+func (d *DRAM) SetAttribution(att *telemetry.Attribution) { d.att = att }
+
 func words(size int) uint64 {
 	if size <= 0 {
 		return 1
@@ -57,7 +63,9 @@ func (d *DRAM) Read(addr mem.Addr, size int) mem.Cycles {
 	d.ctr.Reads++
 	w := words(size)
 	d.ctr.WordsRead += w
-	return d.cfg.AccessLatency + mem.Cycles(w)*d.cfg.PerWord
+	lat := d.cfg.AccessLatency + mem.Cycles(w)*d.cfg.PerWord
+	d.att.Charge(telemetry.CompDRAM, lat)
+	return lat
 }
 
 // Write implements mem.Backend.
@@ -65,5 +73,7 @@ func (d *DRAM) Write(addr mem.Addr, size int) mem.Cycles {
 	d.ctr.Writes++
 	w := words(size)
 	d.ctr.WordsWrite += w
-	return d.cfg.AccessLatency + mem.Cycles(w)*d.cfg.PerWord
+	lat := d.cfg.AccessLatency + mem.Cycles(w)*d.cfg.PerWord
+	d.att.Charge(telemetry.CompDRAM, lat)
+	return lat
 }

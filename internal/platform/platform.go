@@ -121,33 +121,25 @@ func New(cfg Config) *Platform {
 }
 
 // EnableAttribution installs a cycle-attribution profiler on the core
-// and interposes telemetry probes on the levels below the L1s, so that
-// every cycle the platform charges is booked to exactly one
-// telemetry.Component. It returns the profiler (also available via
-// Attribution). Idempotent; call before or after LoadImage.
+// and on the levels below the L1s, so that every cycle the platform
+// charges is booked to exactly one telemetry.Component. It returns the
+// profiler (also available via Attribution). Idempotent; call before or
+// after LoadImage.
 //
-// The probe chain mirrors the hardware topology: DRAM, L2 and bus each
-// book their self-latency, and TLB walks route through the probed bus;
-// the CPU runs each translation in a hushed span, so the walk traffic's
-// probe bookings are dropped and the whole translation books to the
-// walk component. The L1s carry no probe: the core books its own L1 accesses
-// (see cpu.CPU.SetAttribution), so the probes sit only on the miss path
-// and the core's devirtualised hit paths and threaded-code engine stay
+// Each level books its own self-latency: the bus its arbitration and
+// contention, the L2 its hit latency per line access, DRAM its whole
+// latency, and the core's TLBs their translations, a page-table walk
+// whole (see cpu.CPU.SetAttribution). The core books its L1 fronts
+// itself, so its devirtualised hit paths and threaded-code engine stay
 // engaged under attribution.
 func (p *Platform) EnableAttribution() *telemetry.Attribution {
 	if p.att != nil {
 		return p.att
 	}
 	att := telemetry.NewAttribution()
-	pDRAM := telemetry.NewProbe(p.DRAM, att, telemetry.CompDRAM)
-	p.L2.SetNext(pDRAM)
-	pL2 := telemetry.NewProbe(p.L2, att, telemetry.CompL2)
-	p.Bus.SetNext(pL2)
-	pBus := telemetry.NewProbe(p.Bus, att, telemetry.CompBus)
-	p.IL1.SetNext(pBus)
-	p.DL1.SetNext(pBus)
-	p.ITLB.SetWalkMem(pBus)
-	p.DTLB.SetWalkMem(pBus)
+	p.Bus.SetAttribution(att)
+	p.L2.SetAttribution(att, telemetry.CompL2)
+	p.DRAM.SetAttribution(att)
 	p.att = att
 	if p.CPU != nil {
 		p.CPU.SetAttribution(att)

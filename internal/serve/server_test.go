@@ -46,6 +46,24 @@ func TestSpecValidateRejectsUnsafeID(t *testing.T) {
 	}
 }
 
+// TestSpecValidateBoundsRuns: Run sizes a job's result slice by its
+// runs count, so Validate must refuse a count above MaxRuns before any
+// job is created (checked through Validate only: such a job is never
+// run), and still admit MaxRuns itself.
+func TestSpecValidateBoundsRuns(t *testing.T) {
+	src := testSource(t)
+	for _, runs := range []int{0, -1, MaxRuns + 1, 1_000_000_000_000} {
+		sp := Spec{Source: src, Runs: runs, Seed: 1}
+		if _, err := sp.Validate(); err == nil || !strings.Contains(err.Error(), "runs must be in") {
+			t.Errorf("Validate(runs=%d) = %v, want the runs-range error", runs, err)
+		}
+	}
+	sp := Spec{Source: src, Runs: MaxRuns, Seed: 1}
+	if _, err := sp.Validate(); err != nil {
+		t.Errorf("Validate rejected runs=MaxRuns: %v", err)
+	}
+}
+
 // TestServeSubmitPathTraversal: a submission whose id tries to escape
 // the data directory is rejected with 400 and must not create or write
 // anything anywhere on disk.

@@ -62,6 +62,11 @@ type Spec struct {
 	Attribution bool `json:"attribution,omitempty"`
 }
 
+// MaxRuns is the largest campaign Validate admits: Run sizes a job's
+// one-Point-per-run result slice up front, so a larger count could ask
+// the daemon for more memory than the host has.
+const MaxRuns = 1_000_000
+
 // ValidID reports whether id is acceptable as a job id: a single safe
 // path segment of at most 64 bytes drawn from [A-Za-z0-9._-], and not
 // "." or "..". The job id becomes a directory name under
@@ -93,8 +98,8 @@ func (s *Spec) Validate() (*prog.Program, error) {
 	if s.ID != "" && !ValidID(s.ID) {
 		return nil, fmt.Errorf("serve: job id %q is not a safe path segment (want [A-Za-z0-9._-]{1,64}, not %q or %q)", s.ID, ".", "..")
 	}
-	if s.Runs <= 0 {
-		return nil, fmt.Errorf("serve: runs must be positive, got %d", s.Runs)
+	if s.Runs <= 0 || s.Runs > MaxRuns {
+		return nil, fmt.Errorf("serve: runs must be in [1, %d], got %d", MaxRuns, s.Runs)
 	}
 	if s.Runs < 4*s.MBPTAOptions().BlockSize {
 		return nil, fmt.Errorf("serve: %d runs too few for MBPTA block size %d", s.Runs, s.MBPTAOptions().BlockSize)

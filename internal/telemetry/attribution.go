@@ -81,11 +81,11 @@ func (c Component) String() string {
 // zero) and nothing allocates — the zero-overhead-when-disabled path.
 //
 // The attribution protocol is built for a synchronous, single-threaded
-// hierarchy: components book their *self* latency (total minus whatever
-// deeper levels booked during the same transaction), so the sum of all
-// bookings during a memory transaction equals exactly the latency the
-// CPU is charged. A hushed span (Hush … Unhush) gives a whole stretch
-// of work — a TLB translation, a window trap, the store path, the DSR
+// hierarchy: each level books its own *self* latency — the cycles it
+// adds to a transaction, not those of the deeper levels it reaches — so
+// the bookings of one memory transaction add up to exactly the latency
+// the CPU is charged. A hushed span (Hush … Unhush) gives a whole stretch
+// of work — a page-table walk, a window trap, the store path, the DSR
 // call hook — to one component: inside it every booking is dropped, and
 // at its end the outermost open span books the stretch's whole cycle
 // delta with one Charge. Spans nest, and the outer one wins: a TLB walk
@@ -230,41 +230,4 @@ func (s AttributionSnapshot) Render() string {
 		fmt.Fprintf(&b, "  %-18s %12d  %5.1f%%\n", r.c, r.v, pct)
 	}
 	return b.String()
-}
-
-// Probe is a mem.Backend interposer that books the wrapped level's
-// self-latency: the latency the level returns minus whatever deeper
-// probes booked during the same (synchronous, nested) transaction. A
-// chain of probes therefore books exactly the latency of the level it
-// fronts; the CPU applies the same rule to its own L1 accesses, so each
-// access books exactly what the CPU charges — the conservation
-// invariant's hierarchy half.
-type Probe struct {
-	next mem.Backend
-	att  *Attribution
-	comp Component
-}
-
-// NewProbe wraps next, booking its self-latency to comp in att.
-func NewProbe(next mem.Backend, att *Attribution, comp Component) *Probe {
-	if next == nil || att == nil {
-		panic("telemetry: NewProbe needs a backend and an attribution")
-	}
-	return &Probe{next: next, att: att, comp: comp}
-}
-
-// Read implements mem.Backend.
-func (p *Probe) Read(addr mem.Addr, size int) mem.Cycles {
-	start := p.att.total
-	lat := p.next.Read(addr, size)
-	p.att.Charge(p.comp, lat-(p.att.total-start))
-	return lat
-}
-
-// Write implements mem.Backend.
-func (p *Probe) Write(addr mem.Addr, size int) mem.Cycles {
-	start := p.att.total
-	lat := p.next.Write(addr, size)
-	p.att.Charge(p.comp, lat-(p.att.total-start))
-	return lat
 }

@@ -105,7 +105,7 @@ func TestAttributionHushOuterWins(t *testing.T) {
 	a := NewAttribution()
 	a.Charge(CompDL1, 3)
 	// A window trap (outer span) around a DTLB walk (inner span): the
-	// walk's own probe bookings are dropped, the inner span books
+	// walk traffic's own bookings are dropped, the inner span books
 	// nothing, and the outer span books its whole delta to the trap.
 	a.Hush()
 	a.Charge(CompDRAM, 10)
@@ -165,58 +165,6 @@ func TestAttributionSnapshotAggregation(t *testing.T) {
 	var nilAtt *Attribution
 	if nilAtt.Snapshot().Valid {
 		t.Error("nil attribution snapshot claims validity")
-	}
-}
-
-// level is a fake memory level: a fixed self-latency plus whatever its
-// (probed) next level reports.
-type level struct {
-	self mem.Cycles
-	next mem.Backend
-}
-
-func (l *level) Read(a mem.Addr, s int) mem.Cycles  { return l.access(a, s, true) }
-func (l *level) Write(a mem.Addr, s int) mem.Cycles { return l.access(a, s, false) }
-
-func (l *level) access(a mem.Addr, s int, read bool) mem.Cycles {
-	lat := l.self
-	if l.next != nil {
-		if read {
-			lat += l.next.Read(a, s)
-		} else {
-			lat += l.next.Write(a, s)
-		}
-	}
-	return lat
-}
-
-func TestProbeChainBooksSelfLatency(t *testing.T) {
-	att := NewAttribution()
-	dram := NewProbe(&level{self: 10}, att, CompDRAM)
-	l2 := NewProbe(&level{self: 5, next: dram}, att, CompL2)
-	bus := NewProbe(&level{self: 2, next: l2}, att, CompBus)
-
-	lat := bus.Read(0x100, 4)
-	if lat != 17 {
-		t.Fatalf("chain latency = %d, want 17", lat)
-	}
-	// Conservation: the probes book exactly the top-level latency,
-	// partitioned into each level's self-latency.
-	if att.Total() != lat {
-		t.Errorf("booked %d cycles for a %d-cycle access", att.Total(), lat)
-	}
-	for _, tc := range []struct {
-		comp Component
-		want mem.Cycles
-	}{{CompDRAM, 10}, {CompL2, 5}, {CompBus, 2}} {
-		if got := att.Component(tc.comp); got != tc.want {
-			t.Errorf("%s booked %d, want %d", tc.comp, got, tc.want)
-		}
-	}
-	// Writes follow the same protocol.
-	att.Reset()
-	if lat := bus.Write(0x200, 4); att.Total() != lat {
-		t.Errorf("write booked %d for a %d-cycle access", att.Total(), lat)
 	}
 }
 

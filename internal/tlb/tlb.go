@@ -10,6 +10,7 @@ import (
 	"fmt"
 
 	"dsr/internal/mem"
+	"dsr/internal/telemetry"
 )
 
 // Config describes a TLB instance.
@@ -123,6 +124,11 @@ type TLB struct {
 	// from it so that walk traffic perturbs the data cache hierarchy the
 	// way real walks do.
 	walkBase mem.Addr
+
+	// att, when set, books translations to comp (see SetAttribution).
+	att      *telemetry.Attribution
+	comp     telemetry.Component
+	bookHits bool
 }
 
 // New builds a TLB whose page-table walks are serviced by walkMem.
@@ -148,13 +154,22 @@ func New(cfg Config, walkMem mem.Backend, walkBase mem.Addr) *TLB {
 // Config returns the TLB's configuration.
 func (t *TLB) Config() Config { return t.cfg }
 
-// SetWalkMem rebinds the page-table-walk backend; used to interpose
-// telemetry probes after construction. Panics on nil.
-func (t *TLB) SetWalkMem(walkMem mem.Backend) {
-	if walkMem == nil {
-		panic(fmt.Sprintf("tlb %q: nil walk backend", t.cfg.Name))
+// SetAttribution installs (or clears, with nil) the cycle-attribution
+// profiler: every translation then books its latency to comp, a walk in
+// a hushed span. The inline MRU fast path books nothing, so a non-zero
+// hit latency (bookHits) keeps it disarmed.
+func (t *TLB) SetAttribution(att *telemetry.Attribution, comp telemetry.Component) {
+	t.settle()
+	t.att, t.comp, t.bookHits = att, comp, att != nil && t.hitLat != 0
+	t.setMRU(t.mruPage, t.mru)
+}
+
+// setMRU records page's entry idx as the most recent translation.
+func (t *TLB) setMRU(page mem.Addr, idx int32) {
+	if t.bookHits {
+		page = ^mem.Addr(0)
 	}
-	t.walkMem = walkMem
+	t.mruPage, t.mru = page, idx
 }
 
 // Counters returns a snapshot of the event counters.
@@ -209,26 +224,27 @@ func (t *TLB) translateScan(page mem.Addr) mem.Cycles {
 	t.settle()
 	if h := &t.hints[page&hintMask]; h.page == page {
 		if e := &t.entries[h.idx]; e.valid && e.page == page {
-			t.ctr.Hits++
-			t.clock++
-			e.age = t.clock
-			t.hitsMark = t.ctr.Hits // eager hit: clock already ticked
-			t.mruPage, t.mru = page, h.idx
-			return t.cfg.HitLatency
+			return t.hit(e, page, h.idx)
 		}
 	}
 	for i := range t.entries {
 		if t.entries[i].valid && t.entries[i].page == page {
-			t.ctr.Hits++
-			t.clock++
-			t.entries[i].age = t.clock
-			t.hitsMark = t.ctr.Hits // eager hit: clock already ticked
-			t.mruPage, t.mru = page, int32(i)
 			t.hints[page&hintMask] = hint{page: page, idx: int32(i)}
-			return t.cfg.HitLatency
+			return t.hit(&t.entries[i], page, int32(i))
 		}
 	}
 	return t.translateMiss(page)
+}
+
+// hit completes a translateScan hit on entry e, index idx, for page.
+func (t *TLB) hit(e *entry, page mem.Addr, idx int32) mem.Cycles {
+	t.ctr.Hits++
+	t.clock++
+	e.age = t.clock
+	t.hitsMark = t.ctr.Hits // eager hit: clock already ticked
+	t.att.Charge(t.comp, t.hitLat)
+	t.setMRU(page, idx)
+	return t.hitLat
 }
 
 // WalkAddrs returns the addresses of the page-table entries a walk for
@@ -253,15 +269,17 @@ func WalkAddrs(base, page mem.Addr) [3]mem.Addr {
 //go:noinline
 func (t *TLB) translateMiss(page mem.Addr) mem.Cycles {
 	t.ctr.Misses++
-	lat := t.cfg.HitLatency
+	lat := t.hitLat
 	levels := WalkAddrs(t.walkBase, page)
 	n := t.cfg.WalkReads
 	if n > len(levels) {
 		n = len(levels)
 	}
+	t.att.Hush()
 	for i := 0; i < n; i++ {
 		lat += t.walkMem.Read(levels[i], mem.WordSize)
 	}
+	t.att.Unhush(t.comp, lat)
 	t.insert(page)
 	return lat
 }
@@ -280,7 +298,7 @@ func (t *TLB) insert(page mem.Addr) {
 place:
 	t.clock++
 	t.entries[victim] = entry{valid: true, page: page, age: t.clock}
-	t.mruPage, t.mru = page, int32(victim)
+	t.setMRU(page, int32(victim))
 	t.hints[page&hintMask] = hint{page: page, idx: int32(victim)}
 }
 
