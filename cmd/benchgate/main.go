@@ -52,7 +52,7 @@ var suites = []suite{
 	{Pkg: "./internal/cache", Bench: "^Benchmark", BenchTime: "2000000x"},
 	{Pkg: "./internal/tlb", Bench: "^Benchmark", BenchTime: "1000000x"},
 	{Pkg: "./internal/cpu", Bench: "^BenchmarkMemory", BenchTime: "2000000x"},
-	{Pkg: "./internal/cpu", Bench: "^BenchmarkFetchLoop(NullHierarchy|Attribution)?$", BenchTime: "100x"},
+	{Pkg: "./internal/cpu", Bench: "^BenchmarkFetchLoop(Attribution)?$", BenchTime: "100x"},
 	{Pkg: "./internal/platform", Bench: "^BenchmarkPlatformFork$", BenchTime: "200x"},
 	{Pkg: "./internal/core", Bench: "^BenchmarkReboot$", BenchTime: "500x"},
 	{Pkg: "./internal/cpu", Bench: "^BenchmarkChargeDisabled", BenchTime: "20000000x"},

@@ -60,7 +60,6 @@ import (
 	"dsr/internal/core"
 	"dsr/internal/isa"
 	"dsr/internal/mem"
-	"dsr/internal/platform"
 	"dsr/internal/prog"
 	"dsr/internal/tlb"
 )
@@ -483,7 +482,7 @@ func (a *lkAnalyzer) pageTableFootprint(l2c *cachedom.Footprint) {
 		}
 		return
 	}
-	l2c.AddRelative(maxWalkReads(pf) * (a.wrep.ITLBPages + a.wrep.DTLBPages))
+	l2c.AddRelative(tlb.WalkLevels * (a.wrep.ITLBPages + a.wrep.DTLBPages))
 }
 
 // detPages enumerates the page numbers of the code span, the data
@@ -516,11 +515,6 @@ func (a *lkAnalyzer) detPages() []mem.Addr {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-// maxWalkReads bounds the page-table reads one TLB miss makes.
-func maxWalkReads(pf *platform.Config) int {
-	return min(max(pf.ITLB.WalkReads, pf.DTLB.WalkReads), len(tlb.WalkAddrs(0, 0)))
 }
 
 // ---------------------------------------------------------------------
@@ -565,7 +559,7 @@ func (a *lkAnalyzer) traceChannel() {
 	// TLBs (wcet.Model.TLBFits, the WCET bound's argument too) each page
 	// walks once; otherwise every access may walk.
 	iFits, dFits := a.m.TLBFits()
-	iWalk, dWalk := float64(pf.ITLB.WalkReads), float64(pf.DTLB.WalkReads)
+	const walk = float64(tlb.WalkLevels) // page-table reads per walk, either TLB
 
 	var pathBits, siteBits float64
 	sites := 0
@@ -586,7 +580,7 @@ func (a *lkAnalyzer) traceChannel() {
 			for i := blk.Start; i < blk.End; i++ {
 				fb := loadBits(classAt(fm.Class, true, i))
 				if !iFits {
-					fb += iWalk // every fetch may walk the ITLB
+					fb += walk // every fetch may walk the ITLB
 				}
 				if fb > 0 {
 					siteBits += e * fb
@@ -603,7 +597,7 @@ func (a *lkAnalyzer) traceChannel() {
 					db = storeBits(classAt(fm.Class, false, i))
 				}
 				if !dFits {
-					db += dWalk
+					db += walk
 				}
 				if db > 0 {
 					siteBits += e * db
@@ -613,10 +607,10 @@ func (a *lkAnalyzer) traceChannel() {
 		}
 	}
 	if iFits {
-		siteBits += iWalk * float64(a.wrep.ITLBPages)
+		siteBits += walk * float64(a.wrep.ITLBPages)
 	}
 	if dFits {
-		siteBits += dWalk * float64(a.wrep.DTLBPages)
+		siteBits += walk * float64(a.wrep.DTLBPages)
 	}
 
 	// Lazy relocation streams each function once through DL1 (read old
@@ -638,7 +632,7 @@ func (a *lkAnalyzer) traceChannel() {
 	if a.m.Stack != nil && a.m.Stack.WindowSpillBound > 0 {
 		db := storeBits(cachedom.ClassUnknown) + loadBits(cachedom.ClassUnknown)
 		if !dFits {
-			db += 2 * dWalk
+			db += 2 * walk
 		}
 		siteBits += float64(a.m.Stack.WindowSpillBound) * 16 * db
 		a.diag(analysis.Info,

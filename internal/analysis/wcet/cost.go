@@ -53,6 +53,7 @@ import (
 	"dsr/internal/mem"
 	"dsr/internal/platform"
 	"dsr/internal/prog"
+	"dsr/internal/tlb"
 )
 
 // satCap is the saturation ceiling for cycle arithmetic.
@@ -60,16 +61,15 @@ const satCap = mem.Cycles(1) << 62
 
 // latModel holds the derived worst-case memory-stall latencies.
 type latModel struct {
-	fetchBase mem.Cycles // per fetch: ITLB hit + IL1 hit (+ walk fallback)
+	fetchBase mem.Cycles // per fetch: IL1 hit (+ walk fallback; a TLB hit is free)
 	il1MissX  mem.Cycles // extra per IL1 fetch miss
-	loadBase  mem.Cycles // per load: DTLB hit + DL1 hit (+ walk fallback)
+	loadBase  mem.Cycles // per load: DL1 hit (+ walk fallback)
 	dl1MissX  mem.Cycles // extra per DL1 load miss
 	storeLat  mem.Cycles // one store through the DL1 write path, none of it hidden
-	storeX    mem.Cycles // per store beyond StoreBase (DTLB hit + buffered WT worst)
+	storeX    mem.Cycles // per store beyond StoreBase (walk fallback + buffered WT worst)
 	spillX    mem.Cycles // per Save/SaveX when not window-safe
 	fillX     mem.Cycles // per Restore/Ret when not window-safe
-	walkI     mem.Cycles // one full ITLB page-table walk
-	walkD     mem.Cycles // one full DTLB page-table walk
+	walk      mem.Cycles // one full page-table walk (either TLB)
 	l2LineW   mem.Cycles // one L2 line written back to DRAM
 }
 
@@ -118,16 +118,14 @@ func deriveLat(pf *platform.Config, itlbWalkEach, dtlbWalkEach bool) latModel {
 		storeAdj = storeLat - tm.StoreHidden
 	}
 
-	walkI := mem.Cycles(pf.ITLB.WalkReads) * (busR + l2Read)
-	walkD := mem.Cycles(pf.DTLB.WalkReads) * (busR + l2Read)
+	walk := tlb.WalkLevels * (busR + l2Read)
 
-	itlbAcc := pf.ITLB.HitLatency
+	var itlbAcc, dtlbAcc mem.Cycles // a TLB hit costs nothing
 	if itlbWalkEach {
-		itlbAcc += walkI
+		itlbAcc = walk
 	}
-	dtlbAcc := pf.DTLB.HitLatency
 	if dtlbWalkEach {
-		dtlbAcc += walkD
+		dtlbAcc = walk
 	}
 
 	return latModel{
@@ -139,8 +137,7 @@ func deriveLat(pf *platform.Config, itlbWalkEach, dtlbWalkEach bool) latModel {
 		storeX:    dtlbAcc + storeAdj,
 		spillX:    tm.TrapOverhead + 16*(dtlbAcc+tm.StoreBase+storeAdj),
 		fillX:     tm.TrapOverhead + 16*(dtlbAcc+tm.LoadUse+pf.DL1.HitLatency+dl1MissX),
-		walkI:     walkI,
-		walkD:     walkD,
+		walk:      walk,
 		l2LineW:   dramW(pf.L2.LineSize),
 	}
 }

@@ -280,10 +280,10 @@ func (m *Model) Bound() *Report {
 	itlbEach, dtlbEach := a.tlbBudget()
 	a.lat = deriveLat(m.Platform, itlbEach, dtlbEach)
 	if !itlbEach {
-		rep.TLBCycles += a.satMul(rep.ITLBPages, a.lat.walkI)
+		rep.TLBCycles += a.satMul(rep.ITLBPages, a.lat.walk)
 	}
 	if !dtlbEach {
-		rep.TLBCycles += a.satMul(rep.DTLBPages, a.lat.walkD)
+		rep.TLBCycles += a.satMul(rep.DTLBPages, a.lat.walk)
 	}
 
 	// The bound.

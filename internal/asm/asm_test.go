@@ -10,6 +10,7 @@ import (
 	"dsr/internal/isa"
 	"dsr/internal/loader"
 	"dsr/internal/mem"
+	"dsr/internal/platform"
 	"dsr/internal/prng"
 )
 
@@ -60,7 +61,8 @@ func assembleAndRun(t *testing.T, src string) *cpu.CPU {
 	for _, iw := range img.Inits {
 		data.StoreWord(iw.Addr, iw.Val)
 	}
-	c := cpu.New(cpu.NewDefaultConfig(), img, nullMem{}, nullMem{}, nil, nil, data)
+	il1, dl1, it, dt := platform.ProximaLEON3().Fronts(nullMem{})
+	c := cpu.New(cpu.NewDefaultConfig(), img, il1, dl1, it, dt, data)
 	c.Reset(0x6000_0000)
 	if _, err := c.Run(); err != nil {
 		t.Fatal(err)

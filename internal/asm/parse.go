@@ -58,7 +58,7 @@ func parseImm(tok string) (int32, error) {
 
 // parseMem parses "[%reg+imm]", "[%reg-imm]" or "[%reg]".
 func parseMem(tok string) (isa.Reg, int32, error) {
-	if !strings.HasPrefix(tok, "[") || !strings.HasSuffix(tok, "]") {
+	if len(tok) < 3 || !strings.HasPrefix(tok, "[") || !strings.HasSuffix(tok, "]") {
 		return 0, 0, fmt.Errorf("bad memory operand %q", tok)
 	}
 	inner := tok[1 : len(tok)-1]

@@ -82,23 +82,15 @@ type CPU struct {
 	cfg Config
 	img *loader.Image
 
-	icache mem.Backend
-	dcache mem.Backend
-	itlb   *tlb.TLB // may be nil
-	dtlb   *tlb.TLB // may be nil
-	data   *Memory
-
-	// icacheC/dcacheC are the L1 fronts devirtualised: when a front is a
-	// concrete *cache.Cache whose line size is at least a word, the hot
-	// paths call its single-line entry points (ReadLine/WriteLine)
-	// directly — the CPU's accesses are aligned words and single bytes,
-	// which then never straddle a line — so the hit fast path inlines
-	// instead of paying a mem.Backend interface dispatch per access.
-	// They are nil whenever the front is anything else. Attribution does
-	// not change them: the CPU books its own L1 fronts (ifetch, dread,
-	// dwrite). Set by bindFronts.
-	icacheC *cache.Cache
-	dcacheC *cache.Cache
+	// The core's memory fronts: the L1 caches, whose single-line entry
+	// points (ReadLine/WriteLine) the hot paths call directly — the
+	// core's accesses are aligned words and single bytes, which never
+	// straddle a line (New refuses a line shorter than a word) — so the
+	// hit fast path inlines, and the TLBs. Attribution does not change
+	// them: the core books its own L1 fronts (ifetch, dread, dwrite).
+	il1, dl1   *cache.Cache
+	itlb, dtlb *tlb.TLB
+	data       *Memory
 
 	// Integer register file, flattened: rfile[0:8] are the globals,
 	// then NumWindows banks of 16 words each — bank w holds the outs of
@@ -140,14 +132,13 @@ type CPU struct {
 	// curFn's code range, armed by fetchSlow and the engine's inline
 	// re-arm and torn down (fetchHi=0) whenever something could
 	// invalidate it: Reset, SetImage, and after every call hook (the
-	// DSR runtime invalidates IL1 ranges mid-run). fetchZero gates the
-	// whole mechanism: it is set only when skipping is provably
-	// cycle-exact (IL1 and ITLB hit latencies both zero, as on the
-	// modelled LEON3).
+	// DSR runtime invalidates IL1 ranges mid-run). Skipping is
+	// cycle-exact because IL1 and ITLB hits cost zero cycles, as on the
+	// modelled LEON3 (New refuses a non-zero IL1 hit latency; a TLB hit
+	// is free by construction).
 	fetchLo   mem.Addr
 	fetchHi   mem.Addr
-	fetchLine mem.Addr // IL1 line size (bytes); 0 if fetchZero is false
-	fetchZero bool
+	fetchLine mem.Addr // IL1 line size (bytes)
 
 	// callHook, when set, fires on every Call/CallR with the resolved
 	// target address before control transfers. The DSR runtime uses it
@@ -175,56 +166,44 @@ type CPU struct {
 	att *telemetry.Attribution
 }
 
-// New builds a CPU. icache and dcache are the L1 fronts of the memory
-// hierarchy; itlb/dtlb may be nil to disable address translation costs;
-// data is the functional store.
-func New(cfg Config, img *loader.Image, icache, dcache mem.Backend, itlb, dtlb *tlb.TLB, data *Memory) *CPU {
+// New builds a CPU bound to the hierarchy platform.New builds: il1 and
+// dl1 are the L1 caches, itlb and dtlb the TLBs (none may be nil), and
+// data is the functional store. It panics on a configuration the
+// threaded-code engine cannot run cycle-exactly: fewer than 2 or more
+// than 15 register windows (beyond 15 the %g0 scratch slot no longer
+// fits a µop operand), an IL1 hit latency other than zero (a skipped
+// fetch must cost nothing), or an L1 line shorter than a word or
+// longer than a page (an access must stay in one line, and a fetch
+// window in one page).
+func New(cfg Config, img *loader.Image, il1, dl1 *cache.Cache, itlb, dtlb *tlb.TLB, data *Memory) *CPU {
 	if cfg.NumWindows < 2 {
 		panic("cpu: need at least 2 register windows")
 	}
+	if 8+16*cfg.NumWindows >= rfileSlots { // the %g0 scratch slot, scratchIdx
+		panic(fmt.Sprintf("cpu: %d register windows do not fit the engine's register file", cfg.NumWindows))
+	}
+	if il1.Config().HitLatency != 0 {
+		panic("cpu: the IL1 hit latency must be zero")
+	}
+	for _, l1 := range []*cache.Cache{il1, dl1} {
+		if ls := l1.Config().LineSize; ls < mem.WordSize || ls > mem.PageSize {
+			panic(fmt.Sprintf("cpu: %s line size %d outside [%d, %d]", l1.Config().Name, ls, mem.WordSize, mem.PageSize))
+		}
+	}
 	c := &CPU{
 		cfg: cfg, img: img,
-		icache: icache, dcache: dcache,
+		il1: il1, dl1: dl1,
 		itlb: itlb, dtlb: dtlb,
-		data: data,
-	}
-	size := 8 + 16*cfg.NumWindows + 1
-	if size < rfileSlots {
+		data:      data,
+		fetchLine: mem.Addr(il1.Config().LineSize),
 		// The engine addresses the register file through a fixed-size
 		// array pointer with masked indices (engine.go); padding the
 		// allocation to that size lets every access elide its bounds
 		// check.
-		size = rfileSlots
+		rfile: make([]uint32, rfileSlots),
 	}
-	c.rfile = make([]uint32, size)
-	c.bindFronts()
 	c.Reset(0)
 	return c
-}
-
-// bindFronts derives everything the hot paths precompute from the
-// memory fronts: the devirtualised concrete-cache pointers and the
-// fetch-window gate. The gate requires proof that a skipped fetch
-// would have charged zero cycles: the IL1 front must be a concrete
-// cache with hit latency zero, and so must the ITLB if present.
-// Anything unprovable — an unknown backend type, non-zero latencies —
-// leaves the gate closed and every fetch on the exact slow path.
-func (c *CPU) bindFronts() {
-	if cc, ok := c.icache.(*cache.Cache); ok && cc.Config().LineSize >= mem.WordSize {
-		c.icacheC = cc
-	}
-	if cc, ok := c.dcache.(*cache.Cache); ok && cc.Config().LineSize >= mem.WordSize {
-		c.dcacheC = cc
-	}
-	il1 := c.icacheC
-	if il1 == nil || il1.Config().HitLatency != 0 {
-		return
-	}
-	if c.itlb != nil && c.itlb.Config().HitLatency != 0 {
-		return
-	}
-	c.fetchZero = true
-	c.fetchLine = mem.Addr(il1.Config().LineSize)
 }
 
 // outBase/localBase locate window w's out and local banks in rfile.
@@ -301,19 +280,15 @@ func (c *CPU) ResetCounters() { c.ctr = Counters{} }
 
 // SetAttribution installs (or clears, with nil) the cycle-attribution
 // profiler on the core and its TLBs. The core books every cycle it
-// charges, L1 front accesses included, and each TLB its translations,
-// so the booked total equals the cycle counter exactly whatever the
-// memory fronts are. An access's latency below the L1 books to
-// CompIL1/CompDL1 unless the levels there book themselves into the
-// same profiler, as platform.EnableAttribution wires them.
+// charges, L1 front accesses included, and each TLB its page-table
+// walks, so the booked total equals the cycle counter exactly. An
+// access's latency below the L1 books to CompIL1/CompDL1 unless the
+// levels there book themselves into the same profiler, as
+// platform.EnableAttribution wires them.
 func (c *CPU) SetAttribution(a *telemetry.Attribution) {
 	c.att = a
-	if c.itlb != nil {
-		c.itlb.SetAttribution(a, telemetry.CompITLBWalk)
-	}
-	if c.dtlb != nil {
-		c.dtlb.SetAttribution(a, telemetry.CompDTLBWalk)
-	}
+	c.itlb.SetAttribution(a, telemetry.CompITLBWalk)
+	c.dtlb.SetAttribution(a, telemetry.CompDTLBWalk)
 }
 
 // charge adds n cycles and books them to comp (nothing inside a hushed
@@ -376,8 +351,7 @@ func (c *CPU) src2(in *isa.Instr) uint32 {
 
 // fetchSlow is the exact fetch path: ITLB translation, IL1 read, curFn
 // lookup and alignment check. On success it arms the engine's fetch
-// window around pc when the fetchZero gate is open: while pc stays
-// inside it — same IL1 line, same page, same function as the last slow
+// window around pc: while pc stays inside it — same IL1 line, same page, same function as the last slow
 // fetch — runFast serves instructions without touching the hierarchy.
 // Skipping the hierarchy there is cycle- and attribution-exact: a hit
 // would charge 0 cycles (so no booking), and the skipped LRU/age touches
@@ -395,24 +369,18 @@ func (c *CPU) fetchSlow() (*isa.Instr, error) {
 	if off%isa.InstrBytes != 0 {
 		return nil, fmt.Errorf("cpu: misaligned pc %#x", c.pc)
 	}
-	if c.fetchZero {
-		// Window = IL1 line ∩ page ∩ function. The line is resident
-		// after the read above; lines are aligned and no larger than a
-		// page, but clamp to the page anyway so the invariant never
-		// depends on that configuration detail.
-		lo := c.pc &^ (c.fetchLine - 1)
-		hi := lo + c.fetchLine
-		if pageEnd := (c.pc | (mem.PageSize - 1)) + 1; hi > pageEnd {
-			hi = pageEnd
-		}
-		if lo < c.curFn.Base {
-			lo = c.curFn.Base
-		}
-		if end := c.curFn.End(); hi > end {
-			hi = end
-		}
-		c.fetchLo, c.fetchHi = lo, hi
+	// Window = IL1 line ∩ page ∩ function. The line is resident after
+	// the read above, and it lies inside one page: lines are aligned
+	// and no larger than a page (New refuses anything else).
+	lo := c.pc &^ (c.fetchLine - 1)
+	hi := lo + c.fetchLine
+	if lo < c.curFn.Base {
+		lo = c.curFn.Base
 	}
+	if end := c.curFn.End(); hi > end {
+		hi = end
+	}
+	c.fetchLo, c.fetchHi = lo, hi
 	return &c.curFn.Code[off/isa.InstrBytes], nil
 }
 
@@ -438,32 +406,24 @@ func (c *CPU) misaligned(in *isa.Instr) error {
 // ifetch, dread and dwrite are the core's timed accesses — an
 // instruction fetch, a data load, a data store — and its only accesses
 // to its L1 fronts besides the engine's inline window re-arm; dread and
-// dwrite also move the data. Each first translates through its TLB, if
-// any, which books the translation itself. ifetch and dread then apply
+// dwrite also move the data. Each first translates through its TLB,
+// which books its page-table walks itself. ifetch and dread then apply
 // the front-booking rule: the L1 access returns its latency lat, and
 // lat minus whatever the levels below booked during the same
 // synchronous transaction (the change in att.Total()) is booked to
 // CompIL1 or CompDL1. The bookings of one access thus add up to exactly
 // its latency — the L1's self-latency plus what the levels below book
-// themselves — while the fronts stay bare caches, devirtualised through
-// icacheC/dcacheC. dwrite books its
-// whole store path in one hushed span instead. The load-use and
+// themselves — while the fronts stay bare caches whose hit paths inline.
+// dwrite books its whole store path in one hushed span instead. The load-use and
 // store-issue cycles are not booked here: bookFixed books them in bulk
 // from the PMCs.
 
 // ifetch charges the fetch of the instruction at pc: ITLB translation
 // and the IL1 read.
 func (c *CPU) ifetch(pc mem.Addr) {
-	if c.itlb != nil {
-		c.cycles += c.itlb.Translate(pc)
-	}
+	c.cycles += c.itlb.Translate(pc)
 	start := c.att.Total()
-	var lat mem.Cycles
-	if c.icacheC != nil {
-		lat = c.icacheC.ReadLine(pc)
-	} else {
-		lat = c.icache.Read(pc, isa.InstrBytes)
-	}
+	lat := c.il1.ReadLine(pc)
 	c.att.Charge(telemetry.CompIL1, lat-(c.att.Total()-start))
 	c.cycles += lat
 }
@@ -473,17 +433,10 @@ func (c *CPU) ifetch(pc mem.Addr) {
 // load-use cycle and the DL1 read.
 func (c *CPU) dread(ea mem.Addr, size int) uint32 {
 	c.ctr.Loads++
-	if c.dtlb != nil {
-		c.cycles += c.dtlb.Translate(ea)
-	}
+	c.cycles += c.dtlb.Translate(ea)
 	c.cycles += c.cfg.LoadUse
 	start := c.att.Total()
-	var lat mem.Cycles
-	if c.dcacheC != nil {
-		lat = c.dcacheC.ReadLine(ea)
-	} else {
-		lat = c.dcache.Read(ea, size)
-	}
+	lat := c.dl1.ReadLine(ea)
 	c.att.Charge(telemetry.CompDL1, lat-(c.att.Total()-start))
 	c.cycles += lat
 	if size == 1 {
@@ -500,17 +453,10 @@ func (c *CPU) dread(ea mem.Addr, size int) uint32 {
 // cycles match the charged cycles exactly.
 func (c *CPU) dwrite(ea mem.Addr, size int, v uint32) {
 	c.ctr.Stores++
-	if c.dtlb != nil {
-		c.cycles += c.dtlb.Translate(ea)
-	}
+	c.cycles += c.dtlb.Translate(ea)
 	c.cycles += c.cfg.StoreBase
 	c.att.Hush()
-	var lat mem.Cycles
-	if c.dcacheC != nil {
-		lat = c.dcacheC.WriteLine(ea, size)
-	} else {
-		lat = c.dcache.Write(ea, size)
-	}
+	lat := c.dl1.WriteLine(ea, size)
 	lat -= min(lat, c.cfg.StoreHidden)
 	c.att.Unhush(telemetry.CompStorePath, lat)
 	c.cycles += lat

@@ -44,8 +44,7 @@ func runBoth(t *testing.T, p *prog.Program, cfg Config) (*CPU, error) {
 	var cpus [2]*CPU
 	var errs [2]error
 	for i, interp := range []bool{false, true} {
-		il1, dl1, it, dt := proximaFronts(nullMem{})
-		c := New(cfg, img, il1, dl1, it, dt, NewMemory())
+		c := newNullCPU(cfg, img)
 		reload(c, img)
 		c.forceInterp = interp
 		c.Reset(stackTop)
@@ -640,7 +639,7 @@ func TestResetClearsState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := New(NewDefaultConfig(), img, nullMem{}, nullMem{}, nil, nil, NewMemory())
+	c := newNullCPU(NewDefaultConfig(), img)
 	c.Reset(stackTop)
 	if _, err := c.Run(); err != nil {
 		t.Fatal(err)
@@ -662,7 +661,7 @@ func TestStepAfterHaltErrors(t *testing.T) {
 	b := prog.NewFunc("main", prog.MinFrame).Prologue().Halt()
 	p := singleFunc(t, b)
 	img, _ := loader.Load(p, loader.DefaultSequentialConfig())
-	c := New(NewDefaultConfig(), img, nullMem{}, nullMem{}, nil, nil, NewMemory())
+	c := newNullCPU(NewDefaultConfig(), img)
 	c.Reset(stackTop)
 	if _, err := c.Run(); err != nil {
 		t.Fatal(err)

@@ -119,7 +119,7 @@ type ruop struct {
 // resolve returns ops with operands resolved for the CPU's current
 // window pointer, building and caching the resolution on first use.
 // Callers must re-resolve after any window rotation (save, restore,
-// ret) — and engineOK guarantees every resolved index fits a uint8.
+// ret) — and New guarantees every resolved index fits a uint8.
 func (c *CPU) resolve(p *uprog) []ruop {
 	if p.res == nil {
 		p.res = make([][]ruop, c.cfg.NumWindows)
@@ -187,7 +187,7 @@ func (c *CPU) decoded(pf *loader.PlacedFunc) *uprog {
 
 // decodeFunc lowers fn's code for one layout class. The IL1 line size
 // is a power of two dividing the page size and the %g0 scratch slot
-// fits a µop operand; engineOK verifies both before any decode happens.
+// fits a µop operand; New refuses any other configuration.
 func (c *CPU) decodeFunc(fn *prog.Function, class uint32) *uprog {
 	scratch := uint8(c.scratchIdx())
 	line := uint32(c.fetchLine)

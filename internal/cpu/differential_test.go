@@ -123,7 +123,7 @@ func TestALUDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := New(NewDefaultConfig(), img, nullMem{}, nullMem{}, nil, nil, NewMemory())
+		c := newNullCPU(NewDefaultConfig(), img)
 		c.Reset(stackTop)
 		if _, err := c.Run(); err != nil {
 			t.Logf("cpu error: %v", err)

@@ -10,8 +10,8 @@ import (
 )
 
 // This file is the dispatch half of the threaded-code engine: Run and
-// RunBudget hand the whole execution to runFast when the configuration
-// provably allows it, and runFast executes predecoded µops (decode.go).
+// RunBudget hand the whole execution to runFast unless the interpreter
+// is forced, and runFast executes predecoded µops (decode.go).
 // The engine defines no instruction semantics of its own. Opcodes
 // outside its fused ALU runs and hot families decode to uExec and run
 // through exec, the interpreter's one definition of every opcode
@@ -54,19 +54,16 @@ const NoBudget = ^mem.Cycles(0)
 // rf[u.d] needs no bounds check against a *[rfileSlots]uint32.
 const rfileSlots = 256
 
-// engineOK reports whether the threaded-code engine may execute: the
-// zero-cost fetch window must be armable (fetchZero — IL1 and ITLB hits
-// cost zero), the IL1 line size must divide the page size (so
-// fetch-window boundaries depend only on the placement's line offset —
-// the layout class), and every register-file index including the %g0
-// scratch slot must fit the µop encoding. Anything unprovable falls
-// back to the interpreter. Attribution is not a condition: the engine
-// books the same components as the interpreter.
-func (c *CPU) engineOK() bool {
-	return c.fetchZero && !c.forceInterp &&
-		c.fetchLine > 0 && mem.PageSize%c.fetchLine == 0 &&
-		c.scratchIdx() < rfileSlots && len(c.rfile) >= rfileSlots
-}
+// engineOK reports whether the threaded-code engine may execute: unless
+// the equivalence suites force the interpreter, it always may. What the
+// engine needs to stay exact New guarantees: IL1 and ITLB hits cost
+// zero (so the fetch window is free), the IL1 line size divides the
+// page size (so fetch-window boundaries depend only on the placement's
+// line offset — the layout class), and every register-file index
+// including the %g0 scratch slot fits the µop encoding. Attribution is
+// not a condition: the engine books the same components as the
+// interpreter.
+func (c *CPU) engineOK() bool { return !c.forceInterp }
 
 // runFast executes until Halt, an error, the instruction watchdog or
 // the cycle budget, byte-identical to the Step loop. The outer loop
@@ -78,7 +75,7 @@ func (c *CPU) engineOK() bool {
 func (c *CPU) runFast(budget mem.Cycles) error {
 	rf := (*[rfileSlots]uint32)(c.rfile[:rfileSlots])
 	line := c.fetchLine
-	itlb, icC := c.itlb, c.icacheC
+	itlb, il1 := c.itlb, c.il1
 	att := c.att
 	// Under attribution the engine books the fixed-latency events —
 	// base issue, taken branches, load-use, store-issue — in bulk from
@@ -318,28 +315,25 @@ outer:
 				return ErrMaxInstrs
 			}
 			if i < wLo || i >= wHi {
-				if uint(i) < uint(len(ro)) && icC != nil {
+				if uint(i) < uint(len(ro)) {
 					// The next pc (sequential spill into the adjacent
 					// IL1 line or an intra-function control transfer)
 					// left the window but stays inside the decoded
 					// function: re-arm inline with exactly the
 					// interpreter's slow-fetch accesses and window
 					// arithmetic — ITLB translation, IL1 line read,
-					// window = line ∩ page ∩ function. The page clamp is
-					// vacuous here: the line size divides the page size
-					// (engineOK), so an aligned line never straddles a
-					// page. The IL1 read books by ifetch's front-booking
+					// window = line ∩ function (the line size divides
+					// the page size, New, so an aligned line never
+					// straddles a page). The IL1 read books by ifetch's front-booking
 					// rule, on a branch of its own: run unconditionally,
 					// it slowed the unobserved e9-grid benchmark by ~7%.
 					pc := base + mem.Addr(i)*isa.InstrBytes
-					if itlb != nil {
-						cyc += itlb.Translate(pc)
-					}
+					cyc += itlb.Translate(pc)
 					if att == nil {
-						cyc += icC.ReadLine(pc)
+						cyc += il1.ReadLine(pc)
 					} else {
 						start := att.Total()
-						lat := icC.ReadLine(pc)
+						lat := il1.ReadLine(pc)
 						att.Charge(telemetry.CompIL1, lat-(att.Total()-start))
 						cyc += lat
 					}

@@ -35,8 +35,8 @@ func FuzzEngineEquiv(f *testing.F) {
 		}
 		cfg := NewDefaultConfig()
 		cfg.NumWindows = 2 + int(windows)%7
-		fast, flushFast := newAttributedCPU(cfg, img, false, true, 0, 0)
-		slow, flushSlow := newAttributedCPU(cfg, img, true, true, 0, 0)
+		fast, flushFast := newAttributedCPU(cfg, img, false, true)
+		slow, flushSlow := newAttributedCPU(cfg, img, true, true)
 		if !fast.engineOK() {
 			t.Fatal("engineOK() = false; the fuzzer would compare the interpreter with itself")
 		}

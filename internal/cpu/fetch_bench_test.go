@@ -43,23 +43,30 @@ func benchLoopProgram(b *testing.B) *loader.Image {
 	return img
 }
 
-// proximaFronts builds real IL1/DL1/TLBs over next (the L1s' miss
-// path and the TLBs' walk memory), so the benchmark exercises the
-// devirtualised concrete-cache fetch path.
-func proximaFronts(next mem.Backend) (icache, dcache *cache.Cache, itlb, dtlb *tlb.TLB) {
-	il1 := cache.New(cache.Config{
+// proximaFronts builds the ProximaLEON3 IL1/DL1/TLBs over next (the
+// L1s' miss path and the TLBs' walk memory): the hierarchy New takes,
+// and the package's one test seam below the core. Over nullMem every
+// access costs 0 cycles, so a test sees only the core's own timing.
+func proximaFronts(next mem.Backend) (il1, dl1 *cache.Cache, itlb, dtlb *tlb.TLB) {
+	il1 = cache.New(cache.Config{
 		Name: "IL1", Size: 16 * 1024, LineSize: 32, Ways: 4,
 		HitLatency: 0, Placement: cache.PlacementModulo,
 		Replacement: cache.ReplacementLRU, Write: cache.WriteBackAllocate,
 	}, next)
-	dl1 := cache.New(cache.Config{
+	dl1 = cache.New(cache.Config{
 		Name: "DL1", Size: 16 * 1024, LineSize: 16, Ways: 4,
 		HitLatency: 0, Placement: cache.PlacementModulo,
 		Replacement: cache.ReplacementLRU, Write: cache.WriteThroughNoAllocate,
 	}, next)
-	it := tlb.New(tlb.Config{Name: "ITLB", Entries: 64, WalkReads: 3}, next, 0x7000_0000)
-	dt := tlb.New(tlb.Config{Name: "DTLB", Entries: 64, WalkReads: 3}, next, 0x7000_0000)
-	return il1, dl1, it, dt
+	itlb = tlb.New(tlb.Config{Name: "ITLB", Entries: 64}, next, 0x7000_0000)
+	dtlb = tlb.New(tlb.Config{Name: "DTLB", Entries: 64}, next, 0x7000_0000)
+	return il1, dl1, itlb, dtlb
+}
+
+// newNullCPU builds a core under cfg on proximaFronts(nullMem{}).
+func newNullCPU(cfg Config, img *loader.Image) *CPU {
+	il1, dl1, it, dt := proximaFronts(nullMem{})
+	return New(cfg, img, il1, dl1, it, dt, NewMemory())
 }
 
 // BenchmarkFetchLoop is the headline per-instruction cost: a tight
@@ -67,27 +74,7 @@ func proximaFronts(next mem.Backend) (icache, dcache *cache.Cache, itlb, dtlb *t
 // effective instruction rate.
 func BenchmarkFetchLoop(b *testing.B) {
 	img := benchLoopProgram(b)
-	il1, dl1, it, dt := proximaFronts(nullMem{})
-	c := New(NewDefaultConfig(), img, il1, dl1, it, dt, NewMemory())
-	b.ReportAllocs()
-	b.ResetTimer()
-	var instrs uint64
-	for i := 0; i < b.N; i++ {
-		c.Reset(stackTop)
-		if _, err := c.Run(); err != nil {
-			b.Fatal(err)
-		}
-		instrs += c.Counters().Instrs
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(instrs)/b.Elapsed().Seconds(), "instrs/s")
-}
-
-// BenchmarkFetchLoopNullHierarchy isolates the core's dispatch cost:
-// same loop, zero-latency backends, no TLBs.
-func BenchmarkFetchLoopNullHierarchy(b *testing.B) {
-	img := benchLoopProgram(b)
-	c := New(NewDefaultConfig(), img, nullMem{}, nullMem{}, nil, nil, NewMemory())
+	c := newNullCPU(NewDefaultConfig(), img)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var instrs uint64
@@ -107,7 +94,7 @@ func BenchmarkFetchLoopNullHierarchy(b *testing.B) {
 // must be one addition plus one nil check.
 func BenchmarkChargeDisabledTelemetry(b *testing.B) {
 	img := benchLoopProgram(b)
-	c := New(NewDefaultConfig(), img, nullMem{}, nullMem{}, nil, nil, NewMemory())
+	c := newNullCPU(NewDefaultConfig(), img)
 	c.Reset(stackTop)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -142,8 +129,7 @@ func TestChargeDisabledAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	il1, dl1, it, dt := proximaFronts(nullMem{})
-	c := New(NewDefaultConfig(), img, il1, dl1, it, dt, NewMemory())
+	c := newNullCPU(NewDefaultConfig(), img)
 	c.Reset(stackTop)
 	if _, err := c.Run(); err != nil {
 		t.Fatal(err)

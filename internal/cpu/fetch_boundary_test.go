@@ -15,15 +15,13 @@ import (
 // (calls, returns, branches) — and when it stays inside one window for
 // long streaks.
 
-// fetchDisabled returns a CPU identical to New's but with the fetch
-// fast-path gate forced shut, so every instruction takes fetchSlow. The
-// observable surface (cycles, miss counters, registers) must not depend
-// on which path ran.
+// fetchDisabled returns a CPU identical to New's but pinned to the
+// interpreter reference, whose Step takes fetchSlow on every
+// instruction. The observable surface (cycles, miss counters,
+// registers) must not depend on which path ran.
 func fetchDisabled(cfg Config, img *loader.Image) *CPU {
-	il1, dl1, it, dt := proximaFronts(nullMem{})
-	c := New(cfg, img, il1, dl1, it, dt, NewMemory())
-	c.fetchZero = false
-	c.fetchLo, c.fetchHi = 0, 0
+	c := newNullCPU(cfg, img)
+	c.forceInterp = true
 	return c
 }
 
@@ -35,8 +33,7 @@ func compareFetchPaths(t *testing.T, p *prog.Program) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	il1, dl1, it, dt := proximaFronts(nullMem{})
-	fast := New(NewDefaultConfig(), img, il1, dl1, it, dt, NewMemory())
+	fast := newNullCPU(NewDefaultConfig(), img)
 	slow := fetchDisabled(NewDefaultConfig(), img)
 	for run := 0; run < 2; run++ { // second run exercises warmed caches
 		fast.Reset(stackTop)
@@ -58,12 +55,12 @@ func compareFetchPaths(t *testing.T, p *prog.Program) {
 		// (Raw Accesses/Hits on the IL1/ITLB legitimately differ — the
 		// window's whole point is to skip redundant same-line touches —
 		// and are not architecturally observable.)
-		fi, si := fast.icacheC.Counters(), slow.icacheC.Counters()
+		fi, si := fast.il1.Counters(), slow.il1.Counters()
 		if fi.Misses != si.Misses || fi.ReadMisses != si.ReadMisses || fi.Fills != si.Fills {
 			t.Fatalf("run %d: IL1 misses %d/%d/%d (fast) != %d/%d/%d (slow)",
 				run, fi.Misses, fi.ReadMisses, fi.Fills, si.Misses, si.ReadMisses, si.Fills)
 		}
-		if fast.dcacheC.Counters() != slow.dcacheC.Counters() {
+		if fast.dl1.Counters() != slow.dl1.Counters() {
 			t.Fatalf("run %d: DL1 counters diverged", run)
 		}
 		if fm, sm := fast.itlb.Counters().Misses, slow.itlb.Counters().Misses; fm != sm {

@@ -151,9 +151,10 @@ func Analyse(times []float64, opts Options) (*Report, error) {
 	if opts.BlockSize <= 0 {
 		return nil, fmt.Errorf("mbpta: non-positive block size")
 	}
-	if len(times) < 4*opts.BlockSize {
-		return nil, fmt.Errorf("mbpta: need at least %d runs for block size %d, got %d",
-			4*opts.BlockSize, opts.BlockSize, len(times))
+	// Divide, not multiply: 4*BlockSize wraps for a block size >= 2^61.
+	if len(times)/4 < opts.BlockSize {
+		return nil, fmt.Errorf("mbpta: need at least 4 blocks of %d runs, got %d runs",
+			opts.BlockSize, len(times))
 	}
 	maxima := evt.BlockMaxima(times, opts.BlockSize)
 	iid, err := CheckIID(times, opts)

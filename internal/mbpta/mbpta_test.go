@@ -91,6 +91,11 @@ func TestAnalyseSampleSizeGuard(t *testing.T) {
 	if _, err := Analyse(iidSample(4, 1000), opts); err == nil {
 		t.Error("block size 0 accepted")
 	}
+	// 4 blocks of 1<<62 runs overflow int: the guard must not wrap.
+	opts.BlockSize = 1 << 62
+	if _, err := Analyse(iidSample(4, 1000), opts); err == nil || !strings.Contains(err.Error(), "need at least 4 blocks") {
+		t.Errorf("block size 1<<62 over 1000 runs: %v, want the sample-size error", err)
+	}
 }
 
 // TestAnalyseRejectsNonFinite: one NaN or infinity anywhere in a series

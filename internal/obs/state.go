@@ -199,11 +199,12 @@ func (c *Campaign) fitStride() int {
 	return s
 }
 
-// minFitRuns is the sample size the EVT pipeline needs before a tail
-// fit is attempted: 10 block maxima (the evt fitter's floor, stricter
-// than Analyse's own 4-block input check).
-func (c *Campaign) minFitRuns() int {
-	return 10 * c.opts.BlockSize
+// fitReady reports whether n runs are the sample size the EVT pipeline
+// needs before a tail fit is attempted: 10 block maxima (the evt
+// fitter's floor, stricter than Analyse's own 4-block input check).
+// It divides rather than multiplies, so a huge block size cannot wrap.
+func (c *Campaign) fitReady(n int) bool {
+	return n/10 >= c.opts.BlockSize
 }
 
 // refreshFit recomputes the cached tail estimate if enough new runs
@@ -213,7 +214,7 @@ func (c *Campaign) minFitRuns() int {
 func (c *Campaign) refreshFit() {
 	c.mu.Lock()
 	n := len(c.times)
-	if n < c.minFitRuns() || (c.fit != nil && n-c.fitRuns < c.fitStride()) {
+	if !c.fitReady(n) || (c.fit != nil && n-c.fitRuns < c.fitStride()) {
 		c.mu.Unlock()
 		return
 	}

@@ -60,8 +60,8 @@ func ProximaLEON3() Config {
 			HitLatency: 6, Placement: cache.PlacementModulo,
 			Replacement: cache.ReplacementLRU, Write: cache.WriteBackAllocate,
 		},
-		ITLB: tlb.Config{Name: "ITLB", Entries: 64, WalkReads: 3, HitLatency: 0},
-		DTLB: tlb.Config{Name: "DTLB", Entries: 64, WalkReads: 3, HitLatency: 0},
+		ITLB: tlb.Config{Name: "ITLB", Entries: 64},
+		DTLB: tlb.Config{Name: "DTLB", Entries: 64},
 		Bus:  bus.Config{Name: "AHB", ReadLatency: 2, WriteLatency: 2},
 		DRAM: dram.Config{Name: "SDRAM", AccessLatency: 20, PerWord: 2},
 
@@ -109,15 +109,22 @@ func New(cfg Config) *Platform {
 	d := dram.New(cfg.DRAM)
 	l2 := cache.New(cfg.L2, d)
 	b := bus.New(cfg.Bus, l2)
-	il1 := cache.New(cfg.IL1, b)
-	dl1 := cache.New(cfg.DL1, b)
-	itlb := tlb.New(cfg.ITLB, b, cfg.PageTableBase)
-	dtlb := tlb.New(cfg.DTLB, b, cfg.PageTableBase)
+	il1, dl1, itlb, dtlb := cfg.Fronts(b)
 	return &Platform{
 		Cfg: cfg, IL1: il1, DL1: dl1, L2: l2,
 		ITLB: itlb, DTLB: dtlb, Bus: b, DRAM: d,
 		Mem: cpu.NewMemory(),
 	}
+}
+
+// Fronts builds the core's memory fronts of cfg over next: the IL1 and
+// DL1 caches, whose misses go to next, and the ITLB and DTLB, whose
+// page-table walks read next. New builds them over the bus; over a
+// zero-latency next they are the hierarchy the core's semantic tests
+// run on, where every access costs 0 cycles.
+func (cfg Config) Fronts(next mem.Backend) (il1, dl1 *cache.Cache, itlb, dtlb *tlb.TLB) {
+	return cache.New(cfg.IL1, next), cache.New(cfg.DL1, next),
+		tlb.New(cfg.ITLB, next, cfg.PageTableBase), tlb.New(cfg.DTLB, next, cfg.PageTableBase)
 }
 
 // EnableAttribution installs a cycle-attribution profiler on the core

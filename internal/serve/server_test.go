@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -61,6 +62,41 @@ func TestSpecValidateBoundsRuns(t *testing.T) {
 	sp := Spec{Source: src, Runs: MaxRuns, Seed: 1}
 	if _, err := sp.Validate(); err != nil {
 		t.Errorf("Validate rejected runs=MaxRuns: %v", err)
+	}
+}
+
+// TestSpecValidateBoundsBlockSize: 4 blocks of 1<<62 runs overflow
+// int, so a multiplying guard would wrap and admit a job whose every
+// run executes before the analysis fails; Validate must refuse it.
+func TestSpecValidateBoundsBlockSize(t *testing.T) {
+	src := testSource(t)
+	for _, bs := range []int{51, 1 << 61, 1 << 62, math.MaxInt} {
+		sp := Spec{Source: src, Runs: 200, Seed: 1, BlockSize: bs}
+		if _, err := sp.Validate(); err == nil || !strings.Contains(err.Error(), "too few for MBPTA block size") {
+			t.Errorf("Validate(runs=200, block_size=%d) = %v, want the block-size error", bs, err)
+		}
+	}
+	sp := Spec{Source: src, Runs: 200, Seed: 1, BlockSize: 50}
+	if _, err := sp.Validate(); err != nil {
+		t.Errorf("Validate rejected runs=200, block_size=50: %v", err)
+	}
+}
+
+// TestSpecValidateBoundsWorkers: every worker builds its own platform
+// and DSR runtime, so Validate must refuse a pool above MaxWorkers
+// (checked through Validate only: no such pool is ever started), and
+// still admit MaxWorkers itself.
+func TestSpecValidateBoundsWorkers(t *testing.T) {
+	src := testSource(t)
+	for _, w := range []int{MaxWorkers + 1, 1 << 40} {
+		sp := Spec{Source: src, Runs: 600, Seed: 1, Workers: w}
+		if _, err := sp.Validate(); err == nil || !strings.Contains(err.Error(), "workers must be at most") {
+			t.Errorf("Validate(workers=%d) = %v, want the workers error", w, err)
+		}
+	}
+	sp := Spec{Source: src, Runs: 600, Seed: 1, Workers: MaxWorkers}
+	if _, err := sp.Validate(); err != nil {
+		t.Errorf("Validate rejected workers=MaxWorkers: %v", err)
 	}
 }
 

@@ -67,6 +67,11 @@ type Spec struct {
 // the daemon for more memory than the host has.
 const MaxRuns = 1_000_000
 
+// MaxWorkers is the largest worker pool Validate admits: every worker
+// builds its own platform and DSR runtime, so an unbounded count could
+// ask the daemon for that many machines at once.
+const MaxWorkers = 256
+
 // ValidID reports whether id is acceptable as a job id: a single safe
 // path segment of at most 64 bytes drawn from [A-Za-z0-9._-], and not
 // "." or "..". The job id becomes a directory name under
@@ -101,8 +106,12 @@ func (s *Spec) Validate() (*prog.Program, error) {
 	if s.Runs <= 0 || s.Runs > MaxRuns {
 		return nil, fmt.Errorf("serve: runs must be in [1, %d], got %d", MaxRuns, s.Runs)
 	}
-	if s.Runs < 4*s.MBPTAOptions().BlockSize {
+	// Divide, not multiply: 4*BlockSize wraps for block_size >= 2^61.
+	if s.Runs/4 < s.MBPTAOptions().BlockSize {
 		return nil, fmt.Errorf("serve: %d runs too few for MBPTA block size %d", s.Runs, s.MBPTAOptions().BlockSize)
+	}
+	if s.Workers > MaxWorkers {
+		return nil, fmt.Errorf("serve: workers must be at most %d, got %d", MaxWorkers, s.Workers)
 	}
 	p, err := asm.Assemble(s.Source)
 	if err != nil {

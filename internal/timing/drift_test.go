@@ -20,12 +20,14 @@ import (
 	"dsr/internal/isa"
 	"dsr/internal/loader"
 	"dsr/internal/mem"
+	"dsr/internal/platform"
 	"dsr/internal/prog"
 	"dsr/internal/timing"
 )
 
-// zeroMem is a memory hierarchy with no latency at all: every cycle a
-// CPU charges against it comes from the core timing model alone.
+// zeroMem is memory with no latency at all: over it the platform's L1s
+// (0-cycle hits) and TLBs (0-cycle hits) cost nothing, hit or miss, so
+// every cycle the CPU charges comes from the core timing model alone.
 type zeroMem struct{}
 
 func (zeroMem) Read(mem.Addr, int) mem.Cycles  { return 0 }
@@ -167,7 +169,8 @@ func newZeroLatencyCPU(t *testing.T, p *prog.Program) (*cpu.CPU, *loader.Image) 
 	for _, w := range img.Inits {
 		data.StoreWord(w.Addr, w.Val)
 	}
-	c := cpu.New(cpu.NewDefaultConfig(), img, zeroMem{}, zeroMem{}, nil, nil, data)
+	il1, dl1, it, dt := platform.ProximaLEON3().Fronts(zeroMem{})
+	c := cpu.New(cpu.NewDefaultConfig(), img, il1, dl1, it, dt, data)
 	c.Reset(0x6000_0000)
 	return c, img
 }

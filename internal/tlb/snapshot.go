@@ -42,7 +42,7 @@ func (t *TLB) Restore(s *Snapshot) {
 	copy(t.entries, s.entries)
 	t.clock = s.clock
 	t.ctr = s.ctr
-	t.setMRU(s.mruPage, s.mru)
+	t.mruPage, t.mru = s.mruPage, s.mru
 	t.hitsMark = s.hitsMark
 	t.hints = s.hints
 }

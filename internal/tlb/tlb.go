@@ -2,8 +2,9 @@
 // entries each for instructions and data (§III.A of the paper). The DSR
 // pool allocator randomises TLB contents indirectly by drawing memory
 // from a diverse set of pages (§III.B.5); a TLB miss costs a page-table
-// walk through the memory hierarchy, modelled here as a fixed number of
-// memory-class accesses issued to a backend.
+// walk through the memory hierarchy, modelled here as the WalkLevels
+// reads of the SRMMU's 3-level walk issued to a backend. A hit costs
+// nothing: the LEON3 pipelines it.
 package tlb
 
 import (
@@ -13,25 +14,18 @@ import (
 	"dsr/internal/telemetry"
 )
 
-// Config describes a TLB instance.
+// Config describes a TLB instance: a name and an entry count. The
+// timing is the modelled LEON3's and not configurable: a hit costs 0
+// cycles, a miss the WalkLevels page-table reads of one walk.
 type Config struct {
 	Name    string
 	Entries int
-	// WalkReads is the number of page-table reads performed on a miss
-	// (the SRMMU does a 3-level walk; contexts make it up to 4).
-	WalkReads int
-	// HitLatency is charged on every translation (pipelined to 0 on the
-	// real chip; kept configurable).
-	HitLatency mem.Cycles
 }
 
 // Validate reports configuration errors.
 func (c *Config) Validate() error {
 	if c.Entries <= 0 {
 		return fmt.Errorf("tlb %q: non-positive entry count", c.Name)
-	}
-	if c.WalkReads < 0 {
-		return fmt.Errorf("tlb %q: negative walk reads", c.Name)
 	}
 	return nil
 }
@@ -81,7 +75,6 @@ type hint struct {
 // it only through the *number* of distinct pages touched, not their
 // layout — the model reflects that.
 type TLB struct {
-	cfg     Config
 	walkMem mem.Backend
 	entries []entry
 	clock   uint64
@@ -114,9 +107,6 @@ type TLB struct {
 	mruPage  mem.Addr
 	mru      int32
 	hitsMark uint64
-	// hitLat mirrors cfg.HitLatency; a direct field keeps the
-	// fast-path selector chain (and its inlining cost) minimal.
-	hitLat mem.Cycles
 	// hints is the direct-mapped page→entry-index accelerator (see
 	// the hint type); indexed by page & hintMask.
 	hints [hintSize]hint
@@ -125,10 +115,9 @@ type TLB struct {
 	// way real walks do.
 	walkBase mem.Addr
 
-	// att, when set, books translations to comp (see SetAttribution).
-	att      *telemetry.Attribution
-	comp     telemetry.Component
-	bookHits bool
+	// att, when set, books walks to comp (see SetAttribution).
+	att  *telemetry.Attribution
+	comp telemetry.Component
 }
 
 // New builds a TLB whose page-table walks are serviced by walkMem.
@@ -140,36 +129,20 @@ func New(cfg Config, walkMem mem.Backend, walkBase mem.Addr) *TLB {
 		panic(fmt.Sprintf("tlb %q: nil walk backend", cfg.Name))
 	}
 	t := &TLB{
-		cfg:      cfg,
 		walkMem:  walkMem,
 		entries:  make([]entry, cfg.Entries),
 		mruPage:  ^mem.Addr(0), // sentinel: no translation cached yet
-		hitLat:   cfg.HitLatency,
 		walkBase: walkBase,
 	}
 	t.clearHints()
 	return t
 }
 
-// Config returns the TLB's configuration.
-func (t *TLB) Config() Config { return t.cfg }
-
 // SetAttribution installs (or clears, with nil) the cycle-attribution
-// profiler: every translation then books its latency to comp, a walk in
-// a hushed span. The inline MRU fast path books nothing, so a non-zero
-// hit latency (bookHits) keeps it disarmed.
+// profiler: every page-table walk then books its latency to comp, in a
+// hushed span. A hit costs nothing and books nothing.
 func (t *TLB) SetAttribution(att *telemetry.Attribution, comp telemetry.Component) {
-	t.settle()
-	t.att, t.comp, t.bookHits = att, comp, att != nil && t.hitLat != 0
-	t.setMRU(t.mruPage, t.mru)
-}
-
-// setMRU records page's entry idx as the most recent translation.
-func (t *TLB) setMRU(page mem.Addr, idx int32) {
-	if t.bookHits {
-		page = ^mem.Addr(0)
-	}
-	t.mruPage, t.mru = page, idx
+	t.att, t.comp = att, comp
 }
 
 // Counters returns a snapshot of the event counters.
@@ -188,16 +161,17 @@ func (t *TLB) ResetCounters() {
 	t.hitsMark = 0
 }
 
-// Translate looks up the page containing addr, charging a walk on a miss,
-// and returns the total latency. The MRU translation is checked first —
-// one compare on the same-page-as-last-time fast path, which is small
-// enough to inline into the CPU's access routines — before falling back
-// to the hint table and then the scan; all paths perform identical
-// counter and age updates, so the accelerators never change behaviour.
+// Translate looks up the page containing addr and returns its latency:
+// 0 on a hit, the page-table walk's on a miss. The MRU translation is
+// checked first — one compare on the same-page-as-last-time fast path,
+// which is small enough to inline into the CPU's access routines —
+// before falling back to the hint table and then the scan; all paths
+// perform identical counter and age updates, so the accelerators never
+// change behaviour.
 func (t *TLB) Translate(addr mem.Addr) mem.Cycles {
 	if addr/mem.PageSize == t.mruPage {
 		t.ctr.Hits++ // clock/age deferred; see hitsMark
-		return t.hitLat
+		return 0
 	}
 	return t.translateScan(addr / mem.PageSize)
 }
@@ -242,10 +216,13 @@ func (t *TLB) hit(e *entry, page mem.Addr, idx int32) mem.Cycles {
 	t.clock++
 	e.age = t.clock
 	t.hitsMark = t.ctr.Hits // eager hit: clock already ticked
-	t.att.Charge(t.comp, t.hitLat)
-	t.setMRU(page, idx)
-	return t.hitLat
+	t.mruPage, t.mru = page, idx
+	return 0
 }
+
+// WalkLevels is the number of page-table reads one walk makes: the
+// SRMMU's 3-level walk, len(WalkAddrs(base, page)).
+const WalkLevels = 3
 
 // WalkAddrs returns the addresses of the page-table entries a walk for
 // page reads, level 1 first, with the tables at base. The walk is
@@ -254,10 +231,9 @@ func (t *TLB) hit(e *entry, page mem.Addr, idx int32) mem.Cycles {
 // 16 MB, a level-2 entry 256 KB), so walks for nearby pages re-read the
 // same table lines and hit in the L2 — only the per-page level-3 entry
 // is unique. This is what keeps TLB-miss cost low even when the DSR
-// pools spread objects over many pages. A walk reads the first
-// Config.WalkReads of them.
-func WalkAddrs(base, page mem.Addr) [3]mem.Addr {
-	return [3]mem.Addr{
+// pools spread objects over many pages. A walk reads all of them.
+func WalkAddrs(base, page mem.Addr) [WalkLevels]mem.Addr {
+	return [WalkLevels]mem.Addr{
 		base + (page>>12)*mem.WordSize,         // level 1
 		base + 0x1000 + (page>>6)*mem.WordSize, // level 2
 		base + 0x100000 + page*mem.WordSize,    // level 3
@@ -269,15 +245,10 @@ func WalkAddrs(base, page mem.Addr) [3]mem.Addr {
 //go:noinline
 func (t *TLB) translateMiss(page mem.Addr) mem.Cycles {
 	t.ctr.Misses++
-	lat := t.hitLat
-	levels := WalkAddrs(t.walkBase, page)
-	n := t.cfg.WalkReads
-	if n > len(levels) {
-		n = len(levels)
-	}
+	var lat mem.Cycles
 	t.att.Hush()
-	for i := 0; i < n; i++ {
-		lat += t.walkMem.Read(levels[i], mem.WordSize)
+	for _, a := range WalkAddrs(t.walkBase, page) {
+		lat += t.walkMem.Read(a, mem.WordSize)
 	}
 	t.att.Unhush(t.comp, lat)
 	t.insert(page)
@@ -298,7 +269,7 @@ func (t *TLB) insert(page mem.Addr) {
 place:
 	t.clock++
 	t.entries[victim] = entry{valid: true, page: page, age: t.clock}
-	t.setMRU(page, int32(victim))
+	t.mruPage, t.mru = page, int32(victim)
 	t.hints[page&hintMask] = hint{page: page, idx: int32(victim)}
 }
 

@@ -16,7 +16,7 @@ func (c *countingMem) Write(a mem.Addr, size int) mem.Cycles { return c.lat }
 
 func newTestTLB(entries int) (*TLB, *countingMem) {
 	m := &countingMem{lat: 10}
-	t := New(Config{Name: "itlb", Entries: entries, WalkReads: 3, HitLatency: 0}, m, 0x8000_0000)
+	t := New(Config{Name: "itlb", Entries: entries}, m, 0x8000_0000)
 	return t, m
 }
 
