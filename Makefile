@@ -253,8 +253,9 @@ examples: build
 # DSR transform verifier, the static analyzers' soundness oracles, the
 # engine/interpreter equivalence oracle, the MBPTA pipeline on
 # degenerate series, the JSON append encoder and the Chrome trace
-# writers against encoding/json and the dsrserve checkpoint journal
-# loader on damaged journals.
+# writers against encoding/json, the dsrserve checkpoint journal
+# loader on damaged journals and the recency-list TLB against its
+# age-based LRU reference.
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzAssemble -fuzztime=20s -fuzzminimizetime=5s ./internal/asm
 	$(GO) test -run=^$$ -fuzz=FuzzDecode -fuzztime=20s -fuzzminimizetime=5s ./internal/rvs
@@ -269,6 +270,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzJSONEnc -fuzztime=20s -fuzzminimizetime=5s ./internal/jsonenc
 	$(GO) test -run=^$$ -fuzz=FuzzChromeTrace -fuzztime=20s -fuzzminimizetime=5s ./internal/telemetry
 	$(GO) test -run=^$$ -fuzz=FuzzCheckpointJournal -fuzztime=20s -fuzzminimizetime=5s ./internal/serve
+	$(GO) test -run=^$$ -fuzz=FuzzTLB -fuzztime=20s -fuzzminimizetime=5s ./internal/tlb
 
 clean:
 	$(GO) clean ./...

@@ -90,7 +90,7 @@ type (
 	// Runtime is the DSR runtime bound to a platform: Reboot draws a
 	// fresh random layout, Run performs one measured execution.
 	Runtime = core.Runtime
-	// Options configures the DSR runtime (offset bounds, relocation
+	// Options configures the DSR runtime (offset bound, relocation
 	// mode, PRNG).
 	Options = core.Options
 	// BootStats reports what one re-randomisation did.

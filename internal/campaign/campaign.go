@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 
 	"dsr/internal/telemetry"
@@ -17,6 +18,46 @@ import (
 // merged), so callers may checkpoint the merged prefix and later
 // resume from it with Config.First.
 var ErrInterrupted = errors.New("campaign: interrupted")
+
+// PanicError is a panic in newWorker or a RunFunc, turned into an error
+// so that a faulty run fails its campaign instead of the process. It
+// resolves like any other error of its index.
+type PanicError struct {
+	// Index is the run that panicked, or -1 for worker construction.
+	Index int
+	// Value is the value passed to panic.
+	Value any
+	// Stack is the panicking goroutine's stack trace.
+	Stack []byte
+}
+
+func (e *PanicError) Error() string {
+	what := fmt.Sprintf("run %d", e.Index)
+	if e.Index < 0 {
+		what = "worker construction"
+	}
+	return fmt.Sprintf("campaign: %s panicked: %v\n%s", what, e.Value, e.Stack)
+}
+
+// recoverAt turns a panic in progress into a *PanicError for index and
+// stores it in *err. It must be deferred directly.
+func recoverAt(index int, err *error) {
+	if v := recover(); v != nil {
+		*err = &PanicError{Index: index, Value: v, Stack: debug.Stack()}
+	}
+}
+
+// newSafeWorker calls newWorker(w), turning a panic into an error.
+func newSafeWorker[R any](newWorker func(w int) (RunFunc[R], error), w int) (run RunFunc[R], err error) {
+	defer recoverAt(-1, &err)
+	return newWorker(w)
+}
+
+// safeRun calls run(i), turning a panic into that run's error.
+func safeRun[R any](run RunFunc[R], i int) (r R, err error) {
+	defer recoverAt(i, &err)
+	return run(i)
+}
 
 // RunObserver receives a campaign's live progress feed (satisfied by
 // *obs.Campaign). All calls arrive from the merge goroutine in
@@ -108,8 +149,10 @@ type MergeFunc[R any] func(i int, r R) error
 // On error — from newWorker, a run, or the merge — the engine stops
 // handing out new runs, drains in-flight ones, and returns the error
 // belonging to the smallest canonical index (worker construction
-// errors, which have no index, take precedence). The merge is never
-// invoked for indices at or beyond a failed run.
+// errors, which have no index, take precedence). A panic in newWorker
+// or a run is such an error, a *PanicError. The merge is never invoked
+// for indices at or beyond a failed run, and when a run fails it is
+// invoked for every index before it, as on the sequential path.
 func Execute[R any](cfg Config, newWorker func(w int) (RunFunc[R], error), merge MergeFunc[R]) error {
 	n := cfg.Runs
 	if n < 0 {
@@ -154,7 +197,7 @@ func executeSequential[R any](first, n int, interrupt <-chan struct{}, tr *telem
 	ws := wt.Begin(telemetry.SpanWorker, -1)
 	defer wt.End(ws)
 	setup := wt.Begin(telemetry.SpanSetup, -1)
-	run, err := newWorker(0)
+	run, err := newSafeWorker(newWorker, 0)
 	wt.End(setup)
 	if err != nil {
 		return err
@@ -164,7 +207,7 @@ func executeSequential[R any](first, n int, interrupt <-chan struct{}, tr *telem
 			return ErrInterrupted
 		}
 		rs := wt.Begin(telemetry.SpanRun, i)
-		r, err := run(i)
+		r, err := safeRun(run, i)
 		wt.End(rs)
 		if err != nil {
 			return err
@@ -202,12 +245,16 @@ func executeParallel[R any](first, n, workers int, interrupt <-chan struct{}, tr
 		next    = first // next unassigned run index
 		stopped bool    // no further runs may be claimed
 		stopReq bool    // Interrupt fired
+		failAt  = n     // smallest failed run index
 		errs    []indexedError
 		wg      sync.WaitGroup
 	)
 	fail := func(index int, err error) {
 		// called with mu held
 		errs = append(errs, indexedError{index: index, err: err})
+		if index >= 0 && index < failAt {
+			failAt = index
+		}
 		stopped = true
 		cond.Broadcast()
 	}
@@ -237,7 +284,7 @@ func executeParallel[R any](first, n, workers int, interrupt <-chan struct{}, tr
 			ws := wt.Begin(telemetry.SpanWorker, -1)
 			defer wt.End(ws)
 			setup := wt.Begin(telemetry.SpanSetup, -1)
-			run, err := newWorker(w)
+			run, err := newSafeWorker(newWorker, w)
 			wt.End(setup)
 			if err != nil {
 				mu.Lock()
@@ -253,7 +300,7 @@ func executeParallel[R any](first, n, workers int, interrupt <-chan struct{}, tr
 					return
 				}
 				rs := wt.Begin(telemetry.SpanRun, i)
-				r, err := run(i)
+				r, err := safeRun(run, i)
 				wt.End(rs)
 				mu.Lock()
 				if err != nil {
@@ -274,7 +321,11 @@ func executeParallel[R any](first, n, workers int, interrupt <-chan struct{}, tr
 	mu.Lock()
 	for i := first; i < n; i++ {
 		mw := ct.Begin(telemetry.SpanMergeWait, i)
-		for !done[i] && !stopped {
+		// After a stop, only a run below a failed one is still awaited:
+		// runs are claimed in index order, so it is in flight and
+		// completes or fails, and the merge then holds every run before
+		// the failure, as on the sequential path.
+		for !done[i] && (!stopped || i < failAt && failAt < n) {
 			cond.Wait()
 		}
 		ct.End(mw)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -107,6 +108,72 @@ func TestExecuteRunError(t *testing.T) {
 			if i >= failAt {
 				t.Errorf("workers=%d: merged index %d at or beyond failed run %d", workers, i, failAt)
 			}
+		}
+	}
+}
+
+// TestExecuteRunPanic checks a panicking run fails the campaign instead
+// of the process: the error is a *PanicError naming the run, with the
+// panic value and stack, and the merge holds exactly the runs before
+// it. The run just before the panic is slow, so on the parallel path it
+// is still in flight when the panic stops the campaign.
+func TestExecuteRunPanic(t *testing.T) {
+	const failAt = 10
+	for _, workers := range []int{1, 4} {
+		var merged []int
+		err := Execute(Config{Runs: 32, Workers: workers},
+			func(w int) (RunFunc[int], error) {
+				return func(i int) (int, error) {
+					switch i {
+					case failAt - 1:
+						time.Sleep(20 * time.Millisecond)
+					case failAt:
+						panic("boom")
+					}
+					return i, nil
+				}, nil
+			},
+			func(i, r int) error {
+				merged = append(merged, i)
+				return nil
+			})
+		var pe *PanicError
+		if !errors.As(err, &pe) {
+			t.Fatalf("workers=%d: err = %v, want a *PanicError", workers, err)
+		}
+		if pe.Index != failAt || pe.Value != "boom" || !strings.Contains(string(pe.Stack), "TestExecuteRunPanic") {
+			t.Errorf("workers=%d: panic error index %d value %v, stack:\n%s", workers, pe.Index, pe.Value, pe.Stack)
+		}
+		if want := fmt.Sprintf("campaign: run %d panicked: boom", failAt); !strings.HasPrefix(err.Error(), want) {
+			t.Errorf("workers=%d: error %q does not start with %q", workers, err, want)
+		}
+		want := make([]int, failAt)
+		for i := range want {
+			want[i] = i
+		}
+		if !reflect.DeepEqual(merged, want) {
+			t.Errorf("workers=%d: merged %v, want %v", workers, merged, want)
+		}
+	}
+}
+
+// TestExecuteNewWorkerPanic checks a panic while building a worker is a
+// construction error, on both paths.
+func TestExecuteNewWorkerPanic(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		err := Execute(Config{Runs: 16, Workers: workers},
+			func(w int) (RunFunc[int], error) {
+				if w == workers-1 {
+					panic(fmt.Sprintf("worker %d", w))
+				}
+				return func(i int) (int, error) { return i, nil }, nil
+			}, nil)
+		var pe *PanicError
+		if !errors.As(err, &pe) || pe.Index != -1 || pe.Value != fmt.Sprintf("worker %d", workers-1) {
+			t.Fatalf("workers=%d: err = %v, want a construction *PanicError", workers, err)
+		}
+		if !strings.HasPrefix(err.Error(), "campaign: worker construction panicked") {
+			t.Errorf("workers=%d: error %q", workers, err)
 		}
 	}
 }

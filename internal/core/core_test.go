@@ -241,7 +241,7 @@ func TestStackOffsetsWrittenAndAligned(t *testing.T) {
 			if off%8 != 0 {
 				t.Errorf("offset %d for %s not double-word aligned", off, name)
 			}
-			if int(off) >= rt.opts.StackOffsetBound {
+			if int(off) >= rt.opts.OffsetBound {
 				t.Errorf("offset %d for %s exceeds bound", off, name)
 			}
 			if off != 0 {

@@ -38,56 +38,44 @@ func (m RelocationMode) String() string {
 
 // Options configures the DSR runtime.
 type Options struct {
-	// OffsetBound is the exclusive bound of random placement offsets.
-	// 0 selects the platform's L2 way size (§III.B.4), which also
-	// randomises the L1 layouts because the L1 way size divides it.
+	// OffsetBound is the exclusive bound of random placement offsets,
+	// which also bounds the per-function stack offsets. 0 selects the
+	// platform's L2 way size (§III.B.4), which also randomises the L1
+	// layouts because the L1 way size divides it.
 	OffsetBound int
-	// StackOffsetBound bounds the per-function stack offsets; 0 selects
-	// OffsetBound.
-	StackOffsetBound int
-	// Align is the offset granularity; 0 selects 8 (SPARC double-word,
-	// §III.B.2).
-	Align int
 	// Mode selects eager (default) or lazy relocation.
 	Mode RelocationMode
 	// Source is the PRNG; nil selects the MWC generator (§III.B.3).
 	Source prng.Source
-	// Pool geometry; zero values select the defaults below.
-	CodePoolBase mem.Addr
-	CodePoolSize mem.Addr
-	DataPoolBase mem.Addr
-	DataPoolSize mem.Addr
 }
+
+// The fixed randomisation parameters: every offset is a multiple of
+// offsetAlign (SPARC double-word, §III.B.2), and the code and data
+// pools span poolSize bytes from their bases.
+const (
+	offsetAlign  = mem.DoubleWord
+	codePoolBase = mem.Addr(0x4400_0000)
+	dataPoolBase = mem.Addr(0x5400_0000)
+	poolSize     = mem.Addr(64 << 20)
+)
 
 // Randomisation returns the placement offset bound, the stack offset
 // bound and the offset alignment the runtime draws with under o on a
-// platform configured as cfg: each zero field takes its default (the L2
-// way size, the placement offset bound, 8 bytes). The static analyzers
-// read the runtime's parameters here.
+// platform configured as cfg: the placement bound defaults to the L2
+// way size and also bounds the stack offsets, and offsets are 8-byte
+// aligned. The static analyzers read the runtime's parameters here.
 func (o Options) Randomisation(cfg *platform.Config) (offsetBound, stackOffsetBound, align int) {
-	offsetBound, stackOffsetBound, align = o.OffsetBound, o.StackOffsetBound, o.Align
+	offsetBound = o.OffsetBound
 	if offsetBound == 0 {
 		offsetBound = cfg.L2.WaySize()
 	}
-	if stackOffsetBound == 0 {
-		stackOffsetBound = offsetBound
-	}
-	if align == 0 {
-		align = mem.DoubleWord
-	}
-	return offsetBound, stackOffsetBound, align
+	return offsetBound, offsetBound, offsetAlign
 }
 
 func (o *Options) fillDefaults(plat *platform.Platform) {
-	o.OffsetBound, o.StackOffsetBound, o.Align = o.Randomisation(&plat.Cfg)
+	o.OffsetBound, _, _ = o.Randomisation(&plat.Cfg)
 	if o.Source == nil {
 		o.Source = prng.NewMWC(1)
-	}
-	if o.CodePoolSize == 0 {
-		o.CodePoolBase, o.CodePoolSize = 0x4400_0000, 64<<20
-	}
-	if o.DataPoolSize == 0 {
-		o.DataPoolBase, o.DataPoolSize = 0x5400_0000, 64<<20
 	}
 }
 
@@ -184,10 +172,10 @@ func NewRuntime(p *prog.Program, plat *platform.Platform, opts Options) (*Runtim
 		src:      opts.Source,
 		linkBase: seq.Placement,
 	}
-	r.codePool = heap.NewPool("dsr-code", opts.CodePoolBase, opts.CodePoolSize,
-		opts.OffsetBound, opts.Align, prng.NewMWC(2))
-	r.dataPool = heap.NewPool("dsr-data", opts.DataPoolBase, opts.DataPoolSize,
-		opts.OffsetBound, opts.Align, prng.NewMWC(3))
+	r.codePool = heap.NewPool("dsr-code", codePoolBase, poolSize,
+		opts.OffsetBound, offsetAlign, prng.NewMWC(2))
+	r.dataPool = heap.NewPool("dsr-data", dataPoolBase, poolSize,
+		opts.OffsetBound, offsetAlign, prng.NewMWC(3))
 	return r, nil
 }
 
@@ -293,7 +281,7 @@ func (r *Runtime) Reboot(seed uint64) (BootStats, error) {
 		r.plat.Mem.StoreWord(ftable+mem.Addr(i)*4, uint32(pl[name]))
 		var off uint32
 		if f := r.tp.Function(name); f != nil && !f.Leaf {
-			off = uint32(prng.AlignedOffset(r.src, r.opts.StackOffsetBound, r.opts.Align))
+			off = uint32(prng.AlignedOffset(r.src, r.opts.OffsetBound, offsetAlign))
 		}
 		r.plat.Mem.StoreWord(offsets+mem.Addr(i)*4, off)
 	}

@@ -9,13 +9,14 @@ import (
 // TLB microbenchmarks: Translate runs once per instruction fetch and
 // once per data access, so its hit path is as hot as the L1s'. The
 // dominant pattern is a long run of translations of the same page
-// (straight-line code, sweeps within a page), which the MRU fast path
-// serves without scanning the 64-entry array.
+// (straight-line code, sweeps within a page), which the inlined compare
+// against the most recent page serves without touching the rest of the
+// recency order.
 
 var tlbSink mem.Cycles
 
 // BenchmarkTranslateSamePage is the dominant pattern: repeated
-// translations of one page (MRU hit).
+// translations of one page (front-of-list hit).
 func BenchmarkTranslateSamePage(b *testing.B) {
 	tl, _ := newTestTLB(64)
 	tl.Translate(0x4000_0000)
@@ -28,8 +29,9 @@ func BenchmarkTranslateSamePage(b *testing.B) {
 	tlbSink = lat
 }
 
-// BenchmarkTranslateTwoPages alternates two resident pages: defeats a
-// single MRU slot, exercises the associative scan.
+// BenchmarkTranslateTwoPages alternates two resident pages: each
+// translation misses the front compare and finds its page one slot
+// back.
 func BenchmarkTranslateTwoPages(b *testing.B) {
 	tl, _ := newTestTLB(64)
 	tl.Translate(0x4000_0000)
@@ -44,8 +46,10 @@ func BenchmarkTranslateTwoPages(b *testing.B) {
 	tlbSink = lat
 }
 
-// BenchmarkTranslateResidentSweep cycles through 48 resident pages: the
-// full-scan hit path under a DSR-style page-diverse working set.
+// BenchmarkTranslateResidentSweep cycles through 48 resident pages in
+// round-robin order: the worst case for a recency list, as every hit
+// finds its page 47 slots back. Real traffic, DSR included, finds most
+// pages within a few slots of the front.
 func BenchmarkTranslateResidentSweep(b *testing.B) {
 	tl, _ := newTestTLB(64)
 	const pages = 48
@@ -86,12 +90,12 @@ func TestTranslateAllocFree(t *testing.T) {
 	tl.Translate(0x4000_0000)
 	tl.Translate(0x4002_0000)
 	if n := testing.AllocsPerRun(1000, func() { tlbSink = tl.Translate(0x4000_0000) }); n != 0 {
-		t.Errorf("MRU-hit translate allocates %v times", n)
+		t.Errorf("front-hit translate allocates %v times", n)
 	}
 	if n := testing.AllocsPerRun(1000, func() {
 		tlbSink = tl.Translate(0x4000_0000)
 		tlbSink = tl.Translate(0x4002_0000)
 	}); n != 0 {
-		t.Errorf("scan-hit translate allocates %v times", n)
+		t.Errorf("recency-pass translate allocates %v times", n)
 	}
 }
