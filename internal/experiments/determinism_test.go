@@ -129,6 +129,18 @@ func TestCampaignDeterminism(t *testing.T) {
 	}
 }
 
+// TestCampaignProcessingWorkers runs the processing series with its
+// task shared by four workers, each drawing its scenes into a pooled
+// buffer while the others do: the output must equal the sequential
+// run's byte for byte, and under -race no buffer may be touched by two
+// workers at once.
+func TestCampaignProcessingWorkers(t *testing.T) {
+	sr := seriesRun{"Processing", 8, func(cfg Config) (*Series, error) {
+		return RunProcessing(cfg, spaceapp.LitFraction, "processing")
+	}}
+	determtest.Check(t, "workers=4 vs sequential", runCampaign(t, sr, 1).output(), runCampaign(t, sr, 4).output())
+}
+
 // TestCampaignDeterminismWorkerSweep checks that every worker count in
 // between agrees too (the invariant is "any worker count", not just the
 // two endpoints), including counts that do not divide the run count.

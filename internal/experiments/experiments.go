@@ -15,6 +15,7 @@ package experiments
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"dsr/internal/bus"
 	"dsr/internal/campaign"
@@ -221,7 +222,9 @@ var ControlTask = host.Task{
 	Name:  "control",
 	Build: spaceapp.BuildControl,
 	Input: func(m *cpu.Memory, img *loader.Image, seed uint64) (uint32, error) {
-		in := spaceapp.GenControlInput(seed)
+		in := controlInputs.Get().(*spaceapp.ControlInput)
+		defer controlInputs.Put(in)
+		spaceapp.GenControlInputInto(in, seed)
 		if err := spaceapp.ApplyControlInput(m, img, in); err != nil {
 			return 0, err
 		}
@@ -229,14 +232,24 @@ var ControlTask = host.Task{
 	},
 }
 
+// controlInputs holds ControlTask's input buffers. A task's Input runs
+// on every worker host at once, so each call takes a buffer of its own
+// and returns it once the golden word is computed: a buffer is never
+// shared, and a steady-state run allocates none.
+var controlInputs = sync.Pool{New: func() any { return new(spaceapp.ControlInput) }}
+
 // processingTask is the image-processing application under scenes
-// drawn at the given lit-lens fraction.
+// drawn at the given lit-lens fraction. Its scene buffers are pooled as
+// ControlTask's inputs are.
 func processingTask(litFrac float64) host.Task {
+	scenes := &sync.Pool{New: func() any { return new(spaceapp.Scene) }}
 	return host.Task{
 		Name:  "processing",
 		Build: spaceapp.BuildProcessing,
 		Input: func(m *cpu.Memory, img *loader.Image, seed uint64) (uint32, error) {
-			scene := spaceapp.GenScene(seed, litFrac)
+			scene := scenes.Get().(*spaceapp.Scene)
+			defer scenes.Put(scene)
+			spaceapp.GenSceneInto(scene, seed, litFrac)
 			if err := spaceapp.ApplyScene(m, img, scene); err != nil {
 				return 0, err
 			}

@@ -14,9 +14,10 @@ func BenchmarkServeSubmitLatency(b *testing.B) {
 		Executors: 1, QueueCap: b.N + 8, CheckpointEvery: 1 << 30,
 		Logf: func(string, ...any) {},
 	})
-	// Hours of simulated work: the parked job never finishes while the
-	// benchmark runs.
-	long := testSpec(b, "long", 40_000_000, 1, 42)
+	// Seconds of simulated work at one worker, inside MaxRuns: far
+	// longer than the timed submits take. The check after the loop
+	// fails the benchmark if the job ended before they did.
+	long := testSpec(b, "long", 100_000, 1, 42)
 	if _, err := cl.Submit(long); err != nil {
 		b.Fatalf("submit long: %v", err)
 	}
@@ -31,6 +32,9 @@ func BenchmarkServeSubmitLatency(b *testing.B) {
 		}
 	}
 	b.StopTimer()
+	if st, err := cl.Status("long"); err != nil || st.State != StateRunning {
+		b.Fatalf("the parked job did not outlast %d submits: state %q, err %v", b.N, st.State, err)
+	}
 	s.Kill()
 	ts.Close()
 }

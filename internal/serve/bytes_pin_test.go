@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -8,6 +9,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"dsr/internal/mem"
@@ -59,13 +61,45 @@ func TestOutputBytesPinned(t *testing.T) {
 		sum       string
 		wantBytes int
 	}{
-		{"telemetry", out.Telemetry, pin.TelemetrySHA256, pin.TelemetryBytes},
+		{"telemetry", telemetryJSONL(t, out), pin.TelemetrySHA256, pin.TelemetryBytes},
 		{"points", points, pin.PointsSHA256, pin.PointsBytes},
 	} {
 		h := sha256.Sum256(c.b)
 		if got := hex.EncodeToString(h[:]); got != c.sum || len(c.b) != c.wantBytes {
 			t.Errorf("%s: sha256 %s over %d bytes, pinned %s over %d bytes", c.name, got, len(c.b), c.sum, c.wantBytes)
 		}
+	}
+}
+
+// TestTelemetryExportAllocations pins a finished job's telemetry export
+// to one encoding streamed to disk: writing telemetry.jsonl allocates no
+// more than the export's own length plus one write buffer (a buffer
+// regrown to hold the whole export allocates about twice its length),
+// and the file holds the bytes WriteJSONL encodes.
+func TestTelemetryExportAllocations(t *testing.T) {
+	out, err := Run(testSpec(t, "export", 1000, 2, 7), nil, Hooks{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "telemetry.jsonl")
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := writeTelemetry(path, out.Telemetry); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, telemetryJSONL(t, out)) {
+		t.Fatal("telemetry.jsonl differs from the dump's encoding")
+	}
+	alloc := after.TotalAlloc - before.TotalAlloc
+	t.Logf("export of %d bytes allocated %d bytes", len(got), alloc)
+	if limit := uint64(len(got) + telemetryBufSize); alloc > limit {
+		t.Errorf("export of %d bytes allocated %d bytes, want at most %d", len(got), alloc, limit)
 	}
 }
 

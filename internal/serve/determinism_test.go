@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -35,9 +36,20 @@ func testSpec(t testing.TB, id string, runs, workers int, seed uint64) Spec {
 	}
 }
 
+// telemetryJSONL encodes an outcome's telemetry dump as a job's
+// telemetry.jsonl holds it.
+func telemetryJSONL(t testing.TB, o *Outcome) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	if err := o.Telemetry.WriteJSONL(&b); err != nil {
+		t.Fatalf("telemetry export: %v", err)
+	}
+	return b.Bytes()
+}
+
 // outcomeOutput lifts a runner Outcome onto the shared byte-identity
 // surface.
-func outcomeOutput(o *Outcome) determtest.Output {
+func outcomeOutput(t testing.TB, o *Outcome) determtest.Output {
 	cycles := make([]float64, len(o.Points))
 	for i, pt := range o.Points {
 		cycles[i] = float64(pt.Cycles)
@@ -46,7 +58,7 @@ func outcomeOutput(o *Outcome) determtest.Output {
 		Cycles:    cycles,
 		Results:   o.Points,
 		Stream:    o.Times,
-		Telemetry: o.Telemetry,
+		Telemetry: telemetryJSONL(t, o),
 		Report:    []byte(FormatReport(o)),
 	}
 }
@@ -60,7 +72,7 @@ func refOutput(t testing.TB, spec Spec) determtest.Output {
 	if err != nil {
 		t.Fatalf("reference campaign: %v", err)
 	}
-	return outcomeOutput(out)
+	return outcomeOutput(t, out)
 }
 
 // jobOutput fetches a finished job's artifacts over the API and lifts

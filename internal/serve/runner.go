@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"fmt"
 	"strings"
 
@@ -72,9 +71,10 @@ type Outcome struct {
 	// Report is the MBPTA analysis (non-nil even when the analysis
 	// gate rejects; Fit is nil in that case).
 	Report *mbpta.Report
-	// Telemetry is the full telemetry export as JSONL: per-run metrics,
-	// histograms and campaign-clock event spans.
-	Telemetry []byte
+	// Telemetry is the full telemetry dump: per-run metrics, histograms
+	// and campaign-clock event spans. It is encoded once, by whoever
+	// exports it (dsrserve streams it to telemetry.jsonl).
+	Telemetry *telemetry.Dump
 }
 
 // Run executes a campaign job: the single code path behind both the
@@ -176,11 +176,7 @@ func Run(spec Spec, resume []Point, h Hooks) (*Outcome, error) {
 	}
 
 	out.Times = append([]float64(nil), stream.Times()...)
-	var tbuf bytes.Buffer
-	if err := camp.Dump().WriteJSONL(&tbuf); err != nil {
-		return nil, fmt.Errorf("serve: telemetry export: %w", err)
-	}
-	out.Telemetry = tbuf.Bytes()
+	out.Telemetry = camp.Dump()
 
 	rep, aerr := stream.Report()
 	out.Report = rep

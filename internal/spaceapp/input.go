@@ -22,11 +22,19 @@ type ControlInput struct {
 // substitution path), and a mailbox with a mix of known and unknown
 // opcodes. The same seed always yields the same input.
 func GenControlInput(seed uint64) *ControlInput {
-	src := prng.NewMWC(seed ^ 0x5EA5)
-	in := &ControlInput{
-		Raw:     make([]uint32, RawWords),
-		Mailbox: make([]uint32, MailboxWords),
+	in := new(ControlInput)
+	GenControlInputInto(in, seed)
+	return in
+}
+
+// GenControlInputInto draws GenControlInput(seed) into in, reusing its
+// buffers (allocated on first use). Every word is overwritten.
+func GenControlInputInto(in *ControlInput, seed uint64) {
+	if len(in.Raw) != RawWords || len(in.Mailbox) != MailboxWords {
+		in.Raw = make([]uint32, RawWords)
+		in.Mailbox = make([]uint32, MailboxWords)
 	}
+	src := prng.NewMWC(seed ^ 0x5EA5)
 	for i := 0; i < 16; i++ {
 		in.Raw[i] = src.Uint32()
 	}
@@ -42,7 +50,6 @@ func GenControlInput(seed uint64) *ControlInput {
 		op := uint32(prng.Intn(src, 6)) // opcodes 0..5; 1-3 are known
 		in.Mailbox[i] = w&0x0FFFFFFF | op<<28
 	}
-	return in
 }
 
 // ApplyControlInput pokes the input into the loaded image's buffers
@@ -86,8 +93,20 @@ type Scene struct {
 // form: per lens the lit draw and the centre (cx, cy), then one draw per
 // pixel in row-major order.
 func GenScene(seed uint64, litFrac float64) *Scene {
+	s := new(Scene)
+	GenSceneInto(s, seed, litFrac)
+	return s
+}
+
+// GenSceneInto draws GenScene(seed, litFrac) into s, reusing its pixel
+// buffer (allocated on first use). Every pixel is overwritten and Lit
+// is recounted, so what s held before leaves no trace.
+func GenSceneInto(s *Scene, seed uint64, litFrac float64) {
+	if len(s.Pixels) != NumLenses*PixelsPerLens {
+		s.Pixels = make([]byte, NumLenses*PixelsPerLens)
+	}
+	s.Lit = 0
 	src := prng.NewMWC(seed ^ 0xC0DE)
-	s := &Scene{Pixels: make([]byte, NumLenses*PixelsPerLens)}
 	var row, col, noise [LensPixels]float64
 	for l := 0; l < NumLenses; l++ {
 		lit := src.Float64() < litFrac
@@ -115,7 +134,6 @@ func GenScene(seed uint64, litFrac float64) *Scene {
 			litRow((*[LensPixels]byte)(px[y*LensPixels:]), &row, &noise, col[y], cx, float64(y)-cy)
 		}
 	}
-	return s
 }
 
 // spotGuard is the distance from an integer within which litRow does not

@@ -63,6 +63,33 @@ func TestGenSceneMatchesReference(t *testing.T) {
 	}
 }
 
+// TestGenSceneIntoReuse draws each seed's scene into one reused buffer
+// straight after a fully lit scene and then after a fully dark one: the
+// bytes and Lit must be GenScene's, whatever the buffer held before.
+func TestGenSceneIntoReuse(t *testing.T) {
+	seeds := uint64(50)
+	if testing.Short() {
+		seeds = 10
+	}
+	var s Scene
+	for _, litFrac := range []float64{0, 0.3, LitFraction, 1} {
+		for seed := uint64(0); seed < seeds; seed++ {
+			want := GenScene(seed, litFrac)
+			for _, prev := range []float64{1, 0} {
+				GenSceneInto(&s, seed+1, prev)
+				GenSceneInto(&s, seed, litFrac)
+				if s.Lit != want.Lit {
+					t.Fatalf("seed %d lit %.2f after lit %.0f: Lit=%d, GenScene %d", seed, litFrac, prev, s.Lit, want.Lit)
+				}
+				if i := firstDiff(s.Pixels, want.Pixels); i >= 0 {
+					t.Fatalf("seed %d lit %.2f after lit %.0f: pixel %d = %d, GenScene %d",
+						seed, litFrac, prev, i, s.Pixels[i], want.Pixels[i])
+				}
+			}
+		}
+	}
+}
+
 func firstDiff(a, b []byte) int {
 	if bytes.Equal(a, b) {
 		return -1
@@ -148,6 +175,20 @@ func TestGenControlInputMatchesReference(t *testing.T) {
 		got, want := GenControlInput(seed), referenceGenControlInput(seed)
 		if !slices.Equal(got.Raw, want.Raw) || !slices.Equal(got.Mailbox, want.Mailbox) {
 			t.Fatalf("seed %d: input differs from the reference", seed)
+		}
+	}
+}
+
+// TestGenControlInputIntoReuse draws each seed's input into one reused
+// buffer that last held another seed's: it must be GenControlInput's.
+func TestGenControlInputIntoReuse(t *testing.T) {
+	var in ControlInput
+	for seed := uint64(0); seed < 1000; seed++ {
+		GenControlInputInto(&in, seed+7919)
+		GenControlInputInto(&in, seed)
+		want := GenControlInput(seed)
+		if !slices.Equal(in.Raw, want.Raw) || !slices.Equal(in.Mailbox, want.Mailbox) {
+			t.Fatalf("seed %d: reused input differs from GenControlInput", seed)
 		}
 	}
 }
