@@ -3,11 +3,13 @@ package experiments
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"dsr/internal/analysis/schedfeas"
 	"dsr/internal/campaign"
 	"dsr/internal/host"
 	"dsr/internal/mbpta"
+	"dsr/internal/mem"
 	"dsr/internal/platform"
 	"dsr/internal/rtos"
 	"dsr/internal/spaceapp"
@@ -217,7 +219,9 @@ func (s *E9Series) OffsetsWithinSupport() error {
 // checking every completed run against the golden model. Layout seeds
 // come from cfg's root seed stream and schedule seeds from stream
 // e9SchedStream at the cell's grid index, so frame f is a pure
-// function of (cfg, cell, f).
+// function of (cfg, cell, f). When cfg comes from DefaultConfig, an
+// activation that any executive over cfg or a copy of it has already
+// completed is answered from their shared run memo (see e9Memo).
 func NewE9Executive(cfg Config, cell E9Cell, cert *schedfeas.Certificate) (*rtos.RandomizedExecutive, error) {
 	ctrlLayout := fixedLayout
 	if cell.LayoutRand {
@@ -232,10 +236,90 @@ func NewE9Executive(cfg Config, cell E9Cell, cert *schedfeas.Certificate) (*rtos
 		return nil, err
 	}
 	parts := []*rtos.Partition{
-		{Name: "control", Criticality: rtos.HighCriticality, Runner: ctrl, PeriodMillis: 1000},
-		{Name: "processing", Criticality: rtos.LowCriticality, Runner: proc, PeriodMillis: 100},
+		{Name: "control", Criticality: rtos.HighCriticality, Runner: cfg.e9Runner(ctrl, cell.LayoutRand), PeriodMillis: 1000},
+		{Name: "processing", Criticality: rtos.LowCriticality, Runner: cfg.e9Runner(proc, false), PeriodMillis: 100},
 	}
 	return rtos.NewRandomizedExecutive(rtos.DefaultConfig(), parts, cert, campaign.NewSchedule(cfg.SeedBase).Split(e9SchedStream).Seed(cell.index()))
+}
+
+// e9Memo holds the completed E9 partition runs of one Config and its
+// copies. Every activation starts from the partition reboot's canonical
+// state on a platform private to its partition, so its run is a pure
+// function of the task, the layout and the input, whatever cell, frame
+// window or worker runs it; the schedule axis only moves its window.
+// The memo is sound only under that condition: a study with
+// cross-partition state (shared-L2 interference, say) or observed
+// hosts must run with a nil memo.
+type e9Memo struct {
+	mu   sync.Mutex
+	runs map[e9Key]platform.RunResult
+	hits map[string]int // activations answered from runs, per task
+}
+
+// e9Key is what an E9 run is a function of. dsr separates the layout-
+// randomised control partition from the fixed one, whose layout seed
+// is always 0.
+type e9Key struct {
+	task          string
+	dsr           bool
+	layout, input uint64
+}
+
+func newE9Memo() *e9Memo {
+	return &e9Memo{runs: map[e9Key]platform.RunResult{}, hits: map[string]int{}}
+}
+
+// e9Runner returns h, a host built by cfg.newHost, as an rtos.Runner
+// answered from cfg's memo when it has one.
+func (cfg *Config) e9Runner(h *host.Host, dsr bool) rtos.Runner {
+	if cfg.e9 == nil {
+		return h
+	}
+	return &memoRunner{h: h, m: cfg.e9, dsr: dsr, inputBase: cfg.InputSeedBase}
+}
+
+// memoRunner is an rtos.Runner over a host that runs each distinct
+// activation once. Activate only notes the activation; Execute answers
+// from the memo when the recorded run fits the window (the engine runs
+// while cycles < budget, so a run that completed in fewer cycles than
+// the budget completes the same way under it) and otherwise reboots,
+// runs and checks the activation on the host, recording it when it
+// completes. Overrun semantics are the host's.
+type memoRunner struct {
+	h         *host.Host
+	m         *e9Memo
+	dsr       bool
+	inputBase uint64 // the host's: activation k draws input inputBase + k
+	act       uint64
+}
+
+func (r *memoRunner) Name() string { return r.h.Name() }
+
+func (r *memoRunner) Activate(act uint64) error {
+	r.act = act
+	return nil
+}
+
+func (r *memoRunner) Execute(budget mem.Cycles) (platform.RunResult, bool, error) {
+	k := e9Key{task: r.h.Name(), dsr: r.dsr, layout: r.h.Seed(int(r.act)), input: r.inputBase + r.act}
+	r.m.mu.Lock()
+	res, ok := r.m.runs[k]
+	if ok && res.Cycles < budget {
+		r.m.hits[k.task]++
+		r.m.mu.Unlock()
+		return res, true, nil
+	}
+	r.m.mu.Unlock()
+	if err := r.h.Activate(r.act); err != nil {
+		return platform.RunResult{}, false, err
+	}
+	res, done, err := r.h.Execute(budget)
+	if err == nil && done {
+		r.m.mu.Lock()
+		r.m.runs[k] = res
+		r.m.mu.Unlock()
+	}
+	return res, done, err
 }
 
 // e9Shard is one frame's outcome before the canonical merge.

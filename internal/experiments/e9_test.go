@@ -85,23 +85,29 @@ func TestE9Report(t *testing.T) {
 // TestE9SchedAxisPreservesCycles pins the grid's control variable:
 // schedule randomisation alone must not change the control task's
 // execution times, only their arrival offsets. Frame f runs input f in
-// both cells, so the per-frame cycle series must match exactly.
+// both cells of a layout row, so the per-frame cycle series must match
+// exactly. That equality is also what lets the two cells of a row share
+// their control runs through the E9 memo, so every cell here runs with
+// the memo off: with it on, the second cell would replay the first.
 func TestE9SchedAxisPreservesCycles(t *testing.T) {
 	cfg := e9Config(6, 2)
-	det, err := RunE9Cell(cfg, E9Cell{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched, err := RunE9Cell(cfg, E9Cell{SchedRand: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(det.ControlCycles, sched.ControlCycles) {
-		t.Errorf("schedule randomisation changed control cycles:\n det=%v\nrand=%v",
-			det.ControlCycles, sched.ControlCycles)
-	}
-	if reflect.DeepEqual(det.ControlOffsets, sched.ControlOffsets) {
-		t.Errorf("schedule randomisation did not move arrivals: %v", sched.ControlOffsets)
+	cfg.e9 = nil
+	for _, layout := range []bool{false, true} {
+		fixed, err := RunE9Cell(cfg, E9Cell{LayoutRand: layout})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sched, err := RunE9Cell(cfg, E9Cell{LayoutRand: layout, SchedRand: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(fixed.ControlCycles, sched.ControlCycles) {
+			t.Errorf("%s: schedule randomisation changed control cycles:\n det=%v\nrand=%v",
+				sched.Cell.Name(), fixed.ControlCycles, sched.ControlCycles)
+		}
+		if reflect.DeepEqual(fixed.ControlOffsets, sched.ControlOffsets) {
+			t.Errorf("%s: schedule randomisation did not move arrivals: %v", sched.Cell.Name(), sched.ControlOffsets)
+		}
 	}
 }
 

@@ -87,6 +87,12 @@ type Config struct {
 	// goroutine — the live-introspection feed behind internal/obs. Like
 	// Progress, it observes the merge; it cannot influence it.
 	Observer campaign.RunObserver
+
+	// e9 is the E9 run memo DefaultConfig allocates: every copy of that
+	// Config shares it, so the four grid cells run each distinct
+	// partition activation once. nil (a literal Config) runs every
+	// activation.
+	e9 *e9Memo
 }
 
 // DefaultConfig returns the paper-scale campaign configuration.
@@ -97,6 +103,7 @@ func DefaultConfig() Config {
 		InputSeedBase: 9000,
 		MBPTA:         mbpta.DefaultOptions(),
 		Margin:        0.20,
+		e9:            newE9Memo(),
 	}
 }
 
