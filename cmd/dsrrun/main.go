@@ -109,15 +109,16 @@ func main() {
 	// into the MBPTA stream in canonical run order — identical at every
 	// -workers value.
 	//
-	// Live introspection is strictly one-way: the tracer records
-	// host-side per-worker timelines and the observer feeds the HTTP
-	// view; neither changes what the campaign computes.
+	// Live introspection is strictly one-way: the tracer keeps host-side
+	// per-worker live state (no span timeline: the HTTP view reads none)
+	// and the observer feeds the HTTP view; neither changes what the
+	// campaign computes.
 	var (
 		tracer *telemetry.Tracer
 		view   *obs.Campaign
 	)
 	if *httpAddr != "" {
-		tracer = telemetry.NewTracer()
+		tracer = telemetry.NewLiveTracer()
 		view = obs.NewCampaign(nil, tracer, spec.MBPTAOptions())
 		srv, err := obs.Serve(*httpAddr, view)
 		die(err)

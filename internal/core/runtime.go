@@ -84,11 +84,6 @@ type BootStats struct {
 	Seed           uint64
 	RelocatedFuncs int
 	RelocatedBytes mem.Addr
-	// BootCycles is the modelled cost of the eager relocation loop plus
-	// the SPARC cache-consistency routine (writeback + invalidate); it is
-	// spent before the measured window opens, so it does not appear in
-	// the UoA execution time — the paper's motivation for eager mode.
-	BootCycles mem.Cycles
 	// CodePages/DataPages are the distinct pages backing the pools, the
 	// TLB-randomisation surface (§III.B.5).
 	CodePages int
@@ -120,9 +115,8 @@ type Runtime struct {
 	// addresses functions are copied *from* during relocation.
 	linkBase loader.Placement
 
-	// lazy state
+	// lazy state: the functions not yet relocated, by new base
 	pending map[mem.Addr]relocInfo
-	boot    *BootStats
 
 	// Reboot scratch, reused across runs so a steady-state reboot
 	// performs no heap allocation beyond what the pools require: the
@@ -134,7 +128,9 @@ type Runtime struct {
 	obj   mem.Object
 
 	// events, when non-nil, receives structured runtime events (reboots,
-	// relocations, pool choices); a nil log no-ops.
+	// relocations, pool choices); a nil log no-ops. It is also the only
+	// reader of the boot-time relocation cost, so Reboot models that cost
+	// only while a log is installed.
 	events *telemetry.EventLog
 
 	// tracer, when non-nil, receives host wall-time boot/reloc spans so
@@ -194,18 +190,24 @@ func (r *Runtime) Image() *loader.Image { return r.img }
 // Placement returns the current run's symbol placement.
 func (r *Runtime) Placement() loader.Placement { return r.placement }
 
-// Reboot models the partition reboot of §IV: memory is cleared, a fresh
-// random layout is drawn with the given seed, the image is rebuilt and
-// loaded, the metadata tables are written, and (in eager mode) the
-// relocation plus cache-consistency cost is charged to boot time.
+// Reboot models the partition reboot of §IV: caches and TLBs are
+// flushed, memory is cleared, a fresh random layout is drawn with the
+// given seed, the image is rebuilt and loaded and the metadata tables
+// are written. The relocation performed at boot (every function in
+// eager mode, the entry function in lazy mode) is costed through the
+// simulated hierarchy only while an event log is installed: that cost
+// falls before the measured window, which re-flushes every cache and
+// TLB and resets every counter, so the log's dsr.reloc and dsr.reboot
+// events are its only readers.
 func (r *Runtime) Reboot(seed uint64) (BootStats, error) {
 	// A partition reboot re-establishes the canonical initial hardware
-	// state (§IV), so the relocation cost charged below is computed from
+	// state (§IV), so the relocation cost modelled below is computed from
 	// cold caches — a pure function of (program, seed), independent of
 	// whatever ran on this platform before. The parallel campaign
 	// engine's determinism invariant relies on exactly this: a worker's
 	// Reboot(seed) must behave identically no matter which runs it
-	// executed previously.
+	// executed previously. The flush is the work the measured window's
+	// own flush would otherwise do, so it is paid once either way.
 	boot := r.tracer.Begin(telemetry.SpanBoot, -1)
 	r.plat.FlushCaches()
 	r.src.Seed(seed)
@@ -294,25 +296,26 @@ func (r *Runtime) Reboot(seed uint64) (BootStats, error) {
 		DataPages:      r.dataPool.PagesTouchedCount(),
 	}
 
+	// bootCycles is the modelled cost of the boot-time relocation loop
+	// plus the SPARC cache-consistency routine (writeback + invalidate),
+	// spent before the measured window opens — the paper's motivation
+	// for eager mode. Only the event log reports it.
+	var bootCycles mem.Cycles
 	switch r.opts.Mode {
 	case Eager:
-		for _, ri := range reloc {
-			cost := r.relocationCost(ri, pl[ri.name])
-			stats.BootCycles += cost
-			if r.events.Enabled() {
-				r.events.Emit(dsrTrack, "dsr.reloc", telemetry.PhaseInstant,
-					telemetry.String("func", ri.name),
-					telemetry.Hex("old", ri.oldBase),
-					telemetry.Hex("new", pl[ri.name]),
-					telemetry.Uint64("bytes", uint64(ri.size)),
-					telemetry.Cycles("cost", cost),
-					telemetry.String("when", "boot"))
+		if r.events.Enabled() {
+			for _, ri := range reloc {
+				bootCycles += r.relocateAtBoot(ri, pl[ri.name])
 			}
 		}
 		r.pending = nil
 		r.plat.CPU.SetCallHook(nil)
 	case Lazy:
-		r.pending = make(map[mem.Addr]relocInfo, len(reloc))
+		if r.pending == nil {
+			r.pending = make(map[mem.Addr]relocInfo, len(reloc))
+		} else {
+			clear(r.pending)
+		}
 		for _, ri := range reloc {
 			r.pending[pl[ri.name]] = ri
 		}
@@ -320,16 +323,8 @@ func (r *Runtime) Reboot(seed uint64) (BootStats, error) {
 		// is relocated at boot even in lazy mode.
 		if ri, ok := r.pending[pl[r.tp.Entry]]; ok {
 			delete(r.pending, pl[r.tp.Entry])
-			cost := r.relocationCost(ri, pl[r.tp.Entry])
-			stats.BootCycles += cost
 			if r.events.Enabled() {
-				r.events.Emit(dsrTrack, "dsr.reloc", telemetry.PhaseInstant,
-					telemetry.String("func", ri.name),
-					telemetry.Hex("old", ri.oldBase),
-					telemetry.Hex("new", pl[r.tp.Entry]),
-					telemetry.Uint64("bytes", uint64(ri.size)),
-					telemetry.Cycles("cost", cost),
-					telemetry.String("when", "boot"))
+				bootCycles += r.relocateAtBoot(ri, pl[r.tp.Entry])
 			}
 		}
 		r.plat.CPU.SetCallHook(r.lazyHook)
@@ -343,11 +338,18 @@ func (r *Runtime) Reboot(seed uint64) (BootStats, error) {
 			telemetry.Uint64("bytes", uint64(bytes)),
 			telemetry.Int("code_pages", stats.CodePages),
 			telemetry.Int("data_pages", stats.DataPages),
-			telemetry.Cycles("boot_cycles", stats.BootCycles),
+			telemetry.Cycles("boot_cycles", bootCycles),
 			telemetry.Hex("entry", pl[r.tp.Entry]))
 	}
-	r.boot = &stats
 	return stats, nil
+}
+
+// relocateAtBoot models one boot-time relocation and emits its
+// dsr.reloc event; callers run it only while the event log is enabled.
+func (r *Runtime) relocateAtBoot(ri relocInfo, newBase mem.Addr) mem.Cycles {
+	cost := r.relocationCost(ri, newBase)
+	r.emitReloc(ri, newBase, cost, "boot")
+	return cost
 }
 
 // relocationCost models moving one function: a word-copy loop through
@@ -377,18 +379,20 @@ func (r *Runtime) lazyHook(target mem.Addr) {
 	delete(r.pending, target)
 	cost := r.relocationCost(ri, target)
 	r.plat.CPU.AddCycles(cost)
-	if r.boot != nil {
-		r.boot.RelocatedFuncs--
-	}
 	if r.events.Enabled() {
-		r.events.Emit(dsrTrack, "dsr.reloc", telemetry.PhaseInstant,
-			telemetry.String("func", ri.name),
-			telemetry.Hex("old", ri.oldBase),
-			telemetry.Hex("new", target),
-			telemetry.Uint64("bytes", uint64(ri.size)),
-			telemetry.Cycles("cost", cost),
-			telemetry.String("when", "lazy"))
+		r.emitReloc(ri, target, cost, "lazy")
 	}
+}
+
+// emitReloc emits the dsr.reloc event of one relocation.
+func (r *Runtime) emitReloc(ri relocInfo, newBase mem.Addr, cost mem.Cycles, when string) {
+	r.events.Emit(dsrTrack, "dsr.reloc", telemetry.PhaseInstant,
+		telemetry.String("func", ri.name),
+		telemetry.Hex("old", ri.oldBase),
+		telemetry.Hex("new", newBase),
+		telemetry.Uint64("bytes", uint64(ri.size)),
+		telemetry.Cycles("cost", cost),
+		telemetry.String("when", when))
 }
 
 // Run performs one measured run on the current layout. Reboot must have

@@ -24,13 +24,14 @@ type Pool struct {
 	align       int
 	src         prng.Source
 
-	// chunks recycles the chunk records handed to the space: the pool
-	// allocates with the same object sequence every run (placement order
-	// is drawn before allocation), so after a Reset each record — name
-	// string included — is reused in place and a steady-state reboot
-	// performs no heap allocation here.
+	// chunks recycles the chunk records handed to the space, and names
+	// caches each object's chunk name: the DSR runtime allocates its
+	// objects in a fresh order every run, so a recycled record rarely
+	// held the same object before, and only the cache keeps a
+	// steady-state reboot free of heap allocation here.
 	chunks []*mem.Object
 	live   int
+	names  map[string]string
 }
 
 // NewPool builds a pool over [base, base+size). offsetBound is the
@@ -88,10 +89,13 @@ func (p *Pool) Allocate(obj *mem.Object) (mem.Addr, error) {
 		p.chunks = append(p.chunks, chunk)
 	}
 	p.live++
-	const suffix = ".chunk"
-	name := chunk.Name
-	if len(name) != len(obj.Name)+len(suffix) || name[:len(obj.Name)] != obj.Name {
-		name = obj.Name + suffix
+	name, ok := p.names[obj.Name]
+	if !ok {
+		name = obj.Name + ".chunk"
+		if p.names == nil {
+			p.names = map[string]string{}
+		}
+		p.names[obj.Name] = name
 	}
 	*chunk = mem.Object{
 		Name:  name,

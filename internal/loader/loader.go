@@ -11,7 +11,9 @@
 package loader
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"dsr/internal/isa"
@@ -139,7 +141,7 @@ func (img *Image) Rebuild(p *prog.Program, pl Placement) error {
 			}
 		}
 	}
-	sort.Slice(img.Funcs, func(i, j int) bool { return img.Funcs[i].Base < img.Funcs[j].Base })
+	slices.SortFunc(img.Funcs, func(a, b *PlacedFunc) int { return cmp.Compare(a.Base, b.Base) })
 	for i := 1; i < len(img.Funcs); i++ {
 		if img.Funcs[i].Base < img.Funcs[i-1].End() {
 			return fmt.Errorf("loader: functions %q and %q overlap",

@@ -104,12 +104,15 @@ func (j *job) status() JobStatus {
 // Recreating the view on every (re-)enqueue matters: the previous
 // attempt's view has published ended=true and its finished summaries,
 // and SSE clients of the re-run must see live progress, not a
-// terminated stale stream. Callers hold s.mu (or are single-threaded).
+// terminated stale stream. The tracer keeps only live worker state:
+// the job table holds a finished job for the daemon's lifetime, and
+// nothing reads a span timeline. Callers hold s.mu (or are
+// single-threaded).
 func (j *job) resetRun() {
 	j.cancel = make(chan struct{})
 	j.cancelOnce = new(sync.Once)
 	j.userCancel = false
-	j.tracer = telemetry.NewTracer()
+	j.tracer = telemetry.NewLiveTracer()
 	j.view = obs.NewCampaign(nil, j.tracer, j.spec.MBPTAOptions())
 }
 

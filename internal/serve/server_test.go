@@ -178,6 +178,37 @@ func TestCampaignServeResubmitFreshViewAndCursor(t *testing.T) {
 	}
 }
 
+// TestJobTracerKeepsLiveStateOnly: the job table holds a finished job
+// for the daemon's lifetime, so its tracer must keep no span timeline
+// (nothing reads one) while its live view still counts every run.
+func TestJobTracerKeepsLiveStateOnly(t *testing.T) {
+	const runs = 120
+	spec := testSpec(t, "live", runs, 2, 7)
+	s, ts, cl := startServer(t, t.TempDir(), Config{Executors: 1})
+	defer ts.Close()
+	defer s.Stop()
+
+	if _, err := cl.Submit(spec); err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	if st := waitTerminal(t, cl, "live"); st.State != StateDone {
+		t.Fatalf("job ended %s: %s", st.State, st.Error)
+	}
+	s.mu.Lock()
+	j := s.jobs["live"]
+	s.mu.Unlock()
+	if spans := j.tracer.Spans(); spans != nil {
+		t.Fatalf("finished job's tracer holds %d spans, want none", len(spans))
+	}
+	var done uint64
+	for _, w := range j.view.Snapshot().Workers {
+		done += w.Runs
+	}
+	if done != runs {
+		t.Fatalf("live view counts %d runs across workers, want %d", done, runs)
+	}
+}
+
 // TestCampaignServeCheckpointFailureCadence: when checkpoint writes
 // start failing (here: the job directory vanishes mid-run, which works
 // even as root, unlike a chmod), the job still reaches a terminal state

@@ -109,14 +109,28 @@ type SpanMark struct {
 // span operation no-ops without allocating.
 type Tracer struct {
 	epoch time.Time
+	// liveOnly drops every closed span once its live counters are
+	// booked: the tracer serves LiveWorkers and keeps no timeline.
+	liveOnly bool
 
 	mu      sync.Mutex
 	workers map[int]*WorkerTracer
 }
 
-// NewTracer returns an enabled tracer with its epoch at now.
+// NewTracer returns an enabled tracer with its epoch at now that keeps
+// the full span timeline (see Spans).
 func NewTracer() *Tracer {
 	return &Tracer{epoch: time.Now(), workers: map[int]*WorkerTracer{}}
+}
+
+// NewLiveTracer returns an enabled tracer that keeps only the live
+// worker state LiveWorkers reads: its Spans is always nil, so a
+// long-lived campaign (a dsrserve job, a dsrrun -http session) holds
+// no memory in proportion to its run count.
+func NewLiveTracer() *Tracer {
+	t := NewTracer()
+	t.liveOnly = true
+	return t
 }
 
 // Now returns nanoseconds since the tracer epoch on the host monotonic
@@ -150,11 +164,12 @@ func (t *Tracer) Worker(id int) *WorkerTracer {
 // (Start, longer-first, Worker) so parents precede their children —
 // the cross-worker merge that makes the trace exportable as a single
 // artefact (metrics need none: Campaign.RecordRun books them in the
-// campaign's canonical-order merge). Nil-safe (nil).
+// campaign's canonical-order merge). Nil-safe (nil), and nil on a
+// NewLiveTracer, which keeps no timeline.
 // It is safe to call while workers are still recording; each track is
 // snapshot under its own lock.
 func (t *Tracer) Spans() []Span {
-	if t == nil {
+	if t == nil || t.liveOnly {
 		return nil
 	}
 	t.mu.Lock()
@@ -312,14 +327,17 @@ func (w *WorkerTracer) record(m SpanMark, end int64) {
 	if dur < 0 {
 		dur = 0
 	}
-	w.spans = append(w.spans, Span{
-		Worker: w.id, Run: int(m.run), Kind: m.kind.String(),
-		Start: m.start, Dur: dur,
-	})
 	if m.kind == SpanRun {
 		w.runs.Add(1)
 		w.busy.Add(dur)
 	}
+	if w.t.liveOnly {
+		return
+	}
+	w.spans = append(w.spans, Span{
+		Worker: w.id, Run: int(m.run), Kind: m.kind.String(),
+		Start: m.start, Dur: dur,
+	})
 }
 
 // Spans returns a snapshot of the track's completed spans; nil-safe.

@@ -99,23 +99,35 @@ func TestTracerUnbalancedEndCloses(t *testing.T) {
 	}
 }
 
+// TestTracerLiveState: a full tracer and a live-only one book the same
+// live state (innermost span, run, completed runs); only the full one
+// keeps the span timeline.
 func TestTracerLiveState(t *testing.T) {
-	tr := NewTracer()
-	w := tr.Worker(2)
-	run := w.Begin(SpanRun, 9)
-	boot := w.Begin(SpanBoot, -1)
-	live := tr.LiveWorkers()
-	if len(live) != 1 || live[0].State != "boot" || live[0].Run != 9 {
-		t.Fatalf("live during boot = %+v", live)
-	}
-	w.End(boot)
-	live = tr.LiveWorkers()
-	if live[0].State != "run" || live[0].Run != 9 {
-		t.Fatalf("live after boot end = %+v", live)
-	}
-	w.End(run)
-	if live = tr.LiveWorkers(); live[0].State != "idle" || live[0].Run != -1 {
-		t.Fatalf("live after run end = %+v", live)
+	for _, tc := range []struct {
+		name  string
+		tr    *Tracer
+		spans int
+	}{{"full", NewTracer(), 2}, {"live", NewLiveTracer(), 0}} {
+		tr := tc.tr
+		w := tr.Worker(2)
+		run := w.Begin(SpanRun, 9)
+		boot := w.Begin(SpanBoot, -1)
+		live := tr.LiveWorkers()
+		if len(live) != 1 || live[0].State != "boot" || live[0].Run != 9 {
+			t.Fatalf("%s: live during boot = %+v", tc.name, live)
+		}
+		w.End(boot)
+		live = tr.LiveWorkers()
+		if live[0].State != "run" || live[0].Run != 9 {
+			t.Fatalf("%s: live after boot end = %+v", tc.name, live)
+		}
+		w.End(run)
+		if live = tr.LiveWorkers(); live[0].State != "idle" || live[0].Run != -1 || live[0].Runs != 1 {
+			t.Fatalf("%s: live after run end = %+v", tc.name, live)
+		}
+		if spans := tr.Spans(); len(spans) != tc.spans || (tc.spans == 0 && spans != nil) {
+			t.Fatalf("%s: tracer kept spans %+v, want %d", tc.name, spans, tc.spans)
+		}
 	}
 }
 
