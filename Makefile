@@ -254,8 +254,8 @@ examples: build
 # engine/interpreter equivalence oracle, the MBPTA pipeline on
 # degenerate series, the JSON append encoder and the Chrome trace
 # writers against encoding/json, the dsrserve checkpoint journal
-# loader on damaged journals and the recency-list TLB against its
-# age-based LRU reference.
+# loader on damaged journals, and the recency-list TLB and the
+# recency-ordered cache sets against their age-based LRU references.
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzAssemble -fuzztime=20s -fuzzminimizetime=5s ./internal/asm
 	$(GO) test -run=^$$ -fuzz=FuzzDecode -fuzztime=20s -fuzzminimizetime=5s ./internal/rvs
@@ -271,6 +271,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzChromeTrace -fuzztime=20s -fuzzminimizetime=5s ./internal/telemetry
 	$(GO) test -run=^$$ -fuzz=FuzzCheckpointJournal -fuzztime=20s -fuzzminimizetime=5s ./internal/serve
 	$(GO) test -run=^$$ -fuzz=FuzzTLB -fuzztime=20s -fuzzminimizetime=5s ./internal/tlb
+	$(GO) test -run=^$$ -fuzz=FuzzCache -fuzztime=20s -fuzzminimizetime=5s ./internal/cache
 
 clean:
 	$(GO) clean ./...

@@ -12,7 +12,8 @@
 //	dsrsim -e9          E9: schedule randomisation x layout randomisation
 //	dsrsim -all         everything above
 //
-// -runs N sets the campaign size (default 1000, as in the paper).
+// -runs N sets the campaign size (default 1000, as in the paper; at
+// least 1).
 // -workers N shards each campaign across a worker pool (default one
 // worker per CPU; 1 forces the sequential path). Campaign results,
 // telemetry and progress are byte-identical for every worker count.
@@ -82,6 +83,11 @@ func main() {
 			true, true, true, true, true, true, true, true, true, true, true
 	}
 	if !(*platFlag || *table1 || *fig2 || *fig3 || *iid || *margin || *ablations || *leakage || *e9 || *multicore || *paths) {
+		flag.Usage()
+		os.Exit(2)
+	}
+	if *runs < 1 {
+		fmt.Fprintf(os.Stderr, "dsrsim: -runs must be at least 1, got %d\n", *runs)
 		flag.Usage()
 		os.Exit(2)
 	}

@@ -4,11 +4,24 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 )
+
+// buildDsrsim builds dsrsim into a temporary directory and returns the
+// binary's path.
+func buildDsrsim(t *testing.T) string {
+	t.Helper()
+	bin := filepath.Join(t.TempDir(), "dsrsim")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	return bin
+}
 
 // TestOutputPinned is the fast twin of `make regen-check`: dsrsim is
 // built as a binary and run over every experiment of the short paper
@@ -22,10 +35,7 @@ func TestOutputPinned(t *testing.T) {
 		wantSHA256 = "e1729d8890a90b982704d572e792b05c500cbd81a35259d2b9e51714acb5c09c"
 		wantBytes  = 3959
 	)
-	bin := filepath.Join(t.TempDir(), "dsrsim")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
+	bin := buildDsrsim(t)
 	var stdout, stderr bytes.Buffer
 	cmd := exec.Command(bin, "-table1", "-fig2", "-fig3", "-iid", "-margin", "-leakage", "-runs", "500", "-workers", "2")
 	cmd.Stdout, cmd.Stderr = &stdout, &stderr
@@ -54,12 +64,8 @@ func TestTelemetryExportsPinned(t *testing.T) {
 		"telemetry.csv":   "5fd0b220b2d4b7b73d38d3d911cd33bc9ca4a0b0e9a28b4cbc4bebf1cf2ae3c6",
 		"telemetry.prom":  "2967e2def4be64305f8261f7ea659f83edfb09d121fef83bb687177b78bf1bca",
 	}
-	tmp := t.TempDir()
-	bin := filepath.Join(tmp, "dsrsim")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
-	dir := filepath.Join(tmp, "telemetry")
+	bin := buildDsrsim(t)
+	dir := filepath.Join(t.TempDir(), "telemetry")
 	var stderr bytes.Buffer
 	cmd := exec.Command(bin, "-fig2", "-runs", "200", "-workers", "2", "-telemetry", dir)
 	cmd.Stderr = &stderr
@@ -74,6 +80,33 @@ func TestTelemetryExportsPinned(t *testing.T) {
 		sum := sha256.Sum256(b)
 		if got := hex.EncodeToString(sum[:]); got != w {
 			t.Errorf("%s is %d bytes, sha256 %s; want sha256 %s", name, len(b), got, w)
+		}
+	}
+}
+
+// TestRunsBelowOneRefused: a campaign of fewer than one run has no
+// minimum or pWCET to report, so dsrsim refuses -runs 0 and negative
+// values with a usage message and exit status 2 before any campaign
+// starts (no "running ..." progress line, nothing on stdout).
+func TestRunsBelowOneRefused(t *testing.T) {
+	bin := buildDsrsim(t)
+	for _, args := range [][]string{
+		{"-table1", "-runs", "0"},
+		{"-fig2", "-runs", "-5"},
+	} {
+		var stdout, stderr bytes.Buffer
+		cmd := exec.Command(bin, args...)
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Fatalf("dsrsim %v: %v, want exit status 2\n%s", args, err, stderr.Bytes())
+		}
+		if !strings.Contains(stderr.String(), "-runs must be at least 1") || !strings.Contains(stderr.String(), "Usage") {
+			t.Errorf("dsrsim %v: stderr lacks the -runs refusal and usage:\n%s", args, stderr.Bytes())
+		}
+		if strings.Contains(stderr.String(), "running") || stdout.Len() != 0 {
+			t.Errorf("dsrsim %v started a campaign:\nstdout: %s\nstderr: %s", args, stdout.Bytes(), stderr.Bytes())
 		}
 	}
 }

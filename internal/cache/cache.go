@@ -142,19 +142,10 @@ type Counters struct {
 	Fills         uint64 // lines allocated
 }
 
-// MissRatio returns misses/accesses, or 0 for an untouched cache.
-func (c Counters) MissRatio() float64 {
-	if c.Accesses == 0 {
-		return 0
-	}
-	return float64(c.Misses) / float64(c.Accesses)
-}
-
 type line struct {
 	valid bool
 	dirty bool
 	tag   mem.Addr // full line address (addr / lineSize); simplest tag form
-	age   uint64   // LRU timestamp
 }
 
 // Cache is a single cache level. It is not safe for concurrent use: the
@@ -164,20 +155,22 @@ type line struct {
 // fetch goes through the IL1, every load/store through the DL1), so the
 // geometry is strength-reduced at construction: LineSize and the set
 // count are powers of two (enforced by Config.Validate), which turns
-// the per-access divisions into shifts and masks, and a per-set MRU way
-// hint serves the dominant repeated-line pattern without scanning the
-// ways. Both are pure lookup transformations: hits, misses, victims and
-// latencies are bit-identical to the div/mod implementation (proven by
-// TestSetIndexEquivalence / TestLineAddrEquivalence and the golden
-// cycle files). Likewise a bitmap of the lines filled since the last
-// flush lets FlushAll, which runs at every partition start, visit only
-// those lines (TestFlushAllMatchesFullScan).
+// the per-access divisions into shifts and masks (TestSetIndexEquivalence,
+// TestLineAddrEquivalence). Under LRU replacement each set keeps its
+// ways in recency order, most recently used first: a hit on way 0 (the
+// repeated-line pattern that dominates) costs one compare, a hit deeper
+// in the set moves its line to the front, and the LRU victim is the
+// last way. Random replacement picks its victim by way position, so it
+// never reorders a set. Hits, misses, victims and latencies are those
+// of the age-stamped LRU model (TestCacheMatchesAgeReference, FuzzCache
+// and the golden cycle files). A bitmap of the sets filled since the
+// last flush lets FlushAll, which runs at every partition start, visit
+// only those sets (TestFlushAllMatchesFullScan).
 type Cache struct {
 	cfg   Config
 	next  mem.Backend
 	sets  int
-	lines []line // sets × ways, row-major
-	clock uint64 // LRU timestamp source
+	lines []line // sets × ways, row-major; under LRU each set MRU first
 	ctr   Counters
 
 	// Strength-reduced geometry: addr>>lineShift == addr/LineSize and
@@ -187,42 +180,20 @@ type Cache struct {
 	ways      int
 	hitLat    mem.Cycles
 
-	// mru[set] is the way of the most recent hit or fill in the set — a
-	// pure lookup hint (validated against tag+valid before use), so it
-	// cannot alter replacement decisions.
-	mru []int32
+	// Policy flags fixed at New: wt is cfg.Write ==
+	// WriteThroughNoAllocate, lru is cfg.Replacement == ReplacementLRU
+	// (the only policy that reorders a set) and hash is cfg.Placement ==
+	// PlacementHashRandom.
+	wt, lru, hash bool
 
-	// mruIdx indexes (into lines) the line of the most recent hit or
-	// fill across the whole cache — the repeated-same-line accelerator,
-	// serving the per-instruction pattern (stack slot reloads,
-	// sequential data) without recomputing the set index (which is a
-	// multiply-xorshift hash under PlacementHashRandom) or scanning
-	// ways. Like mru it is validated (tag + valid bit) before use: a
-	// slot reused by a later fill fails the tag compare and the access
-	// falls back to the full lookup, so the hint can never change hits,
-	// misses or replacement. An index rather than a *line on purpose:
-	// updating a pointer field fires a GC write barrier on every update,
-	// which profiles at ~10% of campaign time; an int32 store is free.
-	// Sentinel -1 when empty.
-	mruIdx int32
-
-	// mruIdx2 is the second-most-recent line — the two-line working-set
-	// accelerator. A counted loop whose body straddles an IL1 line
-	// boundary alternates between two lines every iteration, defeating
-	// a single hint; the pair catches it. Validated exactly like
-	// mruIdx, so it too can never change hits, misses or replacement.
-	mruIdx2 int32
-
-	// wt caches cfg.Write == WriteThroughNoAllocate for the store path.
-	wt bool
-
-	// filled is a bitmap over lines (bit i%64 of word i/64 is lines[i])
-	// marking every line filled since the last FlushAll. fill is the
-	// only place a line becomes valid, so every valid line's bit is set
-	// (invalidated lines may keep theirs). FlushAll walks the set bits
-	// instead of every line, which makes the per-run partition-start
-	// flush cost proportional to what the run touched. Snapshot and
-	// Restore carry it with the lines.
+	// filled is a bitmap over sets (bit i%64 of word i/64 is set i)
+	// marking every set filled since the last FlushAll. fill is the
+	// only place a line becomes valid, so every set holding a valid
+	// line is marked (invalidated lines may leave theirs marked). Lines
+	// move within a set, so the bit is per set, not per line. FlushAll
+	// walks the marked sets instead of every line, which makes the
+	// per-run partition-start flush cost proportional to what the run
+	// touched. Snapshot and Restore carry it with the lines.
 	filled []uint64
 
 	// obs, when non-nil, receives one event per line access (the attack
@@ -295,11 +266,10 @@ func New(cfg Config, next mem.Backend) *Cache {
 	}
 	c.setMask = mem.Addr(c.sets - 1)
 	c.lines = make([]line, c.sets*cfg.Ways)
-	c.mru = make([]int32, c.sets)
-	c.filled = make([]uint64, (len(c.lines)+63)/64)
+	c.filled = make([]uint64, (c.sets+63)/64)
 	c.wt = cfg.Write == WriteThroughNoAllocate
-	c.mruIdx = -1
-	c.mruIdx2 = -1
+	c.lru = cfg.Replacement == ReplacementLRU
+	c.hash = cfg.Placement == PlacementHashRandom
 	if cfg.Replacement == ReplacementRandom {
 		c.repl = prng.NewMWC(0xC0FFEE)
 	}
@@ -345,7 +315,7 @@ func (c *Cache) lineAddr(a mem.Addr) mem.Addr { return a >> c.lineShift }
 // power-of-two set counts Validate enforces, including the final
 // reduction of the parametric hash.
 func (c *Cache) setIndex(lineAddr mem.Addr) int {
-	if c.cfg.Placement == PlacementHashRandom {
+	if c.hash {
 		// Multiply-xorshift parametric hash (Kosmidis et al. style random
 		// placement): uniform over sets, stable within a run, reseedable.
 		x := uint64(lineAddr) ^ c.hashSeed
@@ -372,55 +342,48 @@ func (c *Cache) lookup(set []line, lineAddr mem.Addr) int {
 	return -1
 }
 
-// hitWay is lookup plus the MRU short-circuit: the per-set hint is
-// checked before scanning the ways. Returns the hit way, or -1.
-func (c *Cache) hitWay(idx int, set []line, lineAddr mem.Addr) int {
-	if m := int(c.mru[idx]); m < len(set) {
-		if l := &set[m]; l.valid && l.tag == lineAddr {
-			return m
+// promote looks for lineAddr past way 0 of set idx and returns the way
+// holding it afterwards, or -1. Under LRU a hit moves the line to the
+// front (way 0) and shifts the ways before it back by one, keeping the
+// set in recency order. Callers test way 0 themselves first: that one
+// compare serves most accesses.
+func (c *Cache) promote(idx int, lineAddr mem.Addr) int {
+	set := c.set(idx)
+	for w := 1; w < len(set); w++ {
+		if set[w].tag == lineAddr && set[w].valid {
+			if !c.lru {
+				return w
+			}
+			l := set[w]
+			for ; w > 0; w-- {
+				set[w] = set[w-1]
+			}
+			set[0] = l
+			return 0
 		}
-	}
-	if w := c.lookup(set, lineAddr); w >= 0 {
-		c.mru[idx] = int32(w)
-		return w
 	}
 	return -1
 }
 
-// victim picks the way to evict from a full or partial set.
-func (c *Cache) victim(set []line) int {
-	// Prefer an invalid way.
-	for w := range set {
-		if !set[w].valid {
-			return w
-		}
-	}
-	if c.cfg.Replacement == ReplacementRandom {
-		return prng.Intn(c.repl, len(set))
-	}
-	// LRU: smallest age.
-	best := 0
-	for w := 1; w < len(set); w++ {
-		if set[w].age < set[best].age {
-			best = w
-		}
-	}
-	return best
-}
-
-func (c *Cache) touch(set []line, w int) {
-	c.clock++
-	set[w].age = c.clock
-}
-
-// fill allocates lineAddr, evicting if necessary, and returns the latency
-// of the fill traffic (next-level read plus any dirty writeback).
-func (c *Cache) fill(lineAddr mem.Addr, dirty bool) mem.Cycles {
-	idx := c.setIndex(lineAddr)
+// fill allocates lineAddr in set idx, evicting if necessary, and returns
+// the latency of the fill traffic (next-level read plus any dirty
+// writeback). The victim is the first invalid way, else the last way
+// under LRU (the least recently used line) or a random way. Under LRU
+// the new line goes to the front and the ways before the victim shift
+// back by one.
+func (c *Cache) fill(lineAddr mem.Addr, idx int, dirty bool) mem.Cycles {
 	set := c.set(idx)
-	w := c.victim(set)
+	w := 0
+	for w < len(set) && set[w].valid {
+		w++
+	}
 	var lat mem.Cycles
-	if set[w].valid {
+	if w == len(set) {
+		if c.lru {
+			w--
+		} else {
+			w = prng.Intn(c.repl, len(set))
+		}
 		c.ctr.Evictions++
 		if set[w].dirty {
 			c.ctr.Writebacks++
@@ -428,22 +391,22 @@ func (c *Cache) fill(lineAddr mem.Addr, dirty bool) mem.Cycles {
 		}
 	}
 	lat += c.next.Read(lineAddr<<c.lineShift, c.cfg.LineSize)
+	if c.lru {
+		for ; w > 0; w-- {
+			set[w] = set[w-1]
+		}
+	}
 	set[w] = line{valid: true, dirty: dirty, tag: lineAddr}
-	li := idx*c.ways + w
-	c.filled[li>>6] |= 1 << (li & 63)
-	c.mru[idx] = int32(w)
-	c.mruIdx2 = c.mruIdx
-	c.mruIdx = int32(li)
-	c.touch(set, w)
+	c.filled[idx>>6] |= 1 << (idx & 63)
 	c.ctr.Fills++
 	return lat
 }
 
 // Read implements mem.Backend. A read that straddles a line boundary is
 // charged as two sequential line accesses, as the real hardware would.
-// The single-line hit — the per-instruction common case — is served by
-// a straight-line fast path; the fill/writeback slow path is outlined
-// in readMiss so this function stays small.
+// The single-line hit on way 0 — the per-instruction common case — is
+// served by a straight-line fast path; the rest of the set and the fill
+// are outlined in readSlow so this function stays small.
 func (c *Cache) Read(addr mem.Addr, size int) mem.Cycles {
 	if size <= 0 {
 		size = 1
@@ -479,56 +442,33 @@ func (c *Cache) WriteLine(addr mem.Addr, size int) mem.Cycles {
 func (c *Cache) readLine(la mem.Addr) mem.Cycles {
 	c.ctr.Accesses++
 	c.ctr.Reads++
-	if i := c.mruIdx; i >= 0 {
-		if l := &c.lines[i]; l.tag == la && l.valid {
-			c.ctr.Hits++
-			c.clock++
-			l.age = c.clock
-			if c.obs != nil {
-				c.obs.OnAccess(false, int(i)/c.ways, true)
-			}
-			return c.hitLat
-		}
-	}
-	if i := c.mruIdx2; i >= 0 {
-		if l := &c.lines[i]; l.tag == la && l.valid {
-			c.ctr.Hits++
-			c.clock++
-			l.age = c.clock
-			c.mruIdx2 = c.mruIdx
-			c.mruIdx = i
-			if c.obs != nil {
-				c.obs.OnAccess(false, int(i)/c.ways, true)
-			}
-			return c.hitLat
-		}
-	}
 	idx := c.setIndex(la)
-	set := c.set(idx)
-	if w := c.hitWay(idx, set, la); w >= 0 {
+	if l := &c.lines[idx*c.ways]; l.tag == la && l.valid {
 		c.ctr.Hits++
-		c.clock++
-		set[w].age = c.clock
-		c.mruIdx2 = c.mruIdx
-		c.mruIdx = int32(idx*c.ways + w)
 		if c.obs != nil {
 			c.obs.OnAccess(false, idx, true)
 		}
 		return c.hitLat
 	}
-	return c.readMiss(la)
+	return c.readSlow(la, idx)
 }
 
-// readMiss is the outlined read slow path: miss bookkeeping plus fill.
+// readSlow is the outlined read path past way 0: the rest of the set,
+// then on a miss the fill.
 //
 //go:noinline
-func (c *Cache) readMiss(la mem.Addr) mem.Cycles {
+func (c *Cache) readSlow(la mem.Addr, idx int) mem.Cycles {
+	hit := c.promote(idx, la) >= 0
+	if c.obs != nil {
+		c.obs.OnAccess(false, idx, hit)
+	}
+	if hit {
+		c.ctr.Hits++
+		return c.hitLat
+	}
 	c.ctr.Misses++
 	c.ctr.ReadMisses++
-	if c.obs != nil {
-		c.obs.OnAccess(false, c.setIndex(la), false)
-	}
-	return c.hitLat + c.fill(la, false)
+	return c.hitLat + c.fill(la, idx, false)
 }
 
 // Write implements mem.Backend.
@@ -554,31 +494,14 @@ func (c *Cache) Write(addr mem.Addr, size int) mem.Cycles {
 func (c *Cache) writeLine(la mem.Addr, size int) mem.Cycles {
 	c.ctr.Accesses++
 	c.ctr.Writes++
-	if c.wt {
-		// Write-through fast path: an MRU-line hit needs no set lookup.
-		// The store still always propagates (store-buffer-visible cost).
-		if i := c.mruIdx; i >= 0 {
-			if l := &c.lines[i]; l.tag == la && l.valid {
-				c.ctr.Hits++
-				c.clock++
-				l.age = c.clock
-				if c.obs != nil {
-					c.obs.OnAccess(true, int(i)/c.ways, true)
-				}
-				return c.hitLat + c.next.Write(la<<c.lineShift, size)
-			}
-		}
-	}
 	idx := c.setIndex(la)
-	set := c.set(idx)
-	w := c.hitWay(idx, set, la)
+	w := 0
+	if l := &c.lines[idx*c.ways]; l.tag != la || !l.valid {
+		w = c.promote(idx, la)
+	}
 	if c.wt {
 		if w >= 0 {
 			c.ctr.Hits++
-			c.clock++
-			set[w].age = c.clock
-			c.mruIdx2 = c.mruIdx
-			c.mruIdx = int32(idx*c.ways + w)
 		} else {
 			c.ctr.Misses++
 			c.ctr.WriteMisses++
@@ -591,21 +514,17 @@ func (c *Cache) writeLine(la mem.Addr, size int) mem.Cycles {
 		// visible portion.
 		return c.hitLat + c.next.Write(la<<c.lineShift, size)
 	}
-	return c.writeBack(la, idx, set, w)
+	return c.writeBack(la, idx, w)
 }
 
 // writeBack is the write-back/allocate path, outlined from writeLine so
-// the write-through DL1 hot path stays small.
-func (c *Cache) writeBack(la mem.Addr, idx int, set []line, w int) mem.Cycles {
+// the write-through DL1 hot path stays small. w is the hit way, or -1.
+func (c *Cache) writeBack(la mem.Addr, idx, w int) mem.Cycles {
 	switch c.cfg.Write {
 	case WriteBackAllocate:
 		if w >= 0 {
 			c.ctr.Hits++
-			set[w].dirty = true
-			c.clock++
-			set[w].age = c.clock
-			c.mruIdx2 = c.mruIdx
-			c.mruIdx = int32(idx*c.ways + w)
+			c.lines[idx*c.ways+w].dirty = true
 			if c.obs != nil {
 				c.obs.OnAccess(true, idx, true)
 			}
@@ -616,7 +535,7 @@ func (c *Cache) writeBack(la mem.Addr, idx int, set []line, w int) mem.Cycles {
 		if c.obs != nil {
 			c.obs.OnAccess(true, idx, false)
 		}
-		return c.hitLat + c.fill(la, true)
+		return c.hitLat + c.fill(la, idx, true)
 	default:
 		panic("cache: unknown write policy")
 	}
@@ -626,27 +545,30 @@ func (c *Cache) writeBack(la mem.Addr, idx int, set []line, w int) mem.Cycles {
 // returning the cost. PikeOS is configured to flush caches at partition
 // start (§IV), which is what guarantees a canonical initial state.
 //
-// Only lines in the filled bitmap are visited, in ascending line index
-// order: the same lines, writebacks (and their order at the next level),
-// latency and counters as a scan of every line, since a line outside
-// the bitmap is invalid.
+// Only sets in the filled bitmap are visited, in ascending set order
+// and each set's ways in order: the same lines, writebacks (and their
+// order at the next level), latency and counters as a scan of every
+// line, since a set outside the bitmap holds no valid line.
 func (c *Cache) FlushAll() mem.Cycles {
-	c.mruIdx, c.mruIdx2 = -1, -1 // defensive; validation makes stale hints harmless
 	var lat mem.Cycles
 	for wi, word := range c.filled {
 		for word != 0 {
-			l := &c.lines[wi<<6|bits.TrailingZeros64(word)]
+			idx := wi<<6 | bits.TrailingZeros64(word)
 			word &= word - 1
-			if !l.valid {
-				continue
+			set := c.set(idx)
+			for w := range set {
+				l := &set[w]
+				if !l.valid {
+					continue
+				}
+				if l.dirty {
+					c.ctr.Writebacks++
+					lat += c.next.Write(l.tag*mem.Addr(c.cfg.LineSize), c.cfg.LineSize)
+				}
+				c.ctr.Invalidations++
+				l.valid = false
+				l.dirty = false
 			}
-			if l.dirty {
-				c.ctr.Writebacks++
-				lat += c.next.Write(l.tag*mem.Addr(c.cfg.LineSize), c.cfg.LineSize)
-			}
-			c.ctr.Invalidations++
-			l.valid = false
-			l.dirty = false
 		}
 		c.filled[wi] = 0
 	}

@@ -36,7 +36,8 @@ func warmSequential(c *Cache, n int) {
 }
 
 // BenchmarkReadHitSameLine is the straight-line fetch pattern: repeated
-// word reads within one resident line (the MRU fast path).
+// word reads within one resident line, each a hit on way 0 of its set
+// (the one-compare path).
 func BenchmarkReadHitSameLine(b *testing.B) {
 	c := New(proximaIL1(), &flatMemory{readLat: 30})
 	c.Read(0x100, 4)

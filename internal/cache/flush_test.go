@@ -30,9 +30,8 @@ func (r *recordingBackend) Write(a mem.Addr, size int) mem.Cycles {
 }
 
 // fullScanFlush is FlushAll as a scan of every line in index order: the
-// reference the filled-line bitmap must reproduce.
+// reference the filled-set bitmap must reproduce.
 func fullScanFlush(c *Cache) mem.Cycles {
-	c.mruIdx, c.mruIdx2 = -1, -1
 	var lat mem.Cycles
 	for i := range c.lines {
 		l := &c.lines[i]
@@ -63,8 +62,11 @@ func TestFlushAllMatchesFullScan(t *testing.T) {
 		for _, pl := range []Placement{PlacementModulo, PlacementHashRandom} {
 			for _, wp := range []WritePolicy{WriteThroughNoAllocate, WriteBackAllocate} {
 				cfgs = append(cfgs,
-					// 96 lines: the bitmap's last word is partly used.
+					// 32 sets: the bitmap's only word is partly used.
 					Config{Name: "3w", Size: 16 * 3 * 32, LineSize: 16, Ways: 3,
+						HitLatency: 1, Placement: pl, Replacement: repl, Write: wp},
+					// 128 sets: the bitmap spans two words.
+					Config{Name: "2w128", Size: 16 * 2 * 128, LineSize: 16, Ways: 2,
 						HitLatency: 1, Placement: pl, Replacement: repl, Write: wp},
 					Config{Name: "dm", Size: 4096, LineSize: 32, Ways: 1,
 						HitLatency: 1, Placement: pl, Replacement: repl, Write: wp})

@@ -25,7 +25,7 @@ func TestObserverReadEvents(t *testing.T) {
 	log := &eventLog{}
 	c.SetObserver(log)
 	c.Read(0x100, 4) // miss, set 16
-	c.Read(0x104, 4) // hit, same line (MRU fast path)
+	c.Read(0x104, 4) // hit, same line (way 0 of its set)
 	c.Read(0x10E, 4) // straddles into set 17: hit (0x100 line) + miss (0x110)
 	want := []event{
 		{false, 16, false},
@@ -47,7 +47,7 @@ func TestObserverWriteThroughEvents(t *testing.T) {
 	c.Write(0x100, 4) // WT store miss: no allocate
 	c.Read(0x100, 4)  // miss (store did not install)
 	c.Write(0x100, 4) // WT store hit
-	c.Write(0x104, 4) // WT store hit via MRU fast path
+	c.Write(0x104, 4) // WT store hit on way 0 of its set
 	want := []event{
 		{true, 16, false},
 		{false, 16, false},

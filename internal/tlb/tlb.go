@@ -40,14 +40,6 @@ type Counters struct {
 	Misses   uint64
 }
 
-// MissRatio returns misses/accesses, or 0 for an untouched TLB.
-func (c Counters) MissRatio() float64 {
-	if c.Accesses == 0 {
-		return 0
-	}
-	return float64(c.Misses) / float64(c.Accesses)
-}
-
 // TLB is a fully associative, LRU-replaced translation buffer. The SRMMU
 // TLB is fully associative, which is why software randomisation affects
 // it only through the *number* of distinct pages touched, not their

@@ -91,20 +91,6 @@ func TestFlush(t *testing.T) {
 	}
 }
 
-func TestMissRatio(t *testing.T) {
-	tl, _ := newTestTLB(8)
-	var c Counters
-	if c.MissRatio() != 0 {
-		t.Error("empty counters miss ratio should be 0")
-	}
-	tl.Translate(0x0000)
-	tl.Translate(0x0004)
-	got := tl.Counters().MissRatio()
-	if got != 0.5 {
-		t.Errorf("miss ratio=%f, want 0.5", got)
-	}
-}
-
 func TestValidateAndPanic(t *testing.T) {
 	bad := Config{Name: "bad", Entries: 0}
 	if err := bad.Validate(); err == nil {
